@@ -30,7 +30,7 @@ class TestDispatchCost:
             k: v for k, v in result.items()})
         assert result["runtime_evals"] == 0
         assert result["mismatches"] == 0
-        assert result["region_hits"] > 0
+        assert result["table_hits"] > 0
         assert result["speedup"] >= 5.0
 
 

@@ -39,7 +39,7 @@ from .faults import FaultInjector, FaultPlan
 from .gpu import (Device, ExecMode, GTX_285, GTX_480, GPUSpec, Kernel,
                   LaunchConfig, TESLA_C2050, get_target)
 from .perfmodel import (CalibrationStore, FeedbackConfig, KernelCategory,
-                        KernelWorkload, PerformanceModel, Variant, sweep)
+                        KernelWorkload, PerformanceModel, Variant)
 from .streamit import (Duplicate, FeedbackLoop, Filter, Pipeline, RoundRobin,
                        SplitJoin, StreamProgram, roundrobin, run_program)
 
@@ -67,6 +67,5 @@ __all__ = [
     "LaunchConfig",
     # performance model
     "PerformanceModel", "KernelWorkload", "KernelCategory", "Variant",
-    "sweep",
     "__version__",
 ]

@@ -15,8 +15,7 @@ nothing else::
 re-export of the types an application touches (:class:`CompiledProgram`,
 :class:`RunResult`, :class:`RunOptions`, :class:`SelectionStats`,
 :class:`ExecMode`, :class:`InputLocation`, the selection fast-path types
-(:class:`AxisSpec` / :class:`RegionTable` / :class:`DecisionTable` /
-:class:`SegmentDispatch` / :class:`RegionDispatch`), the
+(:class:`AxisSpec` / :class:`RegionTable` / :class:`RegionDispatch`), the
 feedback/calibration types, the serving front door (:class:`Server` /
 :class:`ServeConfig`), and the GPU targets).  The facade adds no behavior, so the internal modules can keep
 moving without breaking callers; the historical entry points
@@ -32,7 +31,7 @@ from .artifacts import ArtifactBundle
 from .compiler import AdapticCompiler, AdapticOptions, CompileError
 from .compiler.runtime import (BatchOutcome, CompiledProgram, InputLocation,
                                RunOptions, RunResult, SegmentExecution)
-from .compiler.segments import RegionDispatch, SegmentDispatch
+from .compiler.segments import RegionDispatch
 from .compiler.stats import SelectionStats
 from .errors import (AdmissionError, BundleArchError, BundleError,
                      BundleFormatError, BundleProgramError,
@@ -43,9 +42,9 @@ from .errors import (AdmissionError, BundleArchError, BundleError,
 from .faults import FaultInjector, FaultPlan
 from .gpu import (Device, ExecMode, GPUSpec, GTX_285, GTX_480, TARGETS,
                   TESLA_C2050, get_target)
-from .perfmodel import (AxisSpec, CalibrationStore, DecisionTable,
-                        FeedbackConfig, Observation, RegionTable,
-                        selection_accuracy, size_bucket)
+from .perfmodel import (AxisSpec, CalibrationStore, FeedbackConfig,
+                        Observation, RegionTable, selection_accuracy,
+                        size_bucket)
 from .serve import (Priority, ServeConfig, ServeResult, Server,
                     TenantConfig)
 from .streamit import StreamProgram
@@ -55,8 +54,7 @@ __all__ = [
     "AdapticOptions", "CompileError", "CompiledProgram", "RunResult",
     "BatchOutcome", "SegmentExecution", "SelectionStats", "ArtifactBundle",
     "ExecMode", "InputLocation", "RunOptions", "Device",
-    "AxisSpec", "RegionTable", "DecisionTable",
-    "SegmentDispatch", "RegionDispatch",
+    "AxisSpec", "RegionTable", "RegionDispatch",
     "ReproError", "SelectionError", "KernelExecutionError",
     "KernelTimeoutError", "TransferError", "CalibrationError",
     "ModelSweepError", "ServeError", "AdmissionError",

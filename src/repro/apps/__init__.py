@@ -30,6 +30,21 @@ BUILDERS = {
     "pair_search": (svm.build_pair_search, "SVM violating-pair search"),
 }
 
+#: app name -> scalar parameters pinned when pruning or baking the app
+#: over its declared input ranges: the ones its cost model reads that
+#: are neither a declared range nor derived from one (the BLAS-1 batch
+#: count, option-pricing inputs, the stencil row width).  Apps absent
+#: here need no pins.
+PINS = {
+    "sdot": {"r": 1},
+    "sasum": {"r": 1},
+    "snrm2": {"r": 1},
+    "isamax": {"r": 1},
+    "montecarlo": dict(montecarlo.DEFAULTS),
+    "ocean_fft": {"width": 1024},
+    "convolution": {"width": 1024},
+}
+
 __all__ = ["blas1", "tmv", "scalar_product", "montecarlo", "stencil2d",
            "convolution", "bicgstab", "svm", "insensitive", "imagepipe",
-           "BUILDERS"]
+           "BUILDERS", "PINS"]

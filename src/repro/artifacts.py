@@ -6,7 +6,8 @@ that today dies with the process.  An :class:`ArtifactBundle` serializes
 everything the warm path needs so a *fresh* process can serve its first
 request with zero perf-model evaluations and zero expression compiles:
 
-* per-segment dispatch/decision tables with their exact break-even points;
+* per-segment dispatch tables (region tables) with their exact break-even
+  points;
 * the surviving (unpruned) variant set per segment;
 * generated kernel source recorded by :mod:`repro.compiler.exprgen`;
 * restructure permutations (bit-exact, base64);
@@ -43,9 +44,12 @@ from .errors import (BundleArchError, BundleFormatError, BundleProgramError,
                      BundleVersionError)
 
 #: Schema version written into every bundle; bump on layout changes.
-BUNDLE_SCHEMA_VERSION = 1
+#: Version 2 carries one dispatch payload shape (a region table) per
+#: baked segment; version 1's separate one-axis ``"table"`` payloads are
+#: not read, so a v1 bundle is rejected whole instead of half-loaded.
+BUNDLE_SCHEMA_VERSION = 2
 #: Schema versions this build can read.
-SUPPORTED_BUNDLE_VERSIONS = (1,)
+SUPPORTED_BUNDLE_VERSIONS = (2,)
 
 
 # ----------------------------------------------------------------------
@@ -331,24 +335,14 @@ class ArtifactBundle:
                 f"{len(dispatches)} dispatch table(s), "
                 f"{len(perms)} permutation(s)")
             for dispatch in dispatches:
-                if dispatch.get("kind") == "region":
-                    region = dispatch.get("region") or {}
-                    axes = region.get("axes") or []
-                    box = " x ".join(f"{name}[{lo}, {hi}]"
-                                     for name, lo, hi, _ in axes)
-                    lines.append(
-                        f"    region {box}: "
-                        f"{_count_region_leaves(region.get('root'))} "
-                        f"region(s)")
-                    continue
-                table = dispatch.get("table") or {}
-                subranges = table.get("subranges") or []
-                span = (f"[{subranges[0][0]}, {subranges[-1][1]}]"
-                        if subranges else "(empty)")
+                region = dispatch.get("region") or {}
+                axes = region.get("axes") or []
+                box = " x ".join(f"{name}[{lo}, {hi}]"
+                                 for name, lo, hi, _ in axes)
                 lines.append(
-                    f"    axis {dispatch['axis']} {span}: " + ", ".join(
-                        f"{lo}..{hi}->{variant}"
-                        for lo, hi, variant in subranges))
+                    f"    region {box}: "
+                    f"{_count_region_leaves(region.get('root'))} "
+                    f"region(s)")
         quarantined = self.calibration.get("quarantines") or []
         if quarantined:
             lines.append(f"  quarantines: {len(quarantined)}")

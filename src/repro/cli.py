@@ -78,7 +78,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "input ranges")
     parser.add_argument("--tables", action="store_true",
                         help="with describe: print baked dispatch tables "
-                             "(1-D subranges or k-d region maps)")
+                             "(one region map per segment)")
     parser.add_argument("--workers", type=int, default=2,
                         help="with health: run_many worker threads")
     parser.add_argument("--elements", type=int, default=None,
@@ -137,14 +137,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"describe needs an app name from: "
                 f"{sorted(_APP_BUILDERS)}")
         builder, _description = _APP_BUILDERS[args.name]
-        options = api.AdapticOptions(prune=True) if args.tables else None
-        compiled = api.compile(builder(), arch=spec, options=options)
+        pins = apps.PINS.get(args.name)
+        compiled = api.compile(builder(), arch=spec)
+        if args.tables:
+            compiled.prune_variants(extra_params=pins)
         print(compiled.describe(tables=args.tables))
         if args.ranges:
             print()
-            extra = {"r": 1} if "r" in compiled.program.params else {}
             try:
-                print(compiled.range_report(extra_params=extra))
+                print(compiled.range_report(extra_params=pins))
             except Exception as exc:  # range sweep may need more params
                 print(f"(range report unavailable: {exc})")
         if args.cuda:
@@ -208,7 +209,7 @@ def _bundle(parser, args, spec) -> int:
             bundle = fig10.save_bundle(out, spec=spec)
         else:
             compiled = api.compile(_APP_BUILDERS[app][0](), arch=spec)
-            compiled.prune_variants()
+            compiled.prune_variants(extra_params=apps.PINS.get(app))
             bundle = compiled.save_bundle(out, meta={"app": app})
         print(f"saved {out}")
         print(bundle.inspect())

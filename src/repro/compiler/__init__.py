@@ -4,13 +4,13 @@ from .adaptic import (AdapticCompiler, AdapticOptions, CompileError,
                       compile_program)
 from .runtime import (CompiledProgram, InputLocation, RunOptions, RunResult,
                       SegmentExecution)
-from .segments import RegionDispatch, Segment, SegmentDispatch
+from .segments import RegionDispatch, Segment
 from .stats import CostCache, SelectionStats
 
 __all__ = [
     "AdapticCompiler", "AdapticOptions", "compile_program", "CompileError",
     "CompiledProgram", "InputLocation", "RunOptions", "RunResult",
     "SegmentExecution",
-    "Segment", "SegmentDispatch", "RegionDispatch", "CostCache",
+    "Segment", "RegionDispatch", "CostCache",
     "SelectionStats",
 ]

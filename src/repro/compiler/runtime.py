@@ -7,9 +7,10 @@ runs it.  Selection has a fast path and an exact fallback:
 
 * **dispatch tables** — :meth:`bake_decision_tables` (run automatically
   after :meth:`prune_variants`) precompiles each segment's winner per
-  input subrange along a declared input axis; an in-range ``select()`` is
-  then a bisect with *zero* model evaluations;
-* **model-argmin fallback** — out-of-range, multi-axis-unbaked, or
+  region of the declared input box (a one-axis box is the paper's list
+  of subranges); an in-range ``select()`` is then a tree walk with
+  *zero* model evaluations;
+* **model-argmin fallback** — out-of-box, unbaked, or
   device-resident inputs are resolved exactly, "a handful of closed-form
   evaluations completely executed on the CPU during the initial data
   transfer" — now memoized per ``(plan, scalar params)`` in a
@@ -43,15 +44,14 @@ from ..errors import (BundleFormatError, BundleProgramError, CalibrationError,
 from ..faults import KIND_NAN, KIND_RAISE, KIND_TIMEOUT
 from ..gpu import Device, EXEC_MODES, ExecMode, GPUSpec, MODE_REFERENCE, \
     MODE_VECTORIZED, PCIE_BANDWIDTH_GBPS
-from ..perfmodel import AxisSpec, CalibrationStore, DecisionTable, \
-    FeedbackConfig, PerformanceModel, RegionTable, Variant, geometric_points, \
-    hop_seconds, layout_transform_seconds, size_bucket, sweep_axis, \
-    sweep_region
+from ..perfmodel import AxisSpec, CalibrationStore, FeedbackConfig, \
+    PerformanceModel, RegionTable, Variant, geometric_points, hop_seconds, \
+    layout_transform_seconds, size_bucket, sweep_region
 from .costing import predicted_chain_fuse_gain
 from .exprgen import COMPILE_COUNTER, SOURCE_REGISTRY, compile_chain_fn
 from .plans.base import IN, KernelPlan, RESTRUCTURE_COUNTER, freeze_arrays, \
     freeze_scalars
-from .segments import RegionDispatch, Segment, SegmentDispatch, chain_spans
+from .segments import RegionDispatch, Segment, chain_spans
 from .stats import CostCache, SelectionStats
 
 #: Layouts that need no host-side restructuring.
@@ -450,7 +450,7 @@ class CompiledProgram:
         to the first segment.
 
         A segment with a baked, applicable dispatch table is decided by
-        bisect with zero model evaluations; everything else falls back to
+        lookup with zero model evaluations; everything else falls back to
         the exact (memoized) model-argmin — calibrated by the measured
         feedback factors when any have been learned.  With placement
         compiled as a selection axis the fallback prices each candidate's
@@ -494,8 +494,6 @@ class CompiledProgram:
                     if winner is not None:
                         plan = segment.plan_named(winner)
                         stats.table_hits += 1
-                        if type(segment.dispatch) is RegionDispatch:
-                            stats.region_hits += 1
                 if plan is None:
                     if segment.dispatch is not None:
                         stats.table_fallbacks += 1
@@ -1562,14 +1560,15 @@ class CompiledProgram:
         # box under whatever per-bucket factors existed at that moment,
         # so boxes spanning not-yet-observed buckets keep biased cuts.
         # Close the loop: once the whole pass has been folded in, re-sweep
-        # every disturbed region table under the converged store.
+        # every disturbed table under the converged store — unless the
+        # policy disabled re-baking, leaving repair to boundary patches.
         delta = self.stats.since(before)
-        if (delta.table_patches or delta.table_rebakes
-                or delta.subtree_resweeps) \
+        if config.rebake_threshold is not None \
+                and (delta.table_patches or delta.table_rebakes
+                     or delta.subtree_resweeps) \
                 and not self.calibration.is_identity():
             for segment in self.segments:
-                if type(segment.dispatch) is RegionDispatch:
-                    self._rebake_dispatch(segment)
+                self._rebake_dispatch(segment)
         return self.calibration
 
     def save_calibration(self, path) -> None:
@@ -1625,27 +1624,12 @@ class CompiledProgram:
             dispatch_payload = []
             if segment.dispatch is not None:
                 d = segment.dispatch
-                if type(d) is RegionDispatch:
-                    # The multi-axis payload kind rides the existing
-                    # versioned schema: absence of "kind" means the
-                    # historical 1-D entry, so old bundles stay loadable
-                    # byte-for-byte.
-                    dispatch_payload.append({
-                        "kind": "region",
-                        "axes": [str(name) for name in d.axes],
-                        "extras": encode_scalars(d.extras),
-                        "from_host": bool(d.from_host),
-                        "samples": int(d.samples),
-                        "region": d.region.to_payload(),
-                    })
-                else:
-                    dispatch_payload.append({
-                        "axis": d.axis, "lo": int(d.lo), "hi": int(d.hi),
-                        "extras": encode_scalars(d.extras),
-                        "from_host": bool(d.from_host),
-                        "samples": int(d.samples),
-                        "table": d.table.to_payload(),
-                    })
+                dispatch_payload.append({
+                    "axes": [str(name) for name in d.axes],
+                    "extras": encode_scalars(d.extras),
+                    "from_host": bool(d.from_host),
+                    "region": d.region.to_payload(),
+                })
             permutations = []
             for plan in segment.plans:
                 for size, scalars, perm in plan.export_permutations():
@@ -1751,29 +1735,17 @@ class CompiledProgram:
             dispatch = None
             for entry in payload.get("dispatch") or []:
                 try:
-                    if entry.get("kind") == "region":
-                        region = RegionTable.from_payload(entry["region"])
-                        dispatch = RegionDispatch(
-                            axes=tuple(str(a) for a in entry["axes"]),
-                            extras=decode_scalars(entry["extras"]),
-                            from_host=bool(entry["from_host"]),
-                            region=region,
-                            samples=int(entry.get("samples", 8)))
-                        winners = region.winners
-                    else:
-                        table = DecisionTable.from_payload(entry["table"])
-                        dispatch = SegmentDispatch(
-                            axis=str(entry["axis"]), lo=int(entry["lo"]),
-                            hi=int(entry["hi"]),
-                            extras=decode_scalars(entry["extras"]),
-                            from_host=bool(entry["from_host"]), table=table,
-                            samples=int(entry.get("samples", 8)))
-                        winners = table.winners
+                    dispatch = RegionDispatch(
+                        axes=tuple(str(a) for a in entry["axes"]),
+                        extras=decode_scalars(entry["extras"]),
+                        from_host=bool(entry["from_host"]),
+                        region=RegionTable.from_payload(entry["region"]))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise BundleFormatError(
                         f"segment {segment.name!r}: malformed dispatch "
                         f"payload: {exc}", segment=segment.name) from exc
-                unknown = [w for w in winners if w not in survivors]
+                unknown = [w for w in dispatch.region.winners
+                           if w not in survivors]
                 if unknown:
                     raise BundleProgramError(
                         f"segment {segment.name!r}: dispatch table selects "
@@ -1964,8 +1936,7 @@ class CompiledProgram:
                         winner: str, from_host: bool) -> bool:
         """Repair a baked table that a probe just contradicted.
 
-        Kind-agnostic: a 1-D table moves/splits a subrange boundary, a
-        k-d region table moves its nearest region boundary (or carves a
+        The region table moves its nearest region boundary (or carves a
         cell).  The ``lookup`` guard guarantees the binding is inside
         the baked coverage, so ``patch_at`` never sees the out-of-range
         :class:`CalibrationError` path.
@@ -2011,16 +1982,11 @@ class CompiledProgram:
             return None
         prev = self.segments[index - 1]
         winner = None
-        dispatch = prev.dispatch
-        try:
-            if type(dispatch) is RegionDispatch:
-                winner = dispatch.region.lookup(point)
-            elif dispatch is not None:
-                value = point.get(dispatch.axis)
-                if value is not None:
-                    winner = dispatch.table.lookup(value)
-        except (KeyError, TypeError, ValueError):
-            winner = None
+        if prev.dispatch is not None:
+            try:
+                winner = prev.dispatch.region.lookup(point)
+            except (KeyError, TypeError, ValueError):
+                winner = None
         if winner is not None:
             for plan in prev.plans:
                 if plan.strategy == winner:
@@ -2046,89 +2012,59 @@ class CompiledProgram:
             segment, plan, point, self._baked_prev_placement(index, point),
             index == 0, index == len(self.segments) - 1, True)
 
+    def _sweep_variants(self, segment: Segment, from_host: bool,
+                        names: Sequence[str], base: Dict[str, float]
+                        ) -> List[Variant]:
+        """One sweep candidate per eligible plan over the ``names`` axes.
+
+        Each candidate prices its plan at ``base`` with the swept axis
+        values bound in, placement-priced by :meth:`_swept_seconds`.
+        """
+        cost = self._selection_cost()
+        index = self.segments.index(segment)
+        return [
+            Variant(plan.strategy,
+                    lambda values, plan=plan: self._swept_seconds(
+                        cost, segment, index, plan,
+                        {**base, **{name: int(v)
+                                    for name, v in zip(names, values)}}))
+            for plan in self._eligible(segment, from_host)]
+
     def _rebake_dispatch(self, segment: Segment,
                          params: Optional[Dict[str, float]] = None) -> bool:
         """Re-sweep one segment's baked table under calibrated costs.
 
-        For a k-d :class:`RegionDispatch` with a triggering binding
-        (``params``) inside the baked box, only the subtree owning the
-        binding's region is re-swept — a large factor swing moves the
-        break-even surface locally, so regions far from the observation
-        keep their cuts.  Without a binding (e.g.
-        :meth:`load_calibration`) the whole region table is rebuilt.
+        With a triggering binding (``params``) inside the baked box, only
+        the subtree owning the binding's region is re-swept — a large
+        factor swing moves the break-even surface locally, so regions far
+        from the observation keep their cuts.  Without a binding (e.g.
+        :meth:`load_calibration`) the whole table is rebuilt.
         """
         dispatch = segment.dispatch
         if dispatch is None:
             return False
-        if type(dispatch) is RegionDispatch:
-            return self._rebake_region(segment, dispatch, params)
-        base = dict(dispatch.extras)
-        cost = self._selection_cost()
-        eligible = self._eligible(segment, dispatch.from_host)
-        seg_index = self.segments.index(segment)
-        variants = [
-            Variant(plan.strategy,
-                    lambda v, plan=plan: self._swept_seconds(
-                        cost, segment, seg_index, plan,
-                        {**base, dispatch.axis: int(v)}))
-            for plan in eligible
-        ]
-        with self.cost.compile_scope():
-            try:
-                table = sweep_axis(variants, dispatch.lo, dispatch.hi,
-                                   samples=dispatch.samples, refine=True)
-            except ModelSweepError:
-                # The calibrated sweep is infeasible; the stale table is
-                # dropped so selection falls back to exact model-argmin.
-                # Anything else (a buggy cost model, a typo) propagates.
-                self.stats.sweep_failures += 1
-                segment.dispatch = None
-                return False
-        segment.dispatch = SegmentDispatch(
-            axis=dispatch.axis, lo=int(table.subranges[0].lo),
-            hi=int(table.subranges[-1].hi), extras=dispatch.extras,
-            from_host=dispatch.from_host, table=table,
-            samples=dispatch.samples)
-        self.stats.table_rebakes += 1
-        return True
-
-    def _rebake_region(self, segment: Segment, dispatch: RegionDispatch,
-                       params: Optional[Dict[str, float]]) -> bool:
-        """Region-table rebake: subtree re-sweep when a binding anchors it."""
-        base = dict(dispatch.extras)
-        names = dispatch.region.names
-        cost = self._selection_cost()
-        eligible = self._eligible(segment, dispatch.from_host)
-        seg_index = self.segments.index(segment)
-        variants = [
-            Variant(plan.strategy,
-                    lambda values, plan=plan:
-                    self._swept_seconds(cost, segment, seg_index, plan, {
-                        **base,
-                        **{name: int(v)
-                           for name, v in zip(names, values)}}))
-            for plan in eligible
-        ]
+        region = dispatch.region
+        variants = self._sweep_variants(segment, dispatch.from_host,
+                                        region.names, dict(dispatch.extras))
         point = None
         if params is not None:
-            point = {name: params.get(name) for name in names}
+            point = {name: params.get(name) for name in region.names}
             if any(value is None or not np.isscalar(value)
                    or not axis.contains(value)
-                   for axis, value in zip(dispatch.region.axes,
-                                          point.values())):
+                   for axis, value in zip(region.axes, point.values())):
                 point = None      # out-of-box trigger: full rebake
         with self.cost.compile_scope():
             try:
                 if point is not None:
-                    dispatch.region.resweep_subtree(point, variants,
-                                                    refine=True)
+                    region.resweep_subtree(point, variants, refine=True)
                     self.stats.subtree_resweeps += 1
                 else:
-                    dispatch.region = sweep_region(
-                        variants, dispatch.region.axes, refine=True)
+                    dispatch.region = sweep_region(variants, region.axes,
+                                                   refine=True)
             except ModelSweepError:
                 # The calibrated sweep is infeasible; drop the stale
                 # table so selection falls back to exact model-argmin.
+                # Anything else (a buggy cost model, a typo) propagates.
                 self.stats.sweep_failures += 1
                 segment.dispatch = None
                 return False
@@ -2195,8 +2131,8 @@ class CompiledProgram:
 
         ``keep`` maps segment names to strategies that must survive (so a
         later ``force=`` cannot dangle).  Afterwards each segment's
-        decision table is re-baked over the surviving variants, turning
-        in-range selection into a zero-evaluation bisect.
+        dispatch table is re-baked over the surviving variants, turning
+        in-range selection into a zero-evaluation table walk.
         """
         points = self.sample_points(samples, extra_params)
         if not points:
@@ -2214,113 +2150,52 @@ class CompiledProgram:
                              refine: bool = True) -> int:
         """Precompile per-segment dispatch tables (§3's subranges).
 
-        For each declared input axis whose co-axes are all pinned by
-        ``extra_params``, sweep the axis (``perfmodel.breakeven``), refine
-        the break-even points to exact integers (``refine``), and attach
-        the resulting :class:`DecisionTable` to the segment.  Selection on
-        an input matching the baked extras is then a bisect with zero
-        model evaluations; anything else falls back to model-argmin.
+        Every declared input axis not pinned by ``extra_params`` becomes
+        an axis of the sweep (``perfmodel.breakeven``): the box they span
+        is partitioned into winner-homogeneous regions whose boundaries
+        are refined to exact integer break-even points (``refine``), and
+        the resulting :class:`~repro.perfmodel.RegionTable` is attached
+        to each segment as a :class:`RegionDispatch`.  One unpinned axis
+        gives the paper's list of subranges; two (rows x cols, width x
+        height) give a k-d region map.  Selection on an in-box input
+        matching the baked extras is then a tree walk with zero model
+        evaluations; anything else falls back to model-argmin.
 
-        A program with **two or more** unpinned size-like axes (rows x
-        cols, width x height) gets the k-d generalization instead: a
-        :class:`~repro.perfmodel.RegionTable` partitioning the full input
-        box into winner-homogeneous regions, attached as a
-        :class:`RegionDispatch` — in-box selection is then a tree walk
-        with zero model evaluations.
-
-        Returns the number of tables baked.  All evaluations spent here
-        are counted as compile-time and shared with later queries through
-        the cost cache.
+        Returns the number of tables baked (none when every axis is
+        pinned).  All evaluations spent here are counted as compile-time
+        and shared with later queries through the cost cache.
         """
         ranges = self.program.input_ranges
-        extras = dict(extra_params or {})
-        unpinned = [axis for axis in sorted(ranges) if axis not in extras]
-        if len(unpinned) >= 2:
-            return self._bake_region_tables(unpinned, ranges, extras,
-                                            samples, refine)
-        baked = 0
-        cost = self._selection_cost()
-        for axis in sorted(ranges):
-            lo, hi = ranges[axis]
-            others = set(ranges) - {axis}
-            if not others <= set(extras):
-                continue          # multi-axis input with unpinned co-axes
-            base = {k: v for k, v in extras.items() if k != axis}
-            with self.cost.compile_scope():
-                from_host = True
-                for seg_index, segment in enumerate(self.segments):
-                    eligible = self._eligible(segment, from_host)
-                    variants = [
-                        Variant(plan.strategy,
-                                lambda v, plan=plan, axis=axis,
-                                segment=segment, seg_index=seg_index:
-                                self._swept_seconds(
-                                    cost, segment, seg_index, plan,
-                                    {**base, axis: int(v)}))
-                        for plan in eligible
-                    ]
-                    try:
-                        table = sweep_axis(variants, lo, hi,
-                                           samples=samples, refine=refine)
-                    except ModelSweepError:
-                        # A segment the model cannot sweep over this axis
-                        # (e.g. sizes that violate its schedule) simply
-                        # keeps the exact model-argmin path.  Only the
-                        # typed sweep-infeasibility error is treated this
-                        # way — a typo-level bug in a cost model now
-                        # propagates instead of silently erasing a table.
-                        self.stats.sweep_failures += 1
-                        segment.dispatch = None
-                        from_host = False
-                        continue
-                    segment.dispatch = SegmentDispatch(
-                        axis=axis, lo=int(table.subranges[0].lo),
-                        hi=int(table.subranges[-1].hi),
-                        extras=freeze_scalars(base),
-                        from_host=from_host, table=table, samples=samples)
-                    from_host = False
-                    baked += 1
-            break                 # one baked axis per segment chain
-        return baked
-
-    def _bake_region_tables(self, names: List[str], ranges: Dict,
-                            extras: Dict[str, float], samples: int,
-                            refine: bool) -> int:
-        """Bake one k-d :class:`RegionDispatch` per sweepable segment."""
-        base = dict(extras)
+        base = dict(extra_params or {})
+        names = [axis for axis in sorted(ranges) if axis not in base]
+        if not names:
+            return 0
         axes = tuple(
             AxisSpec(name=name, lo=int(ranges[name][0]),
                      hi=int(ranges[name][1]), samples=samples)
             for name in names)
         baked = 0
-        cost = self._selection_cost()
         with self.cost.compile_scope():
             from_host = True
-            for seg_index, segment in enumerate(self.segments):
-                eligible = self._eligible(segment, from_host)
-                variants = [
-                    Variant(plan.strategy,
-                            lambda values, plan=plan,
-                            segment=segment, seg_index=seg_index:
-                            self._swept_seconds(cost, segment, seg_index,
-                                                plan, {
-                                **base,
-                                **{name: int(v)
-                                   for name, v in zip(names, values)}}))
-                    for plan in eligible
-                ]
+            for segment in self.segments:
+                variants = self._sweep_variants(segment, from_host, names,
+                                                base)
                 try:
                     region = sweep_region(variants, axes, refine=refine)
                 except ModelSweepError:
-                    # Same contract as the 1-D baker: a segment the model
-                    # cannot sweep keeps the exact model-argmin path.
+                    # A segment the model cannot sweep over this box
+                    # (e.g. sizes that violate its schedule) simply keeps
+                    # the exact model-argmin path.  Only the typed
+                    # sweep-infeasibility error is treated this way — a
+                    # typo-level bug in a cost model propagates instead
+                    # of silently erasing a table.
                     self.stats.sweep_failures += 1
                     segment.dispatch = None
                     from_host = False
                     continue
                 segment.dispatch = RegionDispatch(
                     axes=tuple(names), extras=freeze_scalars(base),
-                    from_host=from_host, region=region, samples=samples)
+                    from_host=from_host, region=region)
                 from_host = False
                 baked += 1
         return baked
@@ -2397,8 +2272,8 @@ class CompiledProgram:
         return "\n".join(lines)
 
     def describe(self, tables: bool = False) -> str:
-        """Program summary; ``tables=True`` adds the full baked region /
-        break-even maps (the ``python -m repro describe --tables`` view)."""
+        """Program summary; ``tables=True`` adds the full baked region
+        maps (the ``python -m repro describe --tables`` view)."""
         lines = [f"CompiledProgram {self.program.name!r} "
                  f"[{self.options.label()}] on {self.spec.name}"]
         for segment in self.segments:
@@ -2407,25 +2282,15 @@ class CompiledProgram:
             for plan in segment.plans:
                 lines.append(f"    - {plan.strategy}")
             d = segment.dispatch
-            if type(d) is RegionDispatch:
+            if d is not None:
                 box = " x ".join(f"{ax.name} in [{ax.lo}, {ax.hi}]"
                                  for ax in d.region.axes)
                 lines.append(
-                    f"    [region table over {box}: "
+                    f"    [dispatch table over {box}: "
                     f"{d.region.n_leaves} regions, "
                     f"{len(d.region.boundaries())} boundaries]")
                 if tables:
                     for line in d.region.describe():
                         lines.append(f"      {line}")
-            elif d is not None:
-                lines.append(
-                    f"    [dispatch table on {d.axis!r} in "
-                    f"[{d.lo}, {d.hi}]: "
-                    f"{len(d.table.subranges)} subranges]")
-                if tables:
-                    for sub in d.table.subranges:
-                        lines.append(f"      {d.axis} in "
-                                     f"[{sub.lo}, {sub.hi}] -> "
-                                     f"{sub.variant}")
         lines.append(f"  selection stats: {self.stats.summary()}")
         return "\n".join(lines)

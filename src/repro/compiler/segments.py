@@ -16,82 +16,30 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import SelectionError
-from ..perfmodel import DecisionTable, PerformanceModel, RegionTable, \
-    Variant, sweep
+from ..perfmodel import PerformanceModel, RegionTable
 from .plans.base import KernelPlan, freeze_scalars
 from .stats import cost_fn
 
 
 @dataclasses.dataclass
-class SegmentDispatch:
-    """A baked decision table: the segment's selection fast path.
-
-    Valid only for inputs where ``axis`` lies in ``[lo, hi]``, every other
-    scalar parameter equals ``extras`` exactly, and the segment is queried
-    under the same host/device-residency eligibility it was baked for.
-    """
-
-    axis: str
-    lo: int
-    hi: int
-    extras: tuple            # freeze_scalars() of the non-axis parameters
-    from_host: bool          # eligibility context the table was baked under
-    table: DecisionTable
-    #: Sample density the table was swept at (re-bakes reuse it).
-    samples: int = 8
-
-    def lookup(self, params: Dict[str, float],
-               from_host: bool) -> Optional[str]:
-        """Winning strategy name, or ``None`` when the table is unusable."""
-        if from_host != self.from_host:
-            return None
-        value = params.get(self.axis)
-        if value is None or not np.isscalar(value):
-            return None
-        if not self.lo <= value <= self.hi:
-            return None
-        others = {k: v for k, v in params.items() if k != self.axis}
-        if freeze_scalars(others) != self.extras:
-            return None
-        return self.table.lookup(value)
-
-    def patch(self, value, winner: str) -> bool:
-        """Repair the baked break-even boundary at one axis value.
-
-        Called by the runtime's feedback layer after a probe measurement
-        contradicts the table; delegates to
-        :meth:`~repro.perfmodel.DecisionTable.patch`.
-        """
-        return self.table.patch(int(value), winner)
-
-    def patch_at(self, params: Dict[str, float], winner: str) -> bool:
-        """Patch at a full parameter binding (dispatch-kind agnostic)."""
-        return self.patch(params[self.axis], winner)
-
-
-@dataclasses.dataclass
 class RegionDispatch:
-    """A baked k-d region table: the multi-axis selection fast path.
+    """A baked region table: the segment's selection fast path.
 
-    The region generalization of :class:`SegmentDispatch`: valid only
-    for inputs whose ``axes`` scalars all lie inside the baked box,
-    whose remaining scalar parameters equal ``extras`` exactly, and
-    under the host/device-residency eligibility it was baked for.  Both
-    dispatch kinds expose the same ``lookup`` / ``patch_at`` surface, so
-    the runtime never branches on the kind.
+    Valid only for inputs whose ``axes`` scalars all lie inside the
+    baked box, whose remaining scalar parameters equal ``extras``
+    exactly, and under the host/device-residency eligibility it was
+    baked for.  One axis or several, the table is the same type.
     """
 
     axes: tuple             # axis names, in the region table's order
     extras: tuple           # freeze_scalars() of the non-axis parameters
     from_host: bool         # eligibility context the table was baked under
     region: RegionTable
-    #: Per-axis sample density the table was swept at (re-bakes reuse it).
-    samples: int = 8
 
     def lookup(self, params: Dict[str, float],
                from_host: bool) -> Optional[str]:
@@ -117,12 +65,6 @@ class RegionDispatch:
         return self.region.patch(params, winner)
 
 
-def _points_equal(a: Dict, b: Dict) -> bool:
-    if a.keys() != b.keys():
-        return False
-    return all(np.array_equal(a[k], b[k]) for k in a)
-
-
 @dataclasses.dataclass
 class Segment:
     """One selectable unit of the compiled program."""
@@ -136,9 +78,8 @@ class Segment:
     consts: tuple = ()
     #: Filters folded into this segment (for reporting).
     actors: tuple = ()
-    #: Baked dispatch table (selection fast path), if any: a 1-D
-    #: :class:`SegmentDispatch` or a multi-axis :class:`RegionDispatch`.
-    dispatch: Optional[Union[SegmentDispatch, RegionDispatch]] = None
+    #: Baked dispatch table (selection fast path), if any.
+    dispatch: Optional[RegionDispatch] = None
     #: Strategies removed by :meth:`prune` (for actionable errors).
     pruned_strategies: tuple = ()
 
@@ -186,34 +127,6 @@ class Segment:
             f"segment {self.name!r} has no variant {strategy!r}; "
             f"available: {[p.strategy for p in self.plans]}{hint}",
             segment=self.name, plan=strategy)
-
-    def decision_table(self, model: PerformanceModel,
-                       points: List[Dict[str, float]],
-                       key: Callable[[Dict], object] = None):
-        """Break-even sweep over parameter points (compile-time analysis).
-
-        Points are keyed by their scalar projection; two *distinct* points
-        that collide on the same key (they differ only in array-valued
-        entries) would silently shadow each other, so that is a loud
-        error.
-        """
-        key = key or (lambda p: freeze_scalars(p))
-        by_key: Dict[object, Dict] = {}
-        for point in points:
-            k = key(point)
-            if k in by_key and not _points_equal(by_key[k], point):
-                raise ValueError(
-                    f"segment {self.name!r}: decision_table points collide "
-                    f"on scalar key {k!r}; distinct points must differ in "
-                    f"at least one scalar parameter")
-            by_key[k] = point
-        cost = cost_fn(model)
-        variants = [
-            Variant(plan.strategy,
-                    lambda kp, plan=plan: cost(plan, by_key[kp]))
-            for plan in self.plans
-        ]
-        return sweep(variants, [key(p) for p in points])
 
     def prune(self, model: PerformanceModel,
               points: List[Dict[str, float]],

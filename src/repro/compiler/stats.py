@@ -33,8 +33,6 @@ class SelectionStats:
     cache_hits: int = 0
     #: ``select()`` decisions answered by a baked dispatch table (zero evals).
     table_hits: int = 0
-    #: ... of which were answered by a multi-axis k-d region table.
-    region_hits: int = 0
     #: ``select()`` decisions that fell back to model-argmin.
     table_fallbacks: int = 0
     #: ``select()`` decisions satisfied by a ``force=`` override.
@@ -82,7 +80,7 @@ class SelectionStats:
     quarantines: int = 0
     #: Runs that completed on a non-primary variant after a failure.
     degraded_runs: int = 0
-    #: Decision-table bakes skipped because the axis sweep was infeasible.
+    #: Dispatch-table bakes skipped because the sweep was infeasible.
     sweep_failures: int = 0
     #: Whole-segment-chain fused executions (one emitted kernel covering a
     #: linear run of map segments; see ``AdapticOptions.fuse_chains``).
@@ -128,10 +126,8 @@ class SelectionStats:
                 f" runtime={self.runtime_evals})"
                 f" cache_hits={self.cache_hits}"
                 f" table_hits={self.table_hits}"
-                f" region_hits={self.region_hits}"
                 f" fallbacks={self.table_fallbacks}"
                 f" selects={self.select_calls}"
-                f" select_wall={self.select_seconds * 1e6:.0f}us"
                 f" runs={self.runs}"
                 f" run_compiles={self.expr_compiles}"
                 f" perm_builds={self.restructure_builds}"

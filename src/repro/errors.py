@@ -176,7 +176,7 @@ class ModelSweepError(ReproError, ValueError):
     """A break-even sweep over an input axis is infeasible.
 
     The *only* exception :meth:`CompiledProgram.bake_decision_tables`
-    and ``_rebake_dispatch`` treat as "this axis is not sweepable for
+    and ``_rebake_dispatch`` treat as "this box is not sweepable for
     this segment"; anything else re-raises.
     """
 

@@ -12,29 +12,29 @@ from .. import api, apps
 from ..gpu import GPUSpec, TESLA_C2050
 from .common import FigureResult, Series
 
-#: benchmark -> (program factory, extra params for pruning)
+#: benchmark -> program factory; pruning pins come from ``apps.PINS``.
 CASES = {
-    "sdot": (lambda: apps.blas1.build("sdot"), {"r": 1}),
-    "sasum": (lambda: apps.blas1.build("sasum"), {"r": 1}),
-    "snrm2": (lambda: apps.blas1.build("snrm2"), {"r": 1}),
-    "isamax": (lambda: apps.blas1.build("isamax"), {"r": 1}),
-    "tmv": (apps.tmv.build, {}),
-    "scalar_product": (apps.scalar_product.build, {}),
-    "montecarlo": (apps.montecarlo.build, apps.montecarlo.DEFAULTS),
-    "ocean_fft": (apps.stencil2d.build,
-                  {"width": 1024}),
-    "vectoradd": (apps.insensitive.build_vectoradd, {}),
-    "quasirandom": (apps.insensitive.build_quasirandom, {"alpha": 0.618}),
+    "sdot": lambda: apps.blas1.build("sdot"),
+    "sasum": lambda: apps.blas1.build("sasum"),
+    "snrm2": lambda: apps.blas1.build("snrm2"),
+    "isamax": lambda: apps.blas1.build("isamax"),
+    "tmv": apps.tmv.build,
+    "scalar_product": apps.scalar_product.build,
+    "montecarlo": apps.montecarlo.build,
+    "ocean_fft": apps.stencil2d.build,
+    "vectoradd": apps.insensitive.build_vectoradd,
+    "quasirandom": apps.insensitive.build_quasirandom,
 }
 
 
 def run(spec: GPUSpec = TESLA_C2050, samples: int = 5,
         tolerance: float = 0.15) -> FigureResult:
     names, ratios = [], []
-    for name, (prog_fn, extra) in CASES.items():
+    for name, prog_fn in CASES.items():
         compiled = api.compile(prog_fn(), arch=spec)
         try:
-            compiled.prune_variants(samples=samples, extra_params=extra,
+            compiled.prune_variants(samples=samples,
+                                    extra_params=apps.PINS.get(name),
                                     tolerance=tolerance)
         except Exception:
             pass  # pruning is best-effort; unpruned counts are conservative

@@ -87,7 +87,7 @@ def _baseline(name: str, spec: GPUSpec):
 #: Only the CUBLAS reductions sweep a single declared axis with all other
 #: scalars pinned; the batched/stencil benchmarks vary two parameters per
 #: case and keep the exact model-argmin fallback.
-BAKE_EXTRAS = {name: {"r": 1}
+BAKE_EXTRAS = {name: apps.PINS[name]
                for name in ("isamax", "snrm2", "sasum", "sdot")}
 
 

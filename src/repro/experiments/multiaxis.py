@@ -1,6 +1,6 @@
 """Multi-axis dispatch experiment: 2-D selection on the image pipeline.
 
-The region-table generalization of the 1-D break-even sweep, measured:
+Region tables over two input axes, measured:
 
 * :func:`run` — selection accuracy of the baked
   :class:`~repro.perfmodel.RegionTable` against exact model-argmin over
@@ -26,7 +26,6 @@ from typing import Dict, List, Optional
 
 from .. import api
 from ..apps import imagepipe
-from ..compiler.segments import RegionDispatch
 from ..gpu import GPUSpec, TESLA_C2050
 from ..perfmodel import PerformanceModel, geometric_points
 from .common import FigureResult, Series
@@ -48,11 +47,6 @@ def _compiled(spec: GPUSpec, samples: Optional[int] = None):
     if samples is not None:
         compiled.bake_decision_tables(samples=samples)
     return compiled
-
-
-def _region_dispatches(compiled) -> List[RegionDispatch]:
-    return [segment.dispatch for segment in compiled.segments
-            if isinstance(segment.dispatch, RegionDispatch)]
 
 
 def grid_points(samples: int = 7) -> List[Dict[str, int]]:
@@ -103,7 +97,7 @@ def run(spec: GPUSpec = TESLA_C2050, samples: int = 7) -> FigureResult:
         notes=f"grid accuracy {correct}/{total} = {correct / total:.3f}; "
               f"off-grid midpoint accuracy {offgrid:.3f}; "
               f"selects={delta.select_calls} "
-              f"region_hits={delta.region_hits} "
+              f"table_hits={delta.table_hits} "
               f"fallbacks={delta.table_fallbacks}")
 
 
@@ -156,7 +150,7 @@ def dispatch_cost(spec: GPUSpec = TESLA_C2050, samples: int = 5,
         "baked_select_us": baked_seconds / n * 1e6,
         "argmin_select_us": argmin_seconds / n * 1e6,
         "speedup": argmin_seconds / baked_seconds,
-        "region_hits": delta.region_hits,
+        "table_hits": delta.table_hits,
         "runtime_evals": delta.runtime_evals,
         "mismatches": mismatches,
     }

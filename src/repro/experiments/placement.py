@@ -101,7 +101,7 @@ def sweep(spec: GPUSpec = TESLA_C2050, repeats: int = 5
             "bit_identical": bool(np.array_equal(auto_result.output,
                                                  gpu_result.output)),
             "runtime_evals": delta.runtime_evals,
-            "region_hits": delta.region_hits,
+            "table_hits": delta.table_hits,
         })
     return rows
 
@@ -173,7 +173,7 @@ def dispatch_cost(spec: GPUSpec = TESLA_C2050, samples: int = 5,
         "baked_select_us": baked_seconds / n * 1e6,
         "argmin_select_us": argmin_seconds / n * 1e6,
         "speedup": argmin_seconds / baked_seconds,
-        "region_hits": delta.region_hits,
+        "table_hits": delta.table_hits,
         "runtime_evals": delta.runtime_evals,
         "mismatches": mismatches,
     }

@@ -1,8 +1,7 @@
 """Analytic performance model and break-even (variant selection) machinery."""
 
-from .breakeven import (AxisSpec, DecisionTable, RegionNode, RegionTable,
-                        Subrange, Variant, argmin_variant, geometric_points,
-                        sweep, sweep_axis, sweep_region)
+from .breakeven import (AxisSpec, RegionNode, RegionTable, Variant,
+                        argmin_variant, geometric_points, sweep_region)
 from .calibration import (CalibrationStore, FeedbackConfig, Observation,
                           selection_accuracy, size_bucket)
 from .hostmodel import (HOST_MEM_BANDWIDTH_GBPS,
@@ -15,8 +14,7 @@ from .model import (BLOCK_SCHED_OVERHEAD_CYCLES, KernelCategory,
 __all__ = [
     "PerformanceModel", "KernelWorkload", "KernelEstimate", "KernelCategory",
     "BLOCK_SCHED_OVERHEAD_CYCLES",
-    "Variant", "Subrange", "DecisionTable", "sweep", "sweep_axis",
-    "AxisSpec", "RegionNode", "RegionTable", "sweep_region",
+    "Variant", "AxisSpec", "RegionNode", "RegionTable", "sweep_region",
     "argmin_variant", "geometric_points",
     "CalibrationStore", "FeedbackConfig", "Observation",
     "selection_accuracy", "size_bucket",

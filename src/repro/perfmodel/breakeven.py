@@ -3,16 +3,17 @@
 Adaptic "divides up operating input ranges to subranges if necessary, and
 applies different optimizations to each subrange" (§3).  This module does the
 dividing: given the candidate variants (each with a model-predicted time as a
-function of the input) and the user-declared range of interest ``[a, b]``,
-it samples the range, picks the fastest variant per point, and merges
-contiguous points into subranges.  Variants that win nowhere are dropped —
+function of the input) and the user-declared box of interest (one integer
+range per input axis), :func:`sweep_region` samples the box, locates every
+exact integer break-even point, and partitions the box into
+winner-homogeneous regions — a :class:`RegionTable`.  A one-axis table is
+the paper's list of subranges.  Variants that win nowhere are dropped —
 they are never generated, which is what keeps the output binary-size increase
 moderate (§5.1 reports 1.4× average).
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import itertools
 import math
@@ -37,137 +38,6 @@ class Variant(Generic[InputT]):
         return self.time_fn(point)
 
 
-@dataclasses.dataclass
-class Subrange(Generic[InputT]):
-    """A maximal run of sampled points won by one variant."""
-
-    lo: InputT
-    hi: InputT
-    variant: str
-
-
-@dataclasses.dataclass
-class DecisionTable(Generic[InputT]):
-    """Result of a break-even sweep."""
-
-    points: List[InputT]
-    choices: Dict[InputT, str]
-    times: Dict[InputT, Dict[str, float]]
-    subranges: List[Subrange]
-
-    @property
-    def winners(self) -> List[str]:
-        """Variant names that win at least one subrange, in first-win order."""
-        seen: List[str] = []
-        for sub in self.subranges:
-            if sub.variant not in seen:
-                seen.append(sub.variant)
-        return seen
-
-    def best_time(self, point: InputT) -> float:
-        return min(self.times[point].values())
-
-    def lookup(self, value) -> Optional[str]:
-        """Winner at an axis value, by bisect over the subranges.
-
-        Returns ``None`` when ``value`` falls outside the table's coverage
-        (before the first subrange, after the last, or inside a gap left
-        by an unrefined sweep) — the caller falls back to model-argmin.
-        Costs zero model evaluations.
-        """
-        subs = self.subranges
-        if not subs or value < subs[0].lo or value > subs[-1].hi:
-            return None
-        index = bisect.bisect_right([s.lo for s in subs], value) - 1
-        sub = subs[index]
-        return sub.variant if sub.lo <= value <= sub.hi else None
-
-    def patch(self, value: int, winner: str) -> bool:
-        """Repair the table so ``value`` maps to ``winner`` (feedback).
-
-        A measured probe showed ``winner`` beating the table's current
-        choice at ``value`` — the model misplaced a break-even point.
-        When an adjacent subrange already belongs to ``winner``, the
-        boundary between them moves to include ``value`` (the common
-        case); otherwise the containing subrange is split around a point
-        subrange.  Adjacent same-variant subranges are re-merged and
-        emptied ones dropped, so lookup invariants (sorted, disjoint,
-        tiling) survive.  Returns ``False`` when ``value`` already maps
-        to ``winner``; an out-of-range ``value`` raises
-        :class:`~repro.errors.CalibrationError` — a patch the table
-        cannot represent must never be silently dropped (the caller
-        guards with :meth:`lookup` first).
-        """
-        subs = self.subranges
-        if not subs or value < subs[0].lo or value > subs[-1].hi:
-            coverage = (f"[{subs[0].lo}, {subs[-1].hi}]" if subs
-                        else "(empty table)")
-            raise CalibrationError(
-                f"patch point {value!r} is outside the table's coverage "
-                f"{coverage}; re-bake the table instead of patching")
-        index = bisect.bisect_right([s.lo for s in subs], value) - 1
-        sub = subs[index]
-        if not (sub.lo <= value <= sub.hi) or sub.variant == winner:
-            return False
-        left = subs[index - 1] if index > 0 else None
-        right = subs[index + 1] if index + 1 < len(subs) else None
-        left_wins = left is not None and left.variant == winner
-        right_wins = right is not None and right.variant == winner
-        if left_wins and (not right_wins
-                          or value - sub.lo <= sub.hi - value):
-            left.hi = value
-            sub.lo = value + 1
-        elif right_wins:
-            right.lo = value
-            sub.hi = value - 1
-        else:
-            subs[index:index + 1] = [
-                Subrange(lo=sub.lo, hi=value - 1, variant=sub.variant),
-                Subrange(lo=value, hi=value, variant=winner),
-                Subrange(lo=value + 1, hi=sub.hi, variant=sub.variant)]
-        self._normalize()
-        return True
-
-    def _normalize(self) -> None:
-        merged: List[Subrange] = []
-        for sub in self.subranges:
-            if sub.lo > sub.hi:
-                continue
-            if merged and merged[-1].variant == sub.variant:
-                merged[-1].hi = sub.hi
-            else:
-                merged.append(sub)
-        self.subranges = merged
-
-    # ------------------------------------------------------------------
-    # Serialization (artifact bundles)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> dict:
-        """JSON-serializable form; pairs instead of dicts because JSON
-        object keys are strings and the sweep points are integers."""
-        return {
-            "points": list(self.points),
-            "choices": [[point, self.choices[point]]
-                        for point in self.points if point in self.choices],
-            "times": [[point, dict(self.times[point])]
-                      for point in self.points if point in self.times],
-            "subranges": [[sub.lo, sub.hi, sub.variant]
-                          for sub in self.subranges],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "DecisionTable":
-        return cls(
-            points=list(payload["points"]),
-            choices={point: winner for point, winner in payload["choices"]},
-            times={point: {str(name): float(seconds)
-                           for name, seconds in entries.items()}
-                   for point, entries in payload["times"]},
-            subranges=[Subrange(lo, hi, variant)
-                       for lo, hi, variant in payload["subranges"]],
-        )
-
-
 def geometric_points(lo: float, hi: float, samples: int) -> List[int]:
     """Geometrically spaced integer sample points covering ``[lo, hi]``.
 
@@ -190,32 +60,6 @@ def geometric_points(lo: float, hi: float, samples: int) -> List[int]:
     return sorted(p for p in points if lo_i <= p <= hi_i)
 
 
-def sweep(variants: Sequence[Variant],
-          points: Sequence[InputT]) -> DecisionTable:
-    """Pick the fastest variant at each point and merge into subranges."""
-    if not variants:
-        raise ValueError("no variants to choose from")
-    choices: Dict[InputT, str] = {}
-    times: Dict[InputT, Dict[str, float]] = {}
-    for point in points:
-        per = {v.name: v.time(point) for v in variants}
-        times[point] = per
-        finite = {name: t for name, t in per.items() if math.isfinite(t)}
-        if not finite:
-            raise ModelSweepError(f"no variant can run at input {point!r}")
-        choices[point] = min(finite, key=finite.get)
-
-    subranges: List[Subrange] = []
-    for point in points:
-        name = choices[point]
-        if subranges and subranges[-1].variant == name:
-            subranges[-1].hi = point
-        else:
-            subranges.append(Subrange(lo=point, hi=point, variant=name))
-    return DecisionTable(points=list(points), choices=choices, times=times,
-                         subranges=subranges)
-
-
 def _winner_at(variants: Sequence[Variant], point) -> Optional[str]:
     per = {v.name: v.time(point) for v in variants}
     finite = {name: t for name, t in per.items() if math.isfinite(t)}
@@ -224,59 +68,32 @@ def _winner_at(variants: Sequence[Variant], point) -> Optional[str]:
     return min(finite, key=finite.get)
 
 
-def _refine(variants: Sequence[Variant], a: int, b: int,
+def _refine(winner_at: Callable[[int], Optional[str]], a: int, b: int,
             win_a: str, win_b: str,
             switches: List[Tuple[int, str]]) -> None:
     """Locate exact integer break-even points in ``(a, b]`` by bisection.
 
-    ``win_a``/``win_b`` are the (differing) winners at the endpoints.
-    Records each ``(first_input, new_winner)`` switch.  Exact as long as
-    each winner's region is contiguous inside the probed gap.
+    ``win_a``/``win_b`` are the (differing) winners at the endpoints and
+    ``winner_at`` names the winner at one integer of the probed line
+    (``None`` where nothing can run, treated as ``win_a``).  A midpoint
+    won by a third variant splits the search three ways, so a winner
+    living strictly between ``a`` and ``b`` is found rather than
+    skipped.  Records each ``(first_input, new_winner)`` switch, in
+    order.  Exact as long as each winner's region is contiguous inside
+    the probed gap.
     """
     if b - a <= 1:
         switches.append((b, win_b))
         return
     mid = (a + b) // 2
-    win_mid = _winner_at(variants, mid)
+    win_mid = winner_at(mid)
     if win_mid is None or win_mid == win_a:
-        _refine(variants, mid, b, win_a, win_b, switches)
+        _refine(winner_at, mid, b, win_a, win_b, switches)
     elif win_mid == win_b:
-        _refine(variants, a, mid, win_a, win_b, switches)
+        _refine(winner_at, a, mid, win_a, win_b, switches)
     else:
-        _refine(variants, a, mid, win_a, win_mid, switches)
-        _refine(variants, mid, b, win_mid, win_b, switches)
-
-
-def sweep_axis(variants: Sequence[Variant], lo: float, hi: float,
-               samples: int = 16, refine: bool = True) -> DecisionTable:
-    """Break-even sweep over one integer input axis, with full coverage.
-
-    Samples ``[lo, hi]`` geometrically, then (with ``refine``) bisects
-    every winner change down to its exact integer break-even point, and
-    finally stretches the subranges so they tile the whole integer range —
-    the baked form a runtime dispatch table needs for O(log) lookups with
-    zero model evaluations.
-    """
-    points = geometric_points(lo, hi, samples)
-    table = sweep(variants, points)
-    subs = table.subranges
-    events: List[Tuple[int, str]] = [(subs[0].lo, subs[0].variant)]
-    for prev, nxt in zip(subs, subs[1:]):
-        if refine:
-            _refine(variants, prev.hi, nxt.lo, prev.variant, nxt.variant,
-                    events)
-        else:
-            events.append((nxt.lo, nxt.variant))
-    merged: List[Subrange] = []
-    for start, name in events:
-        if merged and merged[-1].variant == name:
-            continue
-        if merged:
-            merged[-1].hi = start - 1
-        merged.append(Subrange(lo=start, hi=start, variant=name))
-    merged[-1].hi = subs[-1].hi
-    table.subranges = merged
-    return table
+        _refine(winner_at, a, mid, win_a, win_mid, switches)
+        _refine(winner_at, mid, b, win_mid, win_b, switches)
 
 
 def argmin_variant(variants: Sequence[Variant], point) -> Variant:
@@ -293,12 +110,12 @@ def argmin_variant(variants: Sequence[Variant], point) -> Variant:
 
 
 # ---------------------------------------------------------------------------
-# Multi-axis break-even surfaces (k-d region trees)
+# Break-even region tables over one or more axes (k-d trees)
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class AxisSpec:
-    """One integer input axis of a multi-axis break-even sweep."""
+    """One integer input axis of a break-even sweep."""
 
     name: str
     lo: int
@@ -332,13 +149,14 @@ class RegionNode:
 
 @dataclasses.dataclass
 class RegionTable:
-    """k-d generalization of :class:`DecisionTable` (§3's subranges in k-d).
+    """§3's subranges over one or more input axes.
 
     The declared input box (the product of the :class:`AxisSpec` ranges)
     is partitioned into winner-homogeneous axis-aligned regions; every
     internal node's ``cut`` is an exact integer break-even point located
-    by the same bisection the 1-D sweep uses.  ``lookup`` walks the tree
-    — O(depth), zero model evaluations.
+    by bisection (:func:`sweep_region`).  A one-axis table is the
+    paper's list of subranges.  ``lookup`` walks the tree — O(depth),
+    zero model evaluations.
     """
 
     axes: Tuple[AxisSpec, ...]
@@ -423,13 +241,12 @@ class RegionTable:
     def patch(self, point: Mapping[str, float], winner: str) -> bool:
         """Repair the tree so ``point`` maps to ``winner`` (feedback).
 
-        Mirrors :meth:`DecisionTable.patch` in k-d: when a neighbouring
-        region across one of the containing leaf's boundaries already
-        belongs to ``winner``, the *nearest* such break-even boundary
-        moves to include the point (the common case — the model merely
-        misplaced the cut); otherwise a unit cell is carved around the
-        point.  Returns ``False`` when the point already maps to
-        ``winner``; a point outside the baked box raises
+        When a neighbouring region across one of the containing leaf's
+        boundaries already belongs to ``winner``, the *nearest* such
+        break-even boundary moves to include the point (the common case —
+        the model merely misplaced the cut); otherwise a unit cell is
+        carved around the point.  Returns ``False`` when the point
+        already maps to ``winner``; a point outside the baked box raises
         :class:`~repro.errors.CalibrationError`.
         """
         values = self._values(point, loud=True)
@@ -576,37 +393,31 @@ class RegionTable:
         return cls(axes=axes, root=decode(payload["root"]))
 
 
-def _region_bisect(winner_at: Callable[[tuple], str], compose, a: int,
-                   b: int, win_a: str) -> int:
-    """First integer in ``(a, b]`` where the winner leaves ``win_a``."""
-    while b - a > 1:
-        mid = (a + b) // 2
-        if winner_at(compose(mid)) == win_a:
-            a = mid
-        else:
-            b = mid
-    return b
-
-
 def sweep_region(variants: Sequence[Variant],
                  axes: Sequence[AxisSpec],
                  refine: bool = True,
                  max_leaves: int = 128) -> RegionTable:
-    """Multi-axis break-even sweep: partition the input box by winner.
+    """Break-even sweep over one or more axes: partition the box by winner.
 
     Each variant's ``time_fn`` takes a tuple of integer axis values in
     ``axes`` order.  The box is sampled on the per-axis geometric grids;
     wherever adjacent samples disagree on the winner, the split axis is
-    the one with the most winner changes across its sampled lines, the
-    cut is bisected down to the exact integer break-even point (with
-    ``refine``), and both halves recurse — terminating in a k-d tree of
-    winner-homogeneous regions.  ``max_leaves`` bounds pathological
-    surfaces: beyond it a mixed region collapses to its majority winner
-    (an approximation, never an error).
+    the one with the most winner changes across its sampled lines.  With
+    ``refine``, :func:`_refine` then finds every exact integer
+    break-even point between the two disagreeing samples on that line,
+    and the box is cut at each of them: the outer slabs recurse, and each
+    slab between two switches — it holds no grid sample on that axis —
+    becomes a leaf owned by the winner found there.  Along one axis the
+    result is therefore exact wherever each winner's region is
+    contiguous.  Without ``refine`` the cut sits at the later sample.
+    The recursion terminates in a k-d tree of winner-homogeneous
+    regions.  ``max_leaves`` bounds pathological surfaces: beyond it a
+    mixed region collapses to its majority winner (an approximation,
+    never an error).
 
     Raises :class:`~repro.errors.ModelSweepError` when no variant can
-    run at a sampled point — the same infeasibility contract as
-    :func:`sweep_axis`, so bakers catch exactly that and nothing else.
+    run at a sampled point, so bakers catch exactly that and nothing
+    else.
     """
     if not variants:
         raise ValueError("no variants to choose from")
@@ -615,26 +426,27 @@ def sweep_region(variants: Sequence[Variant],
     axes = tuple(axes)
     names = [ax.name for ax in axes]
     grids = [geometric_points(ax.lo, ax.hi, ax.samples) for ax in axes]
-    memo: Dict[tuple, str] = {}
+    memo: Dict[tuple, Optional[str]] = {}
 
-    def winner_at(values: tuple) -> str:
-        got = memo.get(values)
+    def winner_at(values: tuple) -> Optional[str]:
+        if values not in memo:
+            memo[values] = _winner_at(variants, values)
+        return memo[values]
+
+    def label(values: tuple) -> str:
+        got = winner_at(values)
         if got is None:
-            got = _winner_at(variants, values)
-            if got is None:
-                raise ModelSweepError(
-                    f"no variant can run at input "
-                    f"{dict(zip(names, values))!r}")
-            memo[values] = got
+            raise ModelSweepError(
+                f"no variant can run at input "
+                f"{dict(zip(names, values))!r}")
         return got
 
     def samples_in(grid: List[int], lo: int, hi: int) -> List[int]:
         # Only the original geometric samples: a split between two
         # adjacent grid points leaves one of them on each side, so the
         # recursion bottoms out at grid-cell granularity instead of
-        # chasing a curved break-even surface to integer resolution.
-        # (Same contract as the 1-D sweep: exact where a winner's region
-        # is contiguous between samples, an approximation inside a cell.)
+        # chasing a curved break-even surface to integer resolution
+        # across the other axes (an approximation inside a cell).
         return [p for p in grid if lo <= p <= hi]
 
     state = {"splits": 0}
@@ -643,7 +455,7 @@ def sweep_region(variants: Sequence[Variant],
         axes_points = [samples_in(grids[i], lo, hi)
                        for i, (lo, hi) in enumerate(box)]
         combos = list(itertools.product(*axes_points))
-        labels = {combo: winner_at(combo) for combo in combos}
+        labels = {combo: label(combo) for combo in combos}
         distinct = set(labels.values())
         if len(distinct) == 1:
             return RegionNode(winner=distinct.pop())
@@ -652,7 +464,7 @@ def sweep_region(variants: Sequence[Variant],
             return RegionNode(winner=majority)
         # Split along the axis whose sampled lines change winner most
         # often (the dominant break-even direction in this box).
-        best = None            # (changes, axis_index, (a, b, win_a, line))
+        best = None     # (changes, axis_index, (a, b, win_a, win_b, line))
         for i, points in enumerate(axes_points):
             if len(points) < 2:
                 continue
@@ -667,7 +479,8 @@ def sweep_region(variants: Sequence[Variant],
                     if previous is not None and name != previous[1]:
                         changes += 1
                         if first is None:
-                            first = (previous[0], p, previous[1], line)
+                            first = (previous[0], p, previous[1], name,
+                                     line)
                     previous = (p, name)
             if first is not None and (best is None or changes > best[0]):
                 best = (changes, i, first)
@@ -676,20 +489,31 @@ def sweep_region(variants: Sequence[Variant],
             # happen on a full cartesian grid, but guard anyway.
             majority = Counter(labels.values()).most_common(1)[0][0]
             return RegionNode(winner=majority)
-        _changes, i, (a, b, win_a, line) = best
+        _changes, i, (a, b, win_a, win_b, line) = best
+        # Cut at every switch on this line.  The outer slabs recurse;
+        # an inner slab holds no grid sample on axis i, so it is a leaf
+        # owned by the winner found there.
+        switches: List[Tuple[int, str]] = []
+        if refine:
+            _refine(lambda v: winner_at(line[:i] + (v,) + line[i:]),
+                    a, b, win_a, win_b, switches)
+        else:
+            switches.append((b, win_b))
+        state["splits"] += len(switches)
 
-        def compose(value: int) -> tuple:
-            return line[:i] + (value,) + line[i:]
+        def slab(lo: int, hi: int) -> List[Tuple[int, int]]:
+            sub = list(box)
+            sub[i] = (lo, hi)
+            return sub
 
-        cut = (_region_bisect(winner_at, compose, a, b, win_a)
-               if refine else b)
-        state["splits"] += 1
-        low_box = list(box)
-        low_box[i] = (box[i][0], cut - 1)
-        high_box = list(box)
-        high_box[i] = (cut, box[i][1])
-        return RegionNode(axis=names[i], cut=cut,
-                          low=grow(low_box), high=grow(high_box))
+        low = grow(slab(box[i][0], switches[0][0] - 1))
+        high = grow(slab(switches[-1][0], box[i][1]))
+        for (_start, winner), (cut, _next) in reversed(
+                list(zip(switches, switches[1:]))):
+            high = RegionNode(axis=names[i], cut=cut,
+                              low=RegionNode(winner=winner), high=high)
+        return RegionNode(axis=names[i], cut=switches[0][0],
+                          low=low, high=high)
 
     root = grow([(math.ceil(ax.lo), math.floor(ax.hi)) for ax in axes])
     return RegionTable(axes=axes, root=root)

@@ -18,7 +18,7 @@ placement implies.  This module owns the host half of that arithmetic:
 
 The break-even machinery treats these as plain additive terms on a
 candidate's predicted seconds, so CPU/GPU split points fall out of the
-same DecisionTable / RegionTable sweeps that pick among GPU variants.
+same RegionTable sweeps that pick among GPU variants.
 """
 
 from __future__ import annotations

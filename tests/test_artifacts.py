@@ -242,7 +242,7 @@ class TestBundleRoundTrip:
         path, _matrix, _params, _out = saved_bundle
         text = ArtifactBundle.load(path).inspect()
         assert "tmv" in text and "tesla-c2050" in text
-        assert "schema=1" in text and "segment" in text
+        assert "schema=2" in text and "segment" in text
 
 
 class TestBundleRejection:
@@ -283,6 +283,32 @@ class TestBundleRejection:
         with pytest.raises(BundleVersionError) as err:
             ArtifactBundle.load(bad)
         assert "99" in str(err.value)
+
+    def test_v1_table_bundle_rejected_before_any_mutation(
+            self, saved_bundle, tmp_path):
+        # Schema 1 carried a separate one-axis "table" payload; schema 2
+        # reads only region tables, so a v1 bundle fails whole.
+        path, _matrix, _params, _out = saved_bundle
+        payload = json.loads(open(path).read())
+        strategy = payload["segments"][0]["strategies"][0]
+        payload["schema_version"] = 1
+        payload["segments"][0]["dispatch"] = [{
+            "axis": "rows", "lo": 4, "hi": 1 << 20,
+            "extras": [["cols", 64]], "from_host": True, "samples": 4,
+            "table": {"points": [4, 1 << 20], "choices": [], "times": [],
+                      "subranges": [[4, 1 << 20, strategy]]}}]
+        bad = str(tmp_path / "v1.json")
+        atomic_write_json(bad, payload)
+        compiled = api.compile(tmv.build())
+        plans_before = list(compiled.segments[0].plans)
+        memo_before = len(compiled.cost)
+        with pytest.raises(BundleVersionError) as err:
+            compiled.load_bundle(bad)
+        assert "1" in str(err.value) and "re-save" in str(err.value)
+        assert compiled.segments[0].plans == plans_before
+        assert compiled.segments[0].dispatch is None
+        assert len(compiled.cost) == memo_before
+        assert compiled.calibration.is_identity()
 
     def test_repro_version_mismatch_and_force(self, saved_bundle,
                                               tmp_path):
@@ -412,8 +438,9 @@ print(json.dumps({{"out": out.tolist(),
         assert delta.hydrated == 0
 
     def test_table_backed_bundle_serves_by_bisect(self, tmp_path):
-        # Pin cols so a dispatch table bakes over rows; the bundle then
-        # carries the table and the loaded program selects by bisect.
+        # Pin cols so a one-axis dispatch table bakes over rows; the
+        # bundle then carries the table and the loaded program selects
+        # by table lookup.
         DeviceArray.reset_base_allocator()
         compiled = api.compile(tmv.build())
         compiled.prune_variants(samples=4, extra_params={"cols": 64})
@@ -426,7 +453,12 @@ print(json.dumps({{"out": out.tolist(),
         warm = api.load_bundle(path)
         dispatch = warm.segments[0].dispatch
         assert dispatch is not None
-        assert dispatch.table.subranges
+        assert dispatch.region.names == ("rows",)
+        assert dispatch.region.to_payload() == \
+            compiled.segments[0].dispatch.region.to_payload()
+        runs = [box["rows"] for box, _winner in dispatch.region.leaves()]
+        for (_lo, hi), (lo, _hi) in zip(runs, runs[1:]):
+            assert lo == hi + 1
         stats_before = warm.stats.snapshot()
         out = np.asarray(warm.run(matrix, dict(params)).output)
         stats = warm.stats.since(stats_before)

@@ -16,7 +16,8 @@ import pytest
 from repro import api
 from repro.gpu import TESLA_C2050, Device, ExecMode
 from repro.perfmodel import (CalibrationStore, FeedbackConfig,
-                             selection_accuracy, size_bucket)
+                             geometric_points, selection_accuracy,
+                             size_bucket)
 from repro.streamit import Filter, StreamProgram
 
 from workloads import SUM_SRC
@@ -257,6 +258,24 @@ class TestFeedbackLoop:
         assert compiled.stats.table_rebakes == 0
         after = selection_accuracy(compiled, points, reference=truth)
         assert after == 1.0
+
+    def test_disabled_rebake_never_rebakes_region_tables(self):
+        """``rebake_threshold=None`` also skips the converged re-bake."""
+        from repro.apps import imagepipe
+        compiled = api.compile(imagepipe.build())
+        truth = compiled.cost.plan_seconds
+        axis = geometric_points(32, 4096, 4)
+        points = [{"width": w, "height": h} for h in axis for w in axis]
+        family = compiled.select(dict(points[len(points) // 2]))[0].family
+        compiled.calibration.set_model_bias(family, 3.0)
+        assert compiled.bake_decision_tables(samples=4) == 2
+        config = FeedbackConfig(
+            observer=lambda plan, params: truth(plan, params),
+            rebake_threshold=None, probe_limit=4)
+        compiled.recalibrate(points, feedback=config)
+        assert compiled.stats.table_patches >= 1
+        assert compiled.stats.table_rebakes == 0
+        assert compiled.stats.subtree_resweeps == 0
 
     def test_large_factor_change_rebakes_table(self):
         points = [{"n": 1 << k, "r": 1} for k in range(10, 21, 2)]

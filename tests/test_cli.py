@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import apps
 from repro.cli import main
 
 
@@ -35,6 +36,16 @@ class TestCli:
     def test_describe_with_cuda(self, capsys):
         assert main(["describe", "sdot", "--cuda"]) == 0
         assert "__global__" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("app", sorted(apps.BUILDERS))
+    def test_describe_tables_every_app(self, app, capsys):
+        # Apps whose cost model reads scalars outside their declared
+        # ranges bake with the registry's pins instead of crashing.
+        assert main(["describe", app, "--tables"]) == 0
+        out = capsys.readouterr().out
+        assert "sweep_failures=0" in out
+        if app in apps.PINS:
+            assert "dispatch table over" in out
 
     def test_describe_unknown_app_errors(self):
         with pytest.raises(SystemExit):

@@ -70,6 +70,14 @@ class TestFig09:
         with pytest.raises(KeyError):
             fig09._program("nonesuch")
 
+    def test_rendered_output_is_deterministic(self):
+        # The notes carry the selection counters but no wall-clock, so
+        # two identical runs print identical bytes.
+        first = fig09.run(benchmarks=["sdot"])["sdot"].render()
+        second = fig09.run(benchmarks=["sdot"])["sdot"].render()
+        assert first.encode() == second.encode()
+        assert "table_hits=7" in first
+
 
 class TestFig10:
     def test_panel_structure(self):

@@ -5,9 +5,24 @@ import math
 import pytest
 
 from repro.gpu import GTX_285, TESLA_C2050
-from repro.perfmodel import (KernelCategory, KernelWorkload,
+from repro.errors import ModelSweepError
+from repro.perfmodel import (AxisSpec, KernelCategory, KernelWorkload,
                              PerformanceModel, Variant, argmin_variant,
-                             geometric_points, sweep, sweep_axis)
+                             geometric_points, sweep_region)
+
+
+def one_axis_sweep(variants, lo, hi, samples, refine=True):
+    """A one-axis region sweep over ``n``; variants take ``n`` itself."""
+    wrapped = [Variant(v.name, lambda values, v=v: v.time(values[0]))
+               for v in variants]
+    return sweep_region(wrapped, [AxisSpec("n", lo, hi, samples)],
+                        refine=refine)
+
+
+def subranges(table):
+    """``[(lo, hi, winner)]`` of a one-axis table, in lookup order."""
+    return [(box["n"][0], box["n"][1], winner)
+            for box, winner in table.leaves()]
 
 
 @pytest.fixture
@@ -123,29 +138,30 @@ class TestBreakeven:
     def test_sweep_picks_pointwise_winner(self):
         fast_small = Variant("small", lambda n: n * 1.0)
         fast_large = Variant("large", lambda n: 100 + n * 0.1)
-        table = sweep([fast_small, fast_large], [1, 10, 100, 1000, 10000])
-        assert table.choices[1] == "small"
-        assert table.choices[10000] == "large"
+        table = one_axis_sweep([fast_small, fast_large], 1, 10000, samples=5)
+        assert table.lookup({"n": 1}) == "small"
+        assert table.lookup({"n": 10000}) == "large"
         assert table.winners == ["small", "large"]
-        assert len(table.subranges) == 2
+        assert table.n_leaves == 2
 
     def test_crossover_location(self):
         a = Variant("a", lambda n: n * 1.0)
         b = Variant("b", lambda n: 100 + n * 0.1)
-        table = sweep([a, b], list(range(50, 200, 10)))
-        boundary = next(s for s in table.subranges if s.variant == "a").hi
+        table = one_axis_sweep([a, b], 50, 190, samples=15, refine=False)
+        boundary = next(hi for _lo, hi, name in subranges(table)
+                        if name == "a")
         assert 100 <= boundary <= 120  # analytic crossover at ~111
 
     def test_infinite_variant_never_selected(self):
         a = Variant("a", lambda n: math.inf)
         b = Variant("b", lambda n: 1.0)
-        table = sweep([a, b], [1, 2])
-        assert set(table.choices.values()) == {"b"}
+        table = one_axis_sweep([a, b], 1, 2, samples=2)
+        assert table.winners == ["b"]
 
     def test_all_infinite_raises(self):
         a = Variant("a", lambda n: math.inf)
-        with pytest.raises(ValueError):
-            sweep([a], [1])
+        with pytest.raises(ModelSweepError):
+            one_axis_sweep([a], 1, 1, samples=2)
 
     def test_argmin_variant(self):
         a = Variant("a", lambda n: n)
@@ -186,38 +202,59 @@ class TestBreakeven:
 
 
 class TestSweepAxis:
+    """One-axis region sweeps: the paper's subranges along one input."""
+
     def test_refined_boundary_is_exact(self):
         a = Variant("a", lambda n: n * 1.0)
         b = Variant("b", lambda n: 100 + n * 0.1)
-        table = sweep_axis([a, b], 1, 10000, samples=5)
+        table = one_axis_sweep([a, b], 1, 10000, samples=5)
         # Analytic crossover: n = 100/0.9 = 111.1, so b wins from 112.
-        (first, second) = table.subranges
-        assert (first.variant, first.hi) == ("a", 111)
-        assert (second.variant, second.lo) == ("b", 112)
+        assert subranges(table) == [(1, 111, "a"), (112, 10000, "b")]
+        assert table.boundaries() == [("n", 112)]
 
     def test_subranges_tile_range_for_bisect(self):
         a = Variant("a", lambda n: n * 1.0)
         b = Variant("b", lambda n: 100 + n * 0.1)
-        table = sweep_axis([a, b], 1, 10000, samples=5)
-        for prev, nxt in zip(table.subranges, table.subranges[1:]):
-            assert nxt.lo == prev.hi + 1
-        assert table.lookup(111) == "a"
-        assert table.lookup(112) == "b"
-        assert table.lookup(10000) == "b"
-        assert table.lookup(0) is None and table.lookup(10001) is None
+        table = one_axis_sweep([a, b], 1, 10000, samples=5)
+        runs = subranges(table)
+        assert runs[0][0] == 1 and runs[-1][1] == 10000
+        for prev, nxt in zip(runs, runs[1:]):
+            assert nxt[0] == prev[1] + 1
+        assert table.lookup({"n": 111}) == "a"
+        assert table.lookup({"n": 112}) == "b"
+        assert table.lookup({"n": 10000}) == "b"
+        assert table.lookup({"n": 0}) is None
+        assert table.lookup({"n": 10001}) is None
 
     def test_unrefined_sweep_still_tiles(self):
         a = Variant("a", lambda n: n * 1.0)
         b = Variant("b", lambda n: 100 + n * 0.1)
-        table = sweep_axis([a, b], 1, 10000, samples=5, refine=False)
-        for prev, nxt in zip(table.subranges, table.subranges[1:]):
-            assert nxt.lo == prev.hi + 1
-        assert all(table.lookup(p) == table.choices[p]
-                   for p in table.points)
+        table = one_axis_sweep([a, b], 1, 10000, samples=5, refine=False)
+        runs = subranges(table)
+        for prev, nxt in zip(runs, runs[1:]):
+            assert nxt[0] == prev[1] + 1
+        # Unrefined, the cut sits on the first grid sample b wins.
+        assert runs == [(1, 999, "a"), (1000, 10000, "b")]
+        for point in geometric_points(1, 10000, 5):
+            expected = "a" if point < 112 else "b"
+            assert table.lookup({"n": point}) == expected
 
     def test_single_winner_is_one_subrange(self):
         a = Variant("a", lambda n: 1.0)
         b = Variant("b", lambda n: 2.0)
-        table = sweep_axis([a, b], 16, 1024, samples=6)
-        assert [s.variant for s in table.subranges] == ["a"]
-        assert table.lookup(500) == "a"
+        table = one_axis_sweep([a, b], 16, 1024, samples=6)
+        assert subranges(table) == [(16, 1024, "a")]
+        assert table.lookup({"n": 500}) == "a"
+
+    def test_winner_between_two_samples_gets_its_own_slab(self):
+        # Grid 1, 10, 100, 1000, 10000: "mid" wins only on [300, 600],
+        # strictly between the samples 100 and 1000, so no sample sees
+        # it.  The refined cut search must still find both of its
+        # break-even points and give it a leaf.
+        low = Variant("low", lambda n: 1.0 if n < 300 else 3.0)
+        mid = Variant("mid", lambda n: 2.0)
+        high = Variant("high", lambda n: 1.0 if n > 600 else 3.0)
+        table = one_axis_sweep([low, mid, high], 1, 10000, samples=5)
+        assert subranges(table) == [(1, 299, "low"), (300, 600, "mid"),
+                                    (601, 10000, "high")]
+        assert table.lookup({"n": 450}) == "mid"

@@ -115,7 +115,7 @@ class TestPlacementSelection:
         assert plans[0].placement == "cpu"
         assert plans[0].strategy == "cpu.vector_map"
         assert delta.runtime_evals == 0
-        assert delta.region_hits == len(placed_imagepipe.segments)
+        assert delta.table_hits == len(placed_imagepipe.segments)
 
     def test_large_shapes_stay_on_gpu(self, placed_imagepipe):
         plans = placed_imagepipe.select({"width": 512, "height": 512})
@@ -223,7 +223,7 @@ class TestPlacementBundleRoundTrip:
         assert warm_plans[0] == "cpu.vector_map"
         assert delta.total == 0
         assert stats.model_evals == 0
-        assert stats.region_hits == len(warm.segments)
+        assert stats.table_hits == len(warm.segments)
 
 
 class TestDegradeAcrossPlacements:

@@ -137,14 +137,6 @@ class TestSegmentSelection:
         with pytest.raises(KeyError):
             compiled.segments[0].plan_named("no.such.kernel")
 
-    def test_decision_table_covers_range(self):
-        compiled = self._compiled()
-        model = PerformanceModel(TESLA_C2050)
-        points = compiled.sample_points(samples=5, extra_params={"r": 1})
-        table = compiled.segments[0].decision_table(model, points)
-        assert len(table.points) == len(points)
-        assert table.winners
-
     def test_prune_respects_tolerance(self):
         compiled = self._compiled()
         model = PerformanceModel(TESLA_C2050)
@@ -229,42 +221,6 @@ class TestBestPlanNonFinite:
         with pytest.raises(RuntimeError, match="no plans"):
             seg.best_plan(PerformanceModel(TESLA_C2050), {"n": 64, "r": 1},
                           plans=[])
-
-
-class TestDecisionTableCollision:
-    def _compiled(self):
-        prog = StreamProgram(Filter(SUM_SRC, pop="n", push=1),
-                             params=["n", "r"], input_size="n*r",
-                             input_ranges={"n": (1 << 10, 1 << 16)})
-        return compile_program(prog)
-
-    def test_distinct_scalar_points_accepted(self):
-        compiled = self._compiled()
-        model = PerformanceModel(TESLA_C2050)
-        points = [{"n": 1 << 10, "r": 1}, {"n": 1 << 12, "r": 1}]
-        table = compiled.segments[0].decision_table(model, points)
-        assert len(table.points) == 2
-
-    def test_scalar_key_collision_is_loud(self):
-        compiled = self._compiled()
-        model = PerformanceModel(TESLA_C2050)
-        # Same scalars, different array payloads: these would silently
-        # shadow each other under the scalar projection.
-        points = [{"n": 1 << 10, "r": 1, "vec": np.zeros(4)},
-                  {"n": 1 << 10, "r": 1, "vec": np.ones(4)}]
-        with pytest.raises(ValueError, match="collide"):
-            compiled.segments[0].decision_table(model, points)
-
-    def test_identical_points_are_tolerated(self):
-        # Exact duplicates are not a collision: they key to the same
-        # entry and the sweep still yields one subrange.
-        compiled = self._compiled()
-        model = PerformanceModel(TESLA_C2050)
-        vec = np.zeros(4)
-        points = [{"n": 1 << 10, "r": 1, "vec": vec},
-                  {"n": 1 << 10, "r": 1, "vec": vec}]
-        table = compiled.segments[0].decision_table(model, points)
-        assert len(table.subranges) == 1
 
 
 class TestPruneKeep:

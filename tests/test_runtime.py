@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import (AdapticOptions, Filter, GTX_480, Pipeline, StreamProgram,
-                   compile_program)
+                   apps, compile_program)
 from repro.compiler import AdapticCompiler, InputLocation, RunOptions
 from repro.gpu import Device, TESLA_C2050
 
@@ -64,7 +64,7 @@ class TestRangeReport:
         report = compiled.range_report(samples=10, extra_params={"r": 1})
         assert "->" in report
         assert "reduce.two_kernel" in report
-        # Subranges must cover the endpoints.
+        # The reported runs must cover the endpoints.
         assert "256" in report and str(1 << 20) in report
 
     def test_no_ranges_declared(self):
@@ -158,8 +158,10 @@ class TestDispatchTables:
         compiled.prune_variants(extra_params={"r": 1})
         assert any(seg.dispatch is not None for seg in compiled.segments)
         description = compiled.describe()
-        assert "dispatch table" in description
+        assert "dispatch table over n in [256, 1048576]" in description
         assert "selection stats" in description
+        tables = compiled.describe(tables=True)
+        assert "      n in [256, " in tables and " -> reduce." in tables
 
     def test_in_range_select_uses_table(self):
         compiled = compile_program(sum_program())
@@ -174,6 +176,86 @@ class TestDispatchTables:
         compiled = compile_program(sum_program())
         assert "selection stats:" in compiled.range_report(
             samples=4, extra_params={"r": 1})
+
+
+#: Per-segment ``(lo, hi, winner)`` runs that the former dedicated
+#: one-axis sweep produced for these bakes; a one-axis region table must
+#: reproduce them leaf for leaf.  Keys: (app, placement, pins, samples).
+ONE_AXIS_GOLDEN = {
+    ("sdot", False, (("r", 1),), 6): [[
+        (1024, 1792, "reduce.single_kernel+row_soa"),
+        (1793, 12288, "reduce.two_kernel+row_soa@64"),
+        (12289, 81920, "reduce.two_kernel+row_soa@128"),
+        (81921, 4194304, "reduce.two_kernel+row_soa")]],
+    ("sdot", False, (("r", 1),), 8): [[
+        (1024, 1792, "reduce.single_kernel+row_soa"),
+        (1793, 12288, "reduce.two_kernel+row_soa@64"),
+        (12289, 81920, "reduce.two_kernel+row_soa@128"),
+        (81921, 4194304, "reduce.two_kernel+row_soa")]],
+    ("tmv", False, (("rows", 4096),), 6): [[
+        (4, 153, "reduce.thread_per_array+transposed"),
+        (154, 320, "reduce.single_kernel@64"),
+        (321, 3968, "reduce.single_kernel@128"),
+        (3969, 1048576, "reduce.rows_merged[4]")]],
+    ("tmv", False, (("rows", 4096),), 8): [[
+        (4, 153, "reduce.thread_per_array+transposed"),
+        (154, 320, "reduce.single_kernel@64"),
+        (321, 4224, "reduce.single_kernel@128"),
+        (4225, 1048576, "reduce.rows_merged[4]")]],
+    ("imagepipe", True, (("height", 256),), 6): [
+        [(32, 135, "cpu.vector_map"), (136, 145, "map.grid_stride"),
+         (146, 792, "map.thread_merged[4]"),
+         (793, 4096, "map.thread_merged[16]")],
+        [(32, 64, "stencil.super_tile"), (65, 79, "stencil.global"),
+         (80, 96, "stencil.super_tile@32x16"),
+         (97, 4096, "stencil.super_tile")]],
+    ("imagepipe", True, (("height", 256),), 8): [
+        [(32, 135, "cpu.vector_map"), (136, 145, "map.grid_stride"),
+         (146, 792, "map.thread_merged[4]"),
+         (793, 4096, "map.thread_merged[16]")],
+        [(32, 4096, "stencil.super_tile")]],
+    ("convolution", False, (("width", 256),), 6): [
+        [(16384, 16777216, "stencil.global")],
+        [(16384, 16777216, "stencil.super_tile")]],
+    ("convolution", False, (("width", 256),), 8): [
+        [(16384, 16777216, "stencil.global")],
+        [(16384, 41215, "stencil.super_tile"),
+         (41216, 43263, "stencil.super_tile@128x4"),
+         (43264, 53503, "stencil.super_tile@32x16"),
+         (53504, 57599, "stencil.super_tile"),
+         (57600, 58623, "stencil.super_tile@128x4"),
+         (58624, 61695, "stencil.super_tile@32x16"),
+         (61696, 16777216, "stencil.super_tile")]],
+}
+
+
+class TestOneAxisTables:
+    @pytest.mark.parametrize("case", sorted(ONE_AXIS_GOLDEN),
+                             ids=lambda c: f"{c[0]}-{c[2][0][0]}-s{c[3]}")
+    def test_leaves_match_golden_subranges(self, case):
+        app, placed, pins, samples = case
+        options = AdapticOptions(placement=True) if placed else None
+        compiled = AdapticCompiler(TESLA_C2050, options).compile(
+            apps.BUILDERS[app][0]())
+        compiled.bake_decision_tables(samples=samples,
+                                      extra_params=dict(pins))
+        got = []
+        for segment in compiled.segments:
+            (axis,) = segment.dispatch.axes
+            got.append([(box[axis][0], box[axis][1], winner)
+                        for box, winner in segment.dispatch.region.leaves()])
+        assert got == ONE_AXIS_GOLDEN[case]
+
+    def test_every_unpinned_axis_is_a_table_axis(self):
+        compiled = AdapticCompiler(TESLA_C2050).compile(apps.tmv.build())
+        assert compiled.bake_decision_tables(
+            samples=4, extra_params={"cols": 64}) == 1
+        assert compiled.segments[0].dispatch.axes == ("rows",)
+        assert compiled.bake_decision_tables(samples=4) == 1
+        assert compiled.segments[0].dispatch.axes == ("cols", "rows")
+        # Every axis pinned: nothing left to sweep.
+        assert compiled.bake_decision_tables(
+            samples=4, extra_params={"cols": 64, "rows": 64}) == 0
 
 
 class TestThirdTarget:
