@@ -11,7 +11,7 @@ request with zero perf-model evaluations and zero expression compiles:
 * the surviving (unpruned) variant set per segment;
 * generated kernel source recorded by :mod:`repro.compiler.exprgen`;
 * restructure permutations (bit-exact, base64);
-* memoized cost-model entries and transfer-time memo;
+* memoized cost-model entries;
 * the measured-feedback :class:`~repro.perfmodel.calibration.CalibrationStore`
   (factors, probes, quarantines, observation windows).
 
@@ -204,10 +204,12 @@ class ArtifactBundle:
 
     ``segments`` is a list of per-segment dicts (name, kind, surviving
     strategies, pruned strategies, dispatch payload, permutations);
-    ``costs``/``transfers`` are memo entries; ``calibration`` is the
+    ``costs`` are cost memo entries; ``calibration`` is the
     :meth:`CalibrationStore.to_dict` payload; ``sources`` maps exprgen
     source keys to generated kernel source.  ``meta`` is free-form
-    (e.g. the app registry name that built the program).
+    (e.g. the app registry name that built the program).  Unknown
+    payload keys are ignored on load, so a bundle that still carries
+    the retired ``transfers`` memo loads unchanged.
     """
 
     schema_version: int
@@ -220,7 +222,6 @@ class ArtifactBundle:
     wire_dtype: str
     segments: List[Dict[str, Any]]
     costs: List[Dict[str, Any]]
-    transfers: List[Dict[str, Any]]
     calibration: Dict[str, Any]
     sources: Dict[str, str]
     meta: Dict[str, Any] = dataclasses.field(default_factory=dict)
@@ -322,7 +323,6 @@ class ArtifactBundle:
             f"repro={self.repro_version}",
             f"payload   {len(self.segments)} segment(s), "
             f"{len(self.costs)} cost memo entr{'y' if len(self.costs) == 1 else 'ies'}, "
-            f"{len(self.transfers)} transfer memo entr{'y' if len(self.transfers) == 1 else 'ies'}, "
             f"{len(self.sources)} kernel source(s)",
         ]
         for seg in self.segments:

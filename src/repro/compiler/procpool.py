@@ -33,7 +33,6 @@ import dataclasses
 import multiprocessing
 import os
 import tempfile
-import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import resource_tracker, shared_memory
@@ -43,9 +42,7 @@ import numpy as np
 
 from ..errors import (KernelExecutionError, KernelTimeoutError,
                       SelectionError, TransferError)
-from .plans.base import freeze_scalars
-from .runtime import (BatchOutcome, FeedbackConfig, InputLocation, RunOptions,
-                      RunResult, SegmentExecution)
+from .runtime import BatchOutcome, RunOptions, RunResult, SegmentExecution
 from .stats import SelectionStats
 
 #: Parent-created shared-memory segments still live: name -> SharedMemory.
@@ -214,10 +211,8 @@ def _worker_run(task: dict) -> dict:
                             buffer=shm_in.buf,
                             offset=task["in_offset"] * dtype.itemsize)
         host_input = np.array(window)
-        result = compiled.run(
-            host_input, task["params"], force=task["force"],
-            options=RunOptions(location=task["location"],
-                               exec_mode=task["exec_mode"]))
+        result = compiled.run(host_input, task["params"],
+                              force=task["force"], options=task["options"])
         out = np.ndarray(task["out_count"], dtype=dtype,
                          buffer=shm_out.buf,
                          offset=task["out_offset"] * dtype.itemsize)
@@ -282,42 +277,27 @@ def _get_pool(compiled, workers: int) -> ProcessPoolExecutor:
 
 
 def run_batch_process(compiled, inputs: List[np.ndarray],
-                      params_list: List[dict], *, workers: int,
-                      force, location: InputLocation, exec_mode,
-                      warm: bool, feedback) -> BatchOutcome:
+                      params_list: List[dict], *, options: RunOptions,
+                      force, warm: bool) -> BatchOutcome:
     """Process-pool implementation behind ``run_batch(backend="process")``.
 
-    Parity contract with the threaded backend: one warmup+select per
-    distinct scalar binding (in the parent — this is also what stocks
-    the bundle the workers warm from), per-index failure capture, stats
-    deltas merged after the join, the amortized select wall-clock
-    attributed to each binding's first completed item, and per-binding
-    feedback applied from the first completed item's measurements.
+    Parity contract with the threaded backend: the same per-binding
+    prologue (one warmup+select per distinct scalar binding, in the
+    parent — this is also what stocks the bundle the workers warm from)
+    and epilogue (select attribution and feedback from each binding's
+    first completed item), per-index failure capture, and stats deltas
+    merged after the join.  Workers run with the caller's options, so
+    a placement pin selects there exactly as it does here.
     """
     if compiled.faults is not None:
         raise ValueError(
             "backend='process' does not support fault injection; "
             "injector callbacks cannot cross the process boundary")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-    # One selection (and optional warmup) per distinct scalar binding —
-    # the same amortization the threaded backend performs, and the step
-    # that records every kernel source the worker bundle must carry.
-    selections: Dict[tuple, list] = {}
-    select_seconds: Dict[tuple, float] = {}
-    for params in params_list:
-        key = freeze_scalars(params)
-        if key in selections:
-            continue
-        if warm:
-            compiled.warmup(params, force=force,
-                            options=RunOptions(location=location,
-                                               exec_mode=exec_mode))
-        started = time.perf_counter()
-        selections[key] = compiled.select(params, force,
-                                          input_on_host=location)
-        select_seconds[key] = time.perf_counter() - started
+    if options.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {options.workers}")
+    selections, select_seconds = compiled._select_bindings(
+        params_list, options, force, warm)
+    worker_options = dataclasses.replace(options, feedback=False)
 
     count = len(inputs)
     results: List[Optional[RunResult]] = [None] * count
@@ -366,8 +346,7 @@ def run_batch_process(compiled, inputs: List[np.ndarray],
             "index": index,
             "params": params_list[index],
             "force": force,
-            "location": location,
-            "exec_mode": exec_mode,
+            "options": worker_options,
             "dtype": dtype.str,
             "shm_in": shm_in.name, "in_offset": in_offsets[index],
             "in_count": int(staged[index].size),
@@ -375,7 +354,7 @@ def run_batch_process(compiled, inputs: List[np.ndarray],
             "out_count": out_counts[index],
         } for index in live]
 
-        pool = _get_pool(compiled, workers)
+        pool = _get_pool(compiled, options.workers)
         futures = {pool.submit(_worker_run, task): task["index"]
                    for task in tasks}
         deltas: List[SelectionStats] = []
@@ -418,26 +397,6 @@ def run_batch_process(compiled, inputs: List[np.ndarray],
             except Exception:
                 pass
 
-    # Select attribution and per-binding feedback: identical discipline
-    # to the threaded backend (first completed item per binding).
-    attributed = set()
-    for index, params in enumerate(params_list):
-        key = freeze_scalars(params)
-        if key in attributed or results[index] is None:
-            continue
-        attributed.add(key)
-        results[index].stage_seconds["select"] = select_seconds[key]
-    if feedback:
-        config = (feedback if isinstance(feedback, FeedbackConfig)
-                  else compiled.feedback)
-        observed = set()
-        for index, params in enumerate(params_list):
-            key = freeze_scalars(params)
-            if key in observed or results[index] is None:
-                continue
-            observed.add(key)
-            compiled._apply_feedback(
-                staged[index], params, selections[key], results[index],
-                compiled._resolve_device(None, exec_mode),
-                location.on_host, config)
+    compiled._finish_batch(inputs, params_list, results, selections,
+                           select_seconds, options)
     return BatchOutcome(results=results, errors=errors)

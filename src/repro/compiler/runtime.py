@@ -19,6 +19,10 @@ runs it.  Selection has a fast path and an exact fallback:
 
 Every model evaluation, cache hit, table hit/fallback and the select()
 wall-clock is counted in :attr:`CompiledProgram.stats`.
+
+A selection then runs as one schedule of explicit :class:`Step` s: the
+executor performs its PCIe hops and ``transfer_seconds`` prices the same
+hop steps, so what is priced is what runs.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from ..errors import (BundleFormatError, BundleProgramError, CalibrationError,
                       ModelSweepError, ReproError, SelectionError)
 from ..faults import KIND_NAN, KIND_RAISE, KIND_TIMEOUT
 from ..gpu import Device, EXEC_MODES, ExecMode, GPUSpec, MODE_REFERENCE, \
-    MODE_VECTORIZED, PCIE_BANDWIDTH_GBPS
+    MODE_VECTORIZED
 from ..perfmodel import AxisSpec, CalibrationStore, FeedbackConfig, \
     PerformanceModel, RegionTable, Variant, geometric_points, hop_seconds, \
     layout_transform_seconds, size_bucket, sweep_region
@@ -275,6 +279,34 @@ class RunResult:
             f"{[sel.segment for sel in self.selections]}", segment=segment)
 
 
+@dataclasses.dataclass(frozen=True)
+class Step:
+    """One action of a selection's schedule (:meth:`CompiledProgram._steps`).
+
+    ``kind`` is ``restructure`` (host-side layout staging of a host
+    input), ``resident`` (a device-resident input materialized without a
+    transfer), ``h2d`` / ``d2h`` (one PCIe hop in front of segment
+    ``index``, with its modeled ``nbytes`` and ``seconds``), ``kernel`` /
+    ``host`` (segment ``index`` on the GPU / the CPU; ``end`` is
+    ``index + 1``) or ``fused`` (segments ``index .. end - 1`` in one
+    launch of ``fn``, writing outputs of ``sizes`` elements).
+    """
+
+    kind: str
+    index: int
+    end: int = 0
+    nbytes: int = 0
+    seconds: float = 0.0
+    fn: object = None
+    sizes: tuple = ()
+
+
+#: Stage each step kind's wall-clock lands on (``resident`` moves no
+#: data and is not timed).
+_STEP_STAGE = {"restructure": "restructure", "h2d": "h2d", "d2h": "d2h",
+               "kernel": "kernel", "host": "kernel", "fused": "kernel"}
+
+
 class CompiledProgram:
     """Adaptic's output: selectable kernel variants per segment."""
 
@@ -296,13 +328,6 @@ class CompiledProgram:
         #: warm across calls.
         self._run_devices: Dict[str, Device] = {}
         self._device_lock = threading.Lock()
-        #: Memoized transfer model per frozen-scalar binding (the size
-        #: expressions it evaluates are pure in the scalars).
-        self._transfer_memo: Dict[tuple, float] = {}
-        #: Direction-aware transfer memo for non-default (location,
-        #: placement) shapes; never serialized into bundles — the legacy
-        #: all-GPU host-resident values above are the bundle payload.
-        self._directed_transfer_memo: Dict[tuple, float] = {}
         #: Whether the compile options made placement a selection axis
         #: (CPU plan variants priced against GPU ones, boundary transfer
         #: and layout costs included in sweeps and argmin fallback).
@@ -324,8 +349,10 @@ class CompiledProgram:
         #: (the cost cache and calibration store are unsynchronized).
         self._quarantine_lock = threading.Lock()
         #: Fused-chain plan memo: (plan ids, frozen params) -> span table
-        #: (or ``None`` when nothing in the selection fuses).  Populated
-        #: during warmup/single-threaded runs; worker threads only read
+        #: (or ``None`` when nothing in the selection fuses).  Keyed
+        #: without the input location, so a binding served from both
+        #: locations compiles its chain once.  Populated during
+        #: warmup/single-threaded runs; worker threads only read
         #: memoized entries, mirroring the cost-cache discipline.
         self._chain_cache: Dict[tuple, object] = {}
         #: Arrays pinned so the id()-based chain-cache keys stay unambiguous.
@@ -376,47 +403,86 @@ class CompiledProgram:
             return self.cost
         return _CalibratedCost(self.cost, self.calibration)
 
-    def _placement_extra(self, segment: Segment, plan: KernelPlan,
-                         params: Dict[str, float], prev: Optional[str],
-                         first: bool, last: bool,
-                         entry_on_host: bool = True) -> float:
-        """Additive boundary cost of placing ``plan`` after ``prev``.
+    def _hop_bytes(self, index: int, params: Dict[str, float]) -> int:
+        """Bytes one PCIe hop in front of segment ``index`` moves: the
+        segment's input, or the chain's output for ``index ==
+        len(segments)`` — counted in :attr:`wire_dtype`, the dtype
+        ``run()`` stages data in."""
+        if index < len(self.segments):
+            count = self.segments[index].input_size(params)
+        else:
+            count = self.segments[-1].output_size(params)
+        return count * self.wire_dtype.itemsize
 
-        Placement-aware pricing charges what the chain-level transfer
-        model will: a PCIe hop whenever the data must change sides to
-        reach this plan (host entry counts as the CPU side, a
-        device-resident entry as the GPU side), a host-side layout
-        gather when a non-canonical GPU plan stages a host input, and
-        the exit D2H when the last segment runs on the GPU.  Used only
-        when placement is a selection axis, so legacy programs rank
+    def _hops(self, index: int, end: int, side: str, prev: str,
+              params: Dict[str, float]
+              ) -> Tuple[Optional[Step], Optional[Step]]:
+        """The hop rule: the PCIe hops around segments ``index .. end - 1``
+        running on ``side`` while the data is on side ``prev``.
+
+        Returns ``(entry, exit)``: an entry hop when the sides differ,
+        and the exit D2H when these segments end the chain on the GPU —
+        each a :class:`Step` sized by :meth:`_hop_bytes` and priced by
+        :func:`hop_seconds`, or ``None``.  Both the executed schedule
+        (:meth:`_steps`) and placement pricing (:meth:`_placement_extra`)
+        place their hops here.
+        """
+        def hop(kind: str, at: int) -> Step:
+            nbytes = self._hop_bytes(at, params)
+            return Step(kind, at, nbytes=nbytes, seconds=hop_seconds(nbytes))
+
+        entry = exit_ = None
+        if side != prev:
+            entry = hop("h2d" if side == "gpu" else "d2h", index)
+        if end == len(self.segments) and side == "gpu":
+            exit_ = hop("d2h", end)
+        return entry, exit_
+
+    def _placement_extra(self, index: int, plan: KernelPlan,
+                         params: Dict[str, float], prev: Optional[str],
+                         entry_on_host: bool = True) -> float:
+        """Additive boundary cost of placing ``plan`` at segment ``index``
+        after a plan on side ``prev``.
+
+        Placement-aware pricing charges the hops :meth:`_hops` places
+        for this plan alone (host entry counts as the CPU side, a
+        device-resident entry as the GPU side), plus a host-side layout
+        gather when a non-canonical GPU plan stages a host input.  Used
+        only when placement is a selection axis, so legacy programs rank
         variants exactly as before.
         """
-        placement = getattr(plan, "placement", "gpu")
-        itemsize = self.wire_dtype.itemsize
-        extra = 0.0
-        if first:
+        side = plan.placement
+        if index == 0:
             prev = "cpu" if entry_on_host else "gpu"
-        if prev is not None and placement != prev:
-            extra += hop_seconds(segment.input_size(params) * itemsize)
-        if first and entry_on_host and placement == "gpu" \
+        entry, exit_ = self._hops(index, index + 1, side, prev, params)
+        extra = 0.0
+        if entry is not None:
+            extra += entry.seconds
+        if index == 0 and entry_on_host and side == "gpu" \
                 and plan.input_layout not in _CANONICAL:
-            extra += layout_transform_seconds(
-                segment.input_size(params) * itemsize)
-        if last and placement == "gpu":
-            extra += hop_seconds(segment.output_size(params) * itemsize)
+            extra += layout_transform_seconds(self._hop_bytes(0, params))
+        if exit_ is not None:
+            extra += exit_.seconds
         return extra
 
-    def _placed_argmin(self, cost, segment: Segment,
-                       plans: Sequence[KernelPlan],
-                       params: Dict[str, float], prev: Optional[str],
-                       first: bool, last: bool,
-                       entry_on_host: bool) -> KernelPlan:
-        """Exact argmin with boundary transfer/layout terms included."""
+    def _argmin(self, cost, index: int, plans: Sequence[KernelPlan],
+                params: Dict[str, float], prev: Optional[str],
+                entry_on_host: bool) -> KernelPlan:
+        """Exact model-argmin over ``plans`` for segment ``index``.
+
+        With placement compiled as a selection axis each candidate also
+        pays its boundary terms (:meth:`_placement_extra`) after a plan
+        on side ``prev``; otherwise this is the segment's kernel-cost
+        argmin.
+        """
+        segment = self.segments[index]
+        if not self._placement:
+            return segment.best_plan(cost, params, plans=plans)
         best, best_seconds = None, math.inf
         for plan in plans:
             seconds = cost.plan_seconds(plan, params) \
-                + self._placement_extra(segment, plan, params, prev,
-                                        first, last, entry_on_host)
+                + self._placement_extra(index, plan, params, prev,
+                                        entry_on_host)
             if math.isfinite(seconds) and seconds < best_seconds:
                 best, best_seconds = plan, seconds
         if best is None:
@@ -434,8 +500,7 @@ class CompiledProgram:
         constrains what it can, it never makes a segment unrunnable)."""
         if placement == "auto":
             return list(plans)
-        matching = [p for p in plans
-                    if getattr(p, "placement", "gpu") == placement]
+        matching = [p for p in plans if p.placement == placement]
         return matching or list(plans)
 
     def select(self, params: Dict[str, float],
@@ -471,8 +536,7 @@ class CompiledProgram:
         from_host = location.on_host
         quarantined = self.calibration.has_quarantines()
         bucket = size_bucket(params) if quarantined else None
-        prev_placement: Optional[str] = None
-        last_index = len(self.segments) - 1
+        prev: Optional[str] = None
         for index, segment in enumerate(self.segments):
             if segment.name in force:
                 plan = segment.plan_named(force[segment.name])
@@ -486,10 +550,9 @@ class CompiledProgram:
                                                                 bucket)):
                         winner = None   # baked winner is quarantined
                     if (winner is not None and placement != "auto"
-                            and getattr(segment.plan_named(winner),
-                                        "placement", "gpu") != placement
-                            and any(getattr(p, "placement", "gpu")
-                                    == placement for p in segment.plans)):
+                            and segment.plan_named(winner) not in
+                            self._restrict_placement(segment.plans,
+                                                     placement)):
                         winner = None   # baked winner is on the wrong side
                     if winner is not None:
                         plan = segment.plan_named(winner)
@@ -500,16 +563,10 @@ class CompiledProgram:
                     eligible = self._restrict_placement(
                         self._eligible(segment, from_host, params),
                         placement)
-                    if self._placement:
-                        plan = self._placed_argmin(
-                            cost, segment, eligible, params,
-                            prev_placement, index == 0,
-                            index == last_index, location.on_host)
-                    else:
-                        plan = segment.best_plan(cost, params,
-                                                 plans=eligible)
+                    plan = self._argmin(cost, index, eligible, params, prev,
+                                        location.on_host)
             chosen.append(plan)
-            prev_placement = getattr(plan, "placement", "gpu")
+            prev = plan.placement
             from_host = False
         stats.select_seconds += time.perf_counter() - started
         return chosen
@@ -532,19 +589,13 @@ class CompiledProgram:
         from_host = location.on_host
         chosen: List[KernelPlan] = []
         prev: Optional[str] = None
-        last_index = len(self.segments) - 1
         for index, segment in enumerate(self.segments):
             eligible = self._restrict_placement(
                 self._eligible(segment, from_host, params), placement)
-            if self._placement:
-                plan = self._placed_argmin(cost, segment, eligible, params,
-                                           prev, index == 0,
-                                           index == last_index,
-                                           location.on_host)
-            else:
-                plan = segment.best_plan(cost, params, plans=eligible)
+            plan = self._argmin(cost, index, eligible, params, prev,
+                                location.on_host)
             chosen.append(plan)
-            prev = getattr(plan, "placement", "gpu")
+            prev = plan.placement
             from_host = False
         return chosen
 
@@ -563,11 +614,8 @@ class CompiledProgram:
         cost = self._selection_cost()
         total = sum(cost.plan_seconds(plan, params) for plan in plans)
         if include_transfers:
-            total += self.transfer_seconds(
-                params, location=location,
-                placements=(tuple(getattr(p, "placement", "gpu")
-                                  for p in plans)
-                            if self._placement else None))
+            total += self.transfer_seconds(params, location=location,
+                                           placements=self._sides(plans))
         return total
 
     def transfer_seconds(self, params: Dict[str, float], *,
@@ -577,49 +625,21 @@ class CompiledProgram:
                          ) -> float:
         """Modeled transfer time of one run, by direction and placement.
 
-        Sized by :attr:`wire_dtype` — the same dtype ``run()`` stages
-        inputs in — so the model and the recorded transfers count the
-        same bytes.  The historical call shape (host-resident input,
-        all-GPU chain) keeps its memoized H2D-input + D2H-output value
-        bit-for-bit.  Otherwise the cost is directional: a
-        device-resident input pays no entry H2D (it used to be charged
-        one — the double-count this model replaces), a CPU-placed prefix
-        runs straight off the host buffer, and each CPU↔GPU boundary
-        inside the chain pays exactly one hop sized by the segment
-        input crossing it.  A chain ending on the CPU pays no exit D2H.
+        The hop steps of :meth:`_steps` — the ones ``run()`` executes —
+        summed in order: a device-resident input pays no entry H2D, a
+        CPU-placed prefix runs straight off the host buffer, each
+        CPU<->GPU boundary inside the chain pays exactly one hop sized
+        by the segment input crossing it, and only a chain ending on the
+        GPU pays the exit D2H.  ``placements`` (one ``"cpu"`` /
+        ``"gpu"`` per segment) defaults to an all-GPU chain.  Hops are
+        sized by :attr:`wire_dtype`, so the model and the recorded
+        transfers count the same bytes.
         """
         location = InputLocation.coerce(location)
-        placements = tuple(placements) if placements is not None else None
-        all_gpu = placements is None or all(p == "gpu" for p in placements)
-        if location.on_host and all_gpu:
-            key = freeze_scalars(params)
-            seconds = self._transfer_memo.get(key)
-            if seconds is None:
-                n_in = self.segments[0].input_size(params)
-                n_out = self.segments[-1].output_size(params)
-                nbytes = (n_in + n_out) * self.wire_dtype.itemsize
-                seconds = nbytes / (PCIE_BANDWIDTH_GBPS * 1e9) + 2e-5
-                self._transfer_memo[key] = seconds
-            return seconds
-        if placements is None:
-            placements = ("gpu",) * len(self.segments)
-        key = (freeze_scalars(params), location.value, placements)
-        seconds = self._directed_transfer_memo.get(key)
-        if seconds is None:
-            itemsize = self.wire_dtype.itemsize
-            entry = "cpu" if location.on_host else "gpu"
-            seconds = 0.0
-            side = entry
-            for segment, placement in zip(self.segments, placements):
-                if placement != side:
-                    seconds += hop_seconds(
-                        segment.input_size(params) * itemsize)
-                    side = placement
-            if side == "gpu":     # deliver the output back to the host
-                seconds += hop_seconds(
-                    self.segments[-1].output_size(params) * itemsize)
-            self._directed_transfer_memo[key] = seconds
-        return seconds
+        sides = (tuple(placements) if placements is not None
+                 else ("gpu",) * len(self.segments))
+        return sum(step.seconds
+                   for step in self._steps(params, location, sides, None))
 
     # ------------------------------------------------------------------
     # Execution
@@ -663,6 +683,45 @@ class CompiledProgram:
                 f"parameters, got {len(host_input)}")
         return host_input
 
+    def _sides(self, plans: Sequence[KernelPlan]) -> Tuple[str, ...]:
+        """Where each selected plan runs.  Every plan is a GPU plan unless
+        placement is a selection axis: a legacy program runs its
+        CPU-tagged plans through their device ``execute`` path."""
+        if self._placement:
+            return tuple(plan.placement for plan in plans)
+        return ("gpu",) * len(plans)
+
+    def _steps(self, params: Dict[str, float], location: InputLocation,
+               sides: Sequence[str], spans) -> Tuple[Step, ...]:
+        """The schedule of one selection: the steps a run executes.
+
+        The data enters on the input's side — a host input is staged by
+        the first plan's ``restructure``, a device-resident one is
+        materialized ``resident`` without a transfer.  Each segment (or
+        fused span from ``spans``) then runs on its side from ``sides``,
+        with the hops :meth:`_hops` places around it.
+        """
+        side = "cpu" if location.on_host else "gpu"
+        steps = [Step("restructure" if location.on_host else "resident", 0)]
+        index, count = 0, len(self.segments)
+        while index < count:
+            span = spans.get(index) if spans else None
+            end = span[0] if span is not None else index + 1
+            entry, exit_ = self._hops(index, end, sides[index], side, params)
+            side = sides[index]
+            if entry is not None:
+                steps.append(entry)
+            if span is not None:
+                steps.append(Step("fused", index, end, fn=span[1],
+                                  sizes=span[2]))
+            else:
+                steps.append(Step("kernel" if side == "gpu" else "host",
+                                  index, end))
+            if exit_ is not None:
+                steps.append(exit_)
+            index = end
+        return tuple(steps)
+
     def _fused_spans(self, plans: List[KernelPlan],
                      params: Dict[str, float], device: Device):
         """Fused-chain execution table for one selected plan chain.
@@ -700,7 +759,7 @@ class CompiledProgram:
             chain_id = "->".join(self.segments[j].name
                                  for j in range(start, end))
             fn = compile_chain_fn(stages, params, chain_id=chain_id)
-            sizes = [plan.output_size(params) for plan in span_plans]
+            sizes = tuple(plan.output_size(params) for plan in span_plans)
             spans[start] = (end, fn, sizes)
         value = spans or None
         self._chain_pins.extend(plans)
@@ -710,10 +769,9 @@ class CompiledProgram:
         self._chain_cache[key] = value
         return value
 
-    def _execute_fused_span(self, start: int, end: int, fn, sizes,
-                            plans: List[KernelPlan], device: Device,
-                            buf, params: Dict[str, float]):
-        """One fused-chain launch; returns the span's stage outputs.
+    def _execute_fused_span(self, step: Step, plans: List[KernelPlan],
+                            device: Device, buf, params: Dict[str, float]):
+        """One fused-chain launch; returns the span's last output buffer.
 
         Failures are wrapped exactly like per-segment ones, anchored at
         the span's first segment so :meth:`_recover_segment` can
@@ -721,42 +779,48 @@ class CompiledProgram:
         identity, which invalidates the memoized span and re-plans
         fusion for the retry).
         """
+        start, end = step.index, step.end
         outs = [device.alloc(size, dtype=np.float64,
                              name=f"{self.segments[j].name}.out")
-                for j, size in zip(range(start, end), sizes)]
+                for j, size in zip(range(start, end), step.sizes)]
         try:
             device.launch_fused_chain(
-                fn, [buf.data] + [out.data for out in outs])
+                step.fn, [buf.data] + [out.data for out in outs])
         except ReproError:
             raise
         except Exception as exc:
-            plan = plans[start]
             raise KernelExecutionError(
                 f"fused chain {self.segments[start].name!r}.."
                 f"{self.segments[end - 1].name!r} failed: {exc}",
-                segment=self.segments[start].name, plan=plan.strategy,
+                segment=self.segments[start].name,
+                plan=plans[start].strategy,
                 params=dict(freeze_scalars(params)), kind="crash",
                 segment_index=start) from exc
-        return outs
+        return outs[-1]
 
     def _execute_plans(self, host_input: np.ndarray,
                        params: Dict[str, float],
                        plans: List[KernelPlan], device: Device,
-                       input_on_host: bool,
+                       location: InputLocation,
                        plan_costs: Optional[Dict[int, float]] = None,
                        compile_before=None, restructure_before=None
                        ) -> Tuple[RunResult, SelectionStats]:
         """Run one selected plan chain; returns (result, stats delta).
 
-        Stats are returned as a delta rather than applied to
-        :attr:`stats` so ``run_many`` workers never race on the shared
-        counters; single runs merge the delta immediately.  ``plan_costs``
-        (``id(plan) -> seconds``) lets the batched runner reuse one cost
-        lookup per selection instead of querying the (unsynchronized)
-        cost cache from worker threads.  ``compile_before`` /
-        ``restructure_before`` widen the counter-attribution window (the
-        single-run path opens it before selection, whose cost-model
-        queries may compile the winning plan's functions).
+        One loop over the selection's schedule (:meth:`_steps`): each
+        step runs and its wall-clock lands on its stage, and the hop
+        steps' modeled seconds, summed in order, are the run's
+        ``transfer_seconds`` — the order :attr:`Device.transfer_seconds`
+        sums the records those hops leave, so the two agree bit for bit.  Stats are returned as a
+        delta rather than applied to :attr:`stats` so ``run_many``
+        workers never race on the shared counters; single runs merge the
+        delta immediately.  ``plan_costs`` (``id(plan) -> seconds``) lets
+        the batched runner reuse one cost lookup per selection instead
+        of querying the (unsynchronized) cost cache from worker threads.
+        ``compile_before`` / ``restructure_before`` widen the
+        counter-attribution window (the single-run path opens it before
+        selection, whose cost-model queries may compile the winning
+        plan's functions).
         """
         stage = {"select": 0.0, "restructure": 0.0, "h2d": 0.0,
                  "kernel": 0.0, "d2h": 0.0, "compile": 0.0}
@@ -768,132 +832,68 @@ class CompiledProgram:
         selections: List[SegmentExecution] = []
         predicted = 0.0
         fused_runs = 0
-        spans = self._fused_spans(plans, params, device)
+        steps = self._steps(
+            params, location, self._sides(plans),
+            self._fused_spans(plans, params, device))
+        segments = self.segments
 
         def plan_seconds(plan):
             if plan_costs is not None:
                 return plan_costs[id(plan)]
             return self.cost.plan_seconds(plan, params)
 
-        placed = self._placement
+        value = host_input      # a host array or a device buffer
         try:
             with device.scope():
-                buf = None
-                hostval = None       # host-resident value between CPU plans
-                on_device = False
-                index = 0
-                while index < len(self.segments):
-                    segment, plan = self.segments[index], plans[index]
-                    plan_on_cpu = placed and \
-                        getattr(plan, "placement", "gpu") == "cpu"
-                    if index == 0:
-                        staged = host_input
-                        if input_on_host:
-                            t = time.perf_counter()
-                            staged = plan.restructure_input(host_input,
-                                                            params)
-                            stage["restructure"] = time.perf_counter() - t
-                        if plan_on_cpu and input_on_host:
-                            # CPU-placed entry: the data never leaves the
-                            # host — the H2D (and the final D2H, if the
-                            # whole chain stays on the CPU) is elided,
-                            # which is exactly what its selection priced.
-                            hostval = staged
-                        else:
-                            t = time.perf_counter()
-                            buf = device.to_device(staged,
-                                                   name=f"{segment.name}.in")
-                            stage["h2d"] += time.perf_counter() - t
-                            on_device = True
-                            if plan_on_cpu:
-                                # Device-resident input feeding a CPU
-                                # plan pays the D2H hop its cost carried.
-                                t = time.perf_counter()
-                                hostval = device.to_host(buf)
-                                stage["d2h"] += time.perf_counter() - t
-                                on_device = False
-                    span = spans.get(index) if spans else None
-                    if span is not None:
-                        if placed and not on_device:
-                            t = time.perf_counter()
-                            buf = device.to_device(
-                                np.asarray(hostval,
-                                           dtype=np.float64).reshape(-1),
-                                name=f"{segment.name}.in")
-                            stage["h2d"] += time.perf_counter() - t
-                            on_device = True
-                        end, fn, sizes = span
-                        t = time.perf_counter()
-                        outs = self._execute_fused_span(
-                            index, end, fn, sizes, plans, device, buf,
-                            params)
-                        span_wall = time.perf_counter() - t
-                        stage["kernel"] += span_wall
-                        fused_runs += 1
+                for step in steps:
+                    kind, index = step.kind, step.index
+                    started = time.perf_counter()
+                    if kind == "kernel":
+                        value = self._execute_segment(
+                            index, plans[index], device, value, params)
+                    elif kind == "host":
+                        value = self._execute_segment(
+                            index, plans[index], None, value, params)
+                    elif kind == "fused":
+                        value = self._execute_fused_span(
+                            step, plans, device, value, params)
+                    elif kind == "h2d":
+                        value = device.to_device(
+                            value, name=f"{segments[index].name}.in")
+                    elif kind == "d2h":
+                        value = device.to_host(value)
+                    elif kind == "restructure":
+                        value = plans[0].restructure_input(value, params)
+                    else:               # resident: nothing moves
+                        value = device.alloc_from(
+                            value, name=f"{segments[0].name}.in")
+                        continue
+                    wall = time.perf_counter() - started
+                    stage[_STEP_STAGE[kind]] += wall
+                    if kind not in ("kernel", "host", "fused"):
+                        continue
+                    members = range(index, step.end)
+                    costs = [plan_seconds(plans[j]) for j in members]
+                    shares, tags = [1.0], []
+                    if kind == "fused":
                         # Per-segment report rows survive fusion: each
                         # span member keeps its own predicted cost and a
                         # predicted-share slice of the measured span
                         # wall-clock (the feedback layer's observation
                         # granularity is the segment).
-                        costs = [plan_seconds(plans[j])
-                                 for j in range(index, end)]
+                        fused_runs += 1
                         total = sum(costs)
-                        for offset, j in enumerate(range(index, end)):
-                            share = (costs[offset] / total if total > 0
-                                     else 1.0 / len(costs))
-                            predicted += costs[offset]
-                            selections.append(SegmentExecution(
-                                segment=self.segments[j].name,
-                                kind=self.segments[j].kind,
-                                strategy=plans[j].strategy,
-                                predicted_seconds=costs[offset],
-                                optimizations=(list(plans[j].optimizations)
-                                               + ["chain_fusion"]),
-                                measured_seconds=span_wall * share))
-                        buf = outs[-1]
-                        on_device = True
-                        index = end
-                        continue
-                    seconds = plan_seconds(plan)
-                    predicted += seconds
-                    if plan_on_cpu:
-                        if on_device:
-                            t = time.perf_counter()
-                            hostval = device.to_host(buf)
-                            stage["d2h"] += time.perf_counter() - t
-                            on_device = False
-                        t = time.perf_counter()
-                        hostval = self._execute_segment_host(
-                            segment, plan, index, hostval, params)
-                        plan_wall = time.perf_counter() - t
-                    else:
-                        if placed and not on_device:
-                            t = time.perf_counter()
-                            buf = device.to_device(
-                                np.asarray(hostval,
-                                           dtype=np.float64).reshape(-1),
-                                name=f"{segment.name}.in")
-                            stage["h2d"] += time.perf_counter() - t
-                            on_device = True
-                        t = time.perf_counter()
-                        buf = self._execute_segment(segment, plan, index,
-                                                    device, buf, params)
-                        plan_wall = time.perf_counter() - t
-                        on_device = True
-                    stage["kernel"] += plan_wall
-                    selections.append(SegmentExecution(
-                        segment=segment.name, kind=segment.kind,
-                        strategy=plan.strategy, predicted_seconds=seconds,
-                        optimizations=list(plan.optimizations),
-                        measured_seconds=plan_wall))
-                    index += 1
-                if placed and not on_device:
-                    output = np.asarray(hostval,
-                                        dtype=np.float64).reshape(-1)
-                else:
-                    t = time.perf_counter()
-                    output = device.to_host(buf)
-                    stage["d2h"] += time.perf_counter() - t
+                        shares = [seconds / total if total > 0
+                                  else 1.0 / len(costs) for seconds in costs]
+                        tags = ["chain_fusion"]
+                    for j, seconds, share in zip(members, costs, shares):
+                        predicted += seconds
+                        selections.append(SegmentExecution(
+                            segment=segments[j].name, kind=segments[j].kind,
+                            strategy=plans[j].strategy,
+                            predicted_seconds=seconds,
+                            optimizations=list(plans[j].optimizations) + tags,
+                            measured_seconds=wall * share))
         except KernelExecutionError as exc:
             # The scope above already released every buffer; attach the
             # failed attempt's counters so callers (guarded retry, the
@@ -924,144 +924,94 @@ class CompiledProgram:
             h2d_seconds=stage["h2d"], kernel_seconds=stage["kernel"],
             d2h_seconds=stage["d2h"], compile_seconds=stage["compile"])
         result = RunResult(
-            output=output, selections=selections,
+            output=value, selections=selections,
             predicted_kernel_seconds=predicted,
-            transfer_seconds=self.transfer_seconds(
-                params,
-                location=(InputLocation.HOST if input_on_host
-                          else InputLocation.DEVICE),
-                placements=(tuple(getattr(p, "placement", "gpu")
-                                  for p in plans) if placed else None)),
+            transfer_seconds=sum(step.seconds for step in steps),
             stage_seconds=stage)
         return result, delta
 
-    def _execute_segment(self, segment: Segment, plan: KernelPlan,
-                         index: int, device: Device, buf,
+    def _execute_segment(self, index: int, plan: KernelPlan,
+                         device: Optional[Device], data,
                          params: Dict[str, float]):
-        """One segment's ``plan.execute`` with fault injection + wrapping.
+        """One segment's plan with fault injection + error wrapping.
 
-        Every failure leaves here as a :class:`KernelExecutionError`
-        carrying the segment name, strategy tag, scalar params and the
-        segment's chain position — the context
-        :meth:`_recover_segment` needs to quarantine and re-select.
-        With no injector configured this adds one ``None`` check to the
-        hot path and nothing else.
+        ``device=None`` runs a CPU-placed plan on the host array ``data``
+        (:meth:`KernelPlan.execute_host`) and returns a flat float64 host
+        array; otherwise ``plan.execute`` consumes the device buffer
+        ``data``.  Either way every failure leaves here as a
+        :class:`KernelExecutionError` carrying the segment name, strategy
+        tag, scalar params and the segment's chain position — the context
+        :meth:`_recover_segment` needs to quarantine and re-select.  An
+        injected NaN fault poisons the output, and with an injector
+        installed a NaN output raises.  With no injector configured this
+        adds one ``None`` check to the hot path and nothing else.
         """
+        segment = self.segments[index]
         injector = self.faults
         fault = injector.on_execute(plan) if injector is not None else None
+
+        def context():
+            return {"segment": segment.name, "plan": plan.strategy,
+                    "params": dict(freeze_scalars(params)),
+                    "segment_index": index}
+
         if fault is not None and fault.kind != KIND_NAN:
             cls = (KernelTimeoutError if fault.kind == KIND_TIMEOUT
                    else KernelExecutionError)
             raise cls(
                 f"injected {fault.kind} fault in plan {plan.strategy!r}",
-                injected=True, kind=fault.kind, segment=segment.name,
-                plan=plan.strategy, params=dict(freeze_scalars(params)),
-                segment_index=index)
+                injected=True, kind=fault.kind, **context())
         try:
-            out = plan.execute(device, {IN: buf}, params)
+            if device is None:
+                out = np.asarray(plan.execute_host(data, params),
+                                 dtype=np.float64).reshape(-1)
+            else:
+                out = plan.execute(device, {IN: data}, params)
         except KernelExecutionError as exc:
             # Launch-scope injected faults and executor-level failures
             # (LaunchError, BarrierDivergenceError) arrive pre-typed;
             # fill in whatever context they are missing.
-            if exc.segment is None:
-                exc.segment = segment.name
-            if exc.plan is None:
-                exc.plan = plan.strategy
-            if exc.params is None:
-                exc.params = dict(freeze_scalars(params))
-            if exc.segment_index is None:
-                exc.segment_index = index
+            for name, value in context().items():
+                if getattr(exc, name) is None:
+                    setattr(exc, name, value)
             raise
         except ReproError:
             raise
         except Exception as exc:
             raise KernelExecutionError(
                 f"plan {plan.strategy!r} failed in segment "
-                f"{segment.name!r}: {exc}", segment=segment.name,
-                plan=plan.strategy, params=dict(freeze_scalars(params)),
-                kind="crash", segment_index=index) from exc
-        if fault is not None:          # KIND_NAN: poison the output
-            data = getattr(out, "data", None)
-            if (isinstance(data, np.ndarray)
-                    and np.issubdtype(data.dtype, np.floating)):
-                data.fill(np.nan)
+                f"{segment.name!r}: {exc}", kind="crash",
+                **context()) from exc
         if injector is not None:
             # Output poisoning is only detectable by looking; the check
             # runs solely when an injector is installed, so uninjected
             # serving pays nothing for it.
-            data = getattr(out, "data", None)
-            if (isinstance(data, np.ndarray)
-                    and np.issubdtype(data.dtype, np.floating)
-                    and np.isnan(data).any()):
-                raise KernelExecutionError(
-                    f"NaN output from plan {plan.strategy!r} in segment "
-                    f"{segment.name!r}", injected=fault is not None,
-                    kind=KIND_NAN, segment=segment.name,
-                    plan=plan.strategy,
-                    params=dict(freeze_scalars(params)),
-                    segment_index=index)
-        return out
-
-    def _execute_segment_host(self, segment: Segment, plan: KernelPlan,
-                              index: int, hostval: np.ndarray,
-                              params: Dict[str, float]) -> np.ndarray:
-        """Host-side twin of :meth:`_execute_segment` for CPU placements.
-
-        Same fault-injection and error-wrapping contract; the data never
-        touches the device, so NaN poisoning and detection act directly
-        on the returned host array.
-        """
-        injector = self.faults
-        fault = injector.on_execute(plan) if injector is not None else None
-        if fault is not None and fault.kind != KIND_NAN:
-            cls = (KernelTimeoutError if fault.kind == KIND_TIMEOUT
-                   else KernelExecutionError)
-            raise cls(
-                f"injected {fault.kind} fault in plan {plan.strategy!r}",
-                injected=True, kind=fault.kind, segment=segment.name,
-                plan=plan.strategy, params=dict(freeze_scalars(params)),
-                segment_index=index)
-        try:
-            out = plan.execute_host(hostval, params)
-        except KernelExecutionError as exc:
-            if exc.segment is None:
-                exc.segment = segment.name
-            if exc.plan is None:
-                exc.plan = plan.strategy
-            if exc.params is None:
-                exc.params = dict(freeze_scalars(params))
-            if exc.segment_index is None:
-                exc.segment_index = index
-            raise
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise KernelExecutionError(
-                f"plan {plan.strategy!r} failed in segment "
-                f"{segment.name!r}: {exc}", segment=segment.name,
-                plan=plan.strategy, params=dict(freeze_scalars(params)),
-                kind="crash", segment_index=index) from exc
-        out = np.asarray(out, dtype=np.float64).reshape(-1)
-        if fault is not None:          # KIND_NAN: poison the output
-            out.fill(np.nan)
-        if injector is not None and np.isnan(out).any():
-            raise KernelExecutionError(
-                f"NaN output from plan {plan.strategy!r} in segment "
-                f"{segment.name!r}", injected=fault is not None,
-                kind=KIND_NAN, segment=segment.name, plan=plan.strategy,
-                params=dict(freeze_scalars(params)), segment_index=index)
+            values = out if device is None else getattr(out, "data", None)
+            if (isinstance(values, np.ndarray)
+                    and np.issubdtype(values.dtype, np.floating)):
+                if fault is not None:      # KIND_NAN: poison the output
+                    values.fill(np.nan)
+                if np.isnan(values).any():
+                    raise KernelExecutionError(
+                        f"NaN output from plan {plan.strategy!r} in "
+                        f"segment {segment.name!r}",
+                        injected=fault is not None, kind=KIND_NAN,
+                        **context())
         return out
 
     def _recover_segment(self, exc: KernelExecutionError,
                          params: Dict[str, float],
-                         plans: List[KernelPlan], input_on_host: bool):
+                         plans: List[KernelPlan], location: InputLocation,
+                         placement: str = "auto"):
         """Quarantine the failed variant and re-select its segment.
 
-        Returns ``(new_plans, replacement, seconds, newly_quarantined)``
-        or ``None`` when the failure is terminal: the error carries no
-        segment position, or the failed variant is the segment's last
-        non-quarantined option (the last variant is never quarantined —
-        serving something beats serving nothing).
+        The replacement is the placement-priced argmin over the
+        segment's surviving variants, restricted to the run's placement
+        pin.  Returns ``(new_plans, replacement, seconds,
+        newly_quarantined)`` or ``None`` when the failure is terminal:
+        the error carries no segment position, or the failed variant is
+        the segment's last non-quarantined option (the last variant is
+        never quarantined — serving something beats serving nothing).
         """
         index = exc.segment_index
         if index is None or not 0 <= index < len(self.segments):
@@ -1071,8 +1021,7 @@ class CompiledProgram:
         bucket = size_bucket(params)
         store = self.calibration
         with self._quarantine_lock:
-            seg_from_host = input_on_host and index == 0
-            eligible = self._eligible(segment, seg_from_host)
+            eligible = self._eligible(segment, location.on_host and index == 0)
             remaining = [p for p in eligible
                          if p is not failed
                          and not store.is_quarantined(p.strategy, bucket)]
@@ -1082,8 +1031,11 @@ class CompiledProgram:
                 failed.strategy, bucket,
                 reason=exc.kind or type(exc).__name__)
             try:
-                replacement = segment.best_plan(self._selection_cost(),
-                                                params, plans=remaining)
+                replacement = self._argmin(
+                    self._selection_cost(), index,
+                    self._restrict_placement(remaining, placement), params,
+                    plans[index - 1].placement if index else None,
+                    location.on_host)
                 seconds = self.cost.plan_seconds(replacement, params)
             except SelectionError:
                 return None
@@ -1094,26 +1046,27 @@ class CompiledProgram:
     def _execute_guarded(self, host_input: np.ndarray,
                          params: Dict[str, float],
                          plans: List[KernelPlan], device: Device,
-                         input_on_host: bool,
+                         location: InputLocation, placement: str = "auto",
                          plan_costs: Optional[Dict[int, float]] = None,
                          compile_before=None, restructure_before=None):
         """Retry-then-degrade wrapper around :meth:`_execute_plans`.
 
         On a variant failure the failed (strategy, size-bucket) pair is
-        quarantined, the segment re-selected among the survivors, and the
-        chain re-run (the failed attempt's scope already released its
-        buffers, so retries recycle them).  Terminal failures re-raise
-        with the accumulated counters on ``exc.stats_delta``.  Returns
-        ``(result, delta, plans, plan_costs)`` where ``plans`` /
-        ``plan_costs`` reflect any degraded substitution so callers can
-        refresh their cached selection.
+        quarantined, the segment re-selected among the survivors under
+        the run's ``placement`` pin, and the chain re-run (the failed
+        attempt's scope already released its buffers, so retries recycle
+        them).  Terminal failures re-raise with the accumulated counters
+        on ``exc.stats_delta``.  Returns ``(result, delta, plans,
+        plan_costs)`` where ``plans`` / ``plan_costs`` reflect any
+        degraded substitution so callers can refresh their cached
+        selection.
         """
         recovery: Optional[SelectionStats] = None
         reselect_total = 0.0
         while True:
             try:
                 result, delta = self._execute_plans(
-                    host_input, params, plans, device, input_on_host,
+                    host_input, params, plans, device, location,
                     plan_costs, compile_before, restructure_before)
             except KernelExecutionError as exc:
                 if recovery is None:
@@ -1128,7 +1081,7 @@ class CompiledProgram:
                 # (it used to vanish — degraded items reported 0.0).
                 reselect_started = time.perf_counter()
                 recovered = self._recover_segment(exc, params, plans,
-                                                  input_on_host)
+                                                  location, placement)
                 reselect = time.perf_counter() - reselect_started
                 recovery.select_seconds += reselect
                 reselect_total += reselect
@@ -1212,7 +1165,7 @@ class CompiledProgram:
         select_seconds = time.perf_counter() - started
         try:
             result, delta, plans, _ = self._execute_guarded(
-                host_input, params, plans, device, location.on_host,
+                host_input, params, plans, device, location, opts.placement,
                 compile_before=compile_before,
                 restructure_before=restructure_before)
         except KernelExecutionError as exc:
@@ -1229,7 +1182,7 @@ class CompiledProgram:
             config = (feedback if isinstance(feedback, FeedbackConfig)
                       else self.feedback)
             self._apply_feedback(host_input, params, plans, result,
-                                 device, location.on_host, config)
+                                 device, location, config)
         return result
 
     def warmup(self, params: Dict[str, float], *,
@@ -1318,9 +1271,8 @@ class CompiledProgram:
             raise ValueError(
                 f"unknown run_batch backend {opts.backend!r}; expected "
                 f"'thread' or 'process'")
-        workers, backend = opts.workers, opts.backend
-        location, exec_mode = opts.location, opts.exec_mode
-        feedback = opts.feedback
+        workers, location, exec_mode = \
+            opts.workers, opts.location, opts.exec_mode
         inputs = list(inputs)
         if isinstance(params_list, dict):
             params_list = [params_list] * len(inputs)
@@ -1329,34 +1281,20 @@ class CompiledProgram:
             raise ValueError(
                 f"run_batch got {len(inputs)} inputs but "
                 f"{len(params_list)} params")
-        if backend == "process":
+        if opts.backend == "process":
             from .procpool import run_batch_process
-            return run_batch_process(
-                self, inputs, params_list, workers=workers, force=force,
-                location=location, exec_mode=exec_mode, warm=warm,
-                feedback=feedback)
+            return run_batch_process(self, inputs, params_list,
+                                     options=opts, force=force, warm=warm)
 
-        # One selection (and optional warmup) per distinct scalar binding,
-        # shared by every batch item at that binding.  The per-binding
-        # select wall-clock is recorded so it can be attributed to the
-        # first result at the binding instead of vanishing.
-        selections: Dict[tuple, List[KernelPlan]] = {}
+        selections, select_seconds = self._select_bindings(
+            params_list, opts, force, warm)
         plan_costs: Dict[tuple, Dict[int, float]] = {}
-        select_seconds: Dict[tuple, float] = {}
         for params in params_list:
             key = freeze_scalars(params)
-            if key in selections:
-                continue
-            if warm:
-                self.warmup(params, force=force,
-                            options=dataclasses.replace(opts, feedback=False))
-            started = time.perf_counter()
-            plans = self.select(params, force, input_on_host=location,
-                                placement=opts.placement)
-            select_seconds[key] = time.perf_counter() - started
-            selections[key] = plans
-            plan_costs[key] = {id(plan): self.cost.plan_seconds(plan, params)
-                               for plan in plans}
+            if key not in plan_costs:
+                plan_costs[key] = {id(plan): self.cost.plan_seconds(plan,
+                                                                    params)
+                                   for plan in selections[key]}
 
         local = threading.local()
         refresh_lock = threading.Lock()
@@ -1391,8 +1329,8 @@ class CompiledProgram:
                 job_plans = selections[key]
                 job_costs = plan_costs[key]
             result, delta, used_plans, used_costs = self._execute_guarded(
-                host_input, params, job_plans, device,
-                location.on_host, job_costs)
+                host_input, params, job_plans, device, location,
+                opts.placement, job_costs)
             if used_plans is not job_plans:
                 # The item degraded onto a replacement variant; later
                 # items at the same binding start from the new selection
@@ -1435,39 +1373,74 @@ class CompiledProgram:
                     future.result()
         for delta in deltas:
             self.stats.merge(delta)
-        # Attribute each binding's amortized select wall-clock to its
-        # first completed result (this used to be hard-coded to 0.0 for
-        # every item, hiding the real selection cost from stage totals).
-        attributed = set()
-        for index, params in enumerate(params_list):
-            key = freeze_scalars(params)
-            if key in attributed or results[index] is None:
-                continue
-            attributed.add(key)
-            results[index].stage_seconds["select"] = \
-                results[index].stage_seconds.get("select", 0.0) \
-                + select_seconds[key]
-        if feedback:
-            # Feedback is per binding, from the binding's first
-            # *completed* item — valid measurements from surviving items
-            # are folded in even when other items in the batch failed
-            # (they used to be discarded whenever anything failed).
-            config = (feedback if isinstance(feedback, FeedbackConfig)
-                      else self.feedback)
-            observed_keys = set()
-            for index, params in enumerate(params_list):
-                key = freeze_scalars(params)
-                if key in observed_keys or results[index] is None:
-                    continue
-                observed_keys.add(key)
-                self._apply_feedback(
-                    self._validate_input(inputs[index], params), params,
-                    selections[key], results[index],
-                    self._resolve_device(None, exec_mode),
-                    location.on_host, config)
+        self._finish_batch(inputs, params_list, results, selections,
+                           select_seconds, opts)
         return BatchOutcome(
             results=results,
             errors={i: e for i, e in enumerate(errors) if e is not None})
+
+    def _select_bindings(self, params_list: Sequence[Dict[str, float]],
+                         options: RunOptions,
+                         force: Optional[Dict[str, str]], warm: bool):
+        """Batch prologue shared by both ``run_batch`` backends.
+
+        One optional warmup and one timed ``select()`` per distinct
+        scalar binding, shared by every batch item at that binding.  The
+        warmup populates every memo the batch then only reads (costs,
+        fused spans, compiled kernels, permutations) and, for the process
+        backend, everything the worker bundle carries.  Returns
+        ``(selections, select_seconds)`` keyed by frozen scalars.
+        """
+        selections: Dict[tuple, List[KernelPlan]] = {}
+        select_seconds: Dict[tuple, float] = {}
+        for params in params_list:
+            key = freeze_scalars(params)
+            if key in selections:
+                continue
+            if warm:
+                self.warmup(params, force=force,
+                            options=dataclasses.replace(options,
+                                                        feedback=False))
+            started = time.perf_counter()
+            selections[key] = self.select(
+                params, force, input_on_host=options.location,
+                placement=options.placement)
+            select_seconds[key] = time.perf_counter() - started
+        return selections, select_seconds
+
+    def _finish_batch(self, inputs: Sequence[np.ndarray],
+                      params_list: Sequence[Dict[str, float]],
+                      results: List[Optional[RunResult]],
+                      selections: Dict[tuple, List[KernelPlan]],
+                      select_seconds: Dict[tuple, float],
+                      options: RunOptions) -> None:
+        """Batch epilogue shared by both ``run_batch`` backends.
+
+        Each binding's amortized select wall-clock is added to its first
+        *completed* result (every other item reports only its own
+        re-selection wall, if it degraded), so stage totals stay
+        truthful.  With ``options.feedback`` that item's measurements
+        are folded into :attr:`calibration` — here, after the workers
+        joined, because the store is unsynchronized — even when other
+        items at the binding failed.
+        """
+        feedback = options.feedback
+        config = (feedback if isinstance(feedback, FeedbackConfig)
+                  else self.feedback)
+        done = set()
+        for index, params in enumerate(params_list):
+            key = freeze_scalars(params)
+            if key in done or results[index] is None:
+                continue
+            done.add(key)
+            stage = results[index].stage_seconds
+            stage["select"] = stage.get("select", 0.0) + select_seconds[key]
+            if feedback:
+                self._apply_feedback(
+                    self._validate_input(inputs[index], params), params,
+                    selections[key], results[index],
+                    self._resolve_device(None, options.exec_mode),
+                    options.location, config)
 
     def run_many(self, inputs: Sequence[np.ndarray],
                  params_list: Union[Dict[str, float],
@@ -1553,7 +1526,7 @@ class CompiledProgram:
                 plans = self.select(params, force, input_on_host=location)
                 probes_before = self.stats.probe_runs
                 self._apply_feedback(None, params, plans, None, None,
-                                     location.on_host, config)
+                                     location, config)
                 if self.stats.probe_runs == probes_before:
                     break
         # Online subtree re-sweeps run mid-convergence: each rebuilds its
@@ -1611,8 +1584,8 @@ class CompiledProgram:
         """Assemble this program's complete warm state into a bundle.
 
         Captures everything the warm path needs — surviving variants,
-        dispatch tables, restructure permutations, cost/transfer memo
-        entries, the calibration store, and every kernel source the
+        dispatch tables, restructure permutations, cost memo entries,
+        the calibration store, and every kernel source the
         process-wide exprgen registry has recorded — keyed by (program
         IR fingerprint, arch fingerprint, repro version, schema
         version).  :meth:`load_bundle` in a fresh process replays it so
@@ -1657,9 +1630,6 @@ class CompiledProgram:
             costs.append({"segment": location[0], "strategy": location[1],
                           "scalars": encode_scalars(scalars),
                           "seconds": float(seconds)})
-        transfers = [{"scalars": encode_scalars(key),
-                      "seconds": float(seconds)}
-                     for key, seconds in self._transfer_memo.items()]
 
         self.calibration.arch_fingerprint = self.spec.fingerprint()
         return ArtifactBundle(
@@ -1673,7 +1643,6 @@ class CompiledProgram:
             wire_dtype=self.wire_dtype.str,
             segments=segments_payload,
             costs=costs,
-            transfers=transfers,
             calibration=self.calibration.to_dict(),
             sources=SOURCE_REGISTRY.export(),
             meta=dict(meta or {}))
@@ -1800,9 +1769,6 @@ class CompiledProgram:
             if plan is not None:
                 self.cost.seed(plan, decode_scalars(entry["scalars"]),
                                entry["seconds"])
-        for entry in bundle.transfers:
-            self._transfer_memo[decode_scalars(entry["scalars"])] = \
-                float(entry["seconds"])
         self.calibration = calibration
         SOURCE_REGISTRY.load(bundle.sources)
         self.wire_dtype = np.dtype(bundle.wire_dtype)
@@ -1813,7 +1779,7 @@ class CompiledProgram:
                         plans: List[KernelPlan],
                         result: Optional[RunResult],
                         device: Optional[Device],
-                        input_on_host: bool,
+                        location: InputLocation,
                         config: FeedbackConfig) -> None:
         """Fold one run's measurements back into the calibration store.
 
@@ -1830,7 +1796,8 @@ class CompiledProgram:
         rank the runner first, the segment's baked break-even boundary is
         patched in place.  Probes are bounded per ``(segment, bucket)``
         by ``config.probe_limit``; large factor swings re-bake the
-        affected table (``config.rebake_threshold``).
+        affected table (``config.rebake_threshold``).  A probe execution
+        that fails observes nothing (see :meth:`_probe_execute`).
         """
         store = self.calibration
         stats = self.stats
@@ -1843,7 +1810,7 @@ class CompiledProgram:
             if result is not None and plan is plans[index]:
                 return result.selections[index].measured_seconds
             return self._probe_execute(host_input, params, plans, index,
-                                       plan, device, input_on_host)
+                                       plan, device, location)
 
         def fold(segment: Segment, plan: KernelPlan,
                  observed: float) -> float:
@@ -1859,7 +1826,7 @@ class CompiledProgram:
                 self._rebake_dispatch(segment, params)
             return change
 
-        from_host = input_on_host
+        from_host = location.on_host
         for index, (segment, plan) in enumerate(zip(self.segments, plans)):
             seg_from_host = from_host
             from_host = False
@@ -1902,6 +1869,8 @@ class CompiledProgram:
             store.note_probe(segment.name, bucket)
             stats.probe_runs += 1
             runner_observed = measure(index, runner)
+            if runner_observed is None:
+                continue        # the probe failed; the runner is quarantined
             fold(segment, runner, runner_observed)
             # Post-probe verdict: does the calibrated model now rank the
             # runner first?  If a baked table chose the loser, repair its
@@ -1917,17 +1886,34 @@ class CompiledProgram:
                        params: Dict[str, float],
                        plans: List[KernelPlan], index: int,
                        runner: KernelPlan, device: Device,
-                       input_on_host: bool) -> float:
+                       location: InputLocation) -> Optional[float]:
         """Measure ``runner`` by re-running the chain with it substituted.
 
         The probe's counters are merged into :attr:`stats` with ``runs``
         zeroed — probe executions are accounted by ``probe_runs``, not as
-        served runs.
+        served runs.  A probe that fails returns ``None``: its partial
+        counters (and injected fault) are merged, ``runner`` is
+        quarantined at this size bucket when it is what failed, and the
+        request the probe ran for — which already succeeded — is left
+        alone.
         """
         probe_plans = list(plans)
         probe_plans[index] = runner
-        result, delta = self._execute_plans(host_input, params, probe_plans,
-                                            device, input_on_host)
+        try:
+            result, delta = self._execute_plans(host_input, params,
+                                                probe_plans, device,
+                                                location)
+        except KernelExecutionError as exc:
+            delta = getattr(exc, "stats_delta", None) or SelectionStats()
+            if exc.injected:
+                delta.faults_injected += 1
+            if exc.segment_index in (None, index) and \
+                    self.calibration.quarantine(
+                        runner.strategy, size_bucket(params),
+                        reason=exc.kind or type(exc).__name__):
+                delta.quarantines += 1
+            self.stats.merge(delta)
+            return None
         delta.runs = 0
         self.stats.merge(delta)
         return result.selections[index].measured_seconds
@@ -1990,12 +1976,12 @@ class CompiledProgram:
         if winner is not None:
             for plan in prev.plans:
                 if plan.strategy == winner:
-                    return getattr(plan, "placement", "gpu")
-        placements = {getattr(p, "placement", "gpu") for p in prev.plans}
+                    return plan.placement
+        placements = {p.placement for p in prev.plans}
         return "cpu" if placements == {"cpu"} else "gpu"
 
-    def _swept_seconds(self, cost, segment: Segment, index: int,
-                       plan: KernelPlan, point: Dict[str, float]) -> float:
+    def _swept_seconds(self, cost, index: int, plan: KernelPlan,
+                       point: Dict[str, float]) -> float:
         """One candidate's cost at one swept point, placement-priced.
 
         With placement compiled as a selection axis every swept
@@ -2009,8 +1995,7 @@ class CompiledProgram:
         if not self._placement:
             return seconds
         return seconds + self._placement_extra(
-            segment, plan, point, self._baked_prev_placement(index, point),
-            index == 0, index == len(self.segments) - 1, True)
+            index, plan, point, self._baked_prev_placement(index, point))
 
     def _sweep_variants(self, segment: Segment, from_host: bool,
                         names: Sequence[str], base: Dict[str, float]
@@ -2025,7 +2010,7 @@ class CompiledProgram:
         return [
             Variant(plan.strategy,
                     lambda values, plan=plan: self._swept_seconds(
-                        cost, segment, index, plan,
+                        cost, index, plan,
                         {**base, **{name: int(v)
                                     for name, v in zip(names, values)}}))
             for plan in self._eligible(segment, from_host)]
@@ -2089,8 +2074,6 @@ class CompiledProgram:
             for plan in segment.plans:
                 plan.clear_warm_cache()
         self.cost.clear()
-        self._transfer_memo.clear()
-        self._directed_transfer_memo.clear()
         self.calibration.reset()
         self._chain_cache.clear()
         self._chain_pins.clear()

@@ -89,8 +89,7 @@ def sweep(spec: GPUSpec = TESLA_C2050, repeats: int = 5
         placements = []
         for segment, sel in zip(compiled.segments, auto_result.selections):
             plan = segment.plan_named(sel.strategy)
-            placements.append(
-                f"{segment.name}:{getattr(plan, 'placement', 'gpu')}")
+            placements.append(f"{segment.name}:{plan.placement}")
         rows.append({
             "shape": f"{side}x{side}",
             "placements": " ".join(placements),

@@ -47,10 +47,11 @@ LAYOUT_GATHER_SETUP_SECONDS = 2.0e-6
 def hop_seconds(nbytes: int) -> float:
     """Seconds to move ``nbytes`` across PCIe, one direction, one hop.
 
-    Matches :meth:`repro.gpu.device.TransferRecord.seconds` exactly —
-    one latency term plus bandwidth-limited payload — so the legacy
-    all-GPU transfer estimate (one h2d plus one d2h) is reproduced
-    bit-identically by summing two hops.
+    The same arithmetic as :meth:`repro.gpu.device.TransferRecord.seconds`
+    — one latency term plus bandwidth-limited payload — so summing a
+    schedule's hop steps in order reproduces
+    :attr:`repro.gpu.device.Device.transfer_seconds` for the run bit for
+    bit (an all-GPU host-input run is exactly ``hop(in) + hop(out)``).
     """
     return MEMCPY_LATENCY_US * 1e-6 + nbytes / (PCIE_BANDWIDTH_GBPS * 1e9)
 

@@ -19,6 +19,7 @@ from repro.compiler.exprgen import COMPILE_COUNTER, SOURCE_REGISTRY
 from repro.compiler.runtime import InputLocation
 from repro.compiler.segments import RegionDispatch
 from repro.faults import FaultInjector, FaultPlan
+from repro.gpu import Device
 from repro.perfmodel import (CalibrationStore, hop_seconds,
                              layout_transform_seconds)
 from repro.serve.metrics import ServeMetrics, percentile
@@ -73,16 +74,21 @@ class TestTransferDirection:
 
     def test_host_all_gpu_value_is_bit_identical_legacy(
             self, legacy_imagepipe):
-        # The historical memoized value: (in + out bytes) / bandwidth
-        # plus two hop latencies — exactly hop(in) + hop(out).
-        params = {"width": 48, "height": 32}
+        # The legacy call shape (host input, all-GPU chain) prices
+        # exactly hop(in) + hop(out), bit for bit what the device
+        # records for the run.
+        data, params = imagepipe.make_input(48, 32)
         n_in = legacy_imagepipe.segments[0].input_size(params)
         n_out = legacy_imagepipe.segments[-1].output_size(params)
         itemsize = legacy_imagepipe.wire_dtype.itemsize
-        legacy_value = ((n_in + n_out) * itemsize) / (6.0 * 1e9) + 2e-5
-        assert legacy_imagepipe.transfer_seconds(params) == legacy_value
-        assert legacy_value == pytest.approx(
-            hop_seconds(n_in * itemsize) + hop_seconds(n_out * itemsize))
+        priced = legacy_imagepipe.transfer_seconds(params)
+        assert priced == \
+            hop_seconds(n_in * itemsize) + hop_seconds(n_out * itemsize)
+        device = Device(legacy_imagepipe.spec)
+        result = legacy_imagepipe.run(data, params, device=device)
+        assert [(t.direction, t.nbytes) for t in device.transfers] == \
+            [("h2d", n_in * itemsize), ("d2h", n_out * itemsize)]
+        assert result.transfer_seconds == priced == device.transfer_seconds
 
     def test_run_total_does_not_double_count(self, legacy_imagepipe):
         data, params = imagepipe.make_input(48, 48)

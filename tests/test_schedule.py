@@ -1,0 +1,262 @@
+"""Execution schedules: one hop decision, priced exactly as it runs.
+
+Every run builds one schedule for its selection: the executor runs its
+steps and ``transfer_seconds`` sums its hop steps.  The option lattice
+(program x exec mode x input location x placement pin) checks, on a fresh
+device per point, that outputs stay bit-identical and that the priced
+transfers equal the recorded ones exactly.  The remaining tests pin
+per-call array params that leave no warm state behind, the placement
+pin on the process backend and in failure recovery, and feedback
+probes that fail without failing the request they probed for.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro import Filter, Pipeline, StreamProgram, api
+from repro.apps import imagepipe, tmv
+from repro.compiler.exprgen import SOURCE_REGISTRY
+from repro.compiler.runtime import InputLocation
+from repro.faults import FaultInjector, FaultPlan
+from repro.gpu import Device, ExecMode
+from repro.perfmodel import size_bucket
+
+from workloads import SCALE_SRC, SUM_SRC
+
+SQUARE_SRC = """
+def square(n):
+    for i in range(n):
+        x = pop()
+        push(x * x + 0.5)
+"""
+
+#: Narrowed imagepipe box (keeps the placement sweeps fast).
+RANGES = {"width": (32, 512), "height": (32, 512)}
+
+
+@pytest.fixture(autouse=True)
+def _isolated_source_registry():
+    """Drop bundle-carried sources after every test (see test_multiaxis)."""
+    yield
+    SOURCE_REGISTRY.clear_loaded()
+
+
+def _chain_program():
+    return StreamProgram(
+        Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
+                 Filter(SQUARE_SRC, pop="n", push="n"),
+                 Filter(SUM_SRC, pop="n", push=1)),
+        params=["n", "a"], input_size="n", input_ranges={"n": (16, 1 << 16)})
+
+
+def _imagepipe(placement):
+    return api.compile(imagepipe.build(input_ranges=RANGES),
+                       options=api.AdapticOptions(prune=True,
+                                                  placement=placement))
+
+
+def _chain(placement):
+    return api.compile(_chain_program(), options=api.AdapticOptions(
+        integration=False, fuse_chains=True, fuse_min_gain=0.0,
+        placement=placement))
+
+
+def _image_input():
+    data, params = imagepipe.make_input(32, 32,
+                                        rng=np.random.default_rng(5))
+    return data, params
+
+
+def _chain_input():
+    data = np.random.default_rng(6).standard_normal(256)
+    return data, {"n": 256, "a": 1.75}
+
+
+def _tmv_input():
+    matrix, _vec, params = tmv.make_input(64, 32,
+                                          rng=np.random.default_rng(7))
+    return matrix, params
+
+
+PROGRAMS = {
+    "imagepipe": (lambda: _imagepipe(False), _image_input),
+    "imagepipe-placed": (lambda: _imagepipe(True), _image_input),
+    "chain": (lambda: _chain(False), _chain_input),
+    "chain-placed": (lambda: _chain(True), _chain_input),
+    "tmv-pruned": (lambda: api.compile(
+        tmv.build(), options=api.AdapticOptions(prune=True)), _tmv_input),
+}
+MODES = (ExecMode.REFERENCE, ExecMode.VECTORIZED)
+LOCATIONS = (InputLocation.HOST, InputLocation.DEVICE)
+PINS = ("auto", "gpu", "cpu")
+
+
+@pytest.fixture(scope="module")
+def lattice_programs():
+    """Program name -> (compiled, data, params, first lattice output)."""
+    built = {}
+    for name, (compile_fn, input_fn) in PROGRAMS.items():
+        compiled = compile_fn()
+        data, params = input_fn()
+        built[name] = [compiled, data, params, None]
+    return built
+
+
+def _expected_hops(compiled, result, params, location):
+    """The hop rule restated: a hop wherever the data changes sides
+    (entering on the input's side), plus the exit D2H off the GPU."""
+    itemsize = compiled.wire_dtype.itemsize
+    placed = compiled.options.placement
+    sides = [compiled.segments[i].plan_named(sel.strategy).placement
+             if placed else "gpu"
+             for i, sel in enumerate(result.selections)]
+    side = "cpu" if location is InputLocation.HOST else "gpu"
+    hops = []
+    for segment, target in zip(compiled.segments, sides):
+        if target != side:
+            hops.append(("h2d" if target == "gpu" else "d2h",
+                         segment.input_size(params) * itemsize))
+            side = target
+    if side == "gpu":
+        hops.append(("d2h",
+                     compiled.segments[-1].output_size(params) * itemsize))
+    return hops
+
+
+@pytest.mark.parametrize(
+    "name,mode,location,pin",
+    list(itertools.product(PROGRAMS, MODES, LOCATIONS, PINS)),
+    ids=lambda value: str(getattr(value, "value", value)))
+def test_option_lattice(lattice_programs, name, mode, location, pin):
+    entry = lattice_programs[name]
+    compiled, data, params = entry[:3]
+    device = Device(compiled.spec, exec_mode=mode)
+    result = compiled.run(data, params, device=device,
+                          options=api.RunOptions(exec_mode=mode,
+                                                 location=location,
+                                                 placement=pin))
+    if entry[3] is None:
+        entry[3] = result.output.tobytes()
+    assert result.output.tobytes() == entry[3]
+    assert result.transfer_seconds == device.transfer_seconds
+    recorded = [(t.direction, t.nbytes) for t in device.transfers]
+    plans = [compiled.segments[i].plan_named(sel.strategy)
+             for i, sel in enumerate(result.selections)]
+    steps = compiled._steps(params, location, compiled._sides(plans),
+                            compiled._fused_spans(plans, params, device))
+    assert recorded == [(step.kind, step.nbytes) for step in steps
+                        if step.kind in ("h2d", "d2h")]
+    assert recorded == _expected_hops(compiled, result, params, location)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
+def test_fresh_array_params_leave_no_warm_state_behind(mode):
+    """A binding whose array params change every call (a served request's
+    own vector, a solver's iterate) pins no arrays and grows no memo."""
+    compiled = api.compile(tmv.build(),
+                           options=api.AdapticOptions(prune=True))
+    matrix, _vec, params = tmv.make_input(64, 32,
+                                          rng=np.random.default_rng(8))
+    rng = np.random.default_rng(9)
+    options = api.RunOptions(exec_mode=mode)
+
+    def run_fresh():
+        vecs = [rng.standard_normal(32) for _ in range(3)]
+        result = compiled.run(matrix, {**params, "vec": vecs[0]},
+                              options=options)
+        outcome = compiled.run_batch(
+            [matrix] * 2, [{**params, "vec": vec} for vec in vecs[1:]],
+            options=options)
+        assert not outcome.errors
+        for output, vec in zip([result.output] + [r.output for r in
+                                                  outcome.results], vecs):
+            assert np.allclose(output, tmv.reference(matrix, vec, 64, 32))
+
+    run_fresh()
+    warm = len(compiled._chain_pins), len(compiled._chain_cache)
+    for _ in range(50):
+        run_fresh()
+    assert (len(compiled._chain_pins), len(compiled._chain_cache)) == warm
+
+
+# ----------------------------------------------------------------------
+# Placement pin on the process backend and in failure recovery
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("pin", PINS)
+def test_process_backend_honors_placement_pin(pin):
+    compiled = _imagepipe(True)
+    data, params = _image_input()
+    try:
+        strategies = {}
+        for backend in ("thread", "process"):
+            outcome = compiled.run_batch(
+                [data], params, options=api.RunOptions(
+                    placement=pin, backend=backend))
+            assert not outcome.errors
+            strategies[backend] = [sel.strategy for sel
+                                   in outcome.results[0].selections]
+        assert strategies["process"] == strategies["thread"]
+    finally:
+        compiled.clear_warm_caches()
+
+
+def test_recovery_honors_placement_pin():
+    injector = FaultInjector(
+        [FaultPlan(family="map.grid_stride", kind="raise", nth=1,
+                   count=1)], seed=0)
+    guarded = api.compile(
+        imagepipe.build(input_ranges=RANGES),
+        options=api.AdapticOptions(prune=True, placement=True,
+                                   faults=injector))
+    data, params = _image_input()
+    result = guarded.run(data, params,
+                         options=api.RunOptions(placement="gpu"))
+    assert guarded.stats.retries == 1
+    for index, sel in enumerate(result.selections):
+        assert guarded.segments[index].plan_named(
+            sel.strategy).placement == "gpu"
+    assert result.selections[0].strategy != "map.grid_stride"
+    assert np.array_equal(result.output,
+                          imagepipe.reference(data, 32, 32))
+
+
+# ----------------------------------------------------------------------
+# A failing feedback probe
+# ----------------------------------------------------------------------
+def _probe_failing_program():
+    injector = FaultInjector(
+        [FaultPlan(family="map.grid_stride", kind="raise", count=100)],
+        seed=0)
+    return api.compile(
+        imagepipe.build(input_ranges=RANGES),
+        options=api.AdapticOptions(prune=True, placement=True,
+                                   faults=injector))
+
+
+def test_failed_probe_does_not_fail_run():
+    compiled = _probe_failing_program()
+    data, params = _image_input()
+    result = compiled.run(data, params,
+                          options=api.RunOptions(feedback=True))
+    assert np.array_equal(result.output, imagepipe.reference(data, 32, 32))
+    stats = compiled.stats
+    assert stats.probe_runs >= 1
+    assert stats.faults_injected >= 1
+    assert stats.quarantines >= 1
+    assert compiled.calibration.is_quarantined("map.grid_stride",
+                                               size_bucket(params))
+
+
+def test_failed_probe_does_not_fail_batch():
+    compiled = _probe_failing_program()
+    data, params = _image_input()
+    outcome = compiled.run_batch([data] * 3, params,
+                                 options=api.RunOptions(feedback=True))
+    assert isinstance(outcome, api.BatchOutcome)
+    assert not outcome.errors
+    expected = imagepipe.reference(data, 32, 32)
+    assert all(np.array_equal(result.output, expected)
+               for result in outcome.results)
+    assert compiled.stats.quarantines >= 1
