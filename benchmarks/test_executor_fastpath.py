@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import Filter, StreamProgram, compile_program
+from repro import Filter, StreamProgram, api
 from repro.gpu import (Device, DeviceArray, MODE_REFERENCE, MODE_VECTORIZED,
                        TESLA_C2050)
 
@@ -33,7 +33,7 @@ N = 64 << 10
 
 
 def _compiled():
-    return compile_program(
+    return api.compile(
         StreamProgram(Filter(SDOT, pop="2*n", push=1),
                       params=["n", "r"], input_size="2*n*r",
                       input_ranges={"n": (1 << 10, 4 << 20)}))

@@ -11,7 +11,7 @@ transfer time of even a small input.
 
 import pytest
 
-from repro import Filter, StreamProgram, compile_program
+from repro import Filter, StreamProgram, api
 
 SDOT = """
 def sdot(n):
@@ -30,13 +30,13 @@ def _program():
 
 @pytest.fixture(scope="module")
 def compiled():
-    return compile_program(_program())
+    return api.compile(_program())
 
 
 @pytest.fixture(scope="module")
 def baked():
     """Same program with dispatch tables baked over the declared range."""
-    program = compile_program(_program())
+    program = api.compile(_program())
     assert program.bake_decision_tables(extra_params={"r": 1}) > 0
     return program
 

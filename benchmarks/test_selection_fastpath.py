@@ -14,7 +14,7 @@ operating subranges) are pinned here without any wall-clock timing:
 
 import pytest
 
-from repro import Filter, StreamProgram, compile_program
+from repro import Filter, StreamProgram, api
 
 SDOT = """
 def sdot(n):
@@ -35,14 +35,14 @@ def _program():
 
 @pytest.fixture()
 def baked():
-    program = compile_program(_program())
+    program = api.compile(_program())
     assert program.bake_decision_tables(extra_params={"r": 1}) > 0
     return program
 
 
 @pytest.fixture()
 def unbaked():
-    return compile_program(_program())
+    return api.compile(_program())
 
 
 #: In-range query sizes: bake-grid points and off-grid points between them.

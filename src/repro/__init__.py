@@ -6,13 +6,13 @@ paper's workflow:
 1. Express the algorithm once in the StreamIt-style DSL
    (:class:`Filter`, :class:`Pipeline`, :class:`SplitJoin`,
    :class:`StreamProgram`).
-2. Compile with :func:`compile_program` for a GPU target
+2. Compile with :func:`repro.api.compile` for a GPU target
    (:data:`TESLA_C2050`, :data:`GTX_285`) and the input range of interest.
 3. Run the :class:`CompiledProgram` on any input — the runtime kernel
    management picks the variant optimized for that input's size and shape.
 
 >>> import numpy as np
->>> from repro import Filter, StreamProgram, compile_program
+>>> from repro import Filter, StreamProgram, api
 >>> prog = StreamProgram(
 ...     Filter('''
 ... def total(n):
@@ -22,7 +22,7 @@ paper's workflow:
 ...     push(acc)
 ... ''', pop="n", push=1),
 ...     params=["n"], input_size="n")
->>> compiled = compile_program(prog)
+>>> compiled = api.compile(prog)
 >>> result = compiled.run(np.ones(1024), {"n": 1024})
 >>> float(result.output[0])
 1024.0
@@ -30,8 +30,7 @@ paper's workflow:
 
 from . import api
 from .compiler import (AdapticCompiler, AdapticOptions, CompiledProgram,
-                       CompileError, InputLocation, RunOptions, RunResult,
-                       compile_program)
+                       CompileError, InputLocation, RunOptions, RunResult)
 from .errors import (CalibrationError, KernelExecutionError,
                      KernelTimeoutError, ModelSweepError, ReproError,
                      SelectionError, TransferError)
@@ -52,8 +51,8 @@ __all__ = [
     "Filter", "Pipeline", "SplitJoin", "FeedbackLoop", "Duplicate",
     "RoundRobin", "roundrobin", "StreamProgram", "run_program",
     # compiler
-    "AdapticCompiler", "AdapticOptions", "compile_program",
-    "CompiledProgram", "CompileError", "RunResult",
+    "AdapticCompiler", "AdapticOptions", "CompiledProgram", "CompileError",
+    "RunResult",
     # runtime enums / options / feedback
     "ExecMode", "InputLocation", "RunOptions", "CalibrationStore",
     "FeedbackConfig",

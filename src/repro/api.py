@@ -17,10 +17,10 @@ re-export of the types an application touches (:class:`CompiledProgram`,
 :class:`ExecMode`, :class:`InputLocation`, the selection fast-path types
 (:class:`AxisSpec` / :class:`RegionTable` / :class:`RegionDispatch`), the
 feedback/calibration types, the serving front door (:class:`Server` /
-:class:`ServeConfig`), and the GPU targets).  The facade adds no behavior, so the internal modules can keep
-moving without breaking callers; the historical entry points
-(``repro.compile_program``, ``repro.compiler.AdapticCompiler``) remain
-importable but new code should come through here.
+:class:`ServeConfig`), and the GPU targets).  The facade adds no
+behavior, so the internal modules can keep moving without breaking
+callers.  :func:`compile` is the one compile entry point, and every
+execution option travels in one :class:`RunOptions` value.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def compile(program: StreamProgram,
     a :class:`CompiledProgram`; run it with
     :meth:`~CompiledProgram.run` / :meth:`~CompiledProgram.run_many`,
     and feed measured time back into its variant selection with
-    ``run(..., feedback=True)`` or
+    ``run(..., options=RunOptions(feedback=True))`` or
     :meth:`~CompiledProgram.recalibrate`.
     """
     spec = get_target(arch) if isinstance(arch, str) else arch

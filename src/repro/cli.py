@@ -296,9 +296,9 @@ def _serve_bench(spec, args) -> int:
             max_batch=args.max_batch or traffic.requests_per_shape,
             max_delay_s=(args.max_delay_ms or 2.0) / 1e3,
             fuse_axis="rows", max_queue_depth=n_requests + 1,
-            workers=args.workers,
-            backend=args.backend or "thread",
-            exec_mode=api.ExecMode.VECTORIZED)
+            options=api.RunOptions(exec_mode=api.ExecMode.VECTORIZED,
+                                   workers=args.workers,
+                                   backend=args.backend or "thread"))
     report = run_benchmark(spec=spec, traffic=traffic, config=config)
     print(f"# serving front door vs serial run() — tmv on {spec.name}")
     print(render(report))

@@ -737,11 +737,3 @@ class AdapticCompiler:
         return Segment(name=name, kind="cpu", plans=[plan],
                        input_size=plan.expected_input_size,
                        output_size=plan.output_size)
-
-
-def compile_program(program: StreamProgram,
-                    spec: GPUSpec = TESLA_C2050,
-                    options: Optional[AdapticOptions] = None
-                    ) -> CompiledProgram:
-    """One-call convenience wrapper: ``compile_program(prog)``."""
-    return AdapticCompiler(spec, options).compile(program)

@@ -1,8 +1,8 @@
 """Process-pool backend for :meth:`CompiledProgram.run_batch`.
 
-``run_batch(..., backend="process")`` fans a batch out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` instead of threads,
-escaping the GIL for CPU-bound kernel work:
+``run_batch(..., options=RunOptions(backend="process"))`` fans a batch
+out over a :class:`~concurrent.futures.ProcessPoolExecutor` instead of
+threads, escaping the GIL for CPU-bound kernel work:
 
 * **instant worker warm-up** — the parent exports its warm state to an
   :class:`~repro.artifacts.ArtifactBundle` (the zero-cold-start
@@ -279,7 +279,8 @@ def _get_pool(compiled, workers: int) -> ProcessPoolExecutor:
 def run_batch_process(compiled, inputs: List[np.ndarray],
                       params_list: List[dict], *, options: RunOptions,
                       force, warm: bool) -> BatchOutcome:
-    """Process-pool implementation behind ``run_batch(backend="process")``.
+    """Process-pool implementation behind ``run_batch`` with
+    ``RunOptions(backend="process")``.
 
     Parity contract with the threaded backend: the same per-binding
     prologue (one warmup+select per distinct scalar binding, in the
@@ -293,8 +294,6 @@ def run_batch_process(compiled, inputs: List[np.ndarray],
         raise ValueError(
             "backend='process' does not support fault injection; "
             "injector callbacks cannot cross the process boundary")
-    if options.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {options.workers}")
     selections, select_seconds = compiled._select_bindings(
         params_list, options, force, warm)
     worker_options = dataclasses.replace(options, feedback=False)

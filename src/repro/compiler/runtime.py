@@ -33,7 +33,6 @@ import itertools
 import math
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -46,8 +45,7 @@ from ..errors import (BundleFormatError, BundleProgramError, CalibrationError,
                       CompileError, KernelExecutionError, KernelTimeoutError,
                       ModelSweepError, ReproError, SelectionError)
 from ..faults import KIND_NAN, KIND_RAISE, KIND_TIMEOUT
-from ..gpu import Device, EXEC_MODES, ExecMode, GPUSpec, MODE_REFERENCE, \
-    MODE_VECTORIZED
+from ..gpu import Device, ExecMode, GPUSpec, MODE_REFERENCE, MODE_VECTORIZED
 from ..perfmodel import AxisSpec, CalibrationStore, FeedbackConfig, \
     PerformanceModel, RegionTable, Variant, geometric_points, hop_seconds, \
     layout_transform_seconds, size_bucket, sweep_region
@@ -69,9 +67,7 @@ class InputLocation(str, enum.Enum):
 
     ``HOST`` inputs can be restructured on the host before the H2D copy;
     ``DEVICE`` inputs (e.g. a matrix reused across solver iterations) pin
-    the first segment to plans that need no host-side staging.  Replaces
-    the historical ``input_on_host`` booleans, which still coerce (with
-    one :class:`DeprecationWarning`) via :meth:`coerce`.
+    the first segment to plans that need no host-side staging.
     """
 
     HOST = "host"
@@ -84,40 +80,21 @@ class InputLocation(str, enum.Enum):
     def on_host(self) -> bool:
         return self is InputLocation.HOST
 
-    @classmethod
-    def coerce(cls, value, stacklevel: int = 3) -> "InputLocation":
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, bool):
-            warnings.warn(
-                "input_on_host booleans are deprecated; pass "
-                "repro.InputLocation.HOST or repro.InputLocation.DEVICE",
-                DeprecationWarning, stacklevel=stacklevel)
-            return cls.HOST if value else cls.DEVICE
-        return cls(value)
+
+def _members(enum_cls) -> List[str]:
+    return [f"{enum_cls.__name__}.{member.name}" for member in enum_cls]
 
 
-#: Sentinel distinguishing "keyword not passed" from any real value, so
-#: the legacy run keywords can warn exactly once per explicit use.
-_UNSET = object()
-
-
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class RunOptions:
     """Execution options for ``run`` / ``warmup`` / ``run_batch`` /
-    ``run_many`` (and, via :class:`~repro.serve.ServeConfig`, the serving
-    front door).
+    ``run_many`` / ``recalibrate`` (and, via
+    :class:`~repro.serve.ServeConfig`, the serving front door).
 
-    Consolidates the per-call keyword sprawl accreted over PRs 3-8
-    (``exec_mode``, ``input_on_host``, ``feedback``, ``workers``,
-    ``backend``) into one value that can be built once and reused across
-    calls.  The legacy keywords keep working on every entry point through
-    the established coercion pattern — each explicitly-passed one emits
-    exactly one :class:`DeprecationWarning` and produces bit-identical
-    results.
-
-    ``workers`` and ``backend`` only affect the batch entry points;
-    ``run`` / ``warmup`` ignore them.
+    The one way to say how to run: a frozen value, validated once at
+    construction, built once and reused across calls.  ``workers`` and
+    ``backend`` only affect the batch entry points; ``run`` / ``warmup``
+    ignore them.
     """
 
     #: Executor path; ``None`` defers to the program's default mode.
@@ -137,8 +114,15 @@ class RunOptions:
     placement: str = "auto"
 
     def __post_init__(self):
-        self.exec_mode = ExecMode.coerce(self.exec_mode, stacklevel=4)
-        self.location = InputLocation.coerce(self.location, stacklevel=4)
+        if self.exec_mode is not None \
+                and not isinstance(self.exec_mode, ExecMode):
+            raise ValueError(
+                f"unknown exec_mode {self.exec_mode!r}; expected None or "
+                f"one of {_members(ExecMode)}")
+        if not isinstance(self.location, InputLocation):
+            raise ValueError(
+                f"unknown location {self.location!r}; expected one of "
+                f"{_members(InputLocation)}")
         if self.backend not in ("thread", "process"):
             raise ValueError(
                 f"unknown run_batch backend {self.backend!r}; expected "
@@ -149,54 +133,6 @@ class RunOptions:
             raise ValueError(
                 f"unknown placement {self.placement!r}; expected "
                 f"'auto', 'gpu' or 'cpu'")
-
-
-def _resolve_run_options(options: Optional[RunOptions],
-                         legacy: Dict[str, object],
-                         stacklevel: int = 4) -> RunOptions:
-    """Merge deprecated per-call keywords over ``options``.
-
-    Every legacy keyword that was explicitly passed (is not the
-    ``_UNSET`` sentinel) emits exactly one :class:`DeprecationWarning`
-    and overrides the corresponding :class:`RunOptions` field.  Values
-    that would themselves warn on coercion (``input_on_host`` booleans,
-    ``exec_mode`` strings) are converted directly — the keyword warning
-    already covers the migration, so each call site warns once, not
-    twice.
-    """
-    supplied = {name: value for name, value in legacy.items()
-                if value is not _UNSET}
-    if not supplied:
-        return options if options is not None else RunOptions()
-    opts = (dataclasses.replace(options) if options is not None
-            else RunOptions())
-    hints = {
-        "exec_mode": "exec_mode=...",
-        "input_on_host": "location=...",
-        "feedback": "feedback=...",
-        "workers": "workers=...",
-        "backend": "backend=...",
-    }
-    for name, value in supplied.items():
-        warnings.warn(
-            f"the {name!r} keyword is deprecated; pass "
-            f"options=RunOptions({hints[name]}) instead",
-            DeprecationWarning, stacklevel=stacklevel)
-        if name == "input_on_host":
-            if isinstance(value, bool):
-                value = (InputLocation.HOST if value
-                         else InputLocation.DEVICE)
-            opts.location = InputLocation(value)
-        elif name == "exec_mode":
-            if value is not None and not isinstance(value, ExecMode):
-                try:
-                    value = ExecMode(value)
-                except ValueError:
-                    pass      # downstream validation names the modes
-            opts.exec_mode = value
-        else:
-            setattr(opts, name, value)
-    return opts
 
 
 class _CalibratedCost:
@@ -357,7 +293,7 @@ class CompiledProgram:
         self._chain_cache: Dict[tuple, object] = {}
         #: Arrays pinned so the id()-based chain-cache keys stay unambiguous.
         self._chain_pins: List[object] = []
-        #: Cached process pools for ``run_batch(backend="process")``,
+        #: Cached process pools for ``RunOptions(backend="process")``,
         #: keyed by worker count; kept warm across batches and torn down
         #: by :meth:`clear_warm_caches` / interpreter exit.
         self._process_pools: Dict[int, object] = {}
@@ -505,14 +441,15 @@ class CompiledProgram:
 
     def select(self, params: Dict[str, float],
                force: Optional[Dict[str, str]] = None, *,
-               input_on_host: Union[InputLocation, bool] = InputLocation.HOST,
+               input_on_host: InputLocation = InputLocation.HOST,
                placement: str = "auto") -> List[KernelPlan]:
         """Pick one plan per segment for this input (runtime management).
 
         ``input_on_host=InputLocation.DEVICE`` marks inputs already
         resident in device memory (e.g. a matrix reused across solver
         iterations): host-side memory restructuring is then unavailable
-        to the first segment.
+        to the first segment, and forcing it a plan that needs it raises
+        :class:`SelectionError`.
 
         A segment with a baked, applicable dispatch table is decided by
         lookup with zero model evaluations; everything else falls back to
@@ -532,14 +469,20 @@ class CompiledProgram:
         force = force or {}
         cost = self._selection_cost()
         chosen: List[KernelPlan] = []
-        location = InputLocation.coerce(input_on_host)
-        from_host = location.on_host
+        from_host = input_on_host.on_host
         quarantined = self.calibration.has_quarantines()
         bucket = size_bucket(params) if quarantined else None
         prev: Optional[str] = None
         for index, segment in enumerate(self.segments):
             if segment.name in force:
                 plan = segment.plan_named(force[segment.name])
+                if index == 0 and plan not in self._eligible(segment,
+                                                             from_host):
+                    raise SelectionError(
+                        f"forced plan {plan.strategy!r} needs host-side "
+                        f"{plan.input_layout!r} staging, but the input of "
+                        f"segment {segment.name!r} is device-resident",
+                        segment=segment.name, plan=plan.strategy)
                 stats.forced_selections += 1
             else:
                 plan = None
@@ -564,7 +507,7 @@ class CompiledProgram:
                         self._eligible(segment, from_host, params),
                         placement)
                     plan = self._argmin(cost, index, eligible, params, prev,
-                                        location.on_host)
+                                        input_on_host.on_host)
             chosen.append(plan)
             prev = plan.placement
             from_host = False
@@ -573,8 +516,7 @@ class CompiledProgram:
 
     def select_argmin(self, params: Dict[str, float], *,
                       model: Optional[PerformanceModel] = None,
-                      input_on_host: Union[InputLocation, bool]
-                      = InputLocation.HOST,
+                      input_on_host: InputLocation = InputLocation.HOST,
                       placement: str = "auto") -> List[KernelPlan]:
         """Exact per-call argmin selection over a bare model.
 
@@ -585,15 +527,14 @@ class CompiledProgram:
         baked winners.  Counters are untouched.
         """
         cost = CostCache(model or PerformanceModel(self.spec))
-        location = InputLocation.coerce(input_on_host)
-        from_host = location.on_host
+        from_host = input_on_host.on_host
         chosen: List[KernelPlan] = []
         prev: Optional[str] = None
         for index, segment in enumerate(self.segments):
             eligible = self._restrict_placement(
                 self._eligible(segment, from_host, params), placement)
             plan = self._argmin(cost, index, eligible, params, prev,
-                                location.on_host)
+                                input_on_host.on_host)
             chosen.append(plan)
             prev = plan.placement
             from_host = False
@@ -605,22 +546,19 @@ class CompiledProgram:
     def predicted_seconds(self, params: Dict[str, float],
                           include_transfers: bool = True,
                           force: Optional[Dict[str, str]] = None, *,
-                          input_on_host: Union[InputLocation, bool]
-                          = InputLocation.HOST,
+                          input_on_host: InputLocation = InputLocation.HOST,
                           placement: str = "auto") -> float:
-        location = InputLocation.coerce(input_on_host)
-        plans = self.select(params, force, input_on_host=location,
+        plans = self.select(params, force, input_on_host=input_on_host,
                             placement=placement)
         cost = self._selection_cost()
         total = sum(cost.plan_seconds(plan, params) for plan in plans)
         if include_transfers:
-            total += self.transfer_seconds(params, location=location,
+            total += self.transfer_seconds(params, location=input_on_host,
                                            placements=self._sides(plans))
         return total
 
     def transfer_seconds(self, params: Dict[str, float], *,
-                         location: Union[InputLocation, bool]
-                         = InputLocation.HOST,
+                         location: InputLocation = InputLocation.HOST,
                          placements: Optional[Sequence[str]] = None
                          ) -> float:
         """Modeled transfer time of one run, by direction and placement.
@@ -635,7 +573,6 @@ class CompiledProgram:
         sized by :attr:`wire_dtype`, so the model and the recorded
         transfers count the same bytes.
         """
-        location = InputLocation.coerce(location)
         sides = (tuple(placements) if placements is not None
                  else ("gpu",) * len(self.segments))
         return sum(step.seconds
@@ -645,17 +582,13 @@ class CompiledProgram:
     # Execution
     # ------------------------------------------------------------------
     def _resolve_device(self, device: Optional[Device],
-                        exec_mode: Optional[str]) -> Device:
+                        exec_mode: Optional[ExecMode]) -> Device:
         """The device to run on; owned per exec mode when none is passed.
 
         Owned devices persist across ``run()`` calls so their buffer
         arenas stay warm — the second run at a shape recycles the first
         run's allocations instead of making fresh ones.
         """
-        if exec_mode is not None and exec_mode not in EXEC_MODES:
-            raise ValueError(
-                f"unknown exec_mode {exec_mode!r}; expected one of "
-                f"{[m.value for m in EXEC_MODES]}")
         if device is not None:
             if exec_mode is not None:
                 device.exec_mode = exec_mode
@@ -739,7 +672,7 @@ class CompiledProgram:
             # Fault injection targets per-segment launches; a fused span
             # would launder injected faults past their segment rules.
             return None
-        if ExecMode.coerce(device.exec_mode) != MODE_VECTORIZED:
+        if device.exec_mode != MODE_VECTORIZED:
             return None
         key = (tuple(id(plan) for plan in plans), freeze_scalars(params),
                freeze_arrays(params))
@@ -1110,21 +1043,17 @@ class CompiledProgram:
     def run(self, host_input: np.ndarray, params: Dict[str, float], *,
             options: Optional[RunOptions] = None,
             device: Optional[Device] = None,
-            force: Optional[Dict[str, str]] = None,
-            input_on_host=_UNSET, exec_mode=_UNSET,
-            feedback=_UNSET) -> RunResult:
+            force: Optional[Dict[str, str]] = None) -> RunResult:
         """Execute functionally on the simulator device.
 
         Execution options come in one :class:`RunOptions` value
-        (``options=``); the historical ``input_on_host`` /
-        ``exec_mode`` / ``feedback`` keywords still work, each emitting
-        one :class:`DeprecationWarning` and overriding the corresponding
-        ``options`` field with bit-identical behavior.
+        (``options=``; the defaults when omitted).
 
         ``options.location=InputLocation.DEVICE`` models data already
         resident on the device: selection is constrained to plans that
         need no host-side restructuring (the ``_eligible`` contract), and
-        none is applied.
+        none is applied (a ``force`` needing it raises
+        :class:`SelectionError`).
 
         ``options.exec_mode`` selects the executor path
         (:attr:`ExecMode.REFERENCE` or :attr:`ExecMode.VECTORIZED`); it
@@ -1148,13 +1077,9 @@ class CompiledProgram:
         override :attr:`feedback` for this call.  The default leaves the
         calibration state untouched.
         """
-        opts = _resolve_run_options(options, {
-            "input_on_host": input_on_host, "exec_mode": exec_mode,
-            "feedback": feedback})
+        opts = options or RunOptions()
         location = opts.location
-        exec_mode = opts.exec_mode
-        feedback = opts.feedback
-        device = self._resolve_device(device, exec_mode)
+        device = self._resolve_device(device, opts.exec_mode)
         params = dict(params)
         host_input = self._validate_input(host_input, params)
         compile_before = COMPILE_COUNTER.snapshot()
@@ -1178,8 +1103,9 @@ class CompiledProgram:
         result.stage_seconds["select"] = \
             result.stage_seconds.get("select", 0.0) + select_seconds
         self.stats.merge(delta)
-        if feedback:
-            config = (feedback if isinstance(feedback, FeedbackConfig)
+        if opts.feedback:
+            config = (opts.feedback
+                      if isinstance(opts.feedback, FeedbackConfig)
                       else self.feedback)
             self._apply_feedback(host_input, params, plans, result,
                                  device, location, config)
@@ -1187,9 +1113,7 @@ class CompiledProgram:
 
     def warmup(self, params: Dict[str, float], *,
                options: Optional[RunOptions] = None,
-               force: Optional[Dict[str, str]] = None,
-               input_on_host=_UNSET, exec_mode=_UNSET,
-               feedback=_UNSET) -> RunResult:
+               force: Optional[Dict[str, str]] = None) -> RunResult:
         """Prime every warm cache for one parameter binding.
 
         Runs the program once on a zero input of the expected size:
@@ -1197,29 +1121,22 @@ class CompiledProgram:
         compiled into the warm caches, restructure permutations are
         built, and the owned device's arena is stocked.  The next
         ``run()`` at these scalars is a pure warm path.  Accepts the
-        same :class:`RunOptions` / deprecated legacy keywords as
-        :meth:`run`.
+        same :class:`RunOptions` as :meth:`run`.
         """
-        opts = _resolve_run_options(options, {
-            "input_on_host": input_on_host, "exec_mode": exec_mode,
-            "feedback": feedback})
         params = dict(params)
         if self.program.input_size is not None:
             expected = self.program.input_size.evaluate(params)
         else:
             expected = self.segments[0].input_size(params)
         zeros = np.zeros(int(expected), dtype=self.wire_dtype)
-        return self.run(zeros, params, force=force, options=opts)
+        return self.run(zeros, params, force=force, options=options)
 
     def run_batch(self, inputs: Sequence[np.ndarray],
                   params_list: Union[Dict[str, float],
                                      Sequence[Dict[str, float]]], *,
                   options: Optional[RunOptions] = None,
                   force: Optional[Dict[str, str]] = None,
-                  warm: bool = True,
-                  workers=_UNSET, backend=_UNSET,
-                  input_on_host=_UNSET, exec_mode=_UNSET,
-                  feedback=_UNSET) -> BatchOutcome:
+                  warm: bool = True) -> BatchOutcome:
         """Batch entry point with per-index outcomes and no batch abort.
 
         The serving front door's hook: identical semantics to
@@ -1239,11 +1156,11 @@ class CompiledProgram:
         it degraded onto a replacement variant, in which case it keeps
         its own re-selection wall — so
         :meth:`SelectionStats.stage_summary` totals stay truthful.
-        ``workers > 1`` fans the batch out over a thread pool with one
-        device per worker (arenas are not thread-safe); per-run counters
-        are merged into :attr:`stats` after the workers join.
+        ``options.workers > 1`` fans the batch out over a thread pool
+        with one device per worker (arenas are not thread-safe); per-run
+        counters are merged into :attr:`stats` after the workers join.
 
-        ``backend="process"`` fans out over a
+        ``options.backend="process"`` fans out over a
         :class:`~concurrent.futures.ProcessPoolExecutor` instead: worker
         processes warm up instantly from an artifact bundle, inputs and
         outputs cross the boundary through
@@ -1252,25 +1169,13 @@ class CompiledProgram:
         merged back here after the join — escaping the GIL for
         CPU-bound batches (see :mod:`repro.compiler.procpool`).
 
-        ``feedback=True`` folds one measured observation per distinct
-        scalar binding back into :attr:`calibration` after the batch
-        completes (never from worker threads — the store is
+        ``options.feedback=True`` folds one measured observation per
+        distinct scalar binding back into :attr:`calibration` after the
+        batch completes (never from worker threads — the store is
         unsynchronized).  A binding whose first completed item succeeded
         contributes its observation even when other items failed.
-
-        Execution options come in one :class:`RunOptions` value
-        (``options=``); the historical ``workers`` / ``backend`` /
-        ``input_on_host`` / ``exec_mode`` / ``feedback`` keywords still
-        work, each emitting one :class:`DeprecationWarning`.
         """
-        opts = _resolve_run_options(options, {
-            "workers": workers, "backend": backend,
-            "input_on_host": input_on_host, "exec_mode": exec_mode,
-            "feedback": feedback})
-        if opts.backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown run_batch backend {opts.backend!r}; expected "
-                f"'thread' or 'process'")
+        opts = options or RunOptions()
         workers, location, exec_mode = \
             opts.workers, opts.location, opts.exec_mode
         inputs = list(inputs)
@@ -1447,10 +1352,7 @@ class CompiledProgram:
                                     Sequence[Dict[str, float]]], *,
                  options: Optional[RunOptions] = None,
                  force: Optional[Dict[str, str]] = None,
-                 warm: bool = True,
-                 workers=_UNSET, backend=_UNSET,
-                 input_on_host=_UNSET, exec_mode=_UNSET,
-                 feedback=_UNSET) -> List[RunResult]:
+                 warm: bool = True) -> List[RunResult]:
         """Serve a batch of inputs through one shared warm path.
 
         ``params_list`` is either one params dict broadcast over the
@@ -1464,12 +1366,8 @@ class CompiledProgram:
         ``options.backend="process"`` selects the bundle-warmed
         process-pool fan-out (see :meth:`run_batch`).
         """
-        opts = _resolve_run_options(options, {
-            "workers": workers, "backend": backend,
-            "input_on_host": input_on_host, "exec_mode": exec_mode,
-            "feedback": feedback})
         outcome = self.run_batch(
-            inputs, params_list, options=opts, force=force, warm=warm)
+            inputs, params_list, options=options, force=force, warm=warm)
         if outcome.errors:
             failed = sorted(outcome.errors)
             first = outcome.errors[failed[0]]
@@ -1494,7 +1392,6 @@ class CompiledProgram:
     def recalibrate(self, points: Sequence[Dict[str, float]], *,
                     options: Optional[RunOptions] = None,
                     force: Optional[Dict[str, str]] = None,
-                    input_on_host=_UNSET,
                     feedback: Optional[FeedbackConfig] = None
                     ) -> CalibrationStore:
         """Drive the feedback loop over a set of parameter bindings.
@@ -1504,10 +1401,12 @@ class CompiledProgram:
         executing — the cheap deterministic path the experiment drivers
         and tests use.  Without one, each binding is executed once via
         :meth:`warmup` with feedback enabled, so observations come from
-        measured kernel wall-clock.  Returns :attr:`calibration`.
+        measured kernel wall-clock.  ``options`` carries the input
+        location and placement pin every selection honors.  Returns
+        :attr:`calibration`.
         """
         config = feedback or self.feedback
-        opts = _resolve_run_options(options, {"input_on_host": input_on_host})
+        opts = options or RunOptions()
         location = opts.location
         before = self.stats.snapshot()
         for params in points:
@@ -1523,7 +1422,8 @@ class CompiledProgram:
             # worth exploring at this bucket has been seen).  The
             # per-(segment, bucket) probe budget bounds the loop.
             while True:
-                plans = self.select(params, force, input_on_host=location)
+                plans = self.select(params, force, input_on_host=location,
+                                    placement=opts.placement)
                 probes_before = self.stats.probe_runs
                 self._apply_feedback(None, params, plans, None, None,
                                      location, config)

@@ -46,7 +46,7 @@ class Device:
                  exec_mode: ExecMode = MODE_REFERENCE,
                  fault_injector=None):
         self.spec = spec
-        self.exec_mode = ExecMode.coerce(exec_mode)
+        self.exec_mode = exec_mode
         self.executor = Executor(spec, default_mode=self.exec_mode)
         self.transfers: list[TransferRecord] = []
         self.launch_count = 0
@@ -128,7 +128,7 @@ class Device:
         self.launch_count += 1
         stats = self.executor.launch(
             kernel, LaunchConfig.of(grid, block), args, trace=trace,
-            mode=ExecMode.coerce(mode) or self.exec_mode)
+            mode=mode or self.exec_mode)
         if self.fault_injector is not None:
             fault = self.fault_injector.on_launch(kernel.name)
             if fault is not None:

@@ -77,7 +77,7 @@ class Executor:
     def __init__(self, spec: GPUSpec,
                  default_mode: ExecMode = MODE_REFERENCE):
         self.spec = spec
-        self.default_mode = ExecMode.coerce(default_mode)
+        self.default_mode = default_mode
         self.reference_launches = 0
         self.vectorized_launches = 0
         self.vector_fallbacks = 0
@@ -101,7 +101,7 @@ class Executor:
     # ------------------------------------------------------------------
     def launch(self, kernel: Kernel, config: LaunchConfig,
                args: Dict[str, Any], trace: bool = False,
-               mode: Optional[str] = None) -> Optional[LaunchStats]:
+               mode: Optional[ExecMode] = None) -> Optional[LaunchStats]:
         """Execute ``kernel`` over ``config`` with ``args``.
 
         Mutates the :class:`DeviceArray` arguments in place, exactly like a
@@ -110,7 +110,7 @@ class Executor:
         ``default_mode``); the vectorized mode silently falls back to the
         reference interpreter when the kernel has no vector body.
         """
-        mode = ExecMode.coerce(mode) or self.default_mode
+        mode = mode or self.default_mode
         if mode not in EXEC_MODES:
             raise LaunchError(
                 f"unknown execution mode {mode!r}; expected one of "

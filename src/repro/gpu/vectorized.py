@@ -25,7 +25,6 @@ bit-identical buffers.
 from __future__ import annotations
 
 import enum
-import warnings
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -40,10 +39,8 @@ class ExecMode(str, enum.Enum):
     """Executor path selector for :meth:`Executor.launch` / :class:`Device`.
 
     A ``str`` subclass, so members compare equal to (and hash like) the
-    historical ``"reference"`` / ``"vectorized"`` literals — existing
-    equality checks and dict keys keep working.  Public entry points
-    accept the old strings through :meth:`coerce`, which emits one
-    :class:`DeprecationWarning` per call.
+    ``"reference"`` / ``"vectorized"`` literals — equality checks and
+    dict keys keyed by either spelling agree.
     """
 
     REFERENCE = "reference"
@@ -51,27 +48,6 @@ class ExecMode(str, enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-    @classmethod
-    def coerce(cls, value, stacklevel: int = 3):
-        """Normalize a user-supplied mode to an :class:`ExecMode`.
-
-        ``None`` and :class:`ExecMode` members pass through untouched.
-        A recognized string literal is converted with one
-        ``DeprecationWarning``; anything else is returned unchanged so
-        the caller's own validation produces its usual error.
-        """
-        if value is None or isinstance(value, cls):
-            return value
-        try:
-            mode = cls(value)
-        except ValueError:
-            return value
-        warnings.warn(
-            f"exec_mode={str(value)!r} strings are deprecated; pass "
-            f"repro.ExecMode.{mode.name}", DeprecationWarning,
-            stacklevel=stacklevel)
-        return mode
 
 
 #: Execution-mode flags (enum aliases; the historical string constants).

@@ -71,9 +71,9 @@ class FeedbackConfig:
     ``observer`` replaces wall-clock measurement with a deterministic
     ``(plan, params) -> seconds`` source — the hook the calibration
     experiments and tests use, and the integration point for external
-    timers.  With ``observer`` unset, ``run(feedback=True)`` feeds the
-    per-segment measured kernel seconds and probes by re-executing the
-    runner-up variant.
+    timers.  With ``observer`` unset, a ``RunOptions(feedback=True)`` run
+    feeds the per-segment measured kernel seconds and probes by
+    re-executing the runner-up variant.
     """
 
     #: EWMA weight of the newest observed/predicted ratio.

@@ -102,11 +102,12 @@ def run_benchmark(spec: Optional[GPUSpec] = None,
     spec = spec or TESLA_C2050
     traffic_spec = traffic or TrafficSpec()
     requests = traffic_spec.build()
+    options = RunOptions(exec_mode=exec_mode)
     if config is None:
         config = ServeConfig(
             max_batch=traffic_spec.requests_per_shape,
             max_delay_s=0.002, fuse_axis="rows",
-            max_queue_depth=len(requests) + 1, exec_mode=exec_mode)
+            max_queue_depth=len(requests) + 1, options=options)
 
     from .. import api
     compiled = api.compile(tmv.build(), arch=spec)
@@ -115,15 +116,14 @@ def run_benchmark(spec: Optional[GPUSpec] = None,
     params_list = [params for _matrix, params, _tenant in requests]
 
     # Bit-identity reference (also warms every unfused binding).
-    reference = compiled.run_many(inputs, params_list,
-                                  options=RunOptions(exec_mode=exec_mode))
+    reference = compiled.run_many(inputs, params_list, options=options)
 
     # Serial per-request baseline on the warm program.
     serial_latencies: List[float] = []
     serial_started = time.perf_counter()
     for matrix, params, _tenant in requests:
         t = time.perf_counter()
-        compiled.run(matrix, params, options=RunOptions(exec_mode=exec_mode))
+        compiled.run(matrix, params, options=options)
         serial_latencies.append(time.perf_counter() - t)
     serial_wall = time.perf_counter() - serial_started
 

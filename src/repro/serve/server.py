@@ -42,7 +42,6 @@ from ..compiler.costing import chain_seconds, fuse_gain
 from ..compiler.plans.base import freeze_scalars
 from ..compiler.runtime import RunOptions, RunResult
 from ..errors import AdmissionError, ServeError
-from ..gpu import ExecMode
 from ..perfmodel import size_bucket
 from .batcher import (BucketKey, PendingRequest, ShapeBatcher, bucket_key,
                       linearly_batchable)
@@ -70,43 +69,23 @@ class ServeConfig:
     the group run solo) a group must clear before the server fuses it —
     the fuse decision is itself input-aware, riding the same cost model
     the selector uses, so bindings whose chosen variant stops scaling
-    at the fused size stay on the per-item path.  ``feedback`` forwards
-    to the underlying dispatches so the program's own calibration store
-    keeps learning while serving.
+    at the fused size stay on the per-item path.
 
-    Execution options (``workers`` / ``backend`` / ``exec_mode`` /
-    ``feedback``) can come in one :class:`~repro.RunOptions` value via
-    ``options``; the flat fields remain as defaults for any field the
-    ``options`` value does not carry, and :meth:`run_options` is the
-    merged view the server dispatches with.
+    ``options`` is the one :class:`~repro.RunOptions` every dispatch and
+    every fused-path selection runs with: exec mode, input location,
+    placement pin, ``feedback`` (so the program's own calibration store
+    keeps learning while serving), and the unfused dispatches'
+    ``workers`` / ``backend`` (``"process"`` fans out over bundle-warmed
+    worker processes — see :mod:`repro.compiler.procpool`).
     """
 
     max_batch: int = 8
     max_delay_s: float = 0.002
     max_queue_depth: int = 256
-    workers: int = 1
-    #: Executor backend for unfused dispatches: ``"thread"`` (shared
-    #: process, one device per worker thread) or ``"process"``
-    #: (bundle-warmed worker processes, shared-memory I/O — see
-    #: :mod:`repro.compiler.procpool`).
-    backend: str = "thread"
-    exec_mode: Optional[ExecMode] = None
     fuse_axis: Optional[str] = None
     fuse_min_gain: float = 2.0
-    feedback: bool = False
     default_quota: int = 64
-    #: Preferred spelling for the execution options: one
-    #: :class:`~repro.RunOptions` reused across every dispatch.  When
-    #: set, it wins over the flat ``workers`` / ``backend`` /
-    #: ``exec_mode`` / ``feedback`` fields.
-    options: Optional[RunOptions] = None
-
-    def run_options(self) -> RunOptions:
-        """The :class:`~repro.RunOptions` the server dispatches with."""
-        if self.options is not None:
-            return self.options
-        return RunOptions(exec_mode=self.exec_mode, feedback=self.feedback,
-                          workers=self.workers, backend=self.backend)
+    options: RunOptions = dataclasses.field(default_factory=RunOptions)
 
 
 @dataclasses.dataclass
@@ -338,6 +317,13 @@ class Server:
         gain = self._predicted_fuse_gain(params, len(group))
         return gain >= self.config.fuse_min_gain
 
+    def _select(self, params: Dict):
+        """The chain ``run_batch`` would select for ``params`` under the
+        configured input location and placement pin."""
+        options = self.config.options
+        return self.compiled.select(params, input_on_host=options.location,
+                                    placement=options.placement)
+
     def _predicted_fuse_gain(self, params: Dict, k: int) -> float:
         """Model-predicted speedup of one fused run over ``k`` solo runs.
 
@@ -347,7 +333,7 @@ class Server:
         overhead; a ratio near ``1`` means the variant's cost is already
         linear in the stream axis and fusion buys nothing.
         """
-        plans = self.compiled.select(params)
+        plans = self._select(params)
         fused = dict(params)
         fused[self.config.fuse_axis] = int(params[self.config.fuse_axis]) * k
         base = chain_seconds(self.compiled.cost, plans, params)
@@ -368,12 +354,12 @@ class Server:
         # Letting the fused size re-select can pick a variant with a
         # different reduction blocking, whose outputs are not
         # bit-identical to what each request would have produced alone.
-        base_plans = self.compiled.select(base_params)
+        base_plans = self._select(base_params)
         force = {segment.name: plan.strategy
                  for segment, plan in zip(self.compiled.segments,
                                           base_plans)}
         run = self.compiled.run(fused_input, fused_params, force=force,
-                                options=self.config.run_options())
+                                options=self.config.options)
         wall = time.perf_counter() - started
         self.metrics.record_dispatch(k, fused=True)
         per_request = len(run.output) // k
@@ -398,7 +384,7 @@ class Server:
         outcome = self.compiled.run_batch(
             [r.host_input for r in group],
             [r.params for r in group],
-            options=self.config.run_options())
+            options=self.config.options)
         wall = time.perf_counter() - started
         self.metrics.record_dispatch(len(group), fused=False)
         entries: List = []

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import repro.apps as apps
-from repro.compiler import AdapticCompiler, compile_program
+from repro import api
+from repro.compiler import AdapticCompiler
 from repro.gpu import TESLA_C2050
 from repro.streamit import run_program
 
@@ -29,7 +30,7 @@ class TestBlas1:
         data = apps.blas1.make_input(name, 20, 1, rng)
         params = {k: v for k, v in {**self.PARAMS, "r": 1}.items()
                   if k in prog.params}
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         result = compiled.run(data, params)
         ref = apps.blas1.reference(name, data, {**self.PARAMS, "r": 1})
         assert np.allclose(result.output, ref, rtol=1e-6)
@@ -43,7 +44,7 @@ class TestTMV:
     def test_compiled_tmv(self, rng):
         rows, cols = 8, 48
         matrix, vec, params = apps.tmv.make_input(rows, cols, rng)
-        compiled = compile_program(apps.tmv.build())
+        compiled = api.compile(apps.tmv.build())
         result = compiled.run(matrix, params)
         expected = apps.tmv.reference(matrix, vec, rows, cols)
         assert np.allclose(result.output, expected)
@@ -58,7 +59,7 @@ class TestTMV:
 class TestScalarProductAndMonteCarlo:
     def test_scalar_product_compiled(self, rng):
         data = apps.scalar_product.make_input(4, 40, rng)
-        compiled = compile_program(apps.scalar_product.build())
+        compiled = api.compile(apps.scalar_product.build())
         result = compiled.run(data, {"pairs": 4, "n": 40})
         assert np.allclose(result.output,
                            apps.scalar_product.reference(data, 4, 40))
@@ -66,7 +67,7 @@ class TestScalarProductAndMonteCarlo:
     def test_montecarlo_compiled(self, rng):
         params = apps.montecarlo.make_params(paths=80, options=3)
         data = apps.montecarlo.make_input(80, 3, rng)
-        compiled = compile_program(apps.montecarlo.build())
+        compiled = api.compile(apps.montecarlo.build())
         result = compiled.run(data, params)
         ref = apps.montecarlo.reference(data, params)
         assert np.allclose(result.output, ref, rtol=1e-6)
@@ -82,7 +83,7 @@ class TestScalarProductAndMonteCarlo:
 class TestStencilApps:
     def test_stencil2d_compiled_both_variants(self, rng):
         data, params = apps.stencil2d.make_input(16, 8, rng)
-        compiled = compile_program(apps.stencil2d.build())
+        compiled = api.compile(apps.stencil2d.build())
         ref = apps.stencil2d.reference(data, 16)
         seg = compiled.segments[0]
         for plan in seg.plans:
@@ -93,7 +94,7 @@ class TestStencilApps:
     def test_convolution_compiled(self, rng):
         prog = apps.convolution.build(radius=2)
         data, params = apps.convolution.make_input(16, 6, rng)
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert len(compiled.segments) == 2  # row pass + column pass
         result = compiled.run(data, params)
         ref = apps.convolution.reference(data, 16, radius=2)
@@ -136,7 +137,7 @@ class TestSVM:
         data = apps.svm.make_dataset("web", rng, max_samples=10)
         x = data["x"][:, :8]
         norms = (x * x).sum(axis=1)
-        compiled = compile_program(apps.svm.build_kernel_row())
+        compiled = api.compile(apps.svm.build_kernel_row())
         i = 4
         params = {"nfeat": 8, "m": 10, "gamma": 0.1, "norm_i": norms[i],
                   "xi": x[i], "norms": norms}
@@ -145,7 +146,7 @@ class TestSVM:
         assert np.allclose(result.output, expected, rtol=1e-6)
 
     def test_pair_search_horizontal_integration(self, rng):
-        compiled = compile_program(apps.svm.build_pair_search())
+        compiled = api.compile(apps.svm.build_pair_search())
         assert compiled.segments[0].kind == "multi_reduce"
         f = rng.standard_normal(48)
         result = compiled.run(f, {"m": 48})
@@ -153,7 +154,7 @@ class TestSVM:
         assert int(result.output[1]) == int(np.argmin(f))
 
     def test_f_update(self, rng):
-        compiled = compile_program(apps.svm.build_f_update())
+        compiled = api.compile(apps.svm.build_f_update())
         f = rng.standard_normal(12)
         ki = rng.standard_normal(12)
         kj = rng.standard_normal(12)
@@ -171,7 +172,7 @@ class TestSVM:
 class TestInsensitive:
     def test_blackscholes_compiled(self, rng):
         data, params = apps.insensitive.blackscholes_input(30, rng)
-        compiled = compile_program(apps.insensitive.build_blackscholes())
+        compiled = api.compile(apps.insensitive.build_blackscholes())
         result = compiled.run(data, params)
         ref = apps.insensitive.blackscholes_reference(data, params)
         assert np.allclose(result.output, ref, rtol=1e-6)
@@ -187,7 +188,7 @@ class TestInsensitive:
 
     def test_dct_compiled(self, rng):
         data = rng.standard_normal(64 * 2)
-        compiled = compile_program(apps.insensitive.build_dct8x8())
+        compiled = api.compile(apps.insensitive.build_dct8x8())
         result = compiled.run(data, {"k": 0, "blocks": 2})
         assert np.allclose(result.output,
                            apps.insensitive.dct8x8_reference(data),
@@ -200,7 +201,7 @@ class TestInsensitive:
 
     def test_histogram_compiled(self, rng):
         data, params = apps.insensitive.histogram_input(3, rng)
-        compiled = compile_program(apps.insensitive.build_histogram())
+        compiled = api.compile(apps.insensitive.build_histogram())
         result = compiled.run(data, params)
         ref = apps.insensitive.histogram_reference(data)
         assert np.allclose(result.output, ref)
@@ -208,11 +209,11 @@ class TestInsensitive:
 
     def test_vectoradd_and_quasirandom(self, rng):
         data = rng.standard_normal(40)
-        compiled = compile_program(apps.insensitive.build_vectoradd())
+        compiled = api.compile(apps.insensitive.build_vectoradd())
         result = compiled.run(data, {"n": 20})
         assert np.allclose(result.output, data[0::2] + data[1::2])
 
-        compiled = compile_program(apps.insensitive.build_quasirandom())
+        compiled = api.compile(apps.insensitive.build_quasirandom())
         base = rng.uniform(0, 1, 16)
         result = compiled.run(base, {"n": 16, "alpha": 0.618})
         assert np.allclose(result.output,

@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from repro import compile_program
+from repro import api
 from repro.ir import classify
 from repro.streamit import (Duplicate, FeedbackLoop, Filter,
                             HierarchicalError, Pipeline, SplitJoin,
@@ -71,7 +71,7 @@ class TestBuilders:
             Pipeline(map_filter("2.0 * a", name="dbl"),
                      reduce_filter("+", name="tot")),
             params=["n"], input_size="n")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         data = rng.standard_normal(64)
         result = compiled.run(data, {"n": 64})
         assert result.output[0] == pytest.approx(2 * data.sum())

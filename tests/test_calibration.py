@@ -1,5 +1,5 @@
 """Feedback-directed kernel management: calibration store, probes,
-table repair, the ``repro.api`` facade, and the deprecation shims.
+table repair, the ``repro.api`` facade, and the retired legacy spellings.
 
 The calibration experiments' controlled setting is used throughout: a
 known multiplicative bias injected for one variant family stands in for
@@ -7,6 +7,7 @@ a systematically wrong analytic model, and the un-biased model plays
 ground truth through ``FeedbackConfig.observer``.
 """
 
+import dataclasses
 import json
 import warnings
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.gpu import TESLA_C2050, Device, ExecMode
+from repro.gpu import TESLA_C2050, ExecMode
 from repro.perfmodel import (CalibrationStore, FeedbackConfig,
                              geometric_points, selection_accuracy,
                              size_bucket)
@@ -350,22 +351,9 @@ class TestApiFacade:
 
 
 class TestDeprecationShims:
-    def _one_deprecation(self, record):
-        deprecations = [w for w in record
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1, [str(w.message) for w in record]
-        return deprecations[0]
-
-    def test_exec_mode_string_run_warns_once(self, rng):
-        compiled = api.compile(sum_program())
-        data = rng.standard_normal(256)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            result = compiled.run(data, {"n": 256, "r": 1},
-                                  exec_mode="vectorized")
-        warning = self._one_deprecation(record)
-        assert "exec_mode" in str(warning.message)
-        np.testing.assert_allclose(result.output[0], data.sum(), rtol=1e-6)
+    """The legacy spellings are gone, not deprecated: ``RunOptions`` is the
+    only way to say how to run and ``api.compile`` the only compile entry
+    point.  Old spellings fail loudly instead of coercing."""
 
     def test_exec_mode_enum_does_not_warn(self, rng):
         compiled = api.compile(sum_program())
@@ -377,27 +365,40 @@ class TestDeprecationShims:
         assert not [w for w in record
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_input_on_host_bool_warns_once(self, rng):
-        compiled = api.compile(sum_program())
-        data = rng.standard_normal(256)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            compiled.run(data, {"n": 256, "r": 1}, input_on_host=False)
-        warning = self._one_deprecation(record)
-        assert "input_on_host" in str(warning.message)
+    @pytest.mark.parametrize("field, value, members", [
+        ("exec_mode", "vectorized", "ExecMode.VECTORIZED"),
+        ("location", False, "InputLocation.DEVICE"),
+        ("location", "device", "InputLocation.HOST"),
+    ])
+    def test_run_options_reject_legacy_values(self, field, value, members):
+        with pytest.raises(ValueError, match=members):
+            RunOptions(**{field: value})
 
-    def test_select_bool_warns_once(self):
-        compiled = api.compile(sum_program())
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            compiled.select({"n": 256, "r": 1}, input_on_host=True)
-        self._one_deprecation(record)
+    def test_run_options_are_frozen(self):
+        options = RunOptions()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            options.location = InputLocation.DEVICE
 
-    def test_device_exec_mode_string_warns_once(self):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            Device(TESLA_C2050, exec_mode="reference")
-        self._one_deprecation(record)
+    @pytest.mark.parametrize("entry, keyword", [
+        ("run", "input_on_host"), ("warmup", "exec_mode"),
+        ("run_batch", "workers"), ("run_many", "backend"),
+        ("recalibrate", "input_on_host")])
+    def test_legacy_run_keywords_are_gone(self, entry, keyword):
+        compiled = api.compile(sum_program())
+        params = {"n": 256, "r": 1}
+        args = {"run": (np.ones(256), params), "warmup": (params,),
+                "run_batch": ([np.ones(256)], params),
+                "run_many": ([np.ones(256)], params),
+                "recalibrate": ([params],)}[entry]
+        with pytest.raises(TypeError, match=keyword):
+            getattr(compiled, entry)(*args, **{keyword: None})
+
+    def test_one_compile_entry_point_and_one_serve_spelling(self):
+        import repro
+        assert not hasattr(repro, "compile_program")
+        assert api.ServeConfig().options == RunOptions()
+        with pytest.raises(TypeError):
+            api.ServeConfig(workers=2)
 
     def test_invalid_exec_mode_still_raises_without_warning(self, rng):
         compiled = api.compile(sum_program())

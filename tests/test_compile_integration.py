@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro import (AdapticOptions, Duplicate, Filter, Pipeline, SplitJoin,
-                   StreamProgram, TESLA_C2050, GTX_285, compile_program,
-                   roundrobin, run_program)
+                   StreamProgram, TESLA_C2050, GTX_285, roundrobin,
+                   run_program, api)
 from repro.compiler import AdapticCompiler
 
 from workloads import (ISAMAX_SRC, SAXPY_SRC, SCALE_SRC, SDOT_SRC, SNRM2_SRC,
@@ -95,7 +95,7 @@ def gemv_row(cols):
         matrix = rng.standard_normal(rows * cols)
         vec = rng.standard_normal(cols)
         params = {"cols": cols, "rows": rows, "vec": vec}
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         result = compiled.run(matrix, params)
         expected = matrix.reshape(rows, cols) @ vec
         assert np.allclose(result.output, expected)
@@ -107,7 +107,7 @@ class TestFusionPrograms:
             Pipeline(Filter(SCALE_SRC, pop="n", push="n", name="s1"),
                      Filter(SCALE_SRC, pop="n", push="n", name="s2")),
             params=["n", "a"], input_size="n")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert len(compiled.segments) == 1
         data = rng.standard_normal(64)
         result = compiled.run(data, {"n": 64, "a": 3.0})
@@ -118,7 +118,7 @@ class TestFusionPrograms:
             Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
                      Filter(SUM_SRC, pop="n", push=1)),
             params=["n", "a"], input_size="n")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert len(compiled.segments) == 1
         assert compiled.segments[0].kind == "reduction"
         data = rng.standard_normal(128)
@@ -177,7 +177,7 @@ def rev(n):
             Pipeline(Filter(rev, pop="n", push="n", peek="n"),
                      Filter(SCALE_SRC, pop="n", push="n")),
             params=["n", "a"], input_size="n")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert len(compiled.segments) == 1
         data = rng.standard_normal(32)
         result = compiled.run(data, {"n": 32, "a": 2.0})
@@ -191,7 +191,7 @@ class TestInputAdaptiveSelection:
     def test_reduction_shape_crossover(self):
         prog = StreamProgram(Filter(SUM_SRC, pop="n", push=1),
                              params=["n", "r"], input_size="n*r")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         seg = compiled.segments[0]
         # One giant array -> two-kernel; many tiny arrays -> thread/array.
         few_long = compiled.select({"n": 16 << 20, "r": 1})[0].strategy
@@ -231,7 +231,7 @@ class TestCompiledProgramAPI:
         prog = StreamProgram(Filter(SUM_SRC, pop="n", push=1),
                              params=["n", "r"], input_size="n*r",
                              input_ranges={"n": (256, 1 << 20)})
-        return compile_program(prog)
+        return api.compile(prog)
 
     def test_predicted_seconds_positive(self):
         compiled = self._compiled()

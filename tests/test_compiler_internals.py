@@ -4,8 +4,8 @@ ordering, and optimization attribution."""
 import numpy as np
 import pytest
 
-from repro import AdapticOptions, Filter, Pipeline, StreamProgram
-from repro.compiler import AdapticCompiler, compile_program
+from repro import AdapticOptions, Filter, Pipeline, StreamProgram, api
+from repro.compiler import AdapticCompiler
 from repro.compiler.adaptic import _Sizing
 from repro.gpu import TESLA_C2050
 from repro.streamit import flatten
@@ -58,7 +58,7 @@ class TestThreadOptions:
     def test_variants_carry_thread_suffix(self):
         prog = StreamProgram(Filter(SUM_SRC, pop="n", push=1),
                              params=["n", "r"], input_size="n*r")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         strategies = {p.strategy for p in compiled.segments[0].plans}
         assert "reduce.two_kernel@128" in strategies
         assert "reduce.two_kernel@64" in strategies
@@ -72,7 +72,7 @@ class TestFusionOrdering:
                      Filter(SCALE_SRC, pop="n", push="n", name="s2"),
                      Filter(SUM_SRC, pop="n", push=1, name="tot")),
             params=["n", "a"], input_size="n")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert len(compiled.segments) == 1
         assert compiled.segments[0].kind == "reduction"
         assert compiled.segments[0].actors == ("s1", "s2", "tot")
@@ -93,7 +93,7 @@ def avg(m):
             Pipeline(Filter(SUM_SRC, pop="n", push=1, name="row_sum"),
                      Filter(avg_src, pop="m", push=1, name="avg")),
             params=["n", "m"], input_size="n*m")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert len(compiled.segments) == 2
         assert [s.kind for s in compiled.segments] == ["reduction",
                                                        "reduction"]
@@ -103,7 +103,7 @@ class TestOptimizationAttribution:
     def test_plan_optimization_tags(self):
         prog = StreamProgram(Filter(SDOT_SRC, pop="2*n", push=1),
                              params=["n", "r"], input_size="2*n*r")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         tags = {p.strategy: set(p.optimizations)
                 for p in compiled.segments[0].plans}
         assert "memory_restructuring" in tags["reduce.two_kernel+row_soa"]
@@ -115,7 +115,7 @@ class TestOptimizationAttribution:
             Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
                      Filter(SUM_SRC, pop="n", push=1)),
             params=["n", "a"], input_size="n")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert all("vertical_integration" in p.optimizations
                    for p in compiled.segments[0].plans)
 
@@ -130,5 +130,5 @@ def gemv_row(cols):
         prog = StreamProgram(
             Filter(src, pop="cols", push=1, consts=("vec",)),
             params=["cols", "rows"], input_size="rows*cols")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert compiled.segments[0].consts == ("vec",)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Filter, StreamProgram, compile_program
+from repro import Filter, StreamProgram, api
 from repro.compiler.plans import (MapPlan, MapShape, ReduceShape,
                                   ReduceSingleKernelPlan,
                                   ReduceThreadPerArrayPlan,
@@ -99,7 +99,7 @@ class TestProgramDump:
     def test_whole_program_dump(self):
         prog = StreamProgram(Filter(SUM_SRC, pop="n", push=1),
                              params=["n", "r"], input_size="n*r")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         src = compiled.cuda_source()
         assert src.count("__global__") >= 4
         assert "Adaptic-generated CUDA" in src
@@ -108,13 +108,13 @@ class TestProgramDump:
     def test_dump_mentions_target(self):
         prog = StreamProgram(Filter(SUM_SRC, pop="n", push=1),
                              params=["n", "r"], input_size="n*r")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert "Tesla C2050" in compiled.cuda_source()
 
     def test_source_is_stable(self):
         """Same program compiles to identical text (deterministic output)."""
         prog = StreamProgram(Filter(SUM_SRC, pop="n", push=1),
                              params=["n", "r"], input_size="n*r")
-        first = compile_program(prog).cuda_source()
-        second = compile_program(prog).cuda_source()
+        first = api.compile(prog).cuda_source()
+        second = api.compile(prog).cuda_source()
         assert first == second

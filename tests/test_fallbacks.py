@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import (AdapticOptions, Duplicate, Filter, Pipeline, SplitJoin,
-                   StreamProgram, compile_program, roundrobin)
+                   StreamProgram, roundrobin, api)
 from repro.compiler import AdapticCompiler, CompileError
 from repro.gpu import TESLA_C2050
 from repro.streamit import run_program
@@ -24,7 +24,7 @@ class TestCpuSubgraphFallback:
                        Filter(SCALE_SRC, pop="n", push="n")],
                       roundrobin(1, "n")),
             params=["n", "a"], input_size="n")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert compiled.segments[0].kind == "cpu"
         data = rng.standard_normal(16)
         params = {"n": 16, "a": 2.0}
@@ -42,7 +42,7 @@ class TestCpuSubgraphFallback:
                           [inner, Filter(SUM_SRC, pop="n", push=1)],
                           roundrobin(2, 1))
         prog = StreamProgram(outer, params=["n"], input_size="n")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert compiled.segments[0].kind == "cpu"
         data = rng.standard_normal(12)
         ref = run_program(prog, data, {"n": 12})
@@ -56,7 +56,7 @@ class TestCpuSubgraphFallback:
                        Filter(SCALE_SRC, pop="n", push="n")],
                       roundrobin(1, "n")),
             params=["n", "a"], input_size="n")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         small = compiled.predicted_seconds({"n": 1 << 8, "a": 1.0})
         large = compiled.predicted_seconds({"n": 1 << 18, "a": 1.0})
         assert large > small
@@ -67,7 +67,7 @@ class TestCompileErrors:
         prog = StreamProgram(
             Filter(STENCIL5_SRC, pop="size", push="size", peek="size"),
             params=["size", "width"], input_size="2*size")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         # Two steady states => two stencil invocations: refused clearly.
         data = rng.standard_normal(2 * 64)
         with pytest.raises(CompileError):
@@ -118,7 +118,7 @@ class TestSelectionRobustness:
     def test_prune_on_program_without_ranges_is_noop(self):
         prog = StreamProgram(Filter(SUM_SRC, pop="n", push=1),
                              params=["n", "r"], input_size="n*r")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         before = compiled.variant_count()
         compiled.prune_variants()
         assert compiled.variant_count() == before

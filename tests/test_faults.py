@@ -29,7 +29,7 @@ from repro.errors import (CalibrationError, KernelExecutionError,
                           SelectionError, TransferError)
 from repro.faults import (ANY_FAMILY, FaultInjector, FaultPlan, KIND_NAN,
                           KIND_RAISE, KIND_TIMEOUT)
-from repro.gpu import Device, DeviceArray, ExecMode, MODE_REFERENCE, \
+from repro.gpu import Device, DeviceArray, MODE_REFERENCE, \
     MODE_VECTORIZED, TESLA_C2050
 from repro.perfmodel import CalibrationStore
 from repro.compiler import RunOptions
@@ -347,7 +347,7 @@ class TestWorkerExecMode:
         class RecordingDevice(Device):
             def __init__(self, spec, exec_mode=MODE_REFERENCE,
                          fault_injector=None):
-                created.append(ExecMode.coerce(exec_mode))
+                created.append(exec_mode)
                 super().__init__(spec, exec_mode=exec_mode,
                                  fault_injector=fault_injector)
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import (AdapticOptions, Filter, Pipeline, StreamProgram,
-                   compile_program)
+from repro import AdapticOptions, Filter, Pipeline, StreamProgram, api
 from repro.compiler import AdapticCompiler
 from repro.gpu import TESLA_C2050
 from repro.streamit import run_program
@@ -37,14 +36,14 @@ def chain_program():
 
 class TestGenericChainFusion:
     def test_fuses_into_one_segment(self):
-        compiled = compile_program(chain_program())
+        compiled = api.compile(chain_program())
         assert len(compiled.segments) == 1
         assert compiled.segments[0].kind == "generic_chain"
         strategies = {p.strategy for p in compiled.segments[0].plans}
         assert "generic.fused_chain" in strategies
 
     def test_fused_variant_matches_interpreter(self, rng):
-        compiled = compile_program(chain_program())
+        compiled = api.compile(chain_program())
         data = rng.standard_normal(2 * 30)
         params = {"k": 0, "m": 30}
         ref = run_program(chain_program(), data, params)
@@ -74,7 +73,7 @@ def pick(k):
         push(c + b)
 """, pop=3, push=1)),
             params=["k", "m"], input_size="6*m")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert len(compiled.segments) == 2
 
     def test_peek_lookahead_prevents_fusion(self):
@@ -96,12 +95,12 @@ def look3(k):
         prog = StreamProgram(
             Pipeline(Filter(SORT2_SRC, pop=2, push=2), consumer_look),
             params=["k", "m"], input_size="2*m")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert len(compiled.segments) == 2
         _ = consumer
 
     def test_fused_saves_modeled_traffic(self):
-        compiled = compile_program(chain_program())
+        compiled = api.compile(chain_program())
         seg = compiled.segments[0]
         fused = seg.plan_named("generic.fused_chain")
         launches = fused.launches({"k": 0, "m": 1 << 20})

@@ -308,6 +308,36 @@ class TestDegradedSelectAttribution:
         assert baseline > 0.0    # accumulation did not clobber either path
 
 
+class TestRecalibratePlacementPin:
+    """``recalibrate`` observes the chain the placement pin selects (its
+    observer path used to drop the pin and observe the auto winner)."""
+
+    def test_every_pass_observes_the_pinned_plan(self, monkeypatch):
+        compiled = api.compile(
+            imagepipe.build(input_ranges=RANGES),
+            options=api.AdapticOptions(prune=True, placement=True))
+        point = {"width": 32, "height": 32}
+        pinned = compiled.select(point, placement="gpu")[0]
+        assert pinned is not compiled.select(point)[0]
+        passes = []
+
+        def observer(plan, params):
+            passes[-1].append(plan)
+            return compiled.cost.plan_seconds(plan, params)
+
+        feed_back = compiled._apply_feedback
+
+        def one_pass(*args, **kwargs):
+            passes.append([])
+            return feed_back(*args, **kwargs)
+
+        monkeypatch.setattr(compiled, "_apply_feedback", one_pass)
+        compiled.recalibrate([point], options=api.RunOptions(placement="gpu"),
+                             feedback=api.FeedbackConfig(observer=observer))
+        assert passes
+        assert all(observed[0] is pinned for observed in passes)
+
+
 class TestCalibrationNamespaces:
     def test_family_device_split(self):
         assert CalibrationStore.family_device("cpu.vector_map") == "cpu"

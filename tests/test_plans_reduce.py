@@ -332,7 +332,7 @@ class TestMixedHorizontalReduce:
 
     def test_compiled_mixed_splitjoin(self, rng):
         from repro import (Duplicate, Filter, SplitJoin, StreamProgram,
-                           compile_program, roundrobin)
+                           roundrobin, api)
         from repro.streamit import run_program
         prog = StreamProgram(
             SplitJoin(Duplicate(),
@@ -340,7 +340,7 @@ class TestMixedHorizontalReduce:
                        Filter(ISAMAX_SRC, pop="n", push=1, name="am")],
                       roundrobin(1)),
             params=["n"], input_size="n")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert compiled.segments[0].kind == "multi_reduce"
         data = rng.standard_normal(200)
         ref = run_program(prog, data, {"n": 200})

@@ -1,13 +1,20 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import dataclasses
+import itertools
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.gpu import Device, TESLA_C2050
+from repro import StreamProgram, api
+from repro.compiler.exprgen import SOURCE_REGISTRY
+from repro.compiler.runtime import InputLocation
+from repro.gpu import Device, ExecMode, TESLA_C2050
 from repro.gpu.memory import bank_conflict_degree, coalesce_transactions
 from repro.ir import classify, lift_code, run_work
 from repro.ir.rates import RateExpr
@@ -16,7 +23,9 @@ from repro.compiler.fusion import compose_maps, fuse_map_into_reduction
 from repro.compiler.plans import (ReduceShape, ReduceSingleKernelPlan,
                                   ReduceTwoKernelPlan)
 from repro.compiler.reducers import ScalarReducer
-from repro.streamit import Filter, Pipeline, flatten, rate_match
+from repro.streamit import Filter, Pipeline, flatten, rate_match, run_program
+
+from workloads import SCALE_SRC, SUM_SRC
 
 SPEC = TESLA_C2050
 
@@ -302,3 +311,99 @@ class TestPruneProperties:
             best = times[:, j].min()
             served = min(times[p.idx][j] for p in kept)
             assert served <= best * (1 + tolerance) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The option lattice over random programs
+# ---------------------------------------------------------------------------
+
+#: Map stages the random pipelines draw from (each pops and pushes n).
+LATTICE_STAGES = {
+    "scale": SCALE_SRC,
+    "square": "def square(n):\n    for i in range(n):\n"
+              "        x = pop()\n        push(x * x + 0.5)\n",
+    "squash": "def squash(n):\n    for i in range(n):\n"
+              "        x = pop()\n        push(x / (1.0 + abs(x)))\n",
+    "offset": "def offset(n, a):\n    for i in range(n):\n"
+              "        push(pop() - a)\n",
+}
+
+
+class TestOptionLatticeProperties:
+    """Every execution route agrees with the sequential interpreter.
+
+    A random chain of map stages (optionally ending in a sum reduction),
+    compiled under random placement / chain-fusion / integration flags,
+    runs at every point of exec mode x input location x placement pin on
+    a fresh device.  Each point must match ``run_program``, price exactly
+    the transfers it records, and agree bit for bit with a two-worker
+    ``run_batch`` and with a bundle round trip of the same program.
+    """
+
+    POINTS = list(itertools.product(
+        (ExecMode.REFERENCE, ExecMode.VECTORIZED),
+        (InputLocation.HOST, InputLocation.DEVICE),
+        ("auto", "gpu", "cpu")))
+
+    @given(stages=st.lists(st.sampled_from(sorted(LATTICE_STAGES)),
+                           min_size=1, max_size=3),
+           reduce=st.booleans(), n=st.integers(16, 4096),
+           a=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1),
+           placement=st.booleans(), fuse_chains=st.booleans(),
+           integration=st.booleans())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_every_lattice_point_matches_the_interpreter(
+            self, stages, reduce, n, a, seed, placement, fuse_chains,
+            integration):
+        filters = [Filter(LATTICE_STAGES[kind], pop="n", push="n",
+                          name=f"{kind}{i}")
+                   for i, kind in enumerate(stages)]
+        if reduce:
+            filters.append(Filter(SUM_SRC, pop="n", push=1, name="sum"))
+        program = StreamProgram(Pipeline(*filters), params=["n", "a"],
+                                input_size="n")
+        options = api.AdapticOptions(
+            placement=placement, fuse_chains=fuse_chains,
+            fuse_min_gain=0.0, integration=integration)
+        compiled = api.compile(program, options=options)
+        data = np.random.default_rng(seed).standard_normal(n)
+        params = {"n": n, "a": a}
+        expected = run_program(program, data, params)
+
+        seen = {}
+        for mode, location, pin in self.POINTS:
+            run_options = api.RunOptions(exec_mode=mode, location=location,
+                                         placement=pin)
+            device = Device(compiled.spec, exec_mode=mode)
+            result = compiled.run(data, params, device=device,
+                                  options=run_options)
+            if reduce:
+                np.testing.assert_allclose(result.output, expected,
+                                           rtol=1e-10, atol=1e-9)
+            else:
+                assert result.output.tobytes() == expected.tobytes()
+            assert result.transfer_seconds == device.transfer_seconds
+            strategies = [sel.strategy for sel in result.selections]
+            batch = compiled.run_batch(
+                [data, data], params,
+                options=dataclasses.replace(run_options, workers=2))
+            for item in batch.results:
+                assert [sel.strategy for sel in item.selections] \
+                    == strategies
+                assert item.output.tobytes() == result.output.tobytes()
+            seen[(mode, location, pin)] = (strategies,
+                                           result.output.tobytes())
+
+        with tempfile.TemporaryDirectory() as tmpdir:
+            path = os.path.join(tmpdir, "lattice.bundle.json")
+            compiled.save_bundle(path)
+            loaded = api.load_bundle(path, program, options=options)
+        try:
+            for (mode, location, pin), (strategies, output) in seen.items():
+                result = loaded.run(data, params, options=api.RunOptions(
+                    exec_mode=mode, location=location, placement=pin))
+                assert [sel.strategy for sel in result.selections] \
+                    == strategies
+                assert result.output.tobytes() == output
+        finally:
+            SOURCE_REGISTRY.clear_loaded()

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.compiler import (AdapticCompiler, AdapticOptions,
-                            InputLocation, compile_program)
+from repro import api
+from repro.compiler import AdapticCompiler, AdapticOptions, InputLocation
 from repro.compiler.reducers import ArgReducer, ScalarReducer, reducer_for
 from repro.gpu import TESLA_C2050
 from repro.ir import classify, lift_code
@@ -120,7 +120,7 @@ class TestSegmentSelection:
                              params=["n", "r"], input_size="n*r",
                              input_ranges=ranges or {"n": (1 << 10,
                                                            4 << 20)})
-        return compile_program(prog)
+        return api.compile(prog)
 
     def test_best_plan_is_argmin(self):
         compiled = self._compiled()
@@ -170,7 +170,7 @@ class TestBestPlanNonFinite:
     def _segment(self):
         prog = StreamProgram(Filter(SUM_SRC, pop="n", push=1),
                              params=["n", "r"], input_size="n*r")
-        return compile_program(prog).segments[0]
+        return api.compile(prog).segments[0]
 
     def test_non_finite_costs_are_skipped(self):
         seg = self._segment()
@@ -228,7 +228,7 @@ class TestPruneKeep:
         prog = StreamProgram(Filter(SUM_SRC, pop="n", push=1),
                              params=["n", "r"], input_size="n*r",
                              input_ranges={"n": (1 << 10, 4 << 20)})
-        return compile_program(prog)
+        return api.compile(prog)
 
     def _loser_strategy(self, compiled):
         """A strategy aggressive pruning would drop."""

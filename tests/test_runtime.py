@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro import (AdapticOptions, Filter, GTX_480, Pipeline, StreamProgram,
-                   apps, compile_program)
+                   apps, api)
 from repro.compiler import AdapticCompiler, InputLocation, RunOptions
+from repro.errors import SelectionError
 from repro.gpu import Device, TESLA_C2050
 
 from workloads import SCALE_SRC, SUM_SRC
@@ -20,7 +21,7 @@ def sum_program(**kwargs):
 
 class TestRunResult:
     def test_selection_report_fields(self, rng):
-        compiled = compile_program(sum_program())
+        compiled = api.compile(sum_program())
         data = rng.standard_normal(128)
         result = compiled.run(data, {"n": 128, "r": 1})
         (sel,) = result.selections
@@ -34,7 +35,7 @@ class TestRunResult:
             result.strategy_of("nonexistent")
 
     def test_run_reuses_supplied_device(self, rng):
-        compiled = compile_program(sum_program())
+        compiled = api.compile(sum_program())
         device = Device(TESLA_C2050)
         compiled.run(rng.standard_normal(64), {"n": 64, "r": 1},
                      device=device)
@@ -44,13 +45,13 @@ class TestRunResult:
 
 class TestTransferAccounting:
     def test_transfer_scales_with_input(self):
-        compiled = compile_program(sum_program())
+        compiled = api.compile(sum_program())
         small = compiled.transfer_seconds({"n": 1 << 10, "r": 1})
         large = compiled.transfer_seconds({"n": 1 << 22, "r": 1})
         assert large > 10 * small
 
     def test_predicted_with_and_without_transfers(self):
-        compiled = compile_program(sum_program())
+        compiled = api.compile(sum_program())
         params = {"n": 1 << 16, "r": 1}
         with_t = compiled.predicted_seconds(params)
         without = compiled.predicted_seconds(params,
@@ -60,7 +61,7 @@ class TestTransferAccounting:
 
 class TestRangeReport:
     def test_single_axis_subranges(self):
-        compiled = compile_program(sum_program())
+        compiled = api.compile(sum_program())
         report = compiled.range_report(samples=10, extra_params={"r": 1})
         assert "->" in report
         assert "reduce.two_kernel" in report
@@ -69,13 +70,13 @@ class TestRangeReport:
 
     def test_no_ranges_declared(self):
         prog = sum_program(input_ranges={})
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert "no input ranges" in compiled.range_report()
 
     def test_multi_axis_lists_points(self):
         prog = sum_program(input_ranges={"n": (256, 4096),
                                          "r": (1, 64)})
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         report = compiled.range_report(samples=3)
         assert "segment" in report and "->" in report
 
@@ -110,7 +111,7 @@ class TestMultiSegmentExecution:
 
 
 class TestDeviceResidentInput:
-    """Regression: ``run()`` must honor ``input_on_host=False``."""
+    """Regression: ``run()`` must honor ``RunOptions(location=DEVICE)``."""
 
     def _params(self):
         # Wide-short shape: host-side selection restructures to the
@@ -118,7 +119,7 @@ class TestDeviceResidentInput:
         return {"n": 8, "r": 1 << 12}
 
     def test_run_threads_input_on_host_through_selection(self, rng):
-        compiled = compile_program(sum_program())
+        compiled = api.compile(sum_program())
         params = self._params()
         data = rng.standard_normal(params["n"] * params["r"])
         host = compiled.run(data, params)
@@ -128,7 +129,7 @@ class TestDeviceResidentInput:
         assert not device.selections[0].strategy.endswith("transposed")
 
     def test_device_resident_run_is_still_correct(self, rng):
-        compiled = compile_program(sum_program())
+        compiled = api.compile(sum_program())
         params = self._params()
         data = rng.standard_normal(params["n"] * params["r"])
         host = compiled.run(data, params)
@@ -139,7 +140,7 @@ class TestDeviceResidentInput:
     def test_canonical_plan_identical_on_both_paths(self, rng):
         # A canonical-layout plan needs no restructuring, so host and
         # device-resident execution must agree exactly.
-        compiled = compile_program(sum_program())
+        compiled = api.compile(sum_program())
         seg = compiled.segments[0]
         canonical = next(p for p in seg.plans
                          if p.input_layout in ("interleaved", "rows"))
@@ -151,10 +152,26 @@ class TestDeviceResidentInput:
                               options=RunOptions(location=InputLocation.DEVICE))
         np.testing.assert_array_equal(host.output, device.output)
 
+    def test_forced_host_staged_plan_rejects_device_input(self, rng):
+        """``force=`` obeys the layout rule selection obeys: a plan that
+        needs host-side restructuring cannot run on device-resident
+        data (it used to, returning an output off by ~15)."""
+        compiled = api.compile(apps.tmv.build())
+        matrix, vec, params = apps.tmv.make_input(512, 8, rng)
+        force = {"seg0_tmv_row": "reduce.thread_per_array+transposed"}
+        host = compiled.run(matrix, params, force=force)
+        np.testing.assert_allclose(
+            host.output, apps.tmv.reference(matrix, vec, 512, 8))
+        with pytest.raises(SelectionError) as err:
+            compiled.run(matrix, params, force=force,
+                         options=RunOptions(location=InputLocation.DEVICE))
+        assert err.value.segment == "seg0_tmv_row"
+        assert err.value.plan == "reduce.thread_per_array+transposed"
+
 
 class TestDispatchTables:
     def test_prune_variants_bakes_tables(self):
-        compiled = compile_program(sum_program())
+        compiled = api.compile(sum_program())
         compiled.prune_variants(extra_params={"r": 1})
         assert any(seg.dispatch is not None for seg in compiled.segments)
         description = compiled.describe()
@@ -164,7 +181,7 @@ class TestDispatchTables:
         assert "      n in [256, " in tables and " -> reduce." in tables
 
     def test_in_range_select_uses_table(self):
-        compiled = compile_program(sum_program())
+        compiled = api.compile(sum_program())
         compiled.prune_variants(extra_params={"r": 1})
         before = compiled.stats.snapshot()
         compiled.select({"n": 1 << 15, "r": 1})
@@ -173,7 +190,7 @@ class TestDispatchTables:
         assert delta.model_evals == 0
 
     def test_range_report_includes_stats(self):
-        compiled = compile_program(sum_program())
+        compiled = api.compile(sum_program())
         assert "selection stats:" in compiled.range_report(
             samples=4, extra_params={"r": 1})
 

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import api
+from repro import Filter, Pipeline, StreamProgram, api
 from repro.apps import tmv
 from repro.compiler import AdapticCompiler
 from repro.errors import AdmissionError, KernelExecutionError, ServeError
@@ -26,6 +26,8 @@ from repro.serve import (AdmissionPolicy, DispatchQueue, PendingRequest,
                          TenantConfig, bucket_key, percentile)
 from repro.serve.metrics import STAGES
 from repro.compiler import RunOptions
+
+from workloads import SCALE_SRC
 
 pytestmark = pytest.mark.serve
 
@@ -304,6 +306,64 @@ class TestFusion:
         server = Server(compiled, ServeConfig(fuse_axis="rows"))
         gains = [server._predicted_fuse_gain(params, k) for k in (2, 8, 16)]
         assert gains[0] < gains[1] < gains[2]
+
+
+SQUARE_SRC = """
+def square(n):
+    for i in range(n):
+        x = pop()
+        push(x * x + 0.5)
+"""
+
+
+class TestFusedPathHonorsOptions:
+    """The fused path selects under ``ServeConfig.options`` — its input
+    location and placement pin — exactly as ``run_batch`` does (it used
+    to select with the defaults and force that chain on the fused run)."""
+
+    def _assert_served_like_run_batch(self, compiled, inputs, params,
+                                      config):
+        batch = compiled.run_batch(inputs, params, options=config.options)
+
+        async def scenario():
+            async with Server(compiled, config) as server:
+                return await asyncio.gather(
+                    *[server.submit(m, params) for m in inputs])
+        served = asyncio.run(scenario())
+        for result, expected in zip(served, batch.results):
+            assert result.fused
+            assert ([s.strategy for s in result.run.selections]
+                    == [s.strategy for s in expected.selections])
+            assert result.output.tobytes() == expected.output.tobytes()
+        return served
+
+    def test_device_resident_input(self, compiled, rng):
+        inputs, params = make_binding(rng, rows=512, cols=8, n=4)
+        config = ServeConfig(
+            max_batch=4, fuse_axis="rows", fuse_min_gain=0.0,
+            options=RunOptions(location=api.InputLocation.DEVICE))
+        served = self._assert_served_like_run_batch(compiled, inputs,
+                                                    params, config)
+        for result, matrix in zip(served, inputs):
+            np.testing.assert_allclose(
+                result.output,
+                tmv.reference(matrix, params["vec"], 512, 8))
+
+    def test_placement_pin(self, rng):
+        prog = StreamProgram(
+            Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
+                     Filter(SQUARE_SRC, pop="n", push="n")),
+            params=["n", "a"], input_size="n")
+        placed = api.compile(prog, options=api.AdapticOptions(
+            integration=False, placement=True))
+        params = {"n": 64, "a": 1.5}
+        inputs = [rng.standard_normal(64) for _ in range(4)]
+        config = ServeConfig(max_batch=4, fuse_axis="n", fuse_min_gain=0.0,
+                             options=RunOptions(placement="gpu"))
+        served = self._assert_served_like_run_batch(placed, inputs, params,
+                                                    config)
+        assert all(s.strategy == "map.grid_stride"
+                   for s in served[0].run.selections)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compiler import compile_program
+from repro import api
 from repro.ir import classify, lift_code, run_work, substitute_recurrences
 from repro.streamit import Filter, StreamProgram
 
@@ -113,7 +113,7 @@ def ramped(n):
 """
         prog = StreamProgram(Filter(src, pop="n", push="n"),
                              params=["n"], input_size="n")
-        compiled = compile_program(prog)
+        compiled = api.compile(prog)
         assert compiled.segments[0].kind == "map"
         assert any("intra_actor_parallelization" in p.optimizations
                    for p in compiled.segments[0].plans)
