@@ -6,10 +6,12 @@ paper reports.  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-Fused-execution benchmarks (``-m fusedexec``) additionally accumulate
-their measured numbers (throughput, speedups) and the session writes
-them to ``BENCH_fusedexec.json`` in the working directory, so CI can
-archive the machine-readable series next to the rendered tables.
+Benchmarks that record machine-readable numbers (throughput, speedups,
+accuracies) do so through the ``bench_record`` fixture, keyed by group;
+the pytest session writes each group to ``BENCH_<group>.json`` in the
+working directory (``BENCH_fusedexec.json``, ``BENCH_multiaxis.json``,
+``BENCH_placement.json``), so CI can archive the series next to the
+rendered tables.
 """
 
 import json
@@ -17,17 +19,8 @@ import os
 
 import pytest
 
-#: Metrics accumulated by fusedexec benchmarks this session:
-#: ``{metric_name: {...numbers...}}``.
-_FUSEDEXEC_RECORDS = {}
-
-#: Metrics accumulated by multiaxis benchmarks this session, written to
-#: ``BENCH_multiaxis.json`` (same contract as the fusedexec records).
-_MULTIAXIS_RECORDS = {}
-
-#: Metrics accumulated by placement benchmarks this session, written to
-#: ``BENCH_placement.json`` (same contract as the fusedexec records).
-_PLACEMENT_RECORDS = {}
+#: Numbers recorded this pytest session: ``{group: {metric_name: {...}}}``.
+_RECORDS = {}
 
 
 def emit(result) -> None:
@@ -42,36 +35,16 @@ def report():
 
 
 @pytest.fixture
-def fusedexec_record():
-    """Record one fusedexec metric for ``BENCH_fusedexec.json``."""
-    def record(name: str, **numbers) -> None:
-        _FUSEDEXEC_RECORDS[name] = numbers
-    return record
-
-
-@pytest.fixture
-def multiaxis_record():
-    """Record one multiaxis metric for ``BENCH_multiaxis.json``."""
-    def record(name: str, **numbers) -> None:
-        _MULTIAXIS_RECORDS[name] = numbers
-    return record
-
-
-@pytest.fixture
-def placement_record():
-    """Record one placement metric for ``BENCH_placement.json``."""
-    def record(name: str, **numbers) -> None:
-        _PLACEMENT_RECORDS[name] = numbers
+def bench_record():
+    """Record one metric of a group for ``BENCH_<group>.json``."""
+    def record(group: str, name: str, **numbers) -> None:
+        _RECORDS.setdefault(group, {})[name] = numbers
     return record
 
 
 def pytest_sessionfinish(session, exitstatus):
-    for records, filename in ((_FUSEDEXEC_RECORDS, "BENCH_fusedexec.json"),
-                              (_MULTIAXIS_RECORDS, "BENCH_multiaxis.json"),
-                              (_PLACEMENT_RECORDS, "BENCH_placement.json")):
-        if not records:
-            continue
-        path = os.path.join(os.getcwd(), filename)
+    for group, records in _RECORDS.items():
+        path = os.path.join(os.getcwd(), f"BENCH_{group}.json")
         with open(path, "w") as handle:
             json.dump(records, handle, indent=2, sort_keys=True)
             handle.write("\n")

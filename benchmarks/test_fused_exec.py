@@ -10,7 +10,7 @@ compiles in the pool) it must reach >=2x the threaded backend's
 throughput on a multi-core host.
 
 Both benchmarks record their measured numbers through the
-``fusedexec_record`` fixture; the session writes them to
+``bench_record`` fixture; the pytest session writes them to
 ``BENCH_fusedexec.json`` (see ``conftest.py``).
 """
 
@@ -83,7 +83,7 @@ def _batch_program():
 
 
 class TestFusedChainThroughput:
-    def test_fused_warm_runs_beat_unfused(self, fusedexec_record):
+    def test_fused_warm_runs_beat_unfused(self, bench_record):
         """Fused chain: fewer launches, bit-identical, measured speedup."""
         rng = np.random.default_rng(21)
         data = rng.standard_normal(CHAIN_N)
@@ -117,8 +117,8 @@ class TestFusedChainThroughput:
         # The accounting fusion exists to create: one launch per chain.
         assert fdev.launch_count < pdev.launch_count
 
-        fusedexec_record(
-            "fused_chain",
+        bench_record(
+            "fusedexec", "fused_chain",
             n=CHAIN_N,
             repeats=CHAIN_REPEATS,
             unfused_runs_per_s=CHAIN_REPEATS / plain_seconds,
@@ -130,7 +130,7 @@ class TestFusedChainThroughput:
 
 
 class TestProcessPoolThroughput:
-    def test_process_backend_2x_over_threaded(self, fusedexec_record):
+    def test_process_backend_2x_over_threaded(self, bench_record):
         """run_many(backend="process") vs threads, zero worker compiles.
 
         The throughput gate needs real parallelism, so it only applies
@@ -171,8 +171,8 @@ class TestProcessPoolThroughput:
             assert warm.output.tobytes() == cold.output.tobytes()
 
         speedup = threaded_seconds / process_seconds
-        fusedexec_record(
-            "process_pool",
+        bench_record(
+            "fusedexec", "process_pool",
             n=BATCH_N,
             items=BATCH_ITEMS,
             workers=BATCH_WORKERS,

@@ -10,7 +10,7 @@ baked under a model biased for one kernel family, the feedback loop
 (probe -> boundary patch -> subtree/converged re-sweep) repairs the 2-D
 break-even surface to >=0.95 selection accuracy against ground truth.
 
-Measured numbers accumulate through the ``multiaxis_record`` fixture;
+Measured numbers accumulate through the ``bench_record`` fixture;
 the session writes them to ``BENCH_multiaxis.json`` (see
 ``conftest.py``).
 """
@@ -24,9 +24,9 @@ pytestmark = pytest.mark.multiaxis
 
 
 class TestDispatchCost:
-    def test_zero_evals_and_5x_over_argmin(self, multiaxis_record):
+    def test_zero_evals_and_5x_over_argmin(self, bench_record):
         result = multiaxis.dispatch_cost(samples=5, repeats=3)
-        multiaxis_record("dispatch_cost", **{
+        bench_record("multiaxis", "dispatch_cost", **{
             k: v for k, v in result.items()})
         assert result["runtime_evals"] == 0
         assert result["mismatches"] == 0
@@ -36,20 +36,20 @@ class TestDispatchCost:
 
 class TestGridAccuracy:
     def test_baked_tables_exact_on_swept_grid(self, report,
-                                              multiaxis_record):
+                                              bench_record):
         figure = multiaxis.run(samples=5)
         report(figure)
         total = sum(len(s.y) for s in figure.series)
         correct = sum(sum(s.y) for s in figure.series)
-        multiaxis_record("grid_accuracy", points=total,
-                         accuracy=correct / total, notes=figure.notes)
+        bench_record("multiaxis", "grid_accuracy", points=total,
+                     accuracy=correct / total, notes=figure.notes)
         assert correct == total
 
 
 class TestCalibrationRepair:
-    def test_biased_boundary_repaired_to_95(self, multiaxis_record):
+    def test_biased_boundary_repaired_to_95(self, bench_record):
         result = multiaxis.calibration_report(samples=5)
-        multiaxis_record("calibration_repair", **{
+        bench_record("multiaxis", "calibration_repair", **{
             k: v for k, v in result.items()})
         # The biased bake must actually move the boundary (otherwise
         # the repair claim is vacuous), and feedback must repair it.

@@ -10,7 +10,7 @@ shape sweep at least one shape routes a segment to the host and its
 measured ``run()`` wall beats the same program pinned all-GPU, with the
 mixed outputs bit-identical to the all-GPU chain.
 
-Measured numbers accumulate through the ``placement_record`` fixture;
+Measured numbers accumulate through the ``bench_record`` fixture;
 the session writes them to ``BENCH_placement.json`` (see
 ``conftest.py``).
 """
@@ -24,9 +24,9 @@ pytestmark = pytest.mark.placement
 
 class TestDispatchCost:
     def test_baked_placement_dispatch_5x_over_argmin(self,
-                                                     placement_record):
+                                                     bench_record):
         result = placement.dispatch_cost(samples=5, repeats=3)
-        placement_record("dispatch_cost", **{
+        bench_record("placement", "dispatch_cost", **{
             k: v for k, v in result.items()})
         assert result["runtime_evals"] == 0
         assert result["mismatches"] == 0
@@ -35,15 +35,15 @@ class TestDispatchCost:
 
 
 class TestMeasuredSplit:
-    def test_cpu_placed_shape_beats_all_gpu(self, report, placement_record):
+    def test_cpu_placed_shape_beats_all_gpu(self, report, bench_record):
         figure = placement.run(repeats=5)
         report(figure)
         rep = placement.placement_report(repeats=5)
-        placement_record("shape_sweep",
-                         cpu_win_shapes=rep["cpu_win_shapes"],
-                         runtime_evals=rep["runtime_evals"],
-                         bit_identical=rep["bit_identical"],
-                         rows=rep["rows"])
+        bench_record("placement", "shape_sweep",
+                     cpu_win_shapes=rep["cpu_win_shapes"],
+                     runtime_evals=rep["runtime_evals"],
+                     bit_identical=rep["bit_identical"],
+                     rows=rep["rows"])
         assert rep["bit_identical"]
         assert rep["runtime_evals"] == 0
         assert rep["cpu_win_shapes"], \

@@ -90,9 +90,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--max-batch", type=int, default=None,
                         help="with serve-bench: coalescing bound "
                              "(default: requests per shape)")
-    parser.add_argument("--max-delay-ms", type=float, default=None,
-                        help="with serve-bench: max batching delay in ms "
-                             "(default 2.0)")
     parser.add_argument("--seed", type=int, default=None,
                         help="with serve-bench: traffic seed (default 0)")
     parser.add_argument("--backend", choices=("thread", "process"),
@@ -288,13 +285,11 @@ def _serve_bench(spec, args) -> int:
     if args.seed is not None:
         traffic.seed = args.seed
     config = None
-    if (args.max_batch is not None or args.max_delay_ms is not None
-            or args.backend is not None):
+    if args.max_batch is not None or args.backend is not None:
         n_requests = (traffic.requests_per_shape
                       * len(apps.tmv.shape_sweep(traffic.total_elements)))
         config = ServeConfig(
             max_batch=args.max_batch or traffic.requests_per_shape,
-            max_delay_s=(args.max_delay_ms or 2.0) / 1e3,
             fuse_axis="rows", max_queue_depth=n_requests + 1,
             options=api.RunOptions(exec_mode=api.ExecMode.VECTORIZED,
                                    workers=args.workers,

@@ -27,6 +27,7 @@ hop steps, so what is priced is what runs.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import itertools
@@ -50,7 +51,8 @@ from ..perfmodel import AxisSpec, CalibrationStore, FeedbackConfig, \
     PerformanceModel, RegionTable, Variant, geometric_points, hop_seconds, \
     layout_transform_seconds, size_bucket, sweep_region
 from .costing import predicted_chain_fuse_gain
-from .exprgen import COMPILE_COUNTER, SOURCE_REGISTRY, compile_chain_fn
+from .exprgen import (COMPILE_COUNTER, SOURCE_REGISTRY, ExprGenError,
+                      compile_chain_fn)
 from .plans.base import IN, KernelPlan, RESTRUCTURE_COUNTER, freeze_arrays, \
     freeze_scalars
 from .segments import RegionDispatch, Segment, chain_spans
@@ -587,7 +589,12 @@ class CompiledProgram:
 
         Owned devices persist across ``run()`` calls so their buffer
         arenas stay warm — the second run at a shape recycles the first
-        run's allocations instead of making fresh ones.
+        run's allocations instead of making fresh ones.  Their transfer
+        log holds only the current run's records: nothing reads it
+        across runs (:attr:`RunResult.transfer_seconds` is priced from
+        the schedule), and a long-lived server would otherwise grow it
+        by two records per request.  A passed-in device keeps its whole
+        log.
         """
         if device is not None:
             if exec_mode is not None:
@@ -600,6 +607,7 @@ class CompiledProgram:
                 owned = Device(self.spec, exec_mode=mode,
                                fault_injector=self.faults)
                 self._run_devices[mode] = owned
+            owned.transfers.clear()
         return owned
 
     def _validate_input(self, host_input: np.ndarray,
@@ -1147,10 +1155,13 @@ class CompiledProgram:
         can fail exactly the poisoned request while its batch-mates
         complete.
 
-        Selection happens once per distinct scalar binding; with
-        ``warm=True`` (default) each distinct binding is warmed up
-        front, so worker threads never compile and never rebuild
-        permutations.  The one ``select()`` per binding is timed and its
+        Selection happens once per distinct scalar binding, and each
+        item executes exactly once.  ``warm`` only matters for fan-outs
+        (``options.workers > 1`` or the process backend): with
+        ``warm=True`` (default) each distinct binding is warmed up front,
+        so workers never compile and never rebuild permutations.  A
+        serial batch never warms up — each binding's first item fills the
+        warm caches.  The one ``select()`` per binding is timed and its
         wall-clock attributed to the binding's first completed result;
         every other item at the binding reports ``select == 0`` unless
         it degraded onto a replacement variant, in which case it keeps
@@ -1289,13 +1300,17 @@ class CompiledProgram:
                          force: Optional[Dict[str, str]], warm: bool):
         """Batch prologue shared by both ``run_batch`` backends.
 
-        One optional warmup and one timed ``select()`` per distinct
-        scalar binding, shared by every batch item at that binding.  The
-        warmup populates every memo the batch then only reads (costs,
-        fused spans, compiled kernels, permutations) and, for the process
-        backend, everything the worker bundle carries.  Returns
-        ``(selections, select_seconds)`` keyed by frozen scalars.
+        One timed ``select()`` per distinct scalar binding, shared by
+        every batch item at that binding.  A fan-out (``workers > 1`` or
+        the process backend) with ``warm`` first runs one warmup per
+        binding, in this thread: it populates every memo the workers then
+        only read (costs, fused spans, compiled kernels, permutations)
+        and everything the process bundle carries.  A serial batch needs
+        none — each binding's first item warms those caches itself.
+        Returns ``(selections, select_seconds)`` keyed by frozen scalars.
         """
+        warm = warm and (options.workers > 1
+                         or options.backend == "process")
         selections: Dict[tuple, List[KernelPlan]] = {}
         select_seconds: Dict[tuple, float] = {}
         for params in params_list:
@@ -1364,7 +1379,8 @@ class CompiledProgram:
         for bindings whose first completed item succeeded is applied
         *before* the raise — completed measurements are never discarded.
         ``options.backend="process"`` selects the bundle-warmed
-        process-pool fan-out (see :meth:`run_batch`).
+        process-pool fan-out (see :meth:`run_batch`); as there, ``warm``
+        only matters for fan-outs.
         """
         outcome = self.run_batch(
             inputs, params_list, options=options, force=force, warm=warm)
@@ -2021,12 +2037,35 @@ class CompiledProgram:
         if not points:
             return
         keep = keep or {}
-        with self.cost.compile_scope():
+        with self._declared_box(extra_params), self.cost.compile_scope():
             for segment in self.segments:
                 segment.prune(self.cost, points, tolerance=tolerance,
                               keep=keep.get(segment.name, ()))
         self.bake_decision_tables(samples=samples,
                                   extra_params=extra_params)
+
+    @contextlib.contextmanager
+    def _declared_box(self, extra_params: Optional[Dict[str, float]]):
+        """Report a sweep that read a scalar with no range and no pin.
+
+        A cost model that needs such a scalar fails wherever it reads it
+        (the expression emitter, the IR interpreter or a params lookup);
+        that failure becomes a :class:`CompileError` naming every
+        declared parameter the sweep box leaves unbound.
+        """
+        try:
+            yield
+        except (ExprGenError, NameError, KeyError) as exc:
+            bound = set(self.program.input_ranges) | set(extra_params or ())
+            unranged = [name for name in self.program.params
+                        if name not in bound]
+            if not unranged:
+                raise
+            raise CompileError(
+                f"cannot sweep the declared input ranges: parameter(s) "
+                f"{unranged} have no range; declare input_ranges for them "
+                f"or pin them with prune_variants(extra_params=...)"
+            ) from exc
 
     def bake_decision_tables(self, samples: int = 8,
                              extra_params: Optional[Dict[str, float]] = None,
@@ -2058,7 +2097,7 @@ class CompiledProgram:
                      hi=int(ranges[name][1]), samples=samples)
             for name in names)
         baked = 0
-        with self.cost.compile_scope():
+        with self._declared_box(base), self.cost.compile_scope():
             from_host = True
             for segment in self.segments:
                 variants = self._sweep_variants(segment, from_host, names,

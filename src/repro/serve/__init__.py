@@ -2,11 +2,13 @@
 
 The production-serving story the ROADMAP's north star asks for: a
 stream of independent mixed-shape requests enters through an admission
-gate (bounded queue, per-tenant quotas, priority classes), coalesces by
-(program, size-bucket, frozen-scalars) bucket under a max-batch /
-max-delay policy, and leaves as single warmed batch dispatches — fused
-along the stream axis when the program opts in — with per-request
-futures, per-request stage timing, and per-request failure isolation.
+gate (bounded queue, per-tenant quotas, priority classes) and waits
+until the dispatch thread is free.  Each dispatch then takes the
+best-priority waiting request plus the other waiting requests in its
+(program, size-bucket, frozen-scalars) bucket, up to ``max_batch``,
+and runs each of them exactly once — fused along the stream axis when
+the program opts in — with per-request futures, per-request stage
+timing, and per-request failure isolation.
 
 Quickstart::
 
@@ -28,7 +30,6 @@ from .batcher import (BucketKey, PendingRequest, ShapeBatcher, bucket_key,
                       linearly_batchable)
 from .loadgen import TrafficSpec, render, run_benchmark
 from .metrics import ServeMetrics, percentile
-from .queue import DispatchQueue
 from .server import DEFAULT_TENANT, ServeConfig, ServeResult, Server
 from .tenancy import (AdmissionPolicy, Priority, TenantConfig, TenantState)
 
@@ -37,7 +38,7 @@ __all__ = [
     "Priority", "TenantConfig", "TenantState", "AdmissionPolicy",
     "AdmissionError", "ServeError",
     "ShapeBatcher", "PendingRequest", "BucketKey", "bucket_key",
-    "linearly_batchable", "DispatchQueue",
+    "linearly_batchable",
     "ServeMetrics", "percentile",
     "TrafficSpec", "run_benchmark", "render",
 ]

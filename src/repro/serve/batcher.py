@@ -4,10 +4,11 @@
 most of a real traffic mix — which means a stream of independent
 requests keeps landing on the *same* (program, size-bucket, frozen
 scalars) bindings.  The batcher exploits exactly that: requests are
-bucketed by binding and coalesced into single warmed dispatches under a
-max-batch / max-delay policy, so the per-dispatch costs (selection,
-stats merging, python call overhead — and, when the binding is fusable,
-the whole per-run launch path) amortize over every rider.
+bucketed by binding, and each dispatch takes one bucket's waiting
+requests (up to ``max_batch``) when the dispatcher frees up, so the
+per-dispatch costs (selection, stats merging, python call overhead —
+and, when the binding is fusable, the whole per-run launch path)
+amortize over every rider.
 
 Bucket key: ``(frozen scalar params, aux-array identity, size bucket)``.
 Aux arrays (e.g. TMV's ``vec``) participate by ``id()`` — requests
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -52,65 +53,41 @@ class PendingRequest:
 
 
 class ShapeBatcher:
-    """Groups pending requests by bucket key until a dispatch triggers.
+    """The admitted requests no dispatch has taken yet.
 
-    A group leaves the batcher when it reaches ``max_batch``
-    (:meth:`add` returns it) or when the front door's per-group
-    max-delay timer fires (:meth:`pop` with the armed generation).
-    Generations make stale timers harmless: a timer armed for a group
-    that already dispatched full finds a different generation and
-    no-ops.
+    Groups form when the dispatcher is free to run one (:meth:`take`),
+    not when requests arrive: the next group is the best-priority
+    waiting request (oldest first within a priority) plus every other
+    waiting request with its bucket key, in that same order, up to
+    ``max_batch``.  While a dispatch runs, arrivals keep joining the
+    waiting set, so a busy server batches more and an idle one
+    dispatches a lone request at once — continuous batching, as in
+    Orca (Yu et al., OSDI 2022).
     """
 
     def __init__(self, max_batch: int):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.max_batch = int(max_batch)
-        self._groups: Dict[BucketKey, List[PendingRequest]] = {}
-        self._gen: Dict[BucketKey, int] = {}
+        #: Waiting requests in arrival order.
+        self._waiting: List[PendingRequest] = []
 
     def __len__(self) -> int:
-        return sum(len(group) for group in self._groups.values())
+        return len(self._waiting)
 
-    def add(self, request: PendingRequest
-            ) -> Tuple[Optional[List[PendingRequest]], Optional[int]]:
-        """File one request; returns ``(full_group, armed_generation)``.
+    def add(self, request: PendingRequest) -> None:
+        self._waiting.append(request)
 
-        ``full_group`` is non-None when this request filled its bucket
-        to ``max_batch`` (the group is removed and must dispatch now).
-        ``armed_generation`` is non-None when this request opened a new
-        group — the caller arms a max-delay flush timer carrying it.
-        """
-        key = request.key
-        group = self._groups.get(key)
-        armed: Optional[int] = None
-        if group is None:
-            group = []
-            self._groups[key] = group
-            self._gen[key] = self._gen.get(key, 0) + 1
-            armed = self._gen[key]
-        group.append(request)
-        if len(group) >= self.max_batch:
-            del self._groups[key]
-            return group, armed
-        return None, armed
-
-    def pop(self, key: BucketKey, generation: Optional[int] = None
-            ) -> Optional[List[PendingRequest]]:
-        """Remove and return one group (max-delay flush path).
-
-        With ``generation`` given, pops only if the group currently
-        open at ``key`` is the one the timer was armed for.
-        """
-        if generation is not None and self._gen.get(key) != generation:
-            return None
-        return self._groups.pop(key, None)
-
-    def flush_all(self) -> List[List[PendingRequest]]:
-        """Remove and return every open group (drain path)."""
-        groups = list(self._groups.values())
-        self._groups.clear()
-        return groups
+    def take(self) -> List[PendingRequest]:
+        """Remove and return the next dispatch group; at least one
+        request must be waiting."""
+        # A stable sort keeps arrival order within a priority class.
+        ordered = sorted(self._waiting, key=lambda r: r.priority)
+        key = ordered[0].key
+        group = [r for r in ordered if r.key == key][:self.max_batch]
+        taken = {r.seq for r in group}
+        self._waiting = [r for r in self._waiting if r.seq not in taken]
+        return group
 
 
 def linearly_batchable(compiled, params: Dict, axis: str) -> bool:

@@ -105,8 +105,7 @@ def run_benchmark(spec: Optional[GPUSpec] = None,
     options = RunOptions(exec_mode=exec_mode)
     if config is None:
         config = ServeConfig(
-            max_batch=traffic_spec.requests_per_shape,
-            max_delay_s=0.002, fuse_axis="rows",
+            max_batch=traffic_spec.requests_per_shape, fuse_axis="rows",
             max_queue_depth=len(requests) + 1, options=options)
 
     from .. import api

@@ -12,15 +12,20 @@ throughput over the measurement window.
 
 from __future__ import annotations
 
+import collections
 import math
 import time
-from typing import Dict, List, Optional
+from typing import Deque, Dict, Optional, Sequence
 
 #: Stage keys every ServeResult carries.
 STAGES = ("queue", "batch", "select", "kernel")
 
+#: Completions whose latencies :class:`ServeMetrics` keeps: the most
+#: recent ones, so a long-lived server's latency record stays bounded.
+LATENCY_WINDOW = 4096
 
-def percentile(values: List[float], p: float) -> float:
+
+def percentile(values: Sequence[float], p: float) -> float:
     """Nearest-rank percentile (p in [0, 100]) of a value list."""
     if not values:
         return 0.0
@@ -48,7 +53,9 @@ class ServeMetrics:
         self.batched_requests = 0
         self.max_batch_size = 0
         self.stage_seconds: Dict[str, float] = {s: 0.0 for s in STAGES}
-        self.latencies: List[float] = []
+        #: Latencies of the last :data:`LATENCY_WINDOW` completions.
+        self.latencies: Deque[float] = collections.deque(
+            maxlen=LATENCY_WINDOW)
         self._started: Optional[float] = None
         self._stopped: Optional[float] = None
 
@@ -94,6 +101,8 @@ class ServeMetrics:
         return sum(self.rejected.values())
 
     def latency_percentile(self, p: float) -> float:
+        """Nearest-rank percentile over the latency window: the last
+        :data:`LATENCY_WINDOW` completions, not every one since start."""
         return percentile(self.latencies, p)
 
     def mean_batch_size(self) -> float:

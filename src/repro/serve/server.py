@@ -2,11 +2,13 @@
 
 ``Server`` turns a warmed :class:`~repro.compiler.runtime.CompiledProgram`
 into a service: independent requests are admitted (bounded queue,
-per-tenant quotas, priority headroom), coalesced by (program,
-size-bucket, frozen-scalars) bucket under a max-batch / max-delay
-policy, and dispatched as single warmed batch executions.  Failures are
-per-request — one poisoned request resolves its own future with the
-error while its batch-mates complete, riding
+per-tenant quotas, priority headroom) and wait until the dispatch
+thread is free.  It then takes the best-priority waiting request plus
+every waiting request in its (program, size-bucket, frozen-scalars)
+bucket, up to ``max_batch``, and runs them as one group in which each
+request executes once (:class:`~repro.serve.batcher.ShapeBatcher`).
+Failures are per-request — one poisoned request resolves its own future
+with the error while its batch-mates complete, riding
 :meth:`CompiledProgram.run_batch`'s per-index capture.
 
 Two dispatch shapes per coalesced group:
@@ -19,13 +21,13 @@ Two dispatch shapes per coalesced group:
   consume disjoint stream slices (row-wise TMV yes; stencils and
   whole-stream reductions no).  A fused failure falls back to unfused
   per-item dispatch so isolation still holds.
-* **unfused** (default): one :meth:`run_batch` over the group — shared
-  selection/warmup, per-index error capture.
+* **unfused** (default): one :meth:`run_batch` over the group — one
+  shared selection, per-index error capture.
 
 Execution runs on a single-threaded executor so the event loop stays
 responsive while the (unsynchronized) program counters are only ever
-touched from one thread; admission keeps batching while a dispatch is
-in flight, which is what makes the batcher fill up under load.
+touched from one thread; admission keeps accepting requests while a
+dispatch is in flight, which is what makes groups grow under load.
 """
 
 from __future__ import annotations
@@ -43,10 +45,9 @@ from ..compiler.plans.base import freeze_scalars
 from ..compiler.runtime import RunOptions, RunResult
 from ..errors import AdmissionError, ServeError
 from ..perfmodel import size_bucket
-from .batcher import (BucketKey, PendingRequest, ShapeBatcher, bucket_key,
+from .batcher import (PendingRequest, ShapeBatcher, bucket_key,
                       linearly_batchable)
 from .metrics import ServeMetrics
-from .queue import DispatchQueue
 from .tenancy import (AdmissionPolicy, Priority, TenantConfig, TenantState,
                       resolve_tenants)
 
@@ -58,10 +59,9 @@ DEFAULT_TENANT = "default"
 class ServeConfig:
     """Front-door policy knobs.
 
-    ``max_batch`` / ``max_delay_s`` bound the coalescing window: a
-    bucket dispatches the moment it holds ``max_batch`` requests or
-    when its oldest request has waited ``max_delay_s``.
-    ``max_queue_depth`` bounds admitted-but-unresolved requests
+    ``max_batch`` bounds one dispatch group: when the dispatch thread
+    frees up, it takes at most ``max_batch`` waiting requests of one
+    bucket.  ``max_queue_depth`` bounds admitted-but-unresolved requests
     (priority classes scale it — see
     :class:`~repro.serve.tenancy.AdmissionPolicy`).  ``fuse_axis``
     opts the program into stream-axis fusion for same-binding groups;
@@ -80,7 +80,6 @@ class ServeConfig:
     """
 
     max_batch: int = 8
-    max_delay_s: float = 0.002
     max_queue_depth: int = 256
     fuse_axis: Optional[str] = None
     fuse_min_gain: float = 2.0
@@ -128,14 +127,15 @@ class Server:
         self.tenants: Dict[str, TenantState] = resolve_tenants(tenants)
         self._policy = AdmissionPolicy(self.config.max_queue_depth)
         self._batcher = ShapeBatcher(self.config.max_batch)
-        self._queue: Optional[DispatchQueue] = None
+        #: Set when a request arrives or the server closes, so the idle
+        #: dispatcher wakes up.
+        self._wakeup: Optional[asyncio.Event] = None
         self._pending = 0
         self._seq = 0
         self._closed = True
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        self._timers: Dict[BucketKey, asyncio.TimerHandle] = {}
         #: strategy tag -> plan family, for per-tenant calibration folds.
         self._family_of = {plan.strategy: plan.family
                            for segment in compiled.segments
@@ -155,7 +155,7 @@ class Server:
         if not self._closed:
             return
         self._loop = asyncio.get_running_loop()
-        self._queue = DispatchQueue()
+        self._wakeup = asyncio.Event()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve")
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
@@ -163,16 +163,11 @@ class Server:
         self.metrics.start_window()
 
     async def close(self) -> None:
-        """Drain: flush open buckets, finish in-flight work, stop."""
+        """Drain: dispatch every waiting request, then stop."""
         if self._closed:
             return
         self._closed = True
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
-        for group in self._batcher.flush_all():
-            self._queue.put_nowait(group)
-        self._queue.close()
+        self._wakeup.set()
         await self._dispatcher
         self._executor.shutdown(wait=True)
         self.metrics.stop_window()
@@ -224,37 +219,20 @@ class Server:
             key=bucket_key(params), future=self._loop.create_future())
         self._pending += 1
         state.inflight += 1
-        full_group, armed = self._batcher.add(request)
-        if full_group is not None:
-            self._disarm(request.key)
-            self._queue.put_nowait(full_group)
-        elif armed is not None:
-            self._arm(request.key, armed)
+        self._batcher.add(request)
+        self._wakeup.set()
         return await request.future
-
-    def _arm(self, key: BucketKey, generation: int) -> None:
-        self._timers[key] = self._loop.call_later(
-            self.config.max_delay_s, self._flush, key, generation)
-
-    def _disarm(self, key: BucketKey) -> None:
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
-
-    def _flush(self, key: BucketKey, generation: int) -> None:
-        """Max-delay timer fired: dispatch whatever the bucket holds."""
-        self._timers.pop(key, None)
-        group = self._batcher.pop(key, generation)
-        if group:
-            self._queue.put_nowait(group)
 
     # -- dispatch --------------------------------------------------------
     async def _dispatch_loop(self) -> None:
-        while True:
-            group = await self._queue.get()
-            if group is None:
-                self._queue.task_done()
-                break
+        """Form and run one group each time the dispatch thread is free,
+        until the server is closed and nothing is left waiting."""
+        while self._batcher or not self._closed:
+            if not self._batcher:
+                self._wakeup.clear()
+                await self._wakeup.wait()
+                continue
+            group = self._batcher.take()
             dispatched_at = time.perf_counter()
             try:
                 entries = await self._loop.run_in_executor(
@@ -262,7 +240,6 @@ class Server:
             except Exception as exc:     # pragma: no cover - defensive
                 entries = [exc] * len(group)
             self._resolve(group, entries, dispatched_at)
-            self._queue.task_done()
 
     def _resolve(self, group: List[PendingRequest], entries,
                  dispatched_at: float) -> None:

@@ -8,6 +8,7 @@ from repro import (AdapticOptions, Duplicate, Filter, Pipeline, SplitJoin,
                    StreamProgram, TESLA_C2050, GTX_285, roundrobin,
                    run_program, api)
 from repro.compiler import AdapticCompiler
+from repro.errors import CompileError
 
 from workloads import (ISAMAX_SRC, SAXPY_SRC, SCALE_SRC, SDOT_SRC, SNRM2_SRC,
                       STENCIL5_SRC, SUM_SRC)
@@ -249,6 +250,24 @@ class TestCompiledProgramAPI:
         compiled.prune_variants(samples=6, extra_params={"r": 1})
         after = compiled.variant_count()
         assert 1 <= after <= before
+
+    def test_prune_names_a_scalar_missing_from_the_box(self, rng):
+        """prune=True over a box without ``a``, which SCALE fused into
+        SUM reads, is a CompileError naming ``a`` (it used to escape as
+        a raw ExprGenError); pinning ``a`` prunes a program that runs."""
+        prog = StreamProgram(
+            Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
+                     Filter(SUM_SRC, pop="n", push=1)),
+            params=["n", "a"], input_size="n",
+            input_ranges={"n": (16, 4096)})
+        with pytest.raises(CompileError, match=r"\['a'\]"):
+            api.compile(prog, options=AdapticOptions(prune=True))
+        compiled = api.compile(prog)
+        compiled.prune_variants(extra_params={"a": 1.5})
+        data = rng.standard_normal(100)
+        result = compiled.run(data, {"n": 100, "a": 1.5})
+        assert np.allclose(result.output,
+                           run_program(prog, data, {"n": 100, "a": 1.5}))
 
     def test_cuda_source_nonempty(self):
         compiled = self._compiled()

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import asyncio
 import dataclasses
 import itertools
 import math
@@ -8,12 +9,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import StreamProgram, api
 from repro.compiler.exprgen import SOURCE_REGISTRY
 from repro.compiler.runtime import InputLocation
+from repro.errors import CompileError
 from repro.gpu import Device, ExecMode, TESLA_C2050
 from repro.gpu.memory import bank_conflict_degree, coalesce_transactions
 from repro.ir import classify, lift_code, run_work
@@ -23,6 +25,7 @@ from repro.compiler.fusion import compose_maps, fuse_map_into_reduction
 from repro.compiler.plans import (ReduceShape, ReduceSingleKernelPlan,
                                   ReduceTwoKernelPlan)
 from repro.compiler.reducers import ScalarReducer
+from repro.serve import ServeConfig, Server
 from repro.streamit import Filter, Pipeline, flatten, rate_match, run_program
 
 from workloads import SCALE_SRC, SUM_SRC
@@ -328,16 +331,31 @@ LATTICE_STAGES = {
               "        push(pop() - a)\n",
 }
 
+#: The box a pruned lattice program declares.
+LATTICE_RANGES = {"n": (16, 4096)}
+
+
+def _lattice_program(stages, reduce, ranges=None):
+    filters = [Filter(LATTICE_STAGES[kind], pop="n", push="n",
+                      name=f"{kind}{i}")
+               for i, kind in enumerate(stages)]
+    if reduce:
+        filters.append(Filter(SUM_SRC, pop="n", push=1, name="sum"))
+    return StreamProgram(Pipeline(*filters), params=["n", "a"],
+                         input_size="n", input_ranges=ranges)
+
 
 class TestOptionLatticeProperties:
     """Every execution route agrees with the sequential interpreter.
 
     A random chain of map stages (optionally ending in a sum reduction),
-    compiled under random placement / chain-fusion / integration flags,
-    runs at every point of exec mode x input location x placement pin on
-    a fresh device.  Each point must match ``run_program``, price exactly
-    the transfers it records, and agree bit for bit with a two-worker
-    ``run_batch`` and with a bundle round trip of the same program.
+    compiled under random placement / chain-fusion / integration / prune
+    flags, runs at every point of exec mode x input location x placement
+    pin on a fresh device.  Each point must match ``run_program``, price
+    exactly the transfers it records, and agree bit for bit with a
+    two-worker ``run_batch`` and with a bundle round trip of the same
+    program.  A second property serves a same-binding group through
+    ``Server``, fused and unfused, and checks it against ``run_batch``.
     """
 
     POINTS = list(itertools.product(
@@ -350,22 +368,30 @@ class TestOptionLatticeProperties:
            reduce=st.booleans(), n=st.integers(16, 4096),
            a=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1),
            placement=st.booleans(), fuse_chains=st.booleans(),
-           integration=st.booleans())
+           integration=st.booleans(), prune=st.booleans())
+    @example(stages=["scale"], reduce=True, n=300, a=1.5, seed=0,
+             placement=False, fuse_chains=False, integration=True,
+             prune=True)
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_every_lattice_point_matches_the_interpreter(
             self, stages, reduce, n, a, seed, placement, fuse_chains,
-            integration):
-        filters = [Filter(LATTICE_STAGES[kind], pop="n", push="n",
-                          name=f"{kind}{i}")
-                   for i, kind in enumerate(stages)]
-        if reduce:
-            filters.append(Filter(SUM_SRC, pop="n", push=1, name="sum"))
-        program = StreamProgram(Pipeline(*filters), params=["n", "a"],
-                                input_size="n")
+            integration, prune):
+        program = _lattice_program(stages, reduce,
+                                   LATTICE_RANGES if prune else None)
         options = api.AdapticOptions(
             placement=placement, fuse_chains=fuse_chains,
-            fuse_min_gain=0.0, integration=integration)
-        compiled = api.compile(program, options=options)
+            fuse_min_gain=0.0, integration=integration, prune=prune)
+        try:
+            compiled = api.compile(program, options=options)
+        except CompileError as exc:
+            # The box leaves ``a`` out; only a cost model that reads it
+            # (a stage using ``a`` fused into the sum) may refuse, and
+            # pruning with ``a`` pinned must then give a program that runs.
+            assert prune and "['a']" in str(exc)
+            options = dataclasses.replace(options, prune=False)
+            compiled = api.compile(program, options=options)
+            compiled.prune_variants(options.range_samples,
+                                    extra_params={"a": a})
         data = np.random.default_rng(seed).standard_normal(n)
         params = {"n": n, "a": a}
         expected = run_program(program, data, params)
@@ -407,3 +433,47 @@ class TestOptionLatticeProperties:
                 assert result.output.tobytes() == output
         finally:
             SOURCE_REGISTRY.clear_loaded()
+
+    @given(stages=st.lists(st.sampled_from(sorted(LATTICE_STAGES)),
+                           min_size=1, max_size=3),
+           reduce=st.booleans(), n=st.integers(16, 1024),
+           a=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1),
+           point=st.sampled_from(POINTS), placement=st.booleans(),
+           fuse_chains=st.booleans(), integration=st.booleans())
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    def test_served_groups_match_run_batch(self, stages, reduce, n, a, seed,
+                                           point, placement, fuse_chains,
+                                           integration):
+        """Three same-binding requests served as one group, fused along
+        ``n`` or not, give ``run_batch``'s outputs under the same
+        ``RunOptions``; a chain ending in the sum cannot fuse."""
+        compiled = api.compile(
+            _lattice_program(stages, reduce),
+            options=api.AdapticOptions(
+                placement=placement, fuse_chains=fuse_chains,
+                fuse_min_gain=0.0, integration=integration))
+        rng = np.random.default_rng(seed)
+        inputs = [rng.standard_normal(n) for _ in range(3)]
+        params = {"n": n, "a": a}
+        mode, location, pin = point
+        options = api.RunOptions(exec_mode=mode, location=location,
+                                 placement=pin)
+        batch = compiled.run_batch(inputs, params, options=options)
+        assert batch.ok
+
+        for fuse_axis in ("n", None):
+            config = ServeConfig(max_batch=3, fuse_axis=fuse_axis,
+                                 fuse_min_gain=0.0, options=options)
+
+            async def serve():
+                async with Server(compiled, config) as server:
+                    return await asyncio.gather(
+                        *(server.submit(x, params) for x in inputs))
+            for result, expected in zip(asyncio.run(serve()),
+                                        batch.results):
+                assert result.batch_size == 3
+                assert result.fused == (fuse_axis is not None
+                                        and not reduce)
+                assert ([sel.strategy for sel in result.run.selections]
+                        == [sel.strategy for sel in expected.selections])
+                assert result.output.tobytes() == expected.output.tobytes()

@@ -5,7 +5,8 @@ steps and ``transfer_seconds`` sums its hop steps.  The option lattice
 (program x exec mode x input location x placement pin) checks, on a fresh
 device per point, that outputs stay bit-identical and that the priced
 transfers equal the recorded ones exactly.  The remaining tests pin
-per-call array params that leave no warm state behind, the placement
+per-call array params that leave no warm state behind, the owned
+device's transfer log holding one run's records, the placement
 pin on the process backend and in failure recovery, and feedback
 probes that fail without failing the request they probed for.
 """
@@ -179,6 +180,24 @@ def test_fresh_array_params_leave_no_warm_state_behind(mode):
     for _ in range(50):
         run_fresh()
     assert (len(compiled._chain_pins), len(compiled._chain_cache)) == warm
+
+
+def test_owned_device_transfer_log_stays_bounded():
+    """The program-owned device keeps only the current run's transfers,
+    so a long-lived server does not grow it by two records a request."""
+    compiled = api.compile(tmv.build())
+    matrix, params = _tmv_input()
+    options = api.RunOptions(exec_mode=ExecMode.VECTORIZED)
+    compiled.run(matrix, params, options=options)
+    device = compiled._run_devices[ExecMode.VECTORIZED]
+    one_run = len(device.transfers)
+    assert one_run == 2                 # the input's H2D, the output's D2H
+    for _ in range(199):
+        compiled.run(matrix, params, options=options)
+    assert len(device.transfers) == one_run
+    outcome = compiled.run_batch([matrix] * 50, params, options=options)
+    assert outcome.ok
+    assert len(device.transfers) == one_run
 
 
 # ----------------------------------------------------------------------

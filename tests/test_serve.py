@@ -1,16 +1,16 @@
 """Serving front door + ``run_batch`` bugfix regressions.
 
 Covers the asyncio front door at unit scale — admission control
-(queue depth, tenant quota), shape-bucket coalescing, max-delay
-flush, model-guarded stream-axis fusion, per-request failure
-isolation under fault injection, per-tenant calibration — and pins
+(queue depth, tenant quota), shape-bucket coalescing at dispatch time,
+priority-then-arrival dispatch order, model-guarded stream-axis fusion,
+per-request failure isolation under fault injection, per-tenant
+calibration, the bounded latency window — and pins
 the three ``run_many`` fixes that shipped with it: the threaded
 selection-refresh race, feedback retention on partially-failed
 batches, and per-binding select-stage attribution.
 """
 
 import asyncio
-import time
 
 import numpy as np
 import pytest
@@ -21,10 +21,9 @@ from repro.compiler import AdapticCompiler
 from repro.errors import AdmissionError, KernelExecutionError, ServeError
 from repro.faults import FaultInjector, FaultPlan
 from repro.gpu import DeviceArray, TESLA_C2050
-from repro.serve import (AdmissionPolicy, DispatchQueue, PendingRequest,
-                         Priority, ServeConfig, Server, ShapeBatcher,
-                         TenantConfig, bucket_key, percentile)
-from repro.serve.metrics import STAGES
+from repro.serve import (AdmissionPolicy, Priority, ServeConfig, Server,
+                         ServeMetrics, TenantConfig, percentile)
+from repro.serve.metrics import LATENCY_WINDOW, STAGES
 from repro.compiler import RunOptions
 
 from workloads import SCALE_SRC
@@ -59,18 +58,21 @@ class TestRunBatchFixes:
         """One poisoned item fails alone; batch-mates complete."""
         inputs, params = make_binding(rng, n=4)
         compiled.run(inputs[0], params)  # warm the binding
-        # Executions after attach: 1 = run_batch warmup, 2..5 = items
-        # 0..3.  nth=3/count=V makes exactly item 1 exhaust every
-        # variant and fail terminally.
+        # Executions after attach: 1..4 = items 0..3 (a serial batch
+        # runs no warmup).  nth=2/count=V makes exactly item 1 exhaust
+        # every variant and fail terminally.
         compiled.faults = FaultInjector(
-            [FaultPlan(family="*", kind="raise", nth=3,
+            [FaultPlan(family="*", kind="raise", nth=2,
                        count=TMV_VARIANTS)], seed=0)
+        before = compiled.stats.snapshot()
         outcome = compiled.run_batch(inputs, [params] * 4)
         assert sorted(outcome.errors) == [1]
         assert isinstance(outcome.errors[1], KernelExecutionError)
         assert not outcome.ok
         assert [r is not None for r in outcome.results] == [
             True, False, True, True]
+        # The three completed items are the batch's only runs.
+        assert compiled.stats.since(before).runs == 3
         reference = [np.asarray(m).reshape(-1, params["cols"]) @
                      params["vec"] for m in inputs]
         for index in (0, 2, 3):
@@ -85,10 +87,10 @@ class TestRunBatchFixes:
         compiled.run(a_inputs[0], a_params)
         compiled.run(b_inputs[0], b_params)
         assert len(compiled.calibration) == 0
-        # Executions after attach: 1-2 = per-binding warmups, 3-4 =
-        # binding-A items, 5.. = the B item's terminal exhaustion.
+        # Executions after attach: 1-2 = binding-A items, 3.. = the B
+        # item's terminal exhaustion (a serial batch runs no warmup).
         compiled.faults = FaultInjector(
-            [FaultPlan(family="*", kind="raise", nth=5,
+            [FaultPlan(family="*", kind="raise", nth=3,
                        count=TMV_VARIANTS)], seed=0)
         with pytest.raises(KernelExecutionError) as excinfo:
             compiled.run_many(a_inputs + b_inputs,
@@ -144,8 +146,7 @@ class TestRunBatchFixes:
 class TestAdmission:
     def test_queue_depth_rejection(self, compiled, rng):
         inputs, params = make_binding(rng, n=2)
-        config = ServeConfig(max_batch=2, max_delay_s=60.0,
-                             max_queue_depth=1)
+        config = ServeConfig(max_batch=2, max_queue_depth=1)
 
         async def scenario():
             async with Server(compiled, config) as server:
@@ -157,15 +158,14 @@ class TestAdmission:
                     await server.submit(inputs[1], params)
                 assert excinfo.value.reason == "queue_full"
                 assert server.metrics.rejected == {"queue_full": 1}
-            # close() flushed the half-full bucket, resolving `first`.
+            # close() drained every admitted request, resolving `first`.
             result = await first
             assert result.batch_size == 1
         asyncio.run(scenario())
 
     def test_tenant_quota_rejection(self, compiled, rng):
         inputs, params = make_binding(rng, n=3)
-        config = ServeConfig(max_batch=4, max_delay_s=60.0,
-                             max_queue_depth=16)
+        config = ServeConfig(max_batch=4, max_queue_depth=16)
 
         async def scenario():
             async with Server(compiled, config,
@@ -207,13 +207,13 @@ class TestAdmission:
 
 
 # ---------------------------------------------------------------------------
-# Coalescing and the max-delay flush
+# Coalescing at dispatch time
 # ---------------------------------------------------------------------------
 class TestCoalescing:
     def test_same_binding_requests_share_one_dispatch(self, compiled, rng):
         a_inputs, a_params = make_binding(rng, rows=16, cols=16, n=4)
         b_inputs, b_params = make_binding(rng, rows=8, cols=32, n=2)
-        config = ServeConfig(max_batch=4, max_delay_s=0.01)
+        config = ServeConfig(max_batch=4)
 
         async def scenario():
             async with Server(compiled, config) as server:
@@ -226,42 +226,33 @@ class TestCoalescing:
         assert metrics.batched_requests == 6
         assert metrics.max_batch_size == 4
 
-    def test_max_delay_flushes_partial_bucket(self, compiled, rng):
-        inputs, params = make_binding(rng, n=2)
-        config = ServeConfig(max_batch=8, max_delay_s=0.02)
+    def test_groups_form_at_dispatch_without_a_timer(self, compiled, rng):
+        """Same-binding requests submitted together dispatch as one
+        group; a lone request on an idle server dispatches at once."""
+        inputs, params = make_binding(rng, n=3)
+        config = ServeConfig(max_batch=8)
 
         async def scenario():
             async with Server(compiled, config) as server:
-                started = time.perf_counter()
-                results = await asyncio.gather(
+                together = await asyncio.gather(
                     server.submit(inputs[0], params),
                     server.submit(inputs[1], params))
-                waited = time.perf_counter() - started
-                return results, waited, server.metrics
-        results, waited, metrics = asyncio.run(scenario())
-        assert [r.batch_size for r in results] == [2, 2]
-        assert waited >= config.max_delay_s
-        assert metrics.dispatches == 1
-        for result in results:
+                lone = asyncio.ensure_future(
+                    server.submit(inputs[2], params))
+                # Two loop turns: the submit wakes the idle dispatcher,
+                # which takes the request with no timer to wait out.
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)
+                assert len(server._batcher) == 0
+                assert server.pending == 1
+                return together, await lone, server.metrics
+        together, lone, metrics = asyncio.run(scenario())
+        assert [r.batch_size for r in together] == [2, 2]
+        assert lone.batch_size == 1
+        assert metrics.dispatches == 2
+        for result in together + [lone]:
             assert set(result.stage_seconds) == set(STAGES)
             assert all(v >= 0.0 for v in result.stage_seconds.values())
-
-    def test_stale_timer_generation_is_noop(self, rng):
-        inputs, params = make_binding(rng, n=2)
-        batcher = ShapeBatcher(max_batch=2)
-        key = bucket_key(params)
-        requests = [
-            PendingRequest(seq=i, tenant="t", priority=Priority.NORMAL,
-                           host_input=inputs[i], params=dict(params),
-                           key=key, future=None)
-            for i in range(2)]
-        group, armed = batcher.add(requests[0])
-        assert group is None and armed is not None
-        group, second_armed = batcher.add(requests[1])
-        assert [r.seq for r in group] == [0, 1] and second_armed is None
-        # The armed timer's generation is stale now — firing it must
-        # not double-dispatch the already-popped bucket.
-        assert batcher.pop(key, armed) is None
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +369,14 @@ class TestFailureIsolation:
         compiled.run(inputs[0], params)  # warm the binding
         reference = [np.asarray(m).reshape(-1, params["cols"]) @
                      params["vec"] for m in inputs]
-        # Dispatch executions: 1 = warmup, 2..5 = items 0..3; nth=3
-        # poisons exactly item 1 until every variant is exhausted.
+        # Dispatch executions: 1..4 = items 0..3 (the group's serial
+        # run_batch runs no warmup); nth=2 poisons exactly item 1 until
+        # every variant is exhausted.
         compiled.faults = FaultInjector(
-            [FaultPlan(family="*", kind="raise", nth=3,
+            [FaultPlan(family="*", kind="raise", nth=2,
                        count=TMV_VARIANTS)], seed=0)
-        config = ServeConfig(max_batch=4, max_delay_s=0.01)
+        config = ServeConfig(max_batch=4)
+        before = compiled.stats.snapshot()
 
         async def scenario():
             async with Server(compiled, config) as server:
@@ -399,6 +392,8 @@ class TestFailureIsolation:
                                        reference[index])
         assert metrics.completed == 3
         assert metrics.failed == 1
+        assert metrics.dispatches == 1
+        assert compiled.stats.since(before).runs == 3
 
     def test_fused_failure_falls_back_to_per_item_dispatch(self, compiled,
                                                            rng):
@@ -449,29 +444,27 @@ class TestTenancyAndMetrics:
         assert server.tenant("alice").completed == 1
         assert server.metrics.summary()["completed"] == 2
 
-    def test_dispatch_queue_orders_by_priority_then_arrival(self, rng):
-        inputs, params = make_binding(rng, n=3)
-
-        def request(seq, priority):
-            return PendingRequest(seq=seq, tenant="t", priority=priority,
-                                  host_input=inputs[0],
-                                  params=dict(params),
-                                  key=bucket_key(params), future=None)
+    def test_dispatch_orders_by_priority_then_arrival(self, compiled, rng):
+        """The free dispatcher takes the best priority class first and
+        the oldest request within a class."""
+        inputs, params = make_binding(rng, n=4)
+        priorities = [Priority.LOW, Priority.NORMAL, Priority.HIGH,
+                      Priority.NORMAL]
+        order = []
 
         async def scenario():
-            queue = DispatchQueue()
-            queue.put_nowait([request(0, Priority.LOW)])
-            queue.put_nowait([request(1, Priority.NORMAL)])
-            queue.put_nowait([request(2, Priority.HIGH)])
-            queue.close()
-            order = []
-            while True:
-                group = await queue.get()
-                if group is None:
-                    break
-                order.append(group[0].seq)
-            return order
-        assert asyncio.run(scenario()) == [2, 1, 0]
+            # max_batch=1: every request is its own dispatch group.
+            async with Server(compiled, ServeConfig(max_batch=1)) as server:
+                jobs = []
+                for index, priority in enumerate(priorities):
+                    job = asyncio.ensure_future(server.submit(
+                        inputs[index], params, priority=priority))
+                    job.add_done_callback(
+                        lambda _job, index=index: order.append(index))
+                    jobs.append(job)
+                await asyncio.gather(*jobs)
+        asyncio.run(scenario())
+        assert order == [2, 1, 3, 0]
 
     def test_percentile_nearest_rank(self):
         values = [float(v) for v in range(1, 101)]
@@ -481,3 +474,16 @@ class TestTenancyAndMetrics:
         assert percentile([], 50) == 0.0
         with pytest.raises(ValueError):
             percentile(values, 101)
+
+    def test_latency_window_is_bounded(self):
+        """Percentiles read the last LATENCY_WINDOW completions only."""
+        metrics = ServeMetrics()
+        for _ in range(100):
+            metrics.record_completion(1e3, {})      # aged-out outliers
+        recent = [float(v) for v in range(1, LATENCY_WINDOW + 1)]
+        for latency in recent:
+            metrics.record_completion(latency, {})
+        assert len(metrics.latencies) == LATENCY_WINDOW
+        assert metrics.completed == LATENCY_WINDOW + 100
+        assert metrics.latency_percentile(99) == percentile(recent, 99)
+        assert metrics.latency_percentile(100) == recent[-1]
