@@ -113,7 +113,7 @@ class TestUncalibratedBitIdentical:
         for field in ("model_evals", "cache_hits", "table_hits",
                       "select_calls", "expr_compiles", "runs",
                       "feedback_observations", "probe_runs",
-                      "mispredicts", "table_patches", "table_rebakes"):
+                      "mispredicts", "table_rebakes"):
             assert getattr(plain.stats, field) \
                 == getattr(layered.stats, field), field
         assert layered.calibration.is_identity()

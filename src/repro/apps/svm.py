@@ -136,12 +136,3 @@ def make_dataset(name: str, rng=None,
             "spec": spec}
 
 
-def reference_kernel_row(x: np.ndarray, norms: np.ndarray, i: int,
-                         gamma: float) -> np.ndarray:
-    dots = x @ x[i]
-    return np.exp(-gamma * (norms + norms[i] - 2 * dots))
-
-
-def iteration_flops(samples: int, features: int) -> float:
-    """Useful FLOPs of one SMO iteration (two kernel rows dominate)."""
-    return 2 * (2.0 * samples * features + 4.0 * samples) + 5.0 * samples

@@ -7,7 +7,7 @@
     python -m repro all                    # print every table
     python -m repro apps                   # list benchmark applications
     python -m repro describe tmv           # compiled variants + CUDA text
-    python -m repro calibration [sdot]     # feedback recovery experiment
+    python -m repro calibration [sdot]     # feedback recovery, verdict OK/FAIL
     python -m repro health                 # fault-tolerance self-check
     python -m repro serve-bench            # front-door load benchmark
     python -m repro bundle save tmv --out tmv.bundle.json
@@ -166,7 +166,9 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"on {spec.name}")
         for key, value in report.items():
             print(f"{key:16s} {value}")
-        return 0
+        recovered = report["accuracy_after"] == 1.0
+        print(f"{'verdict':16s} {'OK' if recovered else 'FAIL'}")
+        return 0 if recovered else 1
     if args.command == "health":
         return _health(spec, workers=args.workers)
     if args.command == "placement":

@@ -270,18 +270,6 @@ class KernelPlan(abc.ABC):
         return f"{type(self).__name__}({self.name!r}, {self.strategy})"
 
 
-def alloc_output(device: Device, plan: KernelPlan,
-                 params: Dict[str, float],
-                 dtype=np.float64) -> DeviceArray:
-    return device.alloc(plan.output_size(params), dtype=dtype,
-                        name=f"{plan.name}.out")
-
-
-def scalar_params(params: Dict[str, float]) -> Dict[str, float]:
-    """Strip array-valued entries; the model only consumes scalars."""
-    return {k: v for k, v in params.items() if np.isscalar(v)}
-
-
 def freeze_scalars(params) -> tuple:
     """Hashable projection of a parameter binding onto its scalars.
 

@@ -186,9 +186,6 @@ class ScalarReducer(Reducer):
     def c_combine_stmt(self, a: str, b: str) -> str:
         return f"{a} = {c_combine(self.kind, a, b)};"
 
-    def c_epilogue(self, acc: str) -> str:
-        return c_expr(self.pattern.epilogue, {"_acc": acc})
-
 
 class ArgReducer(Reducer):
     """Index-of-extremum reduction with (value, index) state."""

@@ -61,6 +61,10 @@ from .stats import CostCache, SelectionStats
 #: Layouts that need no host-side restructuring.
 _CANONICAL = {"interleaved", "rows"}
 
+#: Relative calibration-factor change past which feedback re-sweeps the
+#: observed segment's dispatch table around the binding.
+REBAKE_THRESHOLD = 0.25
+
 _MISS = object()
 
 
@@ -1449,12 +1453,8 @@ class CompiledProgram:
         # box under whatever per-bucket factors existed at that moment,
         # so boxes spanning not-yet-observed buckets keep biased cuts.
         # Close the loop: once the whole pass has been folded in, re-sweep
-        # every disturbed table under the converged store — unless the
-        # policy disabled re-baking, leaving repair to boundary patches.
-        delta = self.stats.since(before)
-        if config.rebake_threshold is not None \
-                and (delta.table_patches or delta.table_rebakes
-                     or delta.subtree_resweeps) \
+        # every table under the converged store if the pass re-swept any.
+        if self.stats.since(before).table_rebakes \
                 and not self.calibration.is_identity():
             for segment in self.segments:
                 self._rebake_dispatch(segment)
@@ -1704,16 +1704,18 @@ class CompiledProgram:
         the observed/predicted ratio into the family's EWMA factor, then
         decide whether to spend a probe on the calibrated runner-up —
         because that family has never been observed at this size bucket
-        (exploration), because the chosen variant's observed time
+        (exploration), or because the chosen variant's observed time
         exceeded the runner-up's calibrated prediction by the mispredict
-        margin, or on the deterministic epsilon schedule.  A probe
-        measures the runner-up (observer call, or a re-execution of the
-        chain with the runner substituted); if the calibrated costs then
-        rank the runner first, the segment's baked break-even boundary is
-        patched in place.  Probes are bounded per ``(segment, bucket)``
-        by ``config.probe_limit``; large factor swings re-bake the
-        affected table (``config.rebake_threshold``).  A probe execution
-        that fails observes nothing (see :meth:`_probe_execute`).
+        margin.  A probe measures the runner-up (observer call, or a
+        re-execution of the chain with the runner substituted).  Probes
+        are bounded per ``(segment, bucket)`` by ``config.probe_limit``.
+
+        A baked table is repaired one way, :meth:`_rebake_dispatch`'s
+        re-sweep of the subtree owning the binding: when a factor moves
+        by more than :data:`REBAKE_THRESHOLD`, and when the calibrated
+        costs rank the probed runner first while the table still names
+        another winner.  A probe execution that fails observes nothing
+        (see :meth:`_probe_execute`).
         """
         store = self.calibration
         stats = self.stats
@@ -1729,18 +1731,15 @@ class CompiledProgram:
                                        plan, device, location)
 
         def fold(segment: Segment, plan: KernelPlan,
-                 observed: float) -> float:
+                 observed: float) -> None:
             raw = self.cost.plan_seconds(plan, params)
             predicted = raw * store.bias(plan.family)
             change = store.observe(
                 plan.family, scalars, bucket, observed, predicted,
                 alpha=config.alpha, variant=plan.variant_key(params))
             stats.feedback_observations += 1
-            if (config.rebake_threshold is not None
-                    and change > config.rebake_threshold
-                    and segment.dispatch is not None):
+            if change > REBAKE_THRESHOLD and segment.dispatch is not None:
                 self._rebake_dispatch(segment, params)
-            return change
 
         from_host = location.on_host
         for index, (segment, plan) in enumerate(zip(self.segments, plans)):
@@ -1772,12 +1771,9 @@ class CompiledProgram:
             runner_cal = cost.plan_seconds(runner, params)
             mispredict = (not explore
                           and observed > config.margin * runner_cal)
-            interval = config.probe_interval()
-            periodic = bool(interval) and \
-                store.total_observations % interval == 0
             if mispredict:
                 stats.mispredicts += 1
-            if not (explore or mispredict or periodic):
+            if not (explore or mispredict):
                 continue
             if store.probes_used(segment.name, bucket) \
                     >= config.probe_limit:
@@ -1789,14 +1785,17 @@ class CompiledProgram:
                 continue        # the probe failed; the runner is quarantined
             fold(segment, runner, runner_observed)
             # Post-probe verdict: does the calibrated model now rank the
-            # runner first?  If a baked table chose the loser, repair its
-            # break-even boundary in place; argmin paths pick up the new
-            # factors on the next select() automatically.
+            # runner first?  If the baked table still names another
+            # winner here (a factor-swing re-sweep may already have fixed
+            # it), re-sweep the subtree owning the binding; argmin paths
+            # pick up the new factors on the next select() automatically.
             cost = self._selection_cost()
-            if cost.plan_seconds(runner, params) \
-                    < cost.plan_seconds(plan, params):
-                self._patch_dispatch(segment, params, runner.strategy,
-                                     seg_from_host)
+            runner_wins = (cost.plan_seconds(runner, params)
+                           < cost.plan_seconds(plan, params))
+            dispatch = segment.dispatch
+            if runner_wins and dispatch is not None and dispatch.lookup(
+                    params, seg_from_host) not in (None, runner.strategy):
+                self._rebake_dispatch(segment, params)
 
     def _probe_execute(self, host_input: np.ndarray,
                        params: Dict[str, float],
@@ -1833,26 +1832,6 @@ class CompiledProgram:
         delta.runs = 0
         self.stats.merge(delta)
         return result.selections[index].measured_seconds
-
-    def _patch_dispatch(self, segment: Segment, params: Dict[str, float],
-                        winner: str, from_host: bool) -> bool:
-        """Repair a baked table that a probe just contradicted.
-
-        The region table moves its nearest region boundary (or carves a
-        cell).  The ``lookup`` guard guarantees the binding is inside
-        the baked coverage, so ``patch_at`` never sees the out-of-range
-        :class:`CalibrationError` path.
-        """
-        dispatch = segment.dispatch
-        if dispatch is None:
-            return False
-        current = dispatch.lookup(params, from_host)
-        if current is None or current == winner:
-            return False
-        if dispatch.patch_at(params, winner):
-            self.stats.table_patches += 1
-            return True
-        return False
 
     def _sweep_cost(self, cost, plan: KernelPlan,
                     params: Dict[str, float]) -> float:
@@ -1935,11 +1914,14 @@ class CompiledProgram:
                          params: Optional[Dict[str, float]] = None) -> bool:
         """Re-sweep one segment's baked table under calibrated costs.
 
-        With a triggering binding (``params``) inside the baked box, only
-        the subtree owning the binding's region is re-swept — a large
-        factor swing moves the break-even surface locally, so regions far
-        from the observation keep their cuts.  Without a binding (e.g.
-        :meth:`load_calibration`) the whole table is rebuilt.
+        The one way a baked table changes after baking.  With a
+        triggering binding (``params``) inside the baked box — a large
+        factor swing, or a probe the table contradicts — only the
+        subtree owning the binding's region is re-swept: the break-even
+        surface moved locally, so regions far from the observation keep
+        their cuts.  Without a binding (:meth:`load_calibration`, the
+        converged pass of :meth:`recalibrate`) the whole table is
+        rebuilt.
         """
         dispatch = segment.dispatch
         if dispatch is None:

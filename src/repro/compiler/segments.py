@@ -55,15 +55,6 @@ class RegionDispatch:
             return None
         return self.region.lookup(params)
 
-    def patch_at(self, params: Dict[str, float], winner: str) -> bool:
-        """Move the nearest region boundary so ``params`` maps to ``winner``.
-
-        Delegates to :meth:`~repro.perfmodel.RegionTable.patch`; called
-        by the runtime's feedback layer only after :meth:`lookup`
-        confirmed the binding is inside the baked box.
-        """
-        return self.region.patch(params, winner)
-
 
 @dataclasses.dataclass
 class Segment:

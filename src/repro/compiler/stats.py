@@ -66,9 +66,8 @@ class SelectionStats:
     #: Probe measurements of a runner-up variant (bounded per
     #: segment + size bucket by :class:`FeedbackConfig.probe_limit`).
     probe_runs: int = 0
-    #: Dispatch-table break-even boundaries patched in place by a probe.
-    table_patches: int = 0
-    #: Dispatch tables re-swept after a large calibration-factor change.
+    #: Dispatch tables re-swept after a large calibration-factor change
+    #: or a probe that contradicted the table.
     table_rebakes: int = 0
     #: Region-table rebakes that re-swept only the affected subtree.
     subtree_resweeps: int = 0
@@ -90,10 +89,6 @@ class SelectionStats:
     def runtime_evals(self) -> int:
         """Model evaluations attributable to runtime selection."""
         return self.model_evals - self.compile_evals
-
-    @property
-    def cost_queries(self) -> int:
-        return self.model_evals + self.cache_hits
 
     def snapshot(self) -> "SelectionStats":
         return dataclasses.replace(self)
@@ -134,7 +129,6 @@ class SelectionStats:
                 f" feedback={self.feedback_observations}"
                 f" probes={self.probe_runs}"
                 f" mispredicts={self.mispredicts}"
-                f" patches={self.table_patches}"
                 f" rebakes={self.table_rebakes}"
                 f" sweep_failures={self.sweep_failures}")
 

@@ -167,8 +167,8 @@ def calibration_report(name: str = "sdot", spec: GPUSpec = TESLA_C2050,
     biased model, and score selection against the un-biased model over
     :data:`VECTOR_SIZES`.  Then drive :meth:`CompiledProgram.recalibrate`
     with the un-biased model as the measurement source and score again —
-    the EWMA factors cancel the bias and the mispredict probes re-bake
-    or patch the wrong table entries.
+    the EWMA factors cancel the bias and the mispredict probes re-sweep
+    the wrong table entries.
     """
     compiled = api.compile(_program(name), arch=spec)
     truth = compiled.cost.plan_seconds
@@ -190,7 +190,7 @@ def calibration_report(name: str = "sdot", spec: GPUSpec = TESLA_C2050,
         "accuracy_before": before, "accuracy_after": after,
         "observations": stats.feedback_observations,
         "probes": stats.probe_runs, "mispredicts": stats.mispredicts,
-        "patches": stats.table_patches, "rebakes": stats.table_rebakes,
+        "rebakes": stats.table_rebakes,
     }
 
 

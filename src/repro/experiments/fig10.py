@@ -130,7 +130,7 @@ def calibration_report(total_elements: int = 1 << 20,
         "accuracy_before": before, "accuracy_after": after,
         "observations": stats.feedback_observations,
         "probes": stats.probe_runs, "mispredicts": stats.mispredicts,
-        "patches": stats.table_patches, "rebakes": stats.table_rebakes,
+        "rebakes": stats.table_rebakes,
     }
 
 

@@ -14,9 +14,9 @@ Region tables over two input axes, measured:
 * :func:`calibration_report` — the region tables are baked under a
   model biased for one kernel family, so the 2-D break-even boundary
   starts in the wrong place; the feedback loop then observes un-biased
-  measurements, patches the nearest region boundary and re-sweeps the
-  affected subtree, and selection accuracy against the un-biased model
-  is scored before and after the repair.
+  measurements and re-sweeps the subtree owning each contradicted
+  binding, and selection accuracy against the un-biased model is
+  scored before and after the repair.
 """
 
 from __future__ import annotations
@@ -166,8 +166,8 @@ def calibration_report(spec: GPUSpec = TESLA_C2050, bias: float = 3.0,
     the un-biased model picks mid-grid), so the baked break-even surface
     sits in the wrong place relative to ground truth.  The feedback loop
     then runs with the un-biased model as its observer: mispredicted
-    bindings probe the runner-up, patch the nearest region boundary, and
-    large factor swings re-sweep the containing subtree.  Selection
+    bindings probe the runner-up, and a probe the table contradicts or a
+    large factor swing re-sweeps the containing subtree.  Selection
     accuracy is scored against the un-biased model before and after.
     """
     compiled = _compiled(spec, samples=samples)
@@ -191,6 +191,6 @@ def calibration_report(spec: GPUSpec = TESLA_C2050, bias: float = 3.0,
         "accuracy_before": before, "accuracy_after": after,
         "observations": stats.feedback_observations,
         "probes": stats.probe_runs, "mispredicts": stats.mispredicts,
-        "patches": stats.table_patches, "rebakes": stats.table_rebakes,
+        "rebakes": stats.table_rebakes,
         "subtree_resweeps": stats.subtree_resweeps,
     }

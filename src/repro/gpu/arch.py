@@ -71,10 +71,6 @@ class GPUSpec:
     def max_warps_per_sm(self) -> int:
         return self.max_threads_per_sm // self.warp_size
 
-    @property
-    def kernel_launch_overhead_cycles(self) -> float:
-        return self.kernel_launch_overhead_us * 1e3 * self.core_clock_ghz * 1e6 / 1e6
-
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / (self.core_clock_ghz * 1e9)
 

@@ -137,15 +137,6 @@ def assigned_vars(body: List[N.Stmt]) -> Set[str]:
     return out
 
 
-def read_vars(body: List[N.Stmt]) -> Set[str]:
-    out: Set[str] = set()
-    for stmt in body:
-        for node in stmt.walk():
-            if isinstance(node, N.Var):
-                out.add(node.name)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Loop-carried dependences
 # ---------------------------------------------------------------------------

@@ -43,10 +43,6 @@ class ReductionPattern:
     trip: N.Expr                  # symbolic element count
     epilogue: N.Expr              # in terms of _acc
 
-    @property
-    def is_commutative_associative(self) -> bool:
-        return True  # only such kinds are matched
-
 
 @dataclasses.dataclass
 class ArgReducePattern:

@@ -217,8 +217,8 @@ class RegionTable:
                 if loud:
                     raise CalibrationError(
                         f"point {ax.name}={value!r} is outside the baked "
-                        f"box [{ax.lo}, {ax.hi}]; re-bake the region table "
-                        f"instead of patching")
+                        f"box [{ax.lo}, {ax.hi}]; re-bake the whole region "
+                        f"table instead of re-sweeping a subtree")
                 return None
             values[ax.name] = int(value)
         return values
@@ -238,98 +238,19 @@ class RegionTable:
         return node.winner
 
     # -- feedback repair ----------------------------------------------
-    def patch(self, point: Mapping[str, float], winner: str) -> bool:
-        """Repair the tree so ``point`` maps to ``winner`` (feedback).
-
-        When a neighbouring region across one of the containing leaf's
-        boundaries already belongs to ``winner``, the *nearest* such
-        break-even boundary moves to include the point (the common case —
-        the model merely misplaced the cut); otherwise a unit cell is
-        carved around the point.  Returns ``False`` when the point
-        already maps to ``winner``; a point outside the baked box raises
-        :class:`~repro.errors.CalibrationError`.
-        """
-        values = self._values(point, loud=True)
-        box = {ax.name: [ax.lo, ax.hi] for ax in self.axes}
-        lo_setter: Dict[str, RegionNode] = {}
-        hi_setter: Dict[str, RegionNode] = {}
-        node = self.root
-        while not node.is_leaf:
-            if values[node.axis] < node.cut:
-                box[node.axis][1] = node.cut - 1
-                hi_setter[node.axis] = node
-                node = node.low
-            else:
-                box[node.axis][0] = node.cut
-                lo_setter[node.axis] = node
-                node = node.high
-        if node.winner == winner:
-            return False
-
-        def sample_inside(ax, a: float, b: float) -> bool:
-            # A sampled grid point strictly inside (a, b): the sweep saw
-            # the old winner there, and one probe elsewhere on the line
-            # is no license to flip sweep-verified evidence — the factor
-            # convergence re-sweep handles moves that big.
-            return any(a < g < b
-                       for g in geometric_points(ax.lo, ax.hi, ax.samples))
-
-        best: Optional[Tuple[int, RegionNode, int]] = None
-        for ax in self.axes:
-            lo, hi = box[ax.name]
-            value = values[ax.name]
-            setter = lo_setter.get(ax.name)
-            if setter is not None and not sample_inside(ax, lo - 1, value):
-                neighbor = dict(values)
-                neighbor[ax.name] = lo - 1
-                if self.lookup(neighbor) == winner:
-                    distance = value - lo + 1
-                    if best is None or distance < best[0]:
-                        best = (distance, setter, value + 1)
-            setter = hi_setter.get(ax.name)
-            if setter is not None and not sample_inside(ax, value, hi + 1):
-                neighbor = dict(values)
-                neighbor[ax.name] = hi + 1
-                if self.lookup(neighbor) == winner:
-                    distance = hi - value + 1
-                    if best is None or distance < best[0]:
-                        best = (distance, setter, value)
-        if best is not None:
-            _distance, setter, cut = best
-            setter.cut = cut
-            return True
-        # No adjacent region belongs to the winner: carve a unit cell.
-        old = node.winner
-        cell = RegionNode(winner=winner)
-        for ax in self.axes:
-            lo, hi = box[ax.name]
-            value = values[ax.name]
-            if value > lo:
-                cell = RegionNode(axis=ax.name, cut=value,
-                                  low=RegionNode(winner=old), high=cell)
-            if value < hi:
-                cell = RegionNode(axis=ax.name, cut=value + 1,
-                                  low=cell, high=RegionNode(winner=old))
-        if cell.is_leaf:
-            node.winner = winner
-        else:
-            node.winner = None
-            node.axis, node.cut = cell.axis, cell.cut
-            node.low, node.high = cell.low, cell.high
-        return True
-
     def resweep_subtree(self, point: Mapping[str, float],
                         variants: Sequence[Variant],
                         refine: bool = True) -> bool:
         """Re-sweep only the subtree whose region contains ``point``.
 
-        After a large calibration-factor swing the break-even surface
-        around the observed binding is stale, but regions far away are
-        usually still right — so the containing leaf's *parent* box (the
-        smallest subtree owning the break-even boundary that just moved)
-        is rebuilt in place and the rest of the tree is untouched.  A
-        point outside the baked box raises
-        :class:`~repro.errors.CalibrationError`.
+        The table's one repair.  After a large calibration-factor swing,
+        or a probe that contradicts the table's winner, the break-even
+        surface around the observed binding is stale, but regions far
+        away are usually still right — so the containing leaf's *parent*
+        box (the smallest subtree owning the break-even boundary that
+        just moved) is rebuilt in place by :func:`sweep_region` and the
+        rest of the tree is untouched.  A point outside the baked box
+        raises :class:`~repro.errors.CalibrationError`.
         """
         values = self._values(point, loud=True)
         box = {ax.name: (ax.lo, ax.hi) for ax in self.axes}

@@ -83,22 +83,8 @@ class FeedbackConfig:
     margin: float = 1.25
     #: Maximum probe runs per ``(segment, size bucket)``.
     probe_limit: int = 3
-    #: Relative factor change that triggers an in-place re-bake of the
-    #: affected segment's dispatch table (``None`` disables re-baking).
-    rebake_threshold: Optional[float] = 0.25
-    #: Deterministic exploration rate: every ``round(1/epsilon)``-th
-    #: feedback observation probes the runner-up even without a
-    #: mispredict signal.  0 disables periodic re-exploration (the
-    #: unobserved-runner-up exploration probe still fires).
-    epsilon: float = 0.0
     #: Deterministic measurement source for recalibration drivers.
     observer: Optional[Callable[[object, dict], float]] = None
-
-    def probe_interval(self) -> int:
-        """Observation period of the epsilon exploration probe (0 = off)."""
-        if self.epsilon <= 0:
-            return 0
-        return max(1, int(round(1.0 / self.epsilon)))
 
 
 @dataclasses.dataclass
@@ -152,8 +138,6 @@ class CalibrationStore:
         self._probes: Dict[Tuple[str, int], int] = {}
         self._observations: Dict[tuple, Deque[Observation]] = {}
         self._quarantined: Dict[Tuple[str, int], str] = {}
-        #: Total feedback observations recorded (drives epsilon probes).
-        self.total_observations = 0
         #: :meth:`GPUSpec.fingerprint` of the architecture the factors
         #: were measured on (``None`` until stamped by the runtime).
         self.arch_fingerprint: Optional[str] = None
@@ -170,24 +154,6 @@ class CalibrationStore:
         bit-identically to one without the calibration layer.
         """
         return not self._factors and not self._bias
-
-    # -- device namespaces ----------------------------------------------
-    @staticmethod
-    def family_device(family: str) -> str:
-        """Execution device a plan family's factors describe.
-
-        Host plan families carry the ``cpu.`` strategy prefix, so the
-        per-``(family, bucket)`` factor keys already form disjoint
-        per-device namespaces: feedback on a GPU variant can never bend
-        a CPU prediction (and vice versa), which is what keeps
-        heterogeneous break-even points stable under calibration.
-        """
-        return "cpu" if family.startswith("cpu.") else "gpu"
-
-    def device_factors(self, device: str) -> Dict[Tuple[str, int], float]:
-        """The ``(family, bucket) -> factor`` view of one device's state."""
-        return {key: state.factor for key, state in self._factors.items()
-                if self.family_device(key[0]) == device}
 
     # -- factors ---------------------------------------------------------
     def ewma(self, family: str, bucket: int) -> float:
@@ -226,8 +192,8 @@ class CalibrationStore:
         reality and the model, not chase its own corrections).  The
         first observation seeds the EWMA with the raw ratio; later ones
         blend with weight ``alpha``.  Returns the relative change of
-        the factor — the runtime re-bakes dispatch tables when it
-        exceeds :attr:`FeedbackConfig.rebake_threshold`.
+        the factor — the runtime re-sweeps dispatch tables when it
+        exceeds :data:`~repro.compiler.runtime.REBAKE_THRESHOLD`.
         """
         if (not math.isfinite(observed_seconds) or observed_seconds <= 0.0
                 or not math.isfinite(predicted_seconds)
@@ -254,7 +220,6 @@ class CalibrationStore:
             window = collections.deque(maxlen=OBSERVATION_WINDOW)
             self._observations[key] = window
         window.append(record)
-        self.total_observations += 1
         return abs(new - old) / old if old else 0.0
 
     def observations(self, variant: str, scalars: tuple,
@@ -310,7 +275,6 @@ class CalibrationStore:
         self._probes.clear()
         self._observations.clear()
         self._quarantined.clear()
-        self.total_observations = 0
         self.arch_fingerprint = None
 
     # -- serialization ---------------------------------------------------
@@ -318,7 +282,6 @@ class CalibrationStore:
         return {
             "version": CALIBRATION_SCHEMA_VERSION,
             "arch_fingerprint": self.arch_fingerprint,
-            "total_observations": self.total_observations,
             "factors": [
                 {"family": family, "bucket": bucket,
                  "factor": state.factor,
@@ -393,7 +356,6 @@ class CalibrationStore:
         for entry in payload.get("quarantines", ()):
             store._quarantined[(entry["strategy"], int(entry["bucket"]))] = \
                 str(entry.get("reason", ""))
-        store.total_observations = int(payload.get("total_observations", 0))
         return store
 
     def save(self, path) -> None:
@@ -442,7 +404,6 @@ class CalibrationStore:
         self._probes = restored._probes
         self._observations = restored._observations
         self._quarantined = restored._quarantined
-        self.total_observations = restored.total_observations
 
     def summary(self) -> str:
         if not self._factors and not self._quarantined:

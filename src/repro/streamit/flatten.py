@@ -122,12 +122,6 @@ class FlatGraph:
     def filter_nodes(self) -> List[FlatNode]:
         return [n for n in self.nodes if n.kind == "filter"]
 
-    def successors(self, node: FlatNode) -> List[FlatNode]:
-        return [c.dst for c in node.outputs if c.dst is not None]
-
-    def predecessors(self, node: FlatNode) -> List[FlatNode]:
-        return [c.src for c in node.inputs]
-
     def __repr__(self) -> str:
         return f"FlatGraph({len(self.nodes)} nodes, {len(self.channels)} channels)"
 

@@ -59,13 +59,6 @@ def run_graph(graph: FlatGraph, schedule: Schedule, inputs: Sequence[float],
     states = {node.id: dict(node.filter.state)
               for node in graph.nodes if node.kind == "filter"}
 
-    def in_buffer(node, port):
-        if port < len(node.inputs):
-            chan = node.inputs[port]
-            idx = chan_index[id(chan)]
-            return buffers[idx], cursors, idx
-        return external_in, None, None
-
     order = graph.topological_order()
     for _ in range(steady_states):
         for node in order:

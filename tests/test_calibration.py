@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.compiler.runtime import REBAKE_THRESHOLD
+from repro.experiments import fig09, fig10, multiaxis
 from repro.gpu import TESLA_C2050, ExecMode
 from repro.perfmodel import (CalibrationStore, FeedbackConfig,
-                             geometric_points, selection_accuracy,
-                             size_bucket)
+                             selection_accuracy, size_bucket)
+from repro.perfmodel.breakeven import Variant, sweep_region
 from repro.streamit import Filter, StreamProgram
 
 from workloads import SUM_SRC
@@ -45,6 +47,23 @@ def sum_program():
         Filter(SUM_SRC, pop="n", push=1),
         params=["n", "r"], input_size="n*r",
         input_ranges={"n": (256, 1 << 20)})
+
+
+def _path(region, point):
+    """``(node, box)`` pairs from a region table's root down to the leaf
+    holding ``point``; the leaf's parent owns the subtree a re-sweep
+    rebuilds."""
+    box = {ax.name: (ax.lo, ax.hi) for ax in region.axes}
+    node = region.root
+    while True:
+        yield node, dict(box)
+        if node.is_leaf:
+            return
+        lo, hi = box[node.axis]
+        if point[node.axis] < node.cut:
+            box[node.axis], node = (lo, node.cut - 1), node.low
+        else:
+            box[node.axis], node = (node.cut, hi), node.high
 
 
 class TestSizeBucket:
@@ -134,8 +153,8 @@ class TestCalibrationStore:
         assert restored.ewma("f", 6) == store.ewma("f", 6)
         assert restored.bias("g") == 3.0
         assert restored.probes_used("seg0", 6) == 1
-        assert restored.total_observations == store.total_observations
         rec = restored.observations("f@64", (("n", 64),), 6)
+        assert rec == store.observations("f@64", (("n", 64),), 6)
         assert rec and rec[0].transfer_seconds == pytest.approx(0.2)
 
     def test_reset_restores_identity(self):
@@ -146,12 +165,7 @@ class TestCalibrationStore:
         store.reset()
         assert store.is_identity()
         assert store.probes_used("seg0", 10) == 0
-        assert store.total_observations == 0
-
-    def test_probe_interval(self):
-        assert FeedbackConfig(epsilon=0.0).probe_interval() == 0
-        assert FeedbackConfig(epsilon=0.25).probe_interval() == 4
-        assert FeedbackConfig(epsilon=1.0).probe_interval() == 1
+        assert store.observations("f", (), 10) == []
 
 
 class TestUncalibratedPathUnchanged:
@@ -234,7 +248,7 @@ class TestFeedbackLoop:
             assert store.probes_used(seg.name, size_bucket(params)) <= limit
 
     def test_mispredict_probe_patches_misbaked_tmv_breakeven(self):
-        """A probe repairs the table in place when re-baking is off."""
+        """Probes repair a mis-baked break-even by re-sweeping subtrees."""
         from repro.apps import tmv
         compiled = api.compile(tmv.build())
         truth = compiled.cost.plan_seconds
@@ -252,39 +266,72 @@ class TestFeedbackLoop:
         assert before < 1.0
         config = FeedbackConfig(
             observer=lambda plan, params: truth(plan, params),
-            rebake_threshold=None,   # leave repair to boundary patches
             probe_limit=4)
         compiled.recalibrate(points, feedback=config)
-        assert compiled.stats.table_patches >= 1
-        assert compiled.stats.table_rebakes == 0
+        assert compiled.stats.subtree_resweeps >= 1
         after = selection_accuracy(compiled, points, reference=truth)
         assert after == 1.0
 
-    def test_disabled_rebake_never_rebakes_region_tables(self):
-        """``rebake_threshold=None`` also skips the converged re-bake."""
-        from repro.apps import imagepipe
-        compiled = api.compile(imagepipe.build())
+    def test_contradicting_probe_resweeps_owning_subtree(self, rng):
+        """A probe verdict alone repairs a baked table, by re-sweeping.
+
+        Measurements put the runner-up's family 20% under the model — a
+        factor move below ``REBAKE_THRESHOLD`` — at a binding just past
+        the table's first break-even, where the table names the loser.
+        Only the post-probe verdict can trigger the repair, and it must
+        rebuild the subtree owning the binding exactly as a fresh sweep
+        of that box under the calibrated costs would.
+        """
+        compiled = api.compile(sdot_program())
+        compiled.bake_decision_tables(samples=7, extra_params={"r": 1})
+        segment = compiled.segments[0]
+        region = segment.dispatch.region
+        cut = region.root.cut
+        params = {"n": cut + 7, "r": 1}
+        loser, runner = region.lookup(params), region.lookup({"n": cut - 1})
+        family = segment.plan_named(runner).family
+        assert family != segment.plan_named(loser).family
+        speedup = 0.8
+        assert 1.0 - speedup < REBAKE_THRESHOLD
         truth = compiled.cost.plan_seconds
-        axis = geometric_points(32, 4096, 4)
-        points = [{"width": w, "height": h} for h in axis for w in axis]
-        family = compiled.select(dict(points[len(points) // 2]))[0].family
-        compiled.calibration.set_model_bias(family, 3.0)
-        assert compiled.bake_decision_tables(samples=4) == 2
         config = FeedbackConfig(
-            observer=lambda plan, params: truth(plan, params),
-            rebake_threshold=None, probe_limit=4)
-        compiled.recalibrate(points, feedback=config)
-        assert compiled.stats.table_patches >= 1
-        assert compiled.stats.table_rebakes == 0
-        assert compiled.stats.subtree_resweeps == 0
+            observer=lambda plan, p: truth(plan, p) * (
+                speedup if plan.family == family else 1.0))
+        owner_box = list(_path(region, params))[-2][1]
+
+        compiled.run(rng.standard_normal(2 * params["n"]), dict(params),
+                     options=RunOptions(feedback=config))
+
+        assert compiled.stats.probe_runs == 1
+        assert compiled.stats.subtree_resweeps == 1
+        assert compiled.select(dict(params))[0].strategy == runner
+        store = compiled.calibration
+
+        def calibrated(plan, values):
+            point = {"n": int(values[0]), "r": 1}
+            return truth(plan, point) * store.scale(plan.family,
+                                                    size_bucket(point))
+
+        variants = [Variant(p.strategy,
+                            lambda v, p=p: calibrated(p, v))
+                    for p in compiled._eligible(segment, True)]
+        fresh = sweep_region(variants, tuple(
+            dataclasses.replace(ax, lo=owner_box[ax.name][0],
+                                hi=owner_box[ax.name][1])
+            for ax in region.axes))
+        repaired = segment.dispatch.region
+        owner = next(node for node, box in _path(repaired, params)
+                     if box == owner_box)
+        assert owner == fresh.root
+        # Regions outside the owning subtree keep their winners.
+        assert repaired.lookup({"n": cut - 1}) == runner
 
     def test_large_factor_change_rebakes_table(self):
         points = [{"n": 1 << k, "r": 1} for k in range(10, 21, 2)]
         compiled, truth, _family = self._biased(sdot_program(), points[-1],
                                                 extras={"r": 1}, bake=True)
         config = FeedbackConfig(
-            observer=lambda plan, params: truth(plan, params),
-            rebake_threshold=0.25)
+            observer=lambda plan, params: truth(plan, params))
         compiled.recalibrate(points, feedback=config)
         assert compiled.stats.table_rebakes >= 1
 
@@ -319,8 +366,31 @@ class TestFeedbackLoop:
         assert not compiled.calibration.is_identity()
         compiled.clear_warm_caches()
         assert compiled.calibration.is_identity()
-        assert compiled.calibration.total_observations == 0
+        assert not compiled.calibration.to_dict()["observations"]
         assert compiled._selection_cost() is compiled.cost
+
+
+#: Probe budget per ``repro calibration`` app: the probes each spent
+#: while probe verdicts patched tables in place.  Repairing by
+#: re-sweeping must not need more.
+PROBE_BUDGETS = {"sdot": 21, "isamax": 21, "snrm2": 21, "sasum": 21,
+                 "tmv": 3, "imagepipe": 26}
+
+
+class TestRepairOutcomes:
+    """Every ``repro calibration`` app recovers full selection accuracy."""
+
+    @pytest.mark.parametrize("app", sorted(PROBE_BUDGETS))
+    def test_calibration_report_recovers(self, app):
+        if app == "tmv":
+            report = fig10.calibration_report()
+        elif app == "imagepipe":
+            report = multiaxis.calibration_report()
+        else:
+            report = fig09.calibration_report(app)
+        assert report["accuracy_before"] < 1.0
+        assert report["accuracy_after"] == 1.0
+        assert report["probes"] <= PROBE_BUDGETS[app]
 
 
 class TestApiFacade:

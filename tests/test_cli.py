@@ -47,6 +47,21 @@ class TestCli:
         if app in apps.PINS:
             assert "dispatch table over" in out
 
+    def test_calibration_prints_verdict(self, capsys):
+        assert main(["calibration", "tmv"]) == 0
+        out = capsys.readouterr().out
+        assert "accuracy_after   1.0" in out
+        assert out.splitlines()[-1].split() == ["verdict", "OK"]
+
+    def test_calibration_fails_unless_fully_recovered(self, capsys,
+                                                       monkeypatch):
+        from repro.experiments import fig10
+        monkeypatch.setattr(fig10, "calibration_report",
+                            lambda **_kw: {"accuracy_after": 0.9})
+        assert main(["calibration", "tmv"]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].split() == ["verdict", "FAIL"]
+
     def test_describe_unknown_app_errors(self):
         with pytest.raises(SystemExit):
             main(["describe", "nonexistent"])

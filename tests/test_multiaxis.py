@@ -2,11 +2,14 @@
 
 The region-table generalization of the 1-D break-even fast path:
 ``sweep_region`` edge cases (degenerate single-winner grids, an axis
-whose winner never changes collapsing to effectively 1-D cuts), feedback
-patches at region corners, out-of-box behavior, and the artifact-bundle
-round trip of a baked :class:`~repro.perfmodel.RegionTable` — loaded
-back bit-identically with zero compile work (``delta.total == 0``).
+whose winner never changes collapsing to effectively 1-D cuts), the
+feedback repair (``resweep_subtree`` rebuilds only the subtree owning a
+point), out-of-box behavior, and the artifact-bundle round trip of a
+baked :class:`~repro.perfmodel.RegionTable` — loaded back bit-identically
+with zero compile work (``delta.total == 0``).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from repro.apps import imagepipe
 from repro.compiler.exprgen import COMPILE_COUNTER, SOURCE_REGISTRY
 from repro.compiler.segments import RegionDispatch
 from repro.errors import CalibrationError
-from repro.perfmodel import AxisSpec, RegionTable
+from repro.perfmodel import AxisSpec
 from repro.perfmodel.breakeven import Variant, sweep_region
 
 pytestmark = pytest.mark.multiaxis
@@ -71,41 +74,58 @@ class TestSweepRegionEdgeCases:
         region = sweep_region(variants, _axes())
         assert region.lookup({"n": 0, "m": 5}) is None
         assert region.lookup({"n": 5, "m": 1001}) is None
+        # Feedback repairs only inside the baked box; a point outside it
+        # needs a whole-table re-bake.
         with pytest.raises(CalibrationError):
-            region.patch({"n": 0, "m": 5}, "a")
+            region.resweep_subtree({"n": 0, "m": 5}, variants)
 
 
-class TestRegionPatch:
-    def _two_region_table(self) -> RegionTable:
-        variants = [
-            Variant("small", lambda v: 1.0 if v[0] < 100 else 3.0),
-            Variant("large", lambda v: 2.0),
-        ]
-        return sweep_region(variants, _axes())
+def _three_band_variants(a_below, b_below):
+    """'a' wins n < a_below, 'b' up to ``b_below(m)``, 'c' beyond."""
+    return [
+        Variant("a", lambda v: 1.0 if v[0] < a_below else 9.0),
+        Variant("b", lambda v: 2.0 if v[0] < b_below(v[1]) else 9.0),
+        Variant("c", lambda v: 3.0),
+    ]
 
-    def test_patch_at_region_corner_carves_unit_cell(self):
-        region = self._two_region_table()
-        corner = {"n": 1, "m": 1}       # low corner of the 'small' region
-        assert region.lookup(corner) == "small"
-        assert region.patch(corner, "large")
-        assert region.lookup(corner) == "large"
-        # The carve is local: the rest of the region keeps its winner.
-        assert region.lookup({"n": 1, "m": 3}) == "small"
-        assert region.lookup({"n": 3, "m": 1}) == "small"
-        assert region.lookup({"n": 50, "m": 500}) == "small"
-        assert region.lookup({"n": 100, "m": 1}) == "large"
 
-    def test_patch_adjacent_to_boundary_moves_it(self):
-        region = self._two_region_table()
-        probe = {"n": 99, "m": 500}     # hugs the n=100 break-even cut
-        assert region.lookup(probe) == "small"
-        assert region.patch(probe, "large")
-        assert region.lookup(probe) == "large"
-        assert region.lookup({"n": 1, "m": 500}) == "small"
+class TestRegionResweep:
+    """``resweep_subtree``: the one way feedback repairs a baked table.
 
-    def test_patch_is_noop_when_already_winner(self):
-        region = self._two_region_table()
-        assert not region.patch({"n": 1, "m": 1}, "small")
+    The baked table cuts at n=100 ('a' | rest), then at n=500 ('b' |
+    'c').  The re-swept costs move every break-even — 'a' now wins only
+    below n=50 and the 'b'/'c' cut depends on m — but a point at n=300
+    is owned by the n=500 node, so only the n >= 100 subtree changes.
+    """
+
+    def _baked_and_moved(self):
+        region = sweep_region(_three_band_variants(100, lambda m: 500),
+                              _axes())
+        moved = _three_band_variants(
+            50, lambda m: 700 if m < 300 else 400)
+        return region, moved
+
+    def test_leaves_outside_the_owning_subtree_keep_winners_and_cuts(self):
+        region, moved = self._baked_and_moved()
+        assert region.root.axis == "n" and region.root.cut == 100
+        outside = [(box, winner) for box, winner in region.leaves()
+                   if box["n"][1] < 100]
+        assert outside == [({"n": (1, 99), "m": (1, 1000)}, "a")]
+        region.resweep_subtree({"n": 300, "m": 10}, moved)
+        assert (region.root.axis, region.root.cut) == ("n", 100)
+        assert [(box, winner) for box, winner in region.leaves()
+                if box["n"][1] < 100] == outside
+        # A fresh sweep would move this cut to n=50; the repair is local.
+        assert region.lookup({"n": 75, "m": 500}) == "a"
+
+    def test_rebuilt_subtree_equals_a_sweep_of_its_box(self):
+        region, moved = self._baked_and_moved()
+        region.resweep_subtree({"n": 300, "m": 10}, moved)
+        box = tuple(dataclasses.replace(ax, lo=100) if ax.name == "n"
+                    else ax for ax in region.axes)
+        assert region.root.high == sweep_region(moved, box).root
+        assert region.lookup({"n": 600, "m": 10}) == "b"
+        assert region.lookup({"n": 600, "m": 900}) == "c"
 
 
 @pytest.fixture(scope="module")
