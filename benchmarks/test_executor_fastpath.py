@@ -20,6 +20,8 @@ from repro import Filter, StreamProgram, api
 from repro.gpu import (Device, DeviceArray, MODE_REFERENCE, MODE_VECTORIZED,
                        TESLA_C2050)
 
+pytestmark = pytest.mark.differential
+
 SDOT = """
 def sdot(n):
     acc = 0.0

@@ -200,6 +200,7 @@ class NaiveStencilPlan(_StencilPlanBase):
                     ctx.gstore(out, i, center)
 
         vcompute, vguard, vfallback = self._vfns(params)
+        lo, hi = min(disps), max(disps)
 
         def vector_body(ctx):
             # Mirrors the scalar per-lane access sequences: ok lanes load
@@ -211,9 +212,8 @@ class NaiveStencilPlan(_StencilPlanBase):
                 return
             safe_i = np.where(alive, i, 0)
             if vguard is None:
-                ok = np.ones(i.shape, dtype=bool)
-                for d in disps:
-                    ok &= (i + d >= 0) & (i + d < size)
+                # Every tap is in bounds iff the extreme taps are.
+                ok = (i + lo >= 0) & (i + hi < size)
             else:
                 ok = np.asarray(vguard(safe_i), dtype=bool)
             okm = alive & ok
@@ -391,6 +391,10 @@ class TiledStencilPlan(_StencilPlanBase):
         vcompute, vguard, vfallback = self._vfns(params)
         stage_steps = math.ceil(staged / threads)
         comp_steps = math.ceil(tw * th / threads)
+        dy_lo = min(dy for dy, _dx in pairs)
+        dy_hi = max(dy for dy, _dx in pairs)
+        dx_lo = min(dx for _dy, dx in pairs)
+        dx_hi = max(dx for _dy, dx in pairs)
 
         def vector_body(ctx):
             t_y = ctx.bx // tiles_x
@@ -420,10 +424,9 @@ class TiledStencilPlan(_StencilPlanBase):
                     continue
                 i = gy * width + gx
                 safe_i = np.where(cell, i, 0)
-                interior = np.ones(cell.shape, dtype=bool)
-                for dy, dx in pairs:
-                    interior &= ((gy + dy >= 0) & (gy + dy < height)
-                                 & (gx + dx >= 0) & (gx + dx < width))
+                # Every tap is in bounds iff the extreme taps are.
+                interior = ((gy + dy_lo >= 0) & (gy + dy_hi < height)
+                            & (gx + dx_lo >= 0) & (gx + dx_hi < width))
                 if vguard is None:
                     ok = interior
                 else:

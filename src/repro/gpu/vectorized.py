@@ -185,6 +185,13 @@ class VectorCtx:
     tracer — their load results are the clamped-to-0 element and must be
     discarded with ``np.where``).  Restricted to 1-D grids and blocks; the
     executor falls back to the reference interpreter otherwise.
+
+    Each accessor costs one 1-D gather or scatter.  Shared memory is one
+    ``(blocks, size)`` array per name, reached through a flat view at
+    ``base + index``, ``base`` being the lane's block row (``bx * size``,
+    fixed per launch).  The bounds rule is ``ThreadCtx``'s: an index past
+    the row raises ``IndexError`` and a negative one counts from the
+    row's end, so no lane reaches a neighbouring block's row.
     """
 
     def __init__(self, grid: Dim3, block: Dim3, args: Dict[str, Any],
@@ -199,7 +206,6 @@ class VectorCtx:
         self.tx = np.arange(self.threads, dtype=np.int64)[None, :]
         self.bx = np.arange(self.nblocks, dtype=np.int64)[:, None]
         self.global_tid = self.bx * self.threads + self.tx
-        self._rows = np.broadcast_to(self.bx, self.shape)
         self._tracer = tracer
         self.barriers = 0
         # Per-block shared arrays as rows of one 2-D array per name; a
@@ -211,6 +217,10 @@ class VectorCtx:
         self.shared = {name: np.zeros((self.nblocks, arr.shape[0]),
                                       dtype=arr.dtype)
                        for name, arr in self._smem.arrays.items()}
+        # name -> (flat view, per-block row base, row size)
+        self._flat = {name: (array.reshape(-1), self.bx * array.shape[1],
+                             array.shape[1])
+                      for name, array in self.shared.items()}
 
     # -- builtins --------------------------------------------------------
     def sync(self) -> None:
@@ -223,56 +233,61 @@ class VectorCtx:
 
     # -- helpers ---------------------------------------------------------
     def _index(self, index, mask):
-        idx = np.broadcast_to(np.asarray(index, dtype=np.int64), self.shape)
+        """``(index, mask)`` as ``(blocks, threads)`` arrays; inactive
+        lanes get index 0."""
+        idx = np.asarray(index, dtype=np.int64)
         if mask is None:
-            return idx, None
+            return np.broadcast_to(idx, self.shape), None
         m = np.broadcast_to(np.asarray(mask, dtype=bool), self.shape)
         return np.where(m, idx, 0), m
 
+    def _lanes(self, m) -> np.ndarray:
+        return np.ones(self.shape, dtype=bool) if m is None else m
+
+    def _scatter(self, target: np.ndarray, idx, value, m) -> None:
+        value = np.broadcast_to(np.asarray(value), self.shape)
+        if m is None:
+            target[idx.ravel()] = value.ravel()
+        else:
+            target[idx[m]] = value[m]
+
     # -- global memory ---------------------------------------------------
-    def gload(self, array: DeviceArray, index, mask=None) -> np.ndarray:
+    def _global(self, array: DeviceArray, index, mask):
         idx, m = self._index(index, mask)
         if self._tracer is not None:
-            self._tracer.record_global(
-                array.base + idx * array.itemsize,
-                np.ones(self.shape, dtype=bool) if m is None else m,
-                array.itemsize)
-        return array.data[idx].astype(np.float64)
+            self._tracer.record_global(array.base + idx * array.itemsize,
+                                       self._lanes(m), array.itemsize)
+        return idx, m
+
+    def gload(self, array: DeviceArray, index, mask=None) -> np.ndarray:
+        idx, _ = self._global(array, index, mask)
+        return array.data[idx].astype(np.float64, copy=False)
 
     def gstore(self, array: DeviceArray, index, value, mask=None) -> None:
-        idx, m = self._index(index, mask)
-        if self._tracer is not None:
-            self._tracer.record_global(
-                array.base + idx * array.itemsize,
-                np.ones(self.shape, dtype=bool) if m is None else m,
-                array.itemsize)
-        value = np.broadcast_to(np.asarray(value), self.shape)
-        if m is None:
-            array.data[idx.ravel()] = value.ravel()
-        else:
-            array.data[idx[m]] = value[m]
+        idx, m = self._global(array, index, mask)
+        self._scatter(array.data, idx, value, m)
 
     # -- shared memory ---------------------------------------------------
-    def sload(self, name: str, index, mask=None) -> np.ndarray:
+    def _shared(self, name: str, index, mask):
+        """Flat view of ``name``, each lane's flat index into it, mask."""
         idx, m = self._index(index, mask)
-        array = self.shared[name]
+        flat, base, size = self._flat[name]
         if self._tracer is not None:
             self._tracer.record_shared(
-                self._smem.byte_offset(name) + idx * array.itemsize,
-                np.ones(self.shape, dtype=bool) if m is None else m,
-                array.itemsize)
-        return array[self._rows, idx].astype(np.float64)
+                self._smem.byte_offset(name) + idx * flat.itemsize,
+                self._lanes(m), flat.itemsize)
+        lo, hi = idx.min(), idx.max()
+        if lo < -size or hi >= size:
+            raise IndexError(f"indices [{lo}, {hi}] are out of bounds for "
+                             f"shared array {name!r} of size {size}")
+        if lo < 0:
+            idx = np.where(idx < 0, idx + size, idx)
+        return flat, base + idx, m
+
+    def sload(self, name: str, index, mask=None) -> np.ndarray:
+        flat, idx, _ = self._shared(name, index, mask)
+        return flat[idx].astype(np.float64, copy=False)
 
     def sstore(self, name: str, index, value, mask=None) -> None:
-        idx, m = self._index(index, mask)
-        array = self.shared[name]
-        if self._tracer is not None:
-            self._tracer.record_shared(
-                self._smem.byte_offset(name) + idx * array.itemsize,
-                np.ones(self.shape, dtype=bool) if m is None else m,
-                array.itemsize)
-        value = np.broadcast_to(np.asarray(value), self.shape)
-        if m is None:
-            array[self._rows.ravel(), idx.ravel()] = value.ravel()
-        else:
-            array[self._rows[m], idx[m]] = value[m]
+        flat, idx, m = self._shared(name, index, mask)
+        self._scatter(flat, idx, value, m)

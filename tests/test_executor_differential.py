@@ -8,7 +8,9 @@ randomized shapes.  The contract is strict:
 * the traced :class:`~repro.gpu.executor.LaunchStats` must match field
   for field — transactions, requests, coalescing, bank conflicts and
   barrier counts — so the fast path can never skew the memory model the
-  compiler's cost functions are calibrated against.
+  compiler's cost functions are calibrated against;
+* the vectorized path with tracing off — the one every benchmark and
+  served request takes — must write the traced run's bytes.
 
 The whole module carries the ``differential`` marker so CI can select
 it (``-m differential``) or skip it; it runs in tier-1 by default.
@@ -34,7 +36,8 @@ from repro.gpu import (Device, DeviceArray, MODE_REFERENCE, MODE_VECTORIZED,
 from repro.ir import classify, lift_code
 
 from workloads import (ISAMAX_SRC, SAXPY_SRC, SCALE_SRC, SDOT_SRC,
-                       STENCIL5_SRC, SUM_SRC)
+                       STENCIL5_SRC, STENCIL_ONE_SIDED_SRC,
+                       STENCIL_ONE_SIDED_UNGUARDED_SRC, SUM_SRC)
 from repro.compiler import RunOptions
 
 pytestmark = pytest.mark.differential
@@ -45,8 +48,9 @@ SPEC = TESLA_C2050
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
-def run_mode(plan, data, params, mode):
-    """Execute ``plan`` under one executor mode with tracing forced on.
+def run_mode(plan, data, params, mode, traced=True):
+    """Execute ``plan`` under one executor mode, tracing every launch
+    (or, with ``traced=False``, none).
 
     Returns (output copy, [LaunchStats...], executor).  The device-array
     base allocator is reset so both modes see identical addresses and
@@ -58,7 +62,7 @@ def run_mode(plan, data, params, mode):
     orig = dev.launch
 
     def launch(kernel, grid, block, args, trace=False, mode=None):
-        st = orig(kernel, grid, block, args, trace=True, mode=mode)
+        st = orig(kernel, grid, block, args, trace=traced, mode=mode)
         stats.append(st)
         return st
 
@@ -70,9 +74,12 @@ def run_mode(plan, data, params, mode):
 
 
 def assert_differential(plan, data, params):
-    """Both paths must produce bit-identical buffers and stats."""
+    """Both paths must produce bit-identical buffers and stats, and the
+    untraced vectorized path the traced one's buffers."""
     ref, ref_stats, ref_ex = run_mode(plan, data, params, MODE_REFERENCE)
     vec, vec_stats, vec_ex = run_mode(plan, data, params, MODE_VECTORIZED)
+    fast, _, fast_ex = run_mode(plan, data, params, MODE_VECTORIZED,
+                                traced=False)
     assert ref_ex.reference_launches > 0
     assert ref_ex.vectorized_launches == 0
     assert vec_ex.vectorized_launches > 0, "fast path never engaged"
@@ -83,6 +90,10 @@ def assert_differential(plan, data, params):
     assert len(ref_stats) == len(vec_stats)
     for a, b in zip(ref_stats, vec_stats):
         assert dataclasses.asdict(a) == dataclasses.asdict(b)
+    assert fast_ex.vectorized_launches == vec_ex.vectorized_launches
+    assert fast_ex.vector_fallbacks == 0
+    assert fast.tobytes() == vec.tobytes(), (
+        f"untraced outputs differ at {np.nonzero(fast != vec)[0][:8]}")
     return ref
 
 
@@ -168,18 +179,32 @@ class TestReduceDifferential:
 # Stencil plans
 # ----------------------------------------------------------------------
 class TestStencilDifferential:
-    @pytest.mark.parametrize("plan_cls", [NaiveStencilPlan,
-                                          TiledStencilPlan])
-    def test_stencil5(self, rng, plan_cls):
-        cls = classify(lift_code(STENCIL5_SRC))
+    def _check(self, rng, plan_cls, src):
+        cls = classify(lift_code(src))
         shape = StencilShape(lambda p: p["width"],
                              lambda p: p["size"] // p["width"])
-        plan = plan_cls(SPEC, "st5", shape, cls.pattern, threads=64)
+        plan = plan_cls(SPEC, "st", shape, cls.pattern, threads=64)
         width = int(rng.integers(17, 64))
         height = int(rng.integers(9, 48))
         params = {"size": width * height, "width": width}
         assert_differential(plan, rng.standard_normal(width * height),
                             params)
+
+    @pytest.mark.parametrize("plan_cls", [NaiveStencilPlan,
+                                          TiledStencilPlan])
+    def test_stencil5(self, rng, plan_cls):
+        self._check(rng, plan_cls, STENCIL5_SRC)
+
+    @pytest.mark.parametrize("plan_cls", [NaiveStencilPlan,
+                                          TiledStencilPlan])
+    @pytest.mark.parametrize("src", [STENCIL_ONE_SIDED_SRC,
+                                     STENCIL_ONE_SIDED_UNGUARDED_SRC],
+                             ids=["guarded", "unguarded"])
+    def test_one_sided(self, rng, plan_cls, src):
+        """The extreme taps are not mirror images, as they are in the
+        5-point stencil.  The naive plan tests its taps only when the
+        stencil has no guard of its own."""
+        self._check(rng, plan_cls, src)
 
 
 # ----------------------------------------------------------------------

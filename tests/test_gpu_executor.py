@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import (BarrierDivergenceError, Device, Kernel, LaunchError,
-                       SYNC, TESLA_C2050)
+                       MODE_REFERENCE, MODE_VECTORIZED, SYNC, TESLA_C2050)
 from repro.gpu.kernel import AmbiguousKernelBodyError, kernel_uses_barriers
 
 
@@ -221,6 +221,69 @@ class TestLaunchValidation:
                         shared_spec={"s": (64 * 1024, np.float32)})
         with pytest.raises(LaunchError):
             dev.launch(kernel, 1, 32, args={})
+
+
+def _shared_row_kernel(index, store):
+    """Two bodies of one kernel: fill each block's row of ``s`` with
+    global thread ids, then load ``s[index(tx, bx)]`` into ``out`` (or,
+    with ``store``, overwrite it)."""
+
+    def body(ctx):
+        ctx.sstore("s", ctx.tx, float(ctx.global_tid))
+        yield SYNC
+        i = index(ctx.tx, ctx.bx)
+        if store:
+            ctx.sstore("s", i, -1.0)
+        else:
+            ctx.gstore(ctx.args["out"], ctx.global_tid, ctx.sload("s", i))
+
+    def vector_body(ctx):
+        ctx.sstore("s", ctx.tx, ctx.global_tid)
+        ctx.sync()
+        i = index(ctx.tx, ctx.bx)
+        if store:
+            ctx.sstore("s", i, -1.0)
+        else:
+            ctx.gstore(ctx.args["out"], ctx.global_tid, ctx.sload("s", i))
+
+    return Kernel("shared_row", body, shared_spec={"s": (32, np.float64)},
+                  vector_body=vector_body)
+
+
+class TestSharedRowBounds:
+    """Both executors index a block's shared array as numpy indexes a
+    1-D array: past the row raises ``IndexError``, a negative index
+    counts from the row's end.  Only block 0 strays, so an executor
+    that reached block 1's row instead would not raise."""
+
+    def _launch(self, mode, index, store=False):
+        dev = Device(TESLA_C2050, exec_mode=mode)
+        out = dev.alloc(64, dtype=np.float64, name="out")
+        try:
+            dev.launch(_shared_row_kernel(index, store), 2, 32,
+                       args={"out": out})
+        finally:
+            assert dev.executor.vector_fallbacks == 0
+        return out.data
+
+    @pytest.mark.parametrize("mode", [MODE_REFERENCE, MODE_VECTORIZED])
+    @pytest.mark.parametrize("store", [False, True], ids=["load", "store"])
+    @pytest.mark.parametrize("index", [lambda tx, bx: tx + 1 - bx,
+                                       lambda tx, bx: bx - tx - 2],
+                             ids=["past_end", "before_start"])
+    def test_out_of_row_index_raises(self, mode, store, index):
+        with pytest.raises(IndexError):
+            self._launch(mode, index, store)
+
+    def test_negative_index_counts_from_row_end(self):
+        def index(tx, bx):
+            return -1 - tx
+
+        ref = self._launch(MODE_REFERENCE, index)
+        vec = self._launch(MODE_VECTORIZED, index)
+        assert np.array_equal(
+            ref, [32 * b + 31 - t for b in range(2) for t in range(32)])
+        assert vec.tobytes() == ref.tobytes()
 
 
 class TestDeviceAccounting:

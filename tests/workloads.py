@@ -73,3 +73,28 @@ def stencil5(size, width):
     for j in range(size):
         _ = pop()
 """
+
+# One-sided stencils: the lowest and highest tap are not mirror images.
+# The first reads right and below under a guard; the second reads left
+# and below with no guard, so the plans' own all-taps-in-bounds test
+# decides which cells fall back to the center.
+STENCIL_ONE_SIDED_SRC = """
+def one_sided(size, width):
+    for index in range(size):
+        if (index % width < width - 1) and (index < size - width):
+            push(0.5 * peek(index)
+                 + 0.25 * (peek(index + 1) + peek(index + width)))
+        else:
+            push(peek(index))
+    for j in range(size):
+        _ = pop()
+"""
+
+STENCIL_ONE_SIDED_UNGUARDED_SRC = """
+def one_sided_unguarded(size, width):
+    for index in range(size):
+        push(0.5 * peek(index)
+             + 0.25 * (peek(index - 1) + peek(index + width)))
+    for j in range(size):
+        _ = pop()
+"""
