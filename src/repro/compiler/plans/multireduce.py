@@ -22,7 +22,8 @@ from ...gpu import SYNC, Device, DeviceArray, GPUSpec, Kernel
 from ...perfmodel import KernelWorkload
 from ..reducers import Reducer
 from .base import IN, KernelPlan, PlannedLaunch
-from .reduceplan import LAYOUT_ROWS, ReduceShape, _index_fn, _select_state
+from .reduceplan import (LAYOUT_ROWS, ReduceShape, _index_fn, _select_state,
+                         _vector_tree)
 
 
 class HorizontalReducePlan(KernelPlan):
@@ -135,6 +136,8 @@ class HorizontalReducePlan(KernelPlan):
 
         shared = {slot(q, w): (threads, np.float64)
                   for q in range(Q) for w in range(widths[q])}
+        groups = [(red, [slot(q, w) for w in range(widths[q])])
+                  for q, red in enumerate(reducers)]
 
         def reduce_block(ctx, r, lo, hi, write_partial=None):
             """Strided read + tree reduction for all reducers at once."""
@@ -196,30 +199,14 @@ class HorizontalReducePlan(KernelPlan):
                 for w in range(widths[q]):
                     ctx.sstore(slot(q, w), tx, states[q][w])
             ctx.sync()
-            active = threads // 2
-            for _step in range(tree_steps):
-                m = tx < active
-                for q, red in enumerate(reducers):
-                    a = tuple(ctx.sload(slot(q, w), tx, m)
-                              for w in range(widths[q]))
-                    b = tuple(ctx.sload(slot(q, w), tx + active, m)
-                              for w in range(widths[q]))
-                    merged = red.vcombine(a, b)
-                    for w in range(widths[q]):
-                        ctx.sstore(slot(q, w), tx, merged[w], m)
-                ctx.sync()
-                active //= 2
-            m0 = tx == 0
-            finals = [tuple(ctx.sload(slot(q, w), 0, m0)
-                            for w in range(widths[q]))
-                      for q in range(Q)]
+            lane0, finals = _vector_tree(ctx, groups)
             if write_partial is not None:
-                write_partial(finals, m0)
+                write_partial(lane0, finals)
             else:
                 offset = 0
                 for q, red in enumerate(reducers):
                     for value in red.vepilogue(finals[q]):
-                        ctx.gstore(out, r * per_array + offset, value, m0)
+                        lane0.gstore(out, r * per_array + offset, value)
                         offset += 1
 
         if not self.two_kernel:
@@ -309,14 +296,14 @@ class HorizontalReducePlan(KernelPlan):
             lo = c * chunk
             hi = np.minimum(length, lo + chunk)
 
-            def write(finals, m0):
+            def write(lane0, finals):
                 offset = 0
                 for q in range(Q):
                     for w in range(widths[q]):
-                        ctx.gstore(
+                        lane0.gstore(
                             partials,
                             ((offset + w) * narrays + r) * nblocks + c,
-                            finals[q][w], m0)
+                            finals[q][w])
                     offset += widths[q]
 
             vreduce_block(ctx, r, lo, hi, acc_steps, write_partial=write)
@@ -344,26 +331,11 @@ class HorizontalReducePlan(KernelPlan):
                 for w in range(widths[q]):
                     ctx.sstore(slot(q, w), tx, states[q][w])
             ctx.sync()
-            active = threads // 2
-            for _step in range(tree_steps):
-                m = tx < active
-                for q, red in enumerate(reducers):
-                    a = tuple(ctx.sload(slot(q, w), tx, m)
-                              for w in range(widths[q]))
-                    b = tuple(ctx.sload(slot(q, w), tx + active, m)
-                              for w in range(widths[q]))
-                    merged = red.vcombine(a, b)
-                    for w in range(widths[q]):
-                        ctx.sstore(slot(q, w), tx, merged[w], m)
-                ctx.sync()
-                active //= 2
-            m0 = tx == 0
+            lane0, finals = _vector_tree(ctx, groups)
             offset = 0
             for q, red in enumerate(reducers):
-                final = tuple(ctx.sload(slot(q, w), 0, m0)
-                              for w in range(widths[q]))
-                for value in red.vepilogue(final):
-                    ctx.gstore(out, r * per_array + offset, value, m0)
+                for value in red.vepilogue(finals[q]):
+                    lane0.gstore(out, r * per_array + offset, value)
                     offset += 1
 
         device.launch(Kernel(f"{self.name}_h_initial", initial_body, 20,

@@ -92,6 +92,31 @@ def _select_state(mask, new, old):
     return tuple(np.where(mask, n, o) for n, o in zip(new, old))
 
 
+def _vector_tree(ctx, groups, rows=None):
+    """Vector body of the shared-memory tree reduction and its read-back.
+
+    ``groups`` pairs each reducer with the shared names of its state
+    words; ``rows`` (``(blocks, 1)`` or None) masks off blocks with no
+    row.  Each step runs on its live lanes, ``ctx.lanes(active)``, so a
+    block does ``threads - 1`` lane combines, not ``threads`` per step.
+    Returns lane 0's view and each group's reduced state read through it.
+    """
+    active = ctx.threads // 2
+    while active:
+        live = ctx.lanes(active)
+        tx = live.tx
+        for reducer, names in groups:
+            a = tuple(live.sload(name, tx, rows) for name in names)
+            b = tuple(live.sload(name, tx + active, rows) for name in names)
+            for name, value in zip(names, reducer.vcombine(a, b)):
+                live.sstore(name, tx, value, rows)
+        live.sync()
+        active //= 2
+    lane0 = ctx.lanes(1)
+    return lane0, [tuple(lane0.sload(name, 0, rows) for name in names)
+                   for _, names in groups]
+
+
 def restructure_host(data: np.ndarray, layout: str, shape: ReduceShape,
                      params) -> np.ndarray:
     """CPU-side memory restructuring (§4.1.1) into the plan's layout."""
@@ -252,12 +277,18 @@ class ReduceSingleKernelPlan(_ReducePlanBase):
                         ctx.gstore(out, r * out_w + m, value)
 
         acc_steps = math.ceil(length / threads) if length else 0
+        blocks = max(1, math.ceil(narrays / rows_per_block))
+        names = [f"s{w}" for w in range(width)]
 
         def vector_body(ctx):
             tx = ctx.tx
             for rr in range(rows_per_block):
                 r = ctx.bx * rows_per_block + rr
                 in_range = np.broadcast_to(r < narrays, ctx.shape)
+                # No row mask when every block has row rr (always, with
+                # one row per block).
+                rows = (None if (blocks - 1) * rows_per_block + rr < narrays
+                        else r < narrays)
                 state = reducer.videntity(ctx.shape)
                 for s in range(acc_steps):
                     i = tx + s * threads
@@ -272,33 +303,17 @@ class ReduceSingleKernelPlan(_ReducePlanBase):
                         reducer.vcombine(state,
                                          reducer.velement(vals, safe_i)),
                         state)
-                for w in range(width):
-                    ctx.sstore(f"s{w}", tx, state[w], in_range)
+                for name, value in zip(names, state):
+                    ctx.sstore(name, tx, value, rows)
                 ctx.sync()
-                active = threads // 2
-                for _step in range(tree_steps):
-                    m = in_range & (tx < active)
-                    a = tuple(ctx.sload(f"s{w}", tx, m)
-                              for w in range(width))
-                    b = tuple(ctx.sload(f"s{w}", tx + active, m)
-                              for w in range(width))
-                    merged = reducer.vcombine(a, b)
-                    for w in range(width):
-                        ctx.sstore(f"s{w}", tx, merged[w], m)
-                    ctx.sync()
-                    active //= 2
-                m0 = in_range & (tx == 0)
-                final = tuple(ctx.sload(f"s{w}", 0, m0)
-                              for w in range(width))
+                lane0, (final,) = _vector_tree(ctx, [(reducer, names)], rows)
                 for m_out, value in enumerate(reducer.vepilogue(final)):
-                    ctx.gstore(out, r * out_w + m_out, value, m0)
+                    lane0.gstore(out, r * out_w + m_out, value, rows)
 
         kernel = Kernel(
             f"{self.name}_single", body, regs_per_thread=18,
-            shared_spec={f"s{w}": (threads, np.float64)
-                         for w in range(width)},
+            shared_spec={name: (threads, np.float64) for name in names},
             vector_body=vector_body)
-        blocks = max(1, math.ceil(narrays / rows_per_block))
         device.launch(kernel, blocks, threads, {"in": inbuf, "out": out})
         return out
 
@@ -465,19 +480,7 @@ class ReduceTwoKernelPlan(_ReducePlanBase):
 
         acc_steps = math.ceil(chunk / threads) if chunk else 0
         merge_steps = math.ceil(nblocks / threads)
-
-        def _vector_tree(ctx, tx):
-            active = threads // 2
-            for _step in range(tree_steps):
-                m = tx < active
-                a = tuple(ctx.sload(f"s{w}", tx, m) for w in range(width))
-                b = tuple(ctx.sload(f"s{w}", tx + active, m)
-                          for w in range(width))
-                merged = reducer.vcombine(a, b)
-                for w in range(width):
-                    ctx.sstore(f"s{w}", tx, merged[w], m)
-                ctx.sync()
-                active //= 2
+        names = [f"s{w}" for w in range(width)]
 
         def initial_vector(ctx):
             tx = ctx.tx
@@ -498,15 +501,12 @@ class ReduceTwoKernelPlan(_ReducePlanBase):
                     m,
                     reducer.vcombine(state, reducer.velement(vals, safe_i)),
                     state)
-            for w in range(width):
-                ctx.sstore(f"s{w}", tx, state[w])
+            for name, value in zip(names, state):
+                ctx.sstore(name, tx, value)
             ctx.sync()
-            _vector_tree(ctx, tx)
-            m0 = tx == 0
-            final = tuple(ctx.sload(f"s{w}", 0, m0) for w in range(width))
-            for w in range(width):
-                ctx.gstore(partials, (w * narrays + r) * nblocks + c,
-                           final[w], m0)
+            lane0, (final,) = _vector_tree(ctx, [(reducer, names)])
+            for w, value in enumerate(final):
+                lane0.gstore(partials, (w * narrays + r) * nblocks + c, value)
 
         def merge_vector(ctx):
             tx = ctx.tx
@@ -522,16 +522,14 @@ class ReduceTwoKernelPlan(_ReducePlanBase):
                     for w in range(width))
                 state = _select_state(
                     m, reducer.vcombine(state, part), state)
-            for w in range(width):
-                ctx.sstore(f"s{w}", tx, state[w])
+            for name, value in zip(names, state):
+                ctx.sstore(name, tx, value)
             ctx.sync()
-            _vector_tree(ctx, tx)
-            m0 = tx == 0
-            final = tuple(ctx.sload(f"s{w}", 0, m0) for w in range(width))
+            lane0, (final,) = _vector_tree(ctx, [(reducer, names)])
             for m_out, value in enumerate(reducer.vepilogue(final)):
-                ctx.gstore(out, r * out_w + m_out, value, m0)
+                lane0.gstore(out, r * out_w + m_out, value)
 
-        shared = {f"s{w}": (threads, np.float64) for w in range(width)}
+        shared = {name: (threads, np.float64) for name in names}
         device.launch(
             Kernel(f"{self.name}_initial", initial_body, 18, shared,
                    vector_body=initial_vector),
@@ -544,7 +542,8 @@ class ReduceTwoKernelPlan(_ReducePlanBase):
 
     def cuda_source(self) -> str:
         reducer = self.reducer_fn(None)
-        return _two_kernel_cuda(self.name, reducer, self.threads)
+        return _two_kernel_cuda(self.name, reducer, self.threads,
+                                self.shape.pops_per_iter)
 
 
 class ReduceThreadPerArrayPlan(_ReducePlanBase):
@@ -633,13 +632,34 @@ class ReduceThreadPerArrayPlan(_ReducePlanBase):
 # CUDA C templates
 # ---------------------------------------------------------------------------
 
-def _single_kernel_cuda(name: str, reducer: Reducer, threads: int,
-                        rows_per_block: int, pops_per_iter: int = 1) -> str:
+def _c_element(reducer: Reducer, pops_per_iter: int) -> Tuple[str, str]:
+    """Stride of an iteration's first pop and the element expression
+    over ``in[idx]``, ``in[idx + 1]``, ..."""
     value_names = [f"in[idx + {j}]" if j else "in[idx]"
                    for j in range(pops_per_iter)]
-    elem = reducer.c_element(value_names, "i") if hasattr(
-        reducer, "c_element") else value_names[0]
-    stride = (f" * {pops_per_iter}" if pops_per_iter > 1 else "")
+    stride = f" * {pops_per_iter}" if pops_per_iter > 1 else ""
+    return stride, reducer.c_element(value_names, "i")
+
+
+def _c_tree(reducer: Reducer, threads: int, pad: str) -> str:
+    """``acc`` into ``sdata``, then the ``__syncthreads`` tree over it."""
+    combine = reducer.c_combine_stmt("sdata[threadIdx.x]",
+                                     "sdata[threadIdx.x + active]")
+    return f"""\
+{pad}sdata[threadIdx.x] = acc;
+{pad}__syncthreads();
+{pad}for (int active = {threads} / 2; active >= 1; active >>= 1) {{
+{pad}    if (threadIdx.x < active) {{
+{pad}        {combine}
+{pad}    }}
+{pad}    __syncthreads();
+{pad}}}
+"""
+
+
+def _single_kernel_cuda(name: str, reducer: Reducer, threads: int,
+                        rows_per_block: int, pops_per_iter: int = 1) -> str:
+    stride, elem = _c_element(reducer, pops_per_iter)
     return f"""\
 // {name}: single-kernel stream reduction (one block per array group)
 __global__ void {name}_single(const float* in, float* out,
@@ -655,15 +675,7 @@ __global__ void {name}_single(const float* in, float* out,
                 {reducer.c_combine_stmt("acc", "v")}
             }}
         }}
-        sdata[threadIdx.x] = acc;
-        __syncthreads();
-        for (int active = {threads} / 2; active >= 1; active >>= 1) {{
-            if (threadIdx.x < active) {{
-                {reducer.c_combine_stmt("sdata[threadIdx.x]",
-                                        "sdata[threadIdx.x + active]")}
-            }}
-            __syncthreads();
-        }}
+{_c_tree(reducer, threads, " " * 8)}\
         if (r < narrays && threadIdx.x == 0)
             out[r] = sdata[0];
     }}
@@ -671,7 +683,9 @@ __global__ void {name}_single(const float* in, float* out,
 """
 
 
-def _two_kernel_cuda(name: str, reducer: Reducer, threads: int) -> str:
+def _two_kernel_cuda(name: str, reducer: Reducer, threads: int,
+                     pops_per_iter: int = 1) -> str:
+    stride, elem = _c_element(reducer, pops_per_iter)
     return f"""\
 // {name}: two-kernel stream reduction (initial + merge, Figure 8)
 __global__ void {name}_initial(const float* in, float* partials,
@@ -683,24 +697,11 @@ __global__ void {name}_initial(const float* in, float* partials,
     int r = blockIdx.x / nblocks;
     {reducer.c_state_decl("acc")}
     for (int i = lo + threadIdx.x; i < hi; i += {threads}) {{
-        float v = in[r * nelements + i];
+        int idx = (r * nelements + i){stride};
+        float v = {elem};
         {reducer.c_combine_stmt("acc", "v")}
     }}
-    sdata[threadIdx.x] = acc;
-    __syncthreads();
-    for (int active = {threads} / 2; active > WARP_SIZE; active >>= 1) {{
-        if (threadIdx.x < active) {{
-            {reducer.c_combine_stmt("sdata[threadIdx.x]",
-                                    "sdata[threadIdx.x + active]")}
-        }}
-        __syncthreads();
-    }}
-    if (threadIdx.x < WARP_SIZE) {{
-        for (int stride = WARP_SIZE; stride >= 1; stride >>= 1) {{
-            {reducer.c_combine_stmt("sdata[threadIdx.x]",
-                                    "sdata[threadIdx.x + stride]")}
-        }}
-    }}
+{_c_tree(reducer, threads, " " * 4)}\
     if (threadIdx.x == 0)
         partials[blockIdx.x] = sdata[0];
 }}
@@ -714,15 +715,7 @@ __global__ void {name}_merge(const float* partials, float* out,
         float v = partials[r * nblocks + c];
         {reducer.c_combine_stmt("acc", "v")}
     }}
-    sdata[threadIdx.x] = acc;
-    __syncthreads();
-    for (int active = {threads} / 2; active >= 1; active >>= 1) {{
-        if (threadIdx.x < active) {{
-            {reducer.c_combine_stmt("sdata[threadIdx.x]",
-                                    "sdata[threadIdx.x + active]")}
-        }}
-        __syncthreads();
-    }}
+{_c_tree(reducer, threads, " " * 4)}\
     if (threadIdx.x == 0)
         out[r] = sdata[0];
 }}

@@ -24,6 +24,7 @@ bit-identical buffers.
 
 from __future__ import annotations
 
+import copy
 import enum
 from typing import Any, Dict, Optional
 
@@ -192,7 +193,16 @@ class VectorCtx:
     fixed per launch).  The bounds rule is ``ThreadCtx``'s: an index past
     the row raises ``IndexError`` and a negative one counts from the
     row's end, so no lane reaches a neighbouring block's row.
+
+    :meth:`lanes` narrows the context to a thread prefix of every block
+    (a shared-memory tree step's live lanes), so a body pays only for the
+    lanes that work.
     """
+
+    #: On a :meth:`lanes` view, the launch's whole-block context, which
+    #: counts the barriers.  Never the context itself: that reference
+    #: cycle would keep each launch's arrays alive until a GC pass.
+    _launch: Optional["VectorCtx"] = None
 
     def __init__(self, grid: Dim3, block: Dim3, args: Dict[str, Any],
                  shared_spec: Dict[str, Any],
@@ -225,15 +235,38 @@ class VectorCtx:
     # -- builtins --------------------------------------------------------
     def sync(self) -> None:
         """A ``__syncthreads`` of every block (numpy ops are already
-        block-synchronous; this only keeps the barrier count)."""
-        self.barriers += self.nblocks
+        block-synchronous; this only keeps the launch's barrier count)."""
+        (self._launch or self).barriers += self.nblocks
 
     def full(self, value, dtype=np.float64) -> np.ndarray:
         return np.full(self.shape, value, dtype=dtype)
 
+    def lanes(self, n: int) -> "VectorCtx":
+        """The first ``n`` threads of every block as a ``(blocks, n)``
+        context over the same global and shared memory.
+
+        ``tx`` and ``global_tid`` are the prefix's; ``bx`` and
+        ``threads`` stay the launch's.  Accessors keep the bounds rule,
+        ``sync`` counts on the launch, and a traced access is recorded
+        over the whole block with the lanes past ``n`` masked off, as a
+        ``tx < n`` mask would record it.
+        """
+        launch = self._launch or self
+        if not 1 <= n <= launch.threads:
+            raise ValueError(f"lanes({n}): a block has 1 to "
+                             f"{launch.threads} lanes")
+        if n == launch.threads:
+            return launch
+        view = copy.copy(launch)
+        view._launch = launch
+        view.shape = (launch.nblocks, n)
+        view.tx = launch.tx[:, :n]
+        view.global_tid = launch.global_tid[:, :n]
+        return view
+
     # -- helpers ---------------------------------------------------------
     def _index(self, index, mask):
-        """``(index, mask)`` as ``(blocks, threads)`` arrays; inactive
+        """``(index, mask)`` as arrays of this context's shape; inactive
         lanes get index 0."""
         idx = np.asarray(index, dtype=np.int64)
         if mask is None:
@@ -241,8 +274,17 @@ class VectorCtx:
         m = np.broadcast_to(np.asarray(mask, dtype=bool), self.shape)
         return np.where(m, idx, 0), m
 
-    def _lanes(self, m) -> np.ndarray:
-        return np.ones(self.shape, dtype=bool) if m is None else m
+    def _record(self, record, addresses, m, size) -> None:
+        """Hand one access to the tracer over the whole block; lanes
+        masked off or past this view are inactive."""
+        lanes = self.shape[1]
+        mask = np.zeros((self.nblocks, self.threads), dtype=bool)
+        mask[:, :lanes] = True if m is None else m
+        if lanes < self.threads:
+            padded = np.zeros(mask.shape, dtype=np.int64)
+            padded[:, :lanes] = addresses
+            addresses = padded
+        record(addresses, mask, size)
 
     def _scatter(self, target: np.ndarray, idx, value, m) -> None:
         value = np.broadcast_to(np.asarray(value), self.shape)
@@ -255,8 +297,9 @@ class VectorCtx:
     def _global(self, array: DeviceArray, index, mask):
         idx, m = self._index(index, mask)
         if self._tracer is not None:
-            self._tracer.record_global(array.base + idx * array.itemsize,
-                                       self._lanes(m), array.itemsize)
+            self._record(self._tracer.record_global,
+                         array.base + idx * array.itemsize, m,
+                         array.itemsize)
         return idx, m
 
     def gload(self, array: DeviceArray, index, mask=None) -> np.ndarray:
@@ -273,9 +316,9 @@ class VectorCtx:
         idx, m = self._index(index, mask)
         flat, base, size = self._flat[name]
         if self._tracer is not None:
-            self._tracer.record_shared(
-                self._smem.byte_offset(name) + idx * flat.itemsize,
-                self._lanes(m), flat.itemsize)
+            self._record(self._tracer.record_shared,
+                         self._smem.byte_offset(name) + idx * flat.itemsize,
+                         m, flat.itemsize)
         lo, hi = idx.min(), idx.max()
         if lo < -size or hi >= size:
             raise IndexError(f"indices [{lo}, {hi}] are out of bounds for "

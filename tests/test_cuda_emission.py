@@ -8,7 +8,7 @@ from repro.compiler.plans import (MapPlan, MapShape, ReduceShape,
                                   ReduceSingleKernelPlan,
                                   ReduceThreadPerArrayPlan,
                                   ReduceTwoKernelPlan)
-from repro.compiler.reducers import ArgReducer, ScalarReducer
+from repro.compiler.reducers import ArgReducer, ScalarReducer, reducer_for
 from repro.gpu import TESLA_C2050
 from repro.ir import classify, lift_code, parse_expr
 
@@ -39,6 +39,28 @@ class TestReductionEmission:
         assert "__global__ void gold_initial" in src
         assert "__global__ void gold_merge" in src
         assert "partials" in src
+
+    def test_two_kernel_initial_reads_the_element(self):
+        """The initial kernel applies the element function at the pop
+        stride, as the single kernel does: sdot is a dot product."""
+        src = reduction_plan(ReduceTwoKernelPlan, src=SDOT_SRC).cuda_source()
+        initial = src.split("__global__ void gold_merge")[0]
+        assert "(in[idx] * in[idx + 1])" in initial
+        assert "(r * nelements + i) * 2" in initial
+
+    @pytest.mark.parametrize("plan_cls", [ReduceSingleKernelPlan,
+                                          ReduceTwoKernelPlan,
+                                          ReduceThreadPerArrayPlan])
+    @pytest.mark.parametrize("src", [SUM_SRC, SDOT_SRC, ISAMAX_SRC],
+                             ids=["sum", "sdot", "isamax"])
+    def test_no_undefined_warp_size(self, plan_cls, src):
+        """Every tree is the full ``__syncthreads`` loop; no source names
+        a ``WARP_SIZE`` that none defines."""
+        cls = classify(lift_code(src))
+        shape = ReduceShape(lambda p: 1, lambda p: p["n"],
+                            cls.pattern.pops_per_iter)
+        plan = plan_cls(SPEC, "gold", shape, lambda p: reducer_for(cls, p))
+        assert "WARP_SIZE" not in plan.cuda_source()
 
     def test_thread_per_array_transposed_access(self):
         src = reduction_plan(ReduceThreadPerArrayPlan).cuda_source()

@@ -130,13 +130,15 @@ class TestMapDifferential:
 # Reduce plans
 # ----------------------------------------------------------------------
 class TestReduceDifferential:
-    def _plan(self, plan_cls, rng, **kw):
+    def _plan(self, plan_cls, rng, r=None, n=None, **kw):
+        """An sdot plan (64 threads unless ``kw`` says otherwise) and its
+        input; ``r`` arrays of ``n`` elements, drawn when not given."""
         cls = classify(lift_code(SDOT_SRC))
         shape = ReduceShape(lambda p: p.get("r", 1), lambda p: p["n"], 2)
         plan = plan_cls(SPEC, "sdot", shape,
-                        lambda p: reducer_for(cls, p), threads=64, **kw)
-        r = int(rng.integers(1, 9))
-        n = int(rng.integers(100, 900))
+                        lambda p: reducer_for(cls, p), **{"threads": 64, **kw})
+        r = int(rng.integers(1, 9)) if r is None else r
+        n = int(rng.integers(100, 900)) if n is None else n
         return plan, {"r": r, "n": n}, rng.standard_normal(r * n * 2)
 
     @pytest.mark.parametrize("plan_cls,kw", [
@@ -145,25 +147,37 @@ class TestReduceDifferential:
         (ReduceTwoKernelPlan, {}),
         (ReduceThreadPerArrayPlan, {"layout": LAYOUT_TRANSPOSED}),
         (ReduceThreadPerArrayPlan, {"layout": LAYOUT_ROW_SOA}),
+        # Rows no longer than a block, so most tree lanes hold the
+        # identity; with 3 rows per block the last of 7 rows' group is
+        # partial.
+        *[pytest.param(ReduceSingleKernelPlan,
+                       {"rows_per_block": rows, "r": 7, "n": n},
+                       id=f"single-rows{rows}-n{n}")
+          for rows in (1, 3) for n in (1, 4, 63, 64, 65)],
+        # 64 partials for 32 merge threads: two merge accumulation steps.
+        pytest.param(ReduceTwoKernelPlan, {"threads": 32, "r": 1, "n": 2100},
+                     id="two_kernel-64_partials"),
     ])
     def test_sdot_variants(self, rng, plan_cls, kw):
         plan, params, data = self._plan(plan_cls, rng, **kw)
         assert_differential(plan, data, params)
 
     def test_argreduce(self, rng):
-        """(value, index) state pairs through the tree reduction."""
+        """(value, index) state pairs through the tree reduction, on a
+        drawn row length and on rows shorter than a warp."""
         acls = classify(lift_code(ISAMAX_SRC))
         shape = ReduceShape(lambda p: p.get("r", 1), lambda p: p["n"], 1)
         plan = ReduceSingleKernelPlan(SPEC, "isamax", shape,
                                       lambda p: reducer_for(acls, p),
                                       threads=64)
-        n = int(rng.integers(100, 1200))
-        params = {"r": 3, "n": n}
-        assert_differential(plan, rng.standard_normal(3 * n), params)
+        for n in (int(rng.integers(100, 1200)), 5):
+            params = {"r": 3, "n": n}
+            assert_differential(plan, rng.standard_normal(3 * n), params)
 
     @pytest.mark.parametrize("two_kernel", [False, True])
     def test_horizontal_mixed_widths(self, rng, two_kernel):
-        """A scalar sum fused with an arg-max: mixed state widths."""
+        """A scalar sum fused with an arg-max: mixed state widths, on a
+        drawn row length and on rows shorter than a warp."""
         sum_pat = classify(lift_code(SUM_SRC)).pattern
         argmax_pat = classify(lift_code(ISAMAX_SRC)).pattern
         fns = [lambda p: ScalarReducer(sum_pat, p),
@@ -171,8 +185,8 @@ class TestReduceDifferential:
         shape = ReduceShape(lambda p: 3, lambda p: p["n"], 1)
         plan = HorizontalReducePlan(SPEC, "mixed", shape, fns,
                                     threads=64, two_kernel=two_kernel)
-        n = int(rng.integers(100, 700))
-        assert_differential(plan, rng.standard_normal(3 * n), {"n": n})
+        for n in (int(rng.integers(100, 700)), 5):
+            assert_differential(plan, rng.standard_normal(3 * n), {"n": n})
 
 
 # ----------------------------------------------------------------------

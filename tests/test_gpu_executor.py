@@ -1,6 +1,9 @@
 """Tests for the SIMT executor: semantics, barriers, instrumentation."""
 
+import dataclasses
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -284,6 +287,116 @@ class TestSharedRowBounds:
         assert np.array_equal(
             ref, [32 * b + 31 - t for b in range(2) for t in range(32)])
         assert vec.tobytes() == ref.tobytes()
+
+
+class TestLaneViews:
+    """``VectorCtx.lanes(n)``: the first ``n`` threads of every block as
+    a ``(blocks, n)`` context over the same memory.  Its accessors keep
+    the bounds rule, its barriers count on the launch, and its traced
+    accesses record as a ``tx < n`` mask over the whole block does."""
+
+    def _launch(self, vector_body, blocks=2, threads=32, trace=False):
+        dev = Device(TESLA_C2050, exec_mode=MODE_VECTORIZED)
+        out = dev.alloc(blocks * threads, dtype=np.float64, name="out")
+        kernel = Kernel("lanes", lambda ctx: None,
+                        shared_spec={"s": (threads, np.float64)},
+                        vector_body=vector_body)
+        stats = dev.launch(kernel, blocks, threads, args={"out": out},
+                           trace=trace)
+        assert dev.executor.vectorized_launches == 1
+        return out.data, stats
+
+    @pytest.mark.parametrize("store", [False, True], ids=["load", "store"])
+    def test_index_past_row_raises(self, store):
+        def vector_body(ctx):
+            view = ctx.lanes(8)
+            index = view.tx + 25        # lane 7 reaches 32, past the row
+            if store:
+                view.sstore("s", index, -1.0)
+            else:
+                view.sload("s", index)
+
+        with pytest.raises(IndexError):
+            self._launch(vector_body)
+
+    def test_negative_index_counts_from_row_end(self):
+        def vector_body(ctx):
+            ctx.sstore("s", ctx.tx, ctx.global_tid)
+            ctx.sync()
+            view = ctx.lanes(8)
+            view.gstore(ctx.args["out"], view.global_tid,
+                        view.sload("s", -1 - view.tx))
+
+        out, _ = self._launch(vector_body)
+        expect = np.zeros(64)
+        for b in range(2):
+            expect[32 * b:32 * b + 8] = 32 * b + 31 - np.arange(8)
+        assert out.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 33])
+    def test_lane_count_outside_block_raises(self, n):
+        with pytest.raises(ValueError):
+            self._launch(lambda ctx: ctx.lanes(n))
+
+    def test_sync_counts_on_the_launch(self):
+        def vector_body(ctx):
+            ctx.sync()
+            ctx.lanes(4).sync()
+            ctx.lanes(1).lanes(16).sync()
+
+        _, stats = self._launch(vector_body, blocks=3, trace=True)
+        assert stats.barriers == 3 * 3
+
+    def test_launch_context_freed_without_gc(self):
+        """Views point at their launch, never the launch at itself, so a
+        launch's arrays go when it returns, not at the next GC pass."""
+        contexts = []
+
+        def vector_body(ctx):
+            contexts.append(weakref.ref(ctx))
+            ctx.lanes(4).sync()
+
+        gc.disable()
+        try:
+            self._launch(vector_body)
+            assert contexts[0]() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("n", [1, 5, 40, 64])
+    def test_traced_view_records_as_a_mask(self, n):
+        threads = 64
+
+        def accesses(ctx, tx, mask):
+            # Strided, so the launch has bank conflicts and uncoalesced
+            # global requests to count.
+            out = ctx.args["out"]
+            value = ctx.sload("s", (2 * tx) % threads, mask)
+            ctx.sstore("s", (3 * tx) % threads, value + 1.0, mask)
+            value = value + ctx.gload(out, ctx.bx * threads + tx, mask)
+            ctx.gstore(out, ctx.bx * threads + (5 * tx) % threads, value,
+                       mask)
+
+        def fill(ctx):
+            ctx.sstore("s", ctx.tx, ctx.global_tid)
+            ctx.gstore(ctx.args["out"], ctx.global_tid, -ctx.global_tid)
+            ctx.sync()
+
+        def viewed(ctx):
+            fill(ctx)
+            view = ctx.lanes(n)
+            accesses(view, view.tx, None)
+
+        def masked(ctx):
+            fill(ctx)
+            accesses(ctx, ctx.tx, ctx.tx < n)
+
+        view_out, view_stats = self._launch(viewed, 3, threads, trace=True)
+        mask_out, mask_stats = self._launch(masked, 3, threads, trace=True)
+        assert view_stats.global_requests > 0
+        assert (dataclasses.asdict(view_stats)
+                == dataclasses.asdict(mask_stats))
+        assert view_out.tobytes() == mask_out.tobytes()
 
 
 class TestDeviceAccounting:
