@@ -9,6 +9,9 @@ change, so the properties pinned here are:
 * the fast path is at least 10x faster in wall-clock on that launch
   (the real margin is orders of magnitude; 10x keeps the gate robust
   on loaded CI machines).
+
+The same three hold for a 128x128 image pipeline, whose blur runs the
+super-tile stencil: shared-memory staging and windowed tap reads.
 """
 
 import time
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro import Filter, StreamProgram, api
+from repro.apps import imagepipe
 from repro.gpu import (Device, DeviceArray, MODE_REFERENCE, MODE_VECTORIZED,
                        TESLA_C2050)
 
@@ -46,11 +50,11 @@ def data():
     return np.random.default_rng(7).standard_normal(2 * N)
 
 
-def _run(compiled, data, mode):
+def _run(compiled, data, mode, params=None):
     DeviceArray.reset_base_allocator()
     device = Device(TESLA_C2050, exec_mode=mode)
     start = time.perf_counter()
-    result = compiled.run(data, {"n": N, "r": 1}, device=device)
+    result = compiled.run(data, params or {"n": N, "r": 1}, device=device)
     elapsed = time.perf_counter() - start
     return result, elapsed, device.executor
 
@@ -84,6 +88,24 @@ def test_vectorized_at_least_10x_faster(data):
     _run(compiled, data, MODE_VECTORIZED)
     _, t_vec, _ = _run(compiled, data, MODE_VECTORIZED)
     _, t_ref, _ = _run(compiled, data, MODE_REFERENCE)
+    assert t_ref >= 10 * t_vec, (
+        f"expected >=10x speedup, got {t_ref / t_vec:.1f}x "
+        f"(ref {t_ref * 1e3:.1f} ms, vec {t_vec * 1e3:.1f} ms)")
+
+
+def test_stencil_fastpath_bit_identical_and_10x():
+    data, params = imagepipe.make_input(128, 128, np.random.default_rng(7))
+    compiled = api.compile(imagepipe.build())
+    # Warm the program once (plan selection, expression compilation).
+    _run(compiled, data, MODE_VECTORIZED, params)
+    vec, t_vec, executor = _run(compiled, data, MODE_VECTORIZED, params)
+    ref, t_ref, _ = _run(compiled, data, MODE_REFERENCE, params)
+    assert vec.strategy_of("seg1_blur_point").startswith(
+        "stencil.super_tile")
+    assert executor.vector_fallbacks == 0
+    assert executor.reference_launches == 0
+    assert (np.asarray(ref.output).tobytes()
+            == np.asarray(vec.output).tobytes())
     assert t_ref >= 10 * t_vec, (
         f"expected >=10x speedup, got {t_ref / t_vec:.1f}x "
         f"(ref {t_ref * 1e3:.1f} ms, vec {t_vec * 1e3:.1f} ms)")

@@ -29,20 +29,30 @@ from ...perfmodel import KernelWorkload
 from ..exprgen import (ChainStage, c_expr, compile_scalar_fn,
                        compile_vector_fn)
 from .base import (IN, LAYOUT_INTERLEAVED, LAYOUT_RESTRUCTURED, KernelPlan,
-                   PlannedLaunch, expr_aux_loads, expr_ops)
+                   PlannedLaunch, expr_aux_loads, expr_ops, freeze_scalars)
 
 
 class MapShape:
-    """Geometry of a map segment."""
+    """Geometry of a map segment.
+
+    The iteration count comes from rate expressions whose evaluation is
+    pure in the scalar params, so it is memoized per frozen-scalar
+    binding — the warm serving path asks for it on every run.
+    """
 
     def __init__(self, iterations: Callable[[Dict], int],
                  pops_per_iter: int, pushes_per_iter: int):
         self._iterations = iterations
         self.pops_per_iter = pops_per_iter
         self.pushes_per_iter = pushes_per_iter
+        self._memo: Dict[tuple, int] = {}
 
     def iterations(self, params) -> int:
-        return int(self._iterations(params))
+        key = freeze_scalars(params)
+        count = self._memo.get(key)
+        if count is None:
+            count = self._memo[key] = int(self._iterations(params))
+        return count
 
     def input_size(self, params) -> int:
         return self.iterations(params) * self.pops_per_iter
@@ -209,10 +219,14 @@ class MapPlan(KernelPlan):
             i0 = ctx.global_tid
             for s in range(steps):
                 i = i0 + s * total_threads
-                mask = i < iterations
-                if not mask.any():
-                    break
-                safe_i = np.where(mask, i, 0)
+                if (s + 1) * total_threads <= iterations:
+                    # A full step: every lane is live.
+                    mask, safe_i = None, i
+                else:
+                    mask = i < iterations
+                    if not mask.any():
+                        break
+                    safe_i = np.where(mask, i, 0)
                 if vgather is not None:
                     gidx = np.asarray(vgather(safe_i)).astype(np.int64)
                     vals = [ctx.gload(inbuf, gidx, mask)]

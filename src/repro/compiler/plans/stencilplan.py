@@ -25,22 +25,37 @@ from ...gpu import SYNC, Device, DeviceArray, GPUSpec, Kernel
 from ...ir.patterns import StencilPattern
 from ...perfmodel import KernelWorkload
 from ..exprgen import compile_scalar_fn, compile_vector_fn
-from .base import IN, KernelPlan, PlannedLaunch, expr_ops
+from .base import IN, KernelPlan, PlannedLaunch, expr_ops, freeze_scalars
 
 
 class StencilShape:
-    """Grid geometry of a stencil segment."""
+    """Grid geometry of a stencil segment.
+
+    Width and height come from rate expressions whose evaluation is pure
+    in the scalar params, so they are memoized per frozen-scalar binding
+    — the warm serving path asks for them on every run.  A binding whose
+    evaluation raises is not memoized.
+    """
 
     def __init__(self, width: Callable[[Dict], int],
                  height: Callable[[Dict], int]):
         self._width = width
         self._height = height
+        self._memo: Dict[tuple, Tuple[int, int]] = {}
+
+    def _dims(self, params) -> Tuple[int, int]:
+        key = freeze_scalars(params)
+        dims = self._memo.get(key)
+        if dims is None:
+            dims = self._memo[key] = (int(self._width(params)),
+                                      int(self._height(params)))
+        return dims
 
     def width(self, params) -> int:
-        return int(self._width(params))
+        return self._dims(params)[0]
 
     def height(self, params) -> int:
-        return int(self._height(params))
+        return self._dims(params)[1]
 
     def size(self, params) -> int:
         return self.width(params) * self.height(params)
@@ -252,6 +267,13 @@ class TiledStencilPlan(_StencilPlanBase):
     def __init__(self, spec, name, shape, pattern, threads=256,
                  tile: Tuple[int, int] = None):
         super().__init__(spec, name, shape, pattern, threads)
+        # With both powers of two, a step's lanes cover whole tile rows
+        # or lie inside one, so each tap of a step is one window of the
+        # staged tile.
+        if threads & (threads - 1):
+            raise ValueError("threads per block must be a power of two")
+        if tile is not None and tile[0] & (tile[0] - 1):
+            raise ValueError("tile width must be a power of two")
         self._fixed_tile = tile
         self.optimizations = ["neighboring_access"]
 
@@ -402,24 +424,22 @@ class TiledStencilPlan(_StencilPlanBase):
             x0 = t_x * tw - hx
             y0 = t_y * th - hy
             for step in range(stage_steps):
-                s = ctx.tx + step * threads
-                m = s < staged
-                if not m.any():
-                    break
-                sy, sx = np.divmod(s, sw)
+                first = step * threads
+                lanes = ctx.lanes(min(threads, staged - first))
+                sy, sx = np.divmod(lanes.tx + first, sw)
                 gy = y0 + sy
                 gx = x0 + sx
-                inb = (m & (gy >= 0) & (gy < height)
-                       & (gx >= 0) & (gx < width))
-                v = ctx.gload(inbuf, gy * width + gx, inb)
-                ctx.sstore("tile", s, np.where(inb, v, 0.0), m)
+                inb = (gy >= 0) & (gy < height) & (gx >= 0) & (gx < width)
+                v = lanes.gload(inbuf, gy * width + gx, inb)
+                lanes.sstore_window("tile", first, np.where(inb, v, 0.0))
             ctx.sync()
             for step in range(comp_steps):
-                c = ctx.tx + step * threads
-                cy, cx = np.divmod(c, tw)
+                first = step * threads
+                lanes = ctx.lanes(min(threads, tw * th - first))
+                cy, cx = np.divmod(lanes.tx + first, tw)
                 gy = t_y * th + cy
                 gx = t_x * tw + cx
-                cell = (c < tw * th) & (gy < height) & (gx < width)
+                cell = (gy < height) & (gx < width)
                 if not cell.any():
                     continue
                 i = gy * width + gx
@@ -433,17 +453,20 @@ class TiledStencilPlan(_StencilPlanBase):
                     ok = np.asarray(vguard(safe_i), dtype=bool) & interior
                 okm = cell & ok
                 elm = cell & ~ok
-                ly = cy + hy
-                lx = cx + hx
-                vals = [ctx.sload("tile", (ly + dy) * sw + (lx + dx), okm)
+                # The step's cells are whole tile rows or part of one:
+                # each tap reads one window of the staged tile.
+                cols = min(tw, lanes.shape[1])
+                base = (first // tw + hy) * sw + first % tw + hx
+                vals = [lanes.sload_window("tile", base + dy * sw + dx,
+                                           cols, sw, okm)
                         for dy, dx in pairs]
-                center = ctx.sload("tile", ly * sw + lx, elm)
+                center = lanes.sload_window("tile", base, cols, sw, elm)
                 result = vcompute(*vals, safe_i)
                 if vfallback is not None:
                     alt = vfallback(*([center] * len(pairs)), safe_i)
                 else:
                     alt = center
-                ctx.gstore(out, i, np.where(ok, result, alt), cell)
+                lanes.gstore(out, i, np.where(ok, result, alt), cell)
 
         kernel = Kernel(
             f"{self.name}_tiled", body, regs_per_thread=20,

@@ -182,9 +182,9 @@ class VectorCtx:
 
     Index builtins are integer arrays broadcastable to ``(blocks,
     threads)``; every accessor takes an optional boolean ``mask`` naming the
-    active lanes (inactive lanes neither touch memory nor reach the
-    tracer — their load results are the clamped-to-0 element and must be
-    discarded with ``np.where``).  Restricted to 1-D grids and blocks; the
+    active lanes (inactive lanes neither write memory nor reach the
+    tracer — their load results are unspecified and must be discarded
+    with ``np.where``).  Restricted to 1-D grids and blocks; the
     executor falls back to the reference interpreter otherwise.
 
     Each accessor costs one 1-D gather or scatter.  Shared memory is one
@@ -196,7 +196,10 @@ class VectorCtx:
 
     :meth:`lanes` narrows the context to a thread prefix of every block
     (a shared-memory tree step's live lanes), so a body pays only for the
-    lanes that work.
+    lanes that work.  :meth:`sload_window` and :meth:`sstore_window`
+    reach shared memory through a window — lanes in rows of ``cols``,
+    ``stride`` elements apart — as one basic slice of the name's array,
+    with no index array.
     """
 
     #: On a :meth:`lanes` view, the launch's whole-block context, which
@@ -311,15 +314,22 @@ class VectorCtx:
         self._scatter(array.data, idx, value, m)
 
     # -- shared memory ---------------------------------------------------
+    def _trace_shared(self, name: str, idx, m) -> None:
+        itemsize = self.shared[name].itemsize
+        self._record(self._tracer.record_shared,
+                     self._smem.byte_offset(name) + idx * itemsize,
+                     m, itemsize)
+
     def _shared(self, name: str, index, mask):
         """Flat view of ``name``, each lane's flat index into it, mask."""
         idx, m = self._index(index, mask)
         flat, base, size = self._flat[name]
         if self._tracer is not None:
-            self._record(self._tracer.record_shared,
-                         self._smem.byte_offset(name) + idx * flat.itemsize,
-                         m, flat.itemsize)
-        lo, hi = idx.min(), idx.max()
+            self._trace_shared(name, idx, m)
+        # An unmasked index is scanned before its broadcast: once per
+        # lane, not once per block and lane.
+        scan = np.asarray(index) if m is None else idx
+        lo, hi = scan.min(), scan.max()
         if lo < -size or hi >= size:
             raise IndexError(f"indices [{lo}, {hi}] are out of bounds for "
                              f"shared array {name!r} of size {size}")
@@ -334,3 +344,76 @@ class VectorCtx:
     def sstore(self, name: str, index, value, mask=None) -> None:
         flat, idx, m = self._shared(name, index, mask)
         self._scatter(flat, idx, value, m)
+
+    # -- shared windows --------------------------------------------------
+    def _window(self, name: str, offset: int, cols, stride, mask):
+        """``(window, None)``, the window as a ``(blocks, rows, cols)``
+        basic slice of ``name``'s array, or ``(None, index)`` when the
+        access takes the index path at ``index``.
+
+        The slice is cut from each block's row viewed as rows of
+        ``stride`` elements.  A window that leaves the row, crosses one
+        of those rows or ends past the last whole one takes the index
+        path.  A traced window records the index path's access.
+        """
+        lanes = self.shape[1]
+        cols = lanes if cols is None else cols
+        stride = cols if stride is None else stride
+        if cols < 1 or lanes % cols or stride < cols:
+            raise ValueError(
+                f"a window of {cols} columns {stride} apart needs columns "
+                f"that divide the {lanes} lanes and a stride of at least "
+                "the columns")
+        rows = lanes // cols
+        array = self.shared[name]
+        size = array.shape[1]
+        if rows == 1:
+            stride = size       # one run: cut it from the whole row
+        r0, c0 = divmod(offset, stride)
+        fits = (0 <= offset and c0 + cols <= stride
+                and (r0 + rows) * stride <= size)
+        if not fits or self._tracer is not None:
+            index = offset + (self.tx // cols) * stride + self.tx % cols
+            if not fits:
+                return None, index
+            self._trace_shared(name, *self._index(index, mask))
+        grid = array[:, :size - size % stride].reshape(
+            self.nblocks, -1, stride)
+        return grid[:, r0:r0 + rows, c0:c0 + cols], None
+
+    def sload_window(self, name: str, offset: int,
+                     cols: Optional[int] = None,
+                     stride: Optional[int] = None,
+                     mask=None) -> np.ndarray:
+        """``sload(name, offset + (tx // cols) * stride + tx % cols,
+        mask)`` as one strided copy: the lanes form rows of ``cols``
+        (default: one row of every lane), ``stride`` elements apart.
+
+        ``cols`` must divide the lane count and ``stride`` be at least
+        ``cols`` (``ValueError`` otherwise).  The bounds rule, the
+        traced records and the active lanes' values are :meth:`sload`'s
+        (masked-off lanes hold unspecified values); the result is a
+        fresh ``float64`` array, never a view of shared memory.
+        """
+        window, index = self._window(name, offset, cols, stride, mask)
+        if window is None:
+            return self.sload(name, index, mask)
+        return window.astype(np.float64).reshape(self.shape)
+
+    def sstore_window(self, name: str, offset: int, value,
+                      cols: Optional[int] = None,
+                      stride: Optional[int] = None, mask=None) -> None:
+        """``sstore(name, offset + (tx // cols) * stride + tx % cols,
+        value, mask)`` as one slice assignment; the window is
+        :meth:`sload_window`'s, and masked-off lanes write nothing."""
+        window, index = self._window(name, offset, cols, stride, mask)
+        if window is None:
+            self.sstore(name, index, value, mask)
+            return
+        value = np.broadcast_to(value, self.shape).reshape(window.shape)
+        if mask is None:
+            window[...] = value
+        else:
+            mask = np.broadcast_to(np.asarray(mask, dtype=bool), self.shape)
+            np.copyto(window, value, casting="unsafe",
+                      where=mask.reshape(window.shape))

@@ -117,6 +117,17 @@ class TestMapDifferential:
         data = rng.standard_normal(2 * n)
         assert_differential(plan, data, params)
 
+    def test_full_steps(self, rng):
+        """``n`` fills every grid-stride step: 3 blocks of 64 threads,
+        4 items each, and no ragged last step."""
+        pattern = classify(lift_code(SAXPY_SRC)).pattern
+        shape = MapShape(lambda p: p["n"], 2, 1)
+        plan = MapPlan(SPEC, "saxpy", shape, pattern.outputs, threads=64,
+                       items_per_thread=4)
+        n = 4 * 64 * 3
+        assert_differential(plan, rng.standard_normal(2 * n),
+                            {"n": n, "a": 0.75})
+
     def test_single_partial_block(self, rng):
         """Fewer live threads than one block: heavy masking."""
         pattern = classify(lift_code(SAXPY_SRC)).pattern
@@ -193,11 +204,12 @@ class TestReduceDifferential:
 # Stencil plans
 # ----------------------------------------------------------------------
 class TestStencilDifferential:
-    def _check(self, rng, plan_cls, src):
+    def _check(self, rng, plan_cls, src, threads=64, **kw):
         cls = classify(lift_code(src))
         shape = StencilShape(lambda p: p["width"],
                              lambda p: p["size"] // p["width"])
-        plan = plan_cls(SPEC, "st", shape, cls.pattern, threads=64)
+        plan = plan_cls(SPEC, "st", shape, cls.pattern, threads=threads,
+                        **kw)
         width = int(rng.integers(17, 64))
         height = int(rng.integers(9, 48))
         params = {"size": width * height, "width": width}
@@ -219,6 +231,22 @@ class TestStencilDifferential:
         5-point stencil.  The naive plan tests its taps only when the
         stencil has no guard of its own."""
         self._check(rng, plan_cls, src)
+
+    @pytest.mark.parametrize("threads,tile", [
+        # One compute step of 128 lanes in a block of 256.
+        pytest.param(256, (32, 4), id="ragged_compute"),
+        # Each compute step lies inside one tile row.
+        pytest.param(64, (128, 4), id="rows_wider_than_block"),
+        pytest.param(32, (64, 3), id="rows_wider_odd_height"),
+        # 34 * 6 = 204 staged cells: 3 full staging steps and one of 12.
+        pytest.param(64, (32, 4), id="ragged_staging"),
+    ])
+    @pytest.mark.parametrize("src", [STENCIL5_SRC, STENCIL_ONE_SIDED_SRC],
+                             ids=["stencil5", "one_sided"])
+    def test_tiled_steps(self, rng, src, threads, tile):
+        """Fixed tiles whose steps cover whole tile rows, part of one
+        row, or fewer lanes than the block."""
+        self._check(rng, TiledStencilPlan, src, threads=threads, tile=tile)
 
 
 # ----------------------------------------------------------------------

@@ -288,6 +288,34 @@ class TestSharedRowBounds:
             ref, [32 * b + 31 - t for b in range(2) for t in range(32)])
         assert vec.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("mode", [MODE_REFERENCE, MODE_VECTORIZED])
+    def test_inactive_lanes_are_not_bounds_checked(self, mode):
+        """Lanes 12 and up would read past the row, but none of them
+        loads: only active lanes' indices are checked."""
+        def body(ctx):
+            ctx.sstore("s", ctx.tx, float(ctx.global_tid))
+            yield SYNC
+            if ctx.tx < 12:
+                ctx.gstore(ctx.args["out"], ctx.global_tid,
+                           ctx.sload("s", ctx.tx + 20))
+
+        def vector_body(ctx):
+            ctx.sstore("s", ctx.tx, ctx.global_tid)
+            ctx.sync()
+            live = ctx.tx < 12
+            ctx.gstore(ctx.args["out"], ctx.global_tid,
+                       ctx.sload("s", ctx.tx + 20, live), live)
+
+        dev = Device(TESLA_C2050, exec_mode=mode)
+        out = dev.alloc(64, dtype=np.float64, name="out")
+        dev.launch(Kernel("masked_row", body,
+                          shared_spec={"s": (32, np.float64)},
+                          vector_body=vector_body),
+                   2, 32, args={"out": out})
+        assert np.array_equal(
+            out.data, [32 * b + t + 20 if t < 12 else 0.0
+                       for b in range(2) for t in range(32)])
+
 
 class TestLaneViews:
     """``VectorCtx.lanes(n)``: the first ``n`` threads of every block as
@@ -397,6 +425,178 @@ class TestLaneViews:
         assert (dataclasses.asdict(view_stats)
                 == dataclasses.asdict(mask_stats))
         assert view_out.tobytes() == mask_out.tobytes()
+
+
+#: Shared row length of :class:`TestSharedWindows`: 8 rows of 12.
+ROW = 96
+
+
+class TestSharedWindows:
+    """``VectorCtx.sload_window``/``sstore_window``: the access at index
+    ``offset + (tx // cols) * stride + tx % cols``, abbreviated to one
+    slice of the name's array.  Values, stored bytes, traced
+    ``LaunchStats`` and the bounds rule are the index path's."""
+
+    def _launch(self, vector_body, blocks=3, threads=32, trace=False):
+        """Fill each block's row of ``s`` with ``1000 * bx + position``,
+        run ``vector_body(ctx, out)``, then copy the rows to ``out``'s
+        tail; returns ``out`` and the stats."""
+        dev = Device(TESLA_C2050, exec_mode=MODE_VECTORIZED)
+        out = dev.alloc(blocks * (threads + ROW), dtype=np.float64,
+                        name="out")
+        rows = blocks * threads
+
+        def body(ctx):
+            for k in range(0, ROW, threads):
+                ctx.sstore("s", ctx.tx + k, 1000.0 * ctx.bx + ctx.tx + k)
+            ctx.sync()
+            vector_body(ctx, out)
+            ctx.sync()
+            for k in range(0, ROW, threads):
+                ctx.gstore(out, rows + ROW * ctx.bx + ctx.tx + k,
+                           ctx.sload("s", ctx.tx + k))
+
+        kernel = Kernel("windows", lambda ctx: None,
+                        shared_spec={"s": (ROW, np.float64)},
+                        vector_body=body)
+        stats = dev.launch(kernel, blocks, threads, args={"out": out},
+                           trace=trace)
+        assert dev.executor.vectorized_launches == 1
+        return out.data, stats
+
+    @staticmethod
+    def _index(view, offset, cols, stride):
+        lanes = view.shape[1]
+        cols = lanes if cols is None else cols
+        stride = cols if stride is None else stride
+        return offset + (view.tx // cols) * stride + view.tx % cols
+
+    # (lanes, offset, cols, stride).  The last two windows lie in the row
+    # but not in its rows of ``stride`` elements (one crosses them, one
+    # ends in the 5-element tail of 96 = 7 * 13 + 5), so they take the
+    # index path.
+    WINDOWS = [
+        pytest.param(32, 5, None, None, id="one_run"),
+        pytest.param(32, 14, 8, 12, id="rows"),
+        pytest.param(16, 27, 4, 12, id="lanes16-rows"),
+        pytest.param(8, 88, None, None, id="lanes8-row_end"),
+        pytest.param(32, 16, 8, 8, id="stride_eq_cols"),
+        pytest.param(8, 40, 4, 13, id="lanes8-stride13"),
+        pytest.param(32, 6, 8, 12, id="crossing"),
+        pytest.param(8, 79, 4, 13, id="lanes8-tail_row"),
+    ]
+
+    @pytest.mark.parametrize("lanes,offset,cols,stride", WINDOWS)
+    @pytest.mark.parametrize("masked", [False, True],
+                             ids=["unmasked", "masked"])
+    def test_load_matches_index_path(self, lanes, offset, cols, stride,
+                                     masked):
+        def load(window):
+            def vector_body(ctx, out):
+                view = ctx.lanes(lanes)
+                mask = (view.tx % 3 != 1) if masked else None
+                if window:
+                    value = view.sload_window("s", offset, cols, stride,
+                                              mask)
+                else:
+                    value = view.sload(
+                        "s", self._index(view, offset, cols, stride), mask)
+                if masked:
+                    value = np.where(mask, value, -1.0)
+                view.gstore(out, view.global_tid, value)
+            return vector_body
+
+        for trace in (False, True):
+            got, got_stats = self._launch(load(True), trace=trace)
+            want, want_stats = self._launch(load(False), trace=trace)
+            assert got.tobytes() == want.tobytes()
+            if trace:
+                assert (dataclasses.asdict(got_stats)
+                        == dataclasses.asdict(want_stats))
+
+    @pytest.mark.parametrize("lanes,offset,cols,stride", WINDOWS)
+    @pytest.mark.parametrize("masked", [False, True],
+                             ids=["unmasked", "masked"])
+    def test_store_matches_index_path(self, lanes, offset, cols, stride,
+                                      masked):
+        def store(window):
+            def vector_body(ctx, out):
+                view = ctx.lanes(lanes)
+                mask = (view.tx % 3 != 1) if masked else None
+                value = -1.5 * view.global_tid - 2.0
+                if window:
+                    view.sstore_window("s", offset, value, cols, stride,
+                                       mask)
+                else:
+                    view.sstore("s", self._index(view, offset, cols, stride),
+                                value, mask)
+            return vector_body
+
+        for trace in (False, True):
+            got, got_stats = self._launch(store(True), trace=trace)
+            want, want_stats = self._launch(store(False), trace=trace)
+            assert got.tobytes() == want.tobytes()
+            active = sum(not masked or t % 3 != 1 for t in range(lanes))
+            assert (got < 0).sum() == 3 * active
+            if trace:
+                assert (dataclasses.asdict(got_stats)
+                        == dataclasses.asdict(want_stats))
+
+    @pytest.mark.parametrize("store", [False, True], ids=["load", "store"])
+    @pytest.mark.parametrize("offset,cols,stride", [
+        (ROW - 7, None, None),      # one run of 8, one past the end
+        (60, 8, 12),                # 4 rows of 8 from 60: ends at 104
+    ], ids=["one_run", "rows"])
+    def test_window_past_row_raises(self, store, offset, cols, stride):
+        def vector_body(ctx, out):
+            view = ctx.lanes(8 if cols is None else 32)
+            if store:
+                view.sstore_window("s", offset, -1.0, cols, stride)
+            else:
+                view.sload_window("s", offset, cols, stride)
+
+        with pytest.raises(IndexError):
+            self._launch(vector_body)
+
+    def test_negative_offset_reads_row_end(self):
+        def vector_body(ctx, out):
+            view = ctx.lanes(8)
+            view.gstore(out, view.global_tid, view.sload_window("s", -8))
+
+        out, _ = self._launch(vector_body)
+        for b in range(3):
+            assert np.array_equal(out[32 * b:32 * b + 8],
+                                  1000.0 * b + np.arange(ROW - 8, ROW))
+
+    @pytest.mark.parametrize("cols,stride", [(None, None), (8, 12)],
+                             ids=["one_run", "rows"])
+    def test_loaded_window_is_a_copy(self, cols, stride):
+        def vector_body(ctx, out):
+            value = ctx.sload_window("s", 12, cols, stride)
+            ctx.sstore_window("s", 12, -1.0, cols, stride)
+            ctx.gstore(out, ctx.global_tid, value)
+
+        out, _ = self._launch(vector_body)
+        cols, stride = cols or 32, stride or 32
+        window = [12 + stride * (t // cols) + t % cols for t in range(32)]
+        for b in range(3):
+            assert np.array_equal(out[32 * b:32 * b + 32],
+                                  1000.0 * b + np.asarray(window))
+
+    @pytest.mark.parametrize("cols,stride", [(5, None), (0, None),
+                                             (8, 4), (64, 64)],
+                             ids=["cols_5", "cols_0", "stride_lt_cols",
+                                  "cols_gt_lanes"])
+    @pytest.mark.parametrize("store", [False, True], ids=["load", "store"])
+    def test_bad_window_raises(self, cols, stride, store):
+        def vector_body(ctx, out):
+            if store:
+                ctx.sstore_window("s", 0, 1.0, cols, stride)
+            else:
+                ctx.sload_window("s", 0, cols, stride)
+
+        with pytest.raises(ValueError):
+            self._launch(vector_body)
 
 
 class TestDeviceAccounting:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import CompileError
 from repro.gpu import Device, TESLA_C2050
 from repro.ir import classify, lift_code
 from repro.ir import nodes as N
@@ -241,3 +242,32 @@ class TestStencilPlans:
         params = {"width": 2048}
         assert (tiled.predicted_seconds(model, params)
                 < naive.predicted_seconds(model, params))
+
+    @pytest.mark.parametrize("kw", [{"threads": 48},
+                                    {"threads": 64, "tile": (48, 4)}],
+                             ids=["threads_48", "tile_width_48"])
+    def test_tiled_needs_power_of_two_threads_and_width(self, kw):
+        """A step's lanes must cover whole tile rows or lie in one."""
+        shape = StencilShape(lambda p: 64, lambda p: 64)
+        with pytest.raises(ValueError):
+            TiledStencilPlan(SPEC, "st", shape, self._pattern(), **kw)
+
+    def test_shape_memoizes_geometry_but_not_errors(self):
+        """Width and height are evaluated once per scalar binding (array
+        params do not key them); a binding that raises is evaluated
+        again next time."""
+        calls = []
+
+        def width(params):
+            calls.append(params["width"])
+            if params["width"] < 0:
+                raise CompileError("one invocation per execution")
+            return params["width"]
+
+        shape = StencilShape(width, lambda p: 3)
+        assert shape.size({"width": 4}) == 12
+        assert shape.width({"width": 4, "vec": np.zeros(2)}) == 4
+        for _ in range(2):
+            with pytest.raises(CompileError):
+                shape.height({"width": -1})
+        assert calls == [4, -1, -1]

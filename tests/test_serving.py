@@ -10,13 +10,15 @@ buffer arena's recycling contract.
 import numpy as np
 import pytest
 
-from repro.apps import tmv
+from repro import api
+from repro.apps import imagepipe, tmv
 from repro.compiler import AdapticCompiler
 from repro.compiler.exprgen import COMPILE_COUNTER
 from repro.compiler.plans.base import RESTRUCTURE_COUNTER
 from repro.gpu import (BufferArena, Device, DeviceArray, MODE_REFERENCE,
                        MODE_VECTORIZED, PCIE_BANDWIDTH_GBPS, TESLA_C2050)
 from repro.compiler import RunOptions
+from repro.ir.rates import RateExpr
 
 
 @pytest.fixture
@@ -111,6 +113,31 @@ class TestStageObservability:
         assert stats.h2d_seconds > 0.0
         assert "runs=2" in stats.summary()
         assert "kernel=" in stats.stage_summary()
+
+
+class TestWarmGeometry:
+    @pytest.mark.parametrize("placement", [False, True],
+                             ids=["gpu", "placement"])
+    def test_warm_imagepipe_run_evaluates_one_rate(self, monkeypatch,
+                                                   placement):
+        """Map and stencil geometry is memoized per scalar binding, so a
+        warm run evaluates one rate expression: the declared input size
+        its input is checked against."""
+        compiled = api.compile(
+            imagepipe.build(),
+            options=api.AdapticOptions(placement=placement))
+        data, params = imagepipe.make_input(64, 48)
+        compiled.run(data, params)
+        calls = []
+        evaluate = RateExpr.evaluate
+
+        def counting(self, bound):
+            calls.append(str(self))
+            return evaluate(self, bound)
+
+        monkeypatch.setattr(RateExpr, "evaluate", counting)
+        compiled.run(data, params)
+        assert len(calls) <= 1, calls
 
 
 class TestWarmupAndRunMany:
