@@ -21,8 +21,9 @@ import pytest
 
 from repro import Filter, StreamProgram, api
 from repro.apps import imagepipe
+from repro.compiler.plans import TiledStencilPlan
 from repro.gpu import (Device, DeviceArray, MODE_REFERENCE, MODE_VECTORIZED,
-                       TESLA_C2050)
+                       TESLA_C2050, VectorCtx)
 
 pytestmark = pytest.mark.differential
 
@@ -91,6 +92,38 @@ def test_vectorized_at_least_10x_faster(data):
     assert t_ref >= 10 * t_vec, (
         f"expected >=10x speedup, got {t_ref / t_vec:.1f}x "
         f"(ref {t_ref * 1e3:.1f} ms, vec {t_vec * 1e3:.1f} ms)")
+
+
+def test_stencil_blur_takes_no_index_path(monkeypatch):
+    """A warm, untraced 128x128 blur moves every tap, halo and output
+    through windows: no access inside its launch builds an index array
+    (``VectorCtx._index``)."""
+    data, params = imagepipe.make_input(128, 128, np.random.default_rng(7))
+    compiled = api.compile(imagepipe.build())
+    _run(compiled, data, MODE_VECTORIZED, params)
+    launches, inside, index_calls = [], [], []
+    execute, index_path = TiledStencilPlan.execute, VectorCtx._index
+
+    def counted_execute(self, *args):
+        launches.append(self.name)
+        inside.append(True)
+        try:
+            return execute(self, *args)
+        finally:
+            inside.pop()
+
+    def counted_index(self, *args):
+        if inside:
+            index_calls.append(args)
+        return index_path(self, *args)
+
+    monkeypatch.setattr(TiledStencilPlan, "execute", counted_execute)
+    monkeypatch.setattr(VectorCtx, "_index", counted_index)
+    result, _, executor = _run(compiled, data, MODE_VECTORIZED, params)
+    assert result.strategy_of("seg1_blur_point").startswith(
+        "stencil.super_tile")
+    assert len(launches) == 1 and executor.vector_fallbacks == 0
+    assert not index_calls, "the blur launch took the index path"
 
 
 def test_stencil_fastpath_bit_identical_and_10x():

@@ -270,14 +270,41 @@ class KernelPlan(abc.ABC):
         return f"{type(self).__name__}({self.name!r}, {self.strategy})"
 
 
+class FrozenParams(dict):
+    """An immutable parameter binding that carries its frozen keys.
+
+    A run copies its params into one, so every cache lookup in the run
+    reads the keys :func:`freeze_scalars` and :func:`freeze_arrays`
+    sorted once, instead of sorting the binding again.  Any mutation
+    raises ``TypeError``.
+    """
+
+    __slots__ = ("scalars", "arrays")
+
+    def __init__(self, params=()):
+        super().__init__(params)
+        self.scalars = _scalar_key(self)
+        self.arrays = _array_key(self)
+
+    def _immutable(self, *args, **kwargs):
+        raise TypeError("a frozen parameter binding is immutable")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    clear = pop = popitem = setdefault = update = _immutable
+
+    def __reduce__(self):
+        return FrozenParams, (dict(self),)
+
+
 def freeze_scalars(params) -> tuple:
     """Hashable projection of a parameter binding onto its scalars.
 
     The canonical cache key for anything that depends on a parameter
     binding only through the analytic model (costs, schedules, reducers).
     """
-    return tuple(sorted((k, v) for k, v in (params or {}).items()
-                        if np.isscalar(v)))
+    if isinstance(params, FrozenParams):
+        return params.scalars
+    return _scalar_key(params)
 
 
 def freeze_arrays(params) -> tuple:
@@ -289,6 +316,17 @@ def freeze_arrays(params) -> tuple:
     keep ids unambiguous.  ``None`` placeholders participate by identity
     too, which is stable and cheap.
     """
+    if isinstance(params, FrozenParams):
+        return params.arrays
+    return _array_key(params)
+
+
+def _scalar_key(params) -> tuple:
+    return tuple(sorted((k, v) for k, v in (params or {}).items()
+                        if np.isscalar(v)))
+
+
+def _array_key(params) -> tuple:
     return tuple(sorted((k, id(v)) for k, v in (params or {}).items()
                         if not np.isscalar(v)))
 

@@ -16,12 +16,14 @@ offsets of the corresponding input cell on a ``height × width`` grid.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from ...gpu import SYNC, Device, DeviceArray, GPUSpec, Kernel
+from ...ir.nodes import free_vars
 from ...ir.patterns import StencilPattern
 from ...perfmodel import KernelWorkload
 from ..exprgen import compile_scalar_fn, compile_vector_fn
@@ -254,6 +256,34 @@ class NaiveStencilPlan(_StencilPlanBase):
                 f"({len(self.pattern.offsets)} loads per cell)\n")
 
 
+@dataclasses.dataclass(frozen=True)
+class _Tiling:
+    """One binding's super-tile geometry (:meth:`TiledStencilPlan._tiling`).
+
+    ``fallback`` marks the tile-grid cells (block-major, then row-major
+    in the tile) that lie in the image but fail the guard or have a tap
+    off it: a bool mask, or those cells' ``int32`` indices when that is
+    smaller, so at most one byte per cell.
+    """
+
+    width: int
+    height: int
+    tile: Tuple[int, int]
+    halo: Tuple[int, int]
+    pairs: List[Tuple[int, int]]
+    tiles: Tuple[int, int]
+    fallback: np.ndarray
+
+    def fallback_mask(self) -> np.ndarray:
+        """``fallback`` as a ``(blocks, cells)`` bool mask."""
+        shape = (self.tiles[0] * self.tiles[1], self.tile[0] * self.tile[1])
+        if self.fallback.dtype == bool:
+            return self.fallback.reshape(shape)
+        mask = np.zeros(shape[0] * shape[1], dtype=bool)
+        mask[self.fallback] = True
+        return mask.reshape(shape)
+
+
 class TiledStencilPlan(_StencilPlanBase):
     """Super-tile shared-memory stencil with halo staging (Figures 5–6)."""
 
@@ -267,15 +297,13 @@ class TiledStencilPlan(_StencilPlanBase):
     def __init__(self, spec, name, shape, pattern, threads=256,
                  tile: Tuple[int, int] = None):
         super().__init__(spec, name, shape, pattern, threads)
-        # With both powers of two, a step's lanes cover whole tile rows
-        # or lie inside one, so each tap of a step is one window of the
-        # staged tile.
-        if threads & (threads - 1):
-            raise ValueError("threads per block must be a power of two")
-        if tile is not None and tile[0] & (tile[0] - 1):
-            raise ValueError("tile width must be a power of two")
         self._fixed_tile = tile
         self.optimizations = ["neighboring_access"]
+        # The vector body builds the cell index only for a body that
+        # reads it.
+        self._reads_index = any(
+            expr is not None and "_i" in free_vars(expr)
+            for expr in (pattern.compute, pattern.guard_else))
 
     # ------------------------------------------------------------------
     def halo(self, params) -> Tuple[int, int]:
@@ -350,17 +378,48 @@ class TiledStencilPlan(_StencilPlanBase):
         return [PlannedLaunch(self.name, blocks, self.threads, workload)]
 
     # ------------------------------------------------------------------
+    def _tiling(self, params) -> "_Tiling":
+        """The binding's tile geometry, built once per binding."""
+        def build():
+            width = self.shape.width(params)
+            height = self.shape.height(params)
+            pairs = self._decomposed_offsets(params)
+            tw, th = self.choose_tile(params)
+            tiles_x = math.ceil(width / tw)
+            tiles_y = math.ceil(height / th)
+            # Tile-grid coordinates, (tiles_y, tiles_x, th, tw).
+            gy = (np.arange(tiles_y)[:, None] * th
+                  + np.arange(th))[:, None, :, None]
+            gx = (np.arange(tiles_x)[:, None] * tw
+                  + np.arange(tw))[None, :, None, :]
+            cell = (gy < height) & (gx < width)
+            # Every tap is in bounds iff the extreme taps are.
+            ok = ((gy + min(dy for dy, _dx in pairs) >= 0)
+                  & (gy + max(dy for dy, _dx in pairs) < height)
+                  & (gx + min(dx for _dy, dx in pairs) >= 0)
+                  & (gx + max(dx for _dy, dx in pairs) < width))
+            vguard = self._vfns(params)[1]
+            if vguard is not None:
+                i = np.where(cell, gy * width + gx, 0)
+                ok = ok & np.asarray(vguard(i), dtype=bool)
+            fallback = (cell & ~ok).reshape(-1)
+            cells = np.flatnonzero(fallback).astype(np.int32)
+            if cells.nbytes < fallback.nbytes:
+                fallback = cells
+            return _Tiling(width, height, (tw, th), self.halo(params),
+                           pairs, (tiles_x, tiles_y), fallback)
+        return self.cached_artifact("tiling", params, build)
+
     def execute(self, device: Device, buffers, params) -> DeviceArray:
-        width = self.shape.width(params)
-        height = self.shape.height(params)
+        geo = self._tiling(params)
+        width, height = geo.width, geo.height
         size = width * height
-        pairs = self._decomposed_offsets(params)
+        pairs = geo.pairs
         compute, guard, fallback = self._fns(params)
-        tw, th = self.choose_tile(params)
-        hx, hy = self.halo(params)
+        tw, th = geo.tile
+        hx, hy = geo.halo
         sw, sh = tw + 2 * hx, th + 2 * hy
-        tiles_x = math.ceil(width / tw)
-        tiles_y = math.ceil(height / th)
+        tiles_x, tiles_y = geo.tiles
         out = device.alloc(size, dtype=np.float64, name=f"{self.name}.out")
         inbuf = buffers[IN]
         threads = self.threads
@@ -410,63 +469,52 @@ class TiledStencilPlan(_StencilPlanBase):
                             ctx.gstore(out, i, center)
                 c += threads
 
-        vcompute, vguard, vfallback = self._vfns(params)
-        stage_steps = math.ceil(staged / threads)
-        comp_steps = math.ceil(tw * th / threads)
-        dy_lo = min(dy for dy, _dx in pairs)
-        dy_hi = max(dy for dy, _dx in pairs)
-        dx_lo = min(dx for _dy, dx in pairs)
-        dx_hi = max(dx for _dy, dx in pairs)
+        vcompute, _, vfallback = self._vfns(params)
+        cells = tw * th
+        # Tile rows and columns of every block, (tiles_y, tiles_x, ., .).
+        ys = (np.arange(tiles_y) * th)[:, None, None, None]
+        xs = (np.arange(tiles_x) * tw)[None, :, None, None]
 
         def vector_body(ctx):
-            t_y = ctx.bx // tiles_x
-            t_x = ctx.bx % tiles_x
-            x0 = t_x * tw - hx
-            y0 = t_y * th - hy
-            for step in range(stage_steps):
-                first = step * threads
-                lanes = ctx.lanes(min(threads, staged - first))
-                sy, sx = np.divmod(lanes.tx + first, sw)
-                gy = y0 + sy
-                gx = x0 + sx
-                inb = (gy >= 0) & (gy < height) & (gx >= 0) & (gx < width)
-                v = lanes.gload(inbuf, gy * width + gx, inb)
-                lanes.sstore_window("tile", first, np.where(inb, v, 0.0))
+            # Stage each block's halo tile: one window of rows of ``sw``
+            # cells, ``width`` apart; cells off the image stage 0.0.
+            stage = ctx.loop(staged, sw)
+            gy = ys - hy + np.arange(sh)[:, None]
+            gx = xs - hx + np.arange(sw)
+            off = (((gy < 0) | (gy >= height))
+                   | ((gx < 0) | (gx >= width))).reshape(stage.shape)
+            v = stage.gload_window(inbuf, (ys - hy) * width + xs - hx,
+                                   sw, width, ~off)
+            np.copyto(v, 0.0, where=off)
+            stage.sstore_window("tile", 0, v, sw)
+            del v   # the staged copy is not live across the compute pass
             ctx.sync()
-            for step in range(comp_steps):
-                first = step * threads
-                lanes = ctx.lanes(min(threads, tw * th - first))
-                cy, cx = np.divmod(lanes.tx + first, tw)
-                gy = t_y * th + cy
-                gx = t_x * tw + cx
-                cell = (gy < height) & (gx < width)
-                if not cell.any():
-                    continue
-                i = gy * width + gx
-                safe_i = np.where(cell, i, 0)
-                # Every tap is in bounds iff the extreme taps are.
-                interior = ((gy + dy_lo >= 0) & (gy + dy_hi < height)
-                            & (gx + dx_lo >= 0) & (gx + dx_hi < width))
-                if vguard is None:
-                    ok = interior
-                else:
-                    ok = np.asarray(vguard(safe_i), dtype=bool) & interior
-                okm = cell & ok
-                elm = cell & ~ok
-                # The step's cells are whole tile rows or part of one:
-                # each tap reads one window of the staged tile.
-                cols = min(tw, lanes.shape[1])
-                base = (first // tw + hy) * sw + first % tw + hx
-                vals = [lanes.sload_window("tile", base + dy * sw + dx,
-                                           cols, sw, okm)
-                        for dy, dx in pairs]
-                center = lanes.sload_window("tile", base, cols, sw, elm)
-                result = vcompute(*vals, safe_i)
-                if vfallback is not None:
-                    alt = vfallback(*([center] * len(pairs)), safe_i)
-                else:
-                    alt = center
-                lanes.gstore(out, i, np.where(ok, result, alt), cell)
+            # Every cell of the tile at once: each tap and the centre is
+            # one window of the staged tile.
+            loop = ctx.loop(cells, tw)
+            gy = ys + np.arange(th)[:, None]
+            gx = xs + np.arange(tw)
+            cell = ((gy < height) & (gx < width)).reshape(loop.shape)
+            elm = geo.fallback_mask().reshape(loop.shape)
+            okm = cell & ~elm
+            base = hy * sw + hx
+            vals = [loop.sload_window("tile", base + dy * sw + dx, tw, sw,
+                                      okm)
+                    for dy, dx in pairs]
+            center = loop.sload_window("tile", base, tw, sw, elm)
+            i = None
+            if self._reads_index:
+                # Cells off the image are never stored: any index in the
+                # image serves them.
+                i = (np.minimum(gy, height - 1) * width
+                     + np.minimum(gx, width - 1)).reshape(loop.shape)
+            if vfallback is not None:
+                center = vfallback(*([center] * len(pairs)), i)
+            # The kernel's two stores: the computed cells, the others.
+            origin = ys * width + xs
+            loop.gstore_window(out, origin, vcompute(*vals, i), tw, width,
+                               okm)
+            loop.gstore_window(out, origin, center, tw, width, elm)
 
         kernel = Kernel(
             f"{self.name}_tiled", body, regs_per_thread=20,

@@ -53,8 +53,8 @@ from ..perfmodel import AxisSpec, CalibrationStore, FeedbackConfig, \
 from .costing import predicted_chain_fuse_gain
 from .exprgen import (COMPILE_COUNTER, SOURCE_REGISTRY, ExprGenError,
                       compile_chain_fn)
-from .plans.base import IN, KernelPlan, RESTRUCTURE_COUNTER, freeze_arrays, \
-    freeze_scalars
+from .plans.base import IN, FrozenParams, KernelPlan, RESTRUCTURE_COUNTER, \
+    freeze_arrays, freeze_scalars
 from .segments import RegionDispatch, Segment, chain_spans
 from .stats import CostCache, SelectionStats
 
@@ -1092,7 +1092,7 @@ class CompiledProgram:
         opts = options or RunOptions()
         location = opts.location
         device = self._resolve_device(device, opts.exec_mode)
-        params = dict(params)
+        params = FrozenParams(params)
         host_input = self._validate_input(host_input, params)
         compile_before = COMPILE_COUNTER.snapshot()
         restructure_before = RESTRUCTURE_COUNTER.snapshot()

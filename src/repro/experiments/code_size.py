@@ -32,12 +32,9 @@ def run(spec: GPUSpec = TESLA_C2050, samples: int = 5,
     names, ratios = [], []
     for name, prog_fn in CASES.items():
         compiled = api.compile(prog_fn(), arch=spec)
-        try:
-            compiled.prune_variants(samples=samples,
-                                    extra_params=apps.PINS.get(name),
-                                    tolerance=tolerance)
-        except Exception:
-            pass  # pruning is best-effort; unpruned counts are conservative
+        compiled.prune_variants(samples=samples,
+                                extra_params=apps.PINS.get(name),
+                                tolerance=tolerance)
         names.append(name)
         ratios.append(compiled.code_size_ratio())
     names.append("average")

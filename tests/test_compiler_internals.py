@@ -1,5 +1,8 @@
 """Tests for AdapticCompiler internals: sizing, thread options, fusion
-ordering, and optimization attribution."""
+ordering, optimization attribution and the frozen run binding."""
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ import pytest
 from repro import AdapticOptions, Filter, Pipeline, StreamProgram, api
 from repro.compiler import AdapticCompiler
 from repro.compiler.adaptic import _Sizing
+from repro.compiler.plans.base import (FrozenParams, freeze_arrays,
+                                       freeze_scalars)
 from repro.gpu import TESLA_C2050
 from repro.streamit import flatten
 
@@ -132,3 +137,35 @@ def gemv_row(cols):
             params=["cols", "rows"], input_size="rows*cols")
         compiled = api.compile(prog)
         assert compiled.segments[0].consts == ("vec",)
+
+
+class TestFrozenParams:
+    """A run's binding: an immutable dict that carries its frozen keys."""
+
+    def _params(self):
+        return {"n": 64, "alpha": 0.5, "vec": np.arange(3.0), "r": None}
+
+    def test_keys_are_the_freezes(self):
+        params = self._params()
+        frozen = FrozenParams(params)
+        assert frozen == params
+        assert freeze_scalars(frozen) == freeze_scalars(params)
+        assert freeze_arrays(frozen) == freeze_arrays(params)
+        assert freeze_scalars(frozen) is frozen.scalars
+
+    @pytest.mark.parametrize("mutate", [
+        lambda p: p.__setitem__("n", 1), lambda p: p.__delitem__("n"),
+        lambda p: p.update(n=1), lambda p: p.setdefault("m", 1),
+        lambda p: p.pop("n"), lambda p: p.popitem(), lambda p: p.clear(),
+    ], ids=["setitem", "delitem", "update", "setdefault", "pop",
+            "popitem", "clear"])
+    def test_mutation_raises(self, mutate):
+        with pytest.raises(TypeError):
+            mutate(FrozenParams(self._params()))
+
+    def test_copies_keep_keys(self):
+        frozen = FrozenParams({"n": 64, "alpha": 0.5})
+        for other in (copy.copy(frozen),
+                      pickle.loads(pickle.dumps(frozen))):
+            assert isinstance(other, FrozenParams)
+            assert other == frozen and other.scalars == frozen.scalars

@@ -30,6 +30,7 @@ from repro.compiler.plans.reduceplan import (LAYOUT_ROW_SOA,
                                              ReduceSingleKernelPlan,
                                              ReduceThreadPerArrayPlan,
                                              ReduceTwoKernelPlan)
+from repro.apps import convolution
 from repro.compiler.reducers import ArgReducer, ScalarReducer, reducer_for
 from repro.gpu import (Device, DeviceArray, MODE_REFERENCE, MODE_VECTORIZED,
                        TESLA_C2050)
@@ -37,7 +38,8 @@ from repro.ir import classify, lift_code
 
 from workloads import (ISAMAX_SRC, SAXPY_SRC, SCALE_SRC, SDOT_SRC,
                        STENCIL5_SRC, STENCIL_ONE_SIDED_SRC,
-                       STENCIL_ONE_SIDED_UNGUARDED_SRC, SUM_SRC)
+                       STENCIL_ONE_SIDED_UNGUARDED_SRC,
+                       STENCIL_RADIUS2_INDEXED_SRC, SUM_SRC)
 from repro.compiler import RunOptions
 
 pytestmark = pytest.mark.differential
@@ -204,14 +206,15 @@ class TestReduceDifferential:
 # Stencil plans
 # ----------------------------------------------------------------------
 class TestStencilDifferential:
-    def _check(self, rng, plan_cls, src, threads=64, **kw):
+    def _check(self, rng, plan_cls, src, threads=64, dims=None, **kw):
+        """``dims`` is ``(width, height)``; random when omitted."""
         cls = classify(lift_code(src))
         shape = StencilShape(lambda p: p["width"],
                              lambda p: p["size"] // p["width"])
         plan = plan_cls(SPEC, "st", shape, cls.pattern, threads=threads,
                         **kw)
-        width = int(rng.integers(17, 64))
-        height = int(rng.integers(9, 48))
+        width, height = dims or (int(rng.integers(17, 64)),
+                                 int(rng.integers(9, 48)))
         params = {"size": width * height, "width": width}
         assert_differential(plan, rng.standard_normal(width * height),
                             params)
@@ -233,20 +236,50 @@ class TestStencilDifferential:
         self._check(rng, plan_cls, src)
 
     @pytest.mark.parametrize("threads,tile", [
-        # One compute step of 128 lanes in a block of 256.
+        # A 128-cell compute loop of one trip in a block of 256.
         pytest.param(256, (32, 4), id="ragged_compute"),
-        # Each compute step lies inside one tile row.
+        # Each trip of the compute loop lies inside one tile row.
         pytest.param(64, (128, 4), id="rows_wider_than_block"),
         pytest.param(32, (64, 3), id="rows_wider_odd_height"),
-        # 34 * 6 = 204 staged cells: 3 full staging steps and one of 12.
+        # 34 * 6 = 204 staged cells: 3 full staging trips and one of 12.
         pytest.param(64, (32, 4), id="ragged_staging"),
+        # Neither the block nor the tile width is a power of two.
+        pytest.param(48, (32, 4), id="threads_48"),
+        pytest.param(64, (48, 4), id="tile_width_48"),
     ])
     @pytest.mark.parametrize("src", [STENCIL5_SRC, STENCIL_ONE_SIDED_SRC],
                              ids=["stencil5", "one_sided"])
     def test_tiled_steps(self, rng, src, threads, tile):
-        """Fixed tiles whose steps cover whole tile rows, part of one
-        row, or fewer lanes than the block."""
+        """Fixed tiles whose loop trips cover whole tile rows, part of
+        one row, or fewer lanes than the block."""
         self._check(rng, TiledStencilPlan, src, threads=threads, tile=tile)
+
+    @pytest.mark.parametrize("plan_cls", [NaiveStencilPlan,
+                                          TiledStencilPlan])
+    def test_body_reads_cell_index(self, rng, plan_cls):
+        """Radius 2: the compute and the fallback read ``_i``, so a
+        vector body that leaves the index out cannot pass."""
+        cls = classify(lift_code(STENCIL_RADIUS2_INDEXED_SRC))
+        assert "_i" in str(cls.pattern.guard_else)
+        self._check(rng, plan_cls, STENCIL_RADIUS2_INDEXED_SRC)
+
+    @pytest.mark.parametrize("src", [convolution.row_source(4),
+                                     convolution.col_source(4)],
+                             ids=["row_halo_4x0", "col_halo_0x4"])
+    def test_one_axis_halo(self, rng, src):
+        """Radius-4 halos on one axis only: wide halo columns, or tall
+        halo rows, and none on the other axis."""
+        self._check(rng, TiledStencilPlan, src)
+
+    @pytest.mark.parametrize("dims", [(70, 37), (130, 9), (33, 64)],
+                             ids=["70x37", "130x9", "33x64"])
+    @pytest.mark.parametrize("src", [STENCIL5_SRC,
+                                     STENCIL_RADIUS2_INDEXED_SRC],
+                             ids=["stencil5", "radius2"])
+    def test_partial_tiles(self, rng, src, dims):
+        """Several tiles with a partial last one: their halo windows
+        leave the image and their stores are masked to it."""
+        self._check(rng, TiledStencilPlan, src, dims=dims)
 
 
 # ----------------------------------------------------------------------

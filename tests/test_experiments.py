@@ -5,6 +5,7 @@ import pytest
 
 from repro.experiments import (code_size, common, fig01, fig09, fig10,
                                fig11, fig12, sec53)
+from repro.api import CompiledProgram
 from repro.gpu import GTX_285, TESLA_C2050
 
 
@@ -132,3 +133,12 @@ class TestSec53AndCodeSize:
         result = code_size.run(samples=3)
         assert result.series[0].x[-1] == "average"
         assert result.series[0].y[-1] >= 1.0
+
+    def test_code_size_prune_error_propagates(self, monkeypatch):
+        """A failing prune is an error, not a silently unpruned count."""
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("prune failed")
+
+        monkeypatch.setattr(CompiledProgram, "prune_variants", broken)
+        with pytest.raises(RuntimeError, match="prune failed"):
+            code_size.run(samples=3)

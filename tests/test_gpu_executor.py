@@ -599,6 +599,230 @@ class TestSharedWindows:
             self._launch(vector_body)
 
 
+#: Per-block lengths of :class:`TestLoopViews`' shared row and global
+#: segment.
+LOOP_ROW = 128
+LOOP_SEG = 160
+
+
+def _trips(ctx, n):
+    """The loop ``for (s = tx; s < n; s += threads)`` one trip at a
+    time: ``(lanes view, s)`` per trip."""
+    for first in range(0, n, ctx.threads):
+        view = ctx.lanes(min(ctx.threads, n - first))
+        yield view, view.tx + first
+
+
+def _whole(ctx, n):
+    """The same loop as one :meth:`VectorCtx.loop` view."""
+    loop = ctx.loop(n)
+    yield loop, loop.tx
+
+
+def _whole_kept(ctx, n):
+    """As :func:`_whole`, but every phase of the launch reuses one view,
+    across the barriers between them."""
+    loop = ctx.__dict__.setdefault(f"_test_loop_{n}", ctx.loop(n))
+    yield loop, loop.tx
+
+
+class TestLoopViews:
+    """``VectorCtx.loop(n)``: a block's cooperative loop as one context.
+    Its loads, stores and windows move the data a per-trip ``lanes``
+    loop moves, and its traced ``LaunchStats`` are that loop's."""
+
+    def _launch(self, vector_body, blocks=3, threads=32, trace=False):
+        """Run ``vector_body(ctx, src, dst)`` with ``src`` holding
+        ``position + 0.5`` and ``dst`` zeros, ``LOOP_SEG`` elements per
+        block; returns ``dst`` and the stats."""
+        dev = Device(TESLA_C2050, exec_mode=MODE_VECTORIZED)
+        size = blocks * LOOP_SEG
+        src = dev.to_device(np.arange(size) + 0.5, "src")
+        dst = dev.alloc(size, dtype=np.float64, name="dst")
+        kernel = Kernel("loop", lambda ctx: None,
+                        shared_spec={"s": (LOOP_ROW, np.float64)},
+                        vector_body=lambda ctx: vector_body(ctx, src, dst))
+        stats = dev.launch(kernel, blocks, threads,
+                           args={"src": src, "dst": dst}, trace=trace)
+        assert dev.executor.vectorized_launches == 1
+        return dst.data, stats
+
+    def _same(self, body, whole=_whole):
+        """``body(loop_over)`` run per trip and as one loop view, traced
+        and untraced, writes the same bytes with the same stats."""
+        for trace in (False, True):
+            want, want_stats = self._launch(body(_trips), trace=trace)
+            got, got_stats = self._launch(body(whole), trace=trace)
+            assert got.tobytes() == want.tobytes()
+            if trace:
+                assert want_stats.global_requests > 0
+                assert (dataclasses.asdict(got_stats)
+                        == dataclasses.asdict(want_stats))
+
+    # Below, equal to and above the 32 threads; 70 ends on a ragged trip.
+    SIZES = [20, 32, 64, 70]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_loads_and_stores_match_trips(self, n):
+        def body(loop_over):
+            def vector_body(ctx, src, dst):
+                for view, s in loop_over(ctx, n):
+                    keep = (3 * s + view.bx) % 5 != 2
+                    v = view.gload(src, view.bx * LOOP_SEG + s, keep)
+                    view.sstore("s", (7 * s) % LOOP_ROW,
+                                np.where(keep, v, -1.0))
+                ctx.sync()
+                for view, s in loop_over(ctx, n):
+                    view.gstore(dst, view.bx * LOOP_SEG + s,
+                                view.sload("s", (7 * s) % LOOP_ROW) + s)
+            return vector_body
+
+        self._same(body)
+
+    # (n, cols, stride): a shared window of rows of ``cols``, ``stride``
+    # apart, from offset 3; ``None`` is one run.
+    WINDOWS = [(20, 5, 7), (32, 8, 10), (64, 8, 9), (70, 7, 11),
+               (70, None, None)]
+
+    @pytest.mark.parametrize("n,cols,stride", WINDOWS)
+    @pytest.mark.parametrize("masked", [False, True],
+                             ids=["unmasked", "masked"])
+    def test_windows_match_trips(self, n, cols, stride, masked):
+        def body(loop_over):
+            def vector_body(ctx, src, dst):
+                for view, s in loop_over(ctx, n):
+                    c = n if cols is None else cols
+                    at = (s // c) * (stride or c) + s % c
+                    mask = (s + view.bx) % 3 != 1 if masked else None
+                    origin = view.bx * LOOP_SEG + 2
+                    if loop_over is _whole:
+                        v = view.gload_window(src, origin, cols, stride,
+                                              mask)
+                        view.sstore_window("s", 3, v, cols, stride, mask)
+                    else:
+                        v = view.gload(src, origin + at, mask)
+                        view.sstore("s", 3 + at, v, mask)
+                ctx.sync()
+                for view, s in loop_over(ctx, n):
+                    at = (s // c) * (stride or c) + s % c
+                    mask = (s + view.bx) % 4 != 0 if masked else None
+                    origin = view.bx * LOOP_SEG + 1
+                    if loop_over is _whole:
+                        v = view.sload_window("s", 3, cols, stride, mask)
+                        view.gstore_window(dst, origin, v + 1.0, cols,
+                                           stride, mask)
+                    else:
+                        v = view.sload("s", 3 + at, mask)
+                        view.gstore(dst, origin + at, v + 1.0, mask)
+            return vector_body
+
+        self._same(body)
+
+    @pytest.mark.parametrize("whole", [_whole, _whole_kept],
+                             ids=["view_per_phase", "view_kept"])
+    def test_divergent_masks_trace_trip_major(self, whole):
+        """Two phases whose masks diverge inside a warp on every trip:
+        each thread issues a trip's accesses before the next trip's, so
+        the traced stats are the per-trip loop's only when the records
+        of one loop are ordered trip-major, not call by call, and a
+        barrier ends the loop even when its view is used again."""
+        n = 96
+
+        def body(loop_over):
+            def vector_body(ctx, src, dst):
+                for view, s in loop_over(ctx, n):
+                    keep = (s * s + view.bx) % 3 != 0
+                    a = view.gload(src, view.bx * LOOP_SEG + (5 * s) % n,
+                                   keep)
+                    b = view.gload(src, view.bx * LOOP_SEG + s, ~keep)
+                    view.sstore("s", s, np.where(keep, a, b),
+                                (s + view.bx) % 4 != 3)
+                ctx.sync()
+                for view, s in loop_over(ctx, n):
+                    odd = (s // 3 + view.bx) % 2 == 1
+                    a = view.sload("s", (3 * s) % n, odd)
+                    b = view.sload("s", s, ~odd)
+                    view.gstore(dst, view.bx * LOOP_SEG + s,
+                                np.where(odd, a, b))
+            return vector_body
+
+        _, stats = self._launch(body(whole), trace=True)
+        assert stats.shared_bank_conflicts > 0
+        self._same(body, whole)
+
+    @pytest.mark.parametrize("cols", [None, 8])
+    def test_rows_layout(self, cols):
+        """``loop(n, cols)`` lays the lanes out in rows of ``cols``; a
+        window of those rows loads without a copy, yet a later store
+        leaves the loaded values be."""
+        n = 64
+
+        def vector_body(ctx, src, dst):
+            loop = ctx.loop(n, cols)
+            assert loop.shape == ((3, n) if cols is None else (3, 8, 8))
+            loop.sstore_window("s", 0, loop.gload_window(
+                src, loop.bx * LOOP_SEG, cols, cols), cols, cols)
+            ctx.sync()
+            v = loop.sload_window("s", 0, cols, cols)
+            loop.sstore_window("s", 0, -1.0, cols, cols)
+            loop.gstore_window(dst, loop.bx * LOOP_SEG, v, cols, cols)
+
+        got, _ = self._launch(vector_body)
+        for b in range(3):
+            seg = slice(b * LOOP_SEG, b * LOOP_SEG + n)
+            assert np.array_equal(got[seg], np.arange(n) + b * LOOP_SEG + 0.5)
+
+    @pytest.mark.parametrize("n,cols", [(0, None), (64, 5), (64, 0)])
+    def test_bad_loop_raises(self, n, cols):
+        with pytest.raises(ValueError):
+            self._launch(lambda ctx, src, dst: ctx.loop(n, cols))
+
+    @pytest.mark.parametrize("store", [False, True], ids=["load", "store"])
+    @pytest.mark.parametrize("masked", [False, True],
+                             ids=["unmasked", "masked"])
+    def test_global_window_past_array_raises(self, store, masked):
+        def vector_body(ctx, src, dst):
+            loop = ctx.loop(40)
+            # The last block's window ends 10 past the array.
+            origin = loop.bx * LOOP_SEG + LOOP_SEG - 30
+            mask = loop.tx != 3 if masked else None
+            if store:
+                loop.gstore_window(dst, origin, 1.0, mask=mask)
+            else:
+                loop.gload_window(src, origin, mask=mask)
+
+        with pytest.raises(IndexError):
+            self._launch(vector_body)
+
+    def test_masked_lanes_may_leave_the_array(self):
+        """Lanes outside the array are fine when masked off."""
+        def vector_body(ctx, src, dst):
+            loop = ctx.loop(40)
+            origin = loop.bx * LOOP_SEG - 10
+            inside = origin + loop.tx >= 0
+            v = loop.gload_window(src, origin, mask=inside)
+            loop.gstore_window(dst, origin + 20, v, mask=inside)
+
+        got, _ = self._launch(vector_body)
+        want = np.zeros(3 * LOOP_SEG)
+        for b in range(3):
+            for t in range(40):
+                at = b * LOOP_SEG - 10 + t
+                if at >= 0:
+                    want[at + 20] = at + 0.5
+        assert got.tobytes() == want.tobytes()
+
+    def test_negative_origin_counts_from_end(self):
+        def vector_body(ctx, src, dst):
+            view = ctx.lanes(8)
+            view.gstore_window(dst, view.bx * 8, view.gload_window(src, -8))
+
+        got, _ = self._launch(vector_body)
+        tail = np.arange(3 * LOOP_SEG - 8, 3 * LOOP_SEG) + 0.5
+        for b in range(3):
+            assert np.array_equal(got[8 * b:8 * b + 8], tail)
+
+
 class TestDeviceAccounting:
     def test_transfer_time_accrues(self, dev):
         dev.to_device(np.zeros(1 << 20, dtype=np.float32))

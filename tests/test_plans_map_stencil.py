@@ -243,15 +243,6 @@ class TestStencilPlans:
         assert (tiled.predicted_seconds(model, params)
                 < naive.predicted_seconds(model, params))
 
-    @pytest.mark.parametrize("kw", [{"threads": 48},
-                                    {"threads": 64, "tile": (48, 4)}],
-                             ids=["threads_48", "tile_width_48"])
-    def test_tiled_needs_power_of_two_threads_and_width(self, kw):
-        """A step's lanes must cover whole tile rows or lie in one."""
-        shape = StencilShape(lambda p: 64, lambda p: 64)
-        with pytest.raises(ValueError):
-            TiledStencilPlan(SPEC, "st", shape, self._pattern(), **kw)
-
     def test_shape_memoizes_geometry_but_not_errors(self):
         """Width and height are evaluated once per scalar binding (array
         params do not key them); a binding that raises is evaluated

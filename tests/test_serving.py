@@ -14,6 +14,8 @@ from repro import api
 from repro.apps import imagepipe, tmv
 from repro.compiler import AdapticCompiler
 from repro.compiler.exprgen import COMPILE_COUNTER
+from repro.compiler.plans import TiledStencilPlan
+from repro.compiler.plans import base as plan_base
 from repro.compiler.plans.base import RESTRUCTURE_COUNTER
 from repro.gpu import (BufferArena, Device, DeviceArray, MODE_REFERENCE,
                        MODE_VECTORIZED, PCIE_BANDWIDTH_GBPS, TESLA_C2050)
@@ -138,6 +140,51 @@ class TestWarmGeometry:
         monkeypatch.setattr(RateExpr, "evaluate", counting)
         compiled.run(data, params)
         assert len(calls) <= 1, calls
+
+    @pytest.mark.parametrize("placement", [False, True],
+                             ids=["gpu", "placement"])
+    def test_warm_imagepipe_run_freezes_binding_once(self, monkeypatch,
+                                                     placement):
+        """A run freezes its binding once; every cache lookup below it
+        reads the frozen keys instead of sorting the params again."""
+        compiled = api.compile(
+            imagepipe.build(),
+            options=api.AdapticOptions(placement=placement))
+        data, params = imagepipe.make_input(64, 48)
+        compiled.run(data, params)
+        calls = []
+        scalar_key = plan_base._scalar_key
+
+        def counting(params):
+            calls.append(dict(params))
+            return scalar_key(params)
+
+        monkeypatch.setattr(plan_base, "_scalar_key", counting)
+        compiled.run(data, params)
+        assert len(calls) <= 1, calls
+
+    def test_tiled_geometry_holds_a_byte_per_cell(self):
+        """The super-tile plan caches one guard mask per binding, at most
+        one byte per cell of its tile grid."""
+        compiled = api.compile(imagepipe.build())
+        for width, height in ((64, 48), (128, 128), (96, 200), (256, 64)):
+            data, params = imagepipe.make_input(width, height)
+            compiled.run(data, params,
+                         options=RunOptions(exec_mode=MODE_VECTORIZED),
+                         force={"seg1_blur_point": "stencil.super_tile"})
+        tiled = [plan for segment in compiled.segments
+                 for plan in segment.plans
+                 if isinstance(plan, TiledStencilPlan)]
+        assert tiled
+        geometries = [value for plan in tiled
+                      for key, value in plan._warm_cache.items()
+                      if key[0] == "tiling"]
+        assert len(geometries) == 4
+        for geo in geometries:
+            cells = geo.tiles[0] * geo.tiles[1] * geo.tile[0] * geo.tile[1]
+            arrays = [value for value in vars(geo).values()
+                      if isinstance(value, np.ndarray)]
+            assert sum(array.nbytes for array in arrays) <= cells
 
 
 class TestWarmupAndRunMany:

@@ -98,3 +98,19 @@ def one_sided_unguarded(size, width):
     for j in range(size):
         _ = pop()
 """
+
+# Radius 2 under a 2-cell border guard; the compute and the fallback
+# both read the cell index (the fallback lifts to 0.5 * _p4 + 0.25 * _i).
+STENCIL_RADIUS2_INDEXED_SRC = """
+def radius2(size, width):
+    for index in range(size):
+        if (index % width >= 2) and (index % width < width - 2) \
+                and (index >= 2 * width) and (index < size - 2 * width):
+            push(0.1 * (peek(index - 2 * width) + peek(index + 2 * width)
+                        + peek(index - 2) + peek(index + 2) + peek(index))
+                 + 0.001 * index)
+        else:
+            push(0.5 * peek(index) + 0.25 * index)
+    for j in range(size):
+        _ = pop()
+"""
