@@ -1,15 +1,16 @@
-"""Fused-execution gates: chain fusion + the process-pool backend.
+"""Fused-execution gates: vertical integration + the process-pool backend.
 
-Two claims ride the ``fusedexec`` marker.  First, whole-segment-chain
-fusion (``AdapticOptions.fuse_chains``) collapses a linear run of map
-segments into one emitted kernel, so a warm run launches strictly fewer
-kernels than the unfused plan while staying bit-identical.  Second,
+Two claims ride the ``fusedexec`` marker.  First, vertical integration
+(§4.3.1, ``AdapticOptions.integration``, on by default) fuses a linear
+chain of maps and its terminal reduction into one segment at compile
+time, so a warm run launches strictly fewer kernels than the same chain
+compiled without it, while staying bit-identical.  Second,
 ``run_many(backend="process")`` sidesteps the GIL for CPU-bound
 batches: with bundle-warmed workers (counter-asserted zero expression
 compiles in the pool) it must reach >=2x the threaded backend's
 throughput on a multi-core host.
 
-Both benchmarks record their measured numbers through the
+The process-pool benchmark records its measured numbers through the
 ``bench_record`` fixture; the pytest session writes them to
 ``BENCH_fusedexec.json`` (see ``conftest.py``).
 """
@@ -54,10 +55,7 @@ def total(n):
     push(acc)
 """
 
-#: Small enough that per-launch overhead dominates the chain — the
-#: regime the fusion cost model targets.
 CHAIN_N = 1 << 10
-CHAIN_REPEATS = 40
 
 #: Large enough that per-item kernel work dominates shared-memory
 #: transfer, so the process pool's parallelism is visible.
@@ -82,51 +80,28 @@ def _batch_program():
         params=["n", "a"], input_size="n")
 
 
-class TestFusedChainThroughput:
-    def test_fused_warm_runs_beat_unfused(self, bench_record):
-        """Fused chain: fewer launches, bit-identical, measured speedup."""
+class TestFusedChainLaunches:
+    def test_integrated_chain_launches_fewer_kernels(self):
+        """scale -> square -> offset -> sum: with vertical integration
+        the chain is one segment, without it four; the outputs are
+        bit-identical."""
         rng = np.random.default_rng(21)
         data = rng.standard_normal(CHAIN_N)
         params = {"n": CHAIN_N, "a": 1.25}
-        # integration=False keeps the three maps as separate segments so
-        # chain fusion (not pattern fusion) is what gets measured.
-        plain = AdapticCompiler(TESLA_C2050, AdapticOptions(
+        options = RunOptions(exec_mode=MODE_VECTORIZED)
+        separate = AdapticCompiler(TESLA_C2050, AdapticOptions(
             integration=False)).compile(_chain_program())
-        fused = AdapticCompiler(TESLA_C2050, AdapticOptions(
-            integration=False, fuse_chains=True,
-            fuse_min_gain=0.0)).compile(_chain_program())
+        integrated = AdapticCompiler(TESLA_C2050, AdapticOptions()) \
+            .compile(_chain_program())
+        assert len(integrated.segments) < len(separate.segments)
 
-        baseline = plain.run(data, params, options=RunOptions(exec_mode=MODE_VECTORIZED))
-        result = fused.run(data, params, options=RunOptions(exec_mode=MODE_VECTORIZED))
+        baseline = separate.run(data, params, options=options)
+        result = integrated.run(data, params, options=options)
         assert result.output.tobytes() == baseline.output.tobytes()
-        assert fused.stats.fused_chain_runs == 1
-
-        started = time.perf_counter()
-        for _ in range(CHAIN_REPEATS):
-            plain.run(data, params, options=RunOptions(exec_mode=MODE_VECTORIZED))
-        plain_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        for _ in range(CHAIN_REPEATS):
-            fused.run(data, params, options=RunOptions(exec_mode=MODE_VECTORIZED))
-        fused_seconds = time.perf_counter() - started
-
-        assert fused.stats.fused_chain_runs == 1 + CHAIN_REPEATS
-        pdev = plain._run_devices[MODE_VECTORIZED]
-        fdev = fused._run_devices[MODE_VECTORIZED]
-        # The accounting fusion exists to create: one launch per chain.
-        assert fdev.launch_count < pdev.launch_count
-
-        bench_record(
-            "fusedexec", "fused_chain",
-            n=CHAIN_N,
-            repeats=CHAIN_REPEATS,
-            unfused_runs_per_s=CHAIN_REPEATS / plain_seconds,
-            fused_runs_per_s=CHAIN_REPEATS / fused_seconds,
-            speedup=plain_seconds / fused_seconds,
-            unfused_launches=pdev.launch_count,
-            fused_launches=fdev.launch_count,
-        )
+        assert "vertical_integration" in result.selections[0].optimizations
+        launches = [program._run_devices[MODE_VECTORIZED].launch_count
+                    for program in (integrated, separate)]
+        assert launches[0] < launches[1], launches
 
 
 class TestProcessPoolThroughput:

@@ -63,19 +63,6 @@ class AdapticOptions:
     threads: int = 256
     prune: bool = False
     range_samples: int = 6
-    #: Whole-segment-chain fusion in the vectorized executor: linear
-    #: producer→consumer runs of map-shaped segments execute as one
-    #: emitted kernel with in-arena intermediates, when the cost model
-    #: predicts at least :attr:`fuse_min_gain`.  Opt-in because fusion
-    #: changes launch accounting (one launch per chain instead of one
-    #: per segment), which the differential stats contract notices.
-    fuse_chains: bool = False
-    #: Minimum model-predicted speedup (fused chain vs per-segment
-    #: launches) a span must clear before it is fused — the runtime
-    #: mirror of :attr:`~repro.serve.ServeConfig.fuse_min_gain`.  The
-    #: savings are the interior launch overheads, so small inputs clear
-    #: the bar and bandwidth-bound large inputs stay unfused.
-    fuse_min_gain: float = 1.05
     #: Optional :class:`~repro.faults.FaultInjector` threaded into the
     #: compiled program's runtime and devices (testing/chaos drills).
     faults: object = None
@@ -101,11 +88,6 @@ class AdapticOptions:
             parts.append("mem")
         if self.integration:
             parts.append("int")
-        if self.fuse_chains:
-            # Fused-chain sources live in the bundle, so a fusion-enabled
-            # program has a distinct bundle identity; default-off
-            # programs keep their historical fingerprints.
-            parts.append("fuse")
         if self.placement:
             # Placement-enabled programs carry extra variants and
             # placement-aware tables — a distinct bundle identity.

@@ -7,13 +7,10 @@ and dimensions" (§3).  This walks the IR, multiplying loop bodies by their
 trip counts evaluated under a parameter binding, and taking the more
 expensive branch of data-dependent ``if``s.
 
-This module also hosts the shared "priced at base vs fused size" fuse-gain
-arithmetic (:func:`fuse_gain`, :func:`chain_seconds`,
-:func:`fused_chain_seconds`, :func:`predicted_chain_fuse_gain`): the serving
-front door's stream-axis fusion guard and the runtime's segment-chain fusion
-guard make the same kind of decision — run fused only when the (calibrated)
-cost model predicts a gain — so they ride one implementation instead of two
-hand-rolled copies.
+This module also hosts the serving front door's fuse guard arithmetic
+(:func:`fuse_gain`, :func:`chain_seconds`): a group of same-binding
+requests runs as one fused execution only when the (calibrated) cost
+model, priced at the base and at the fused size, predicts a gain.
 """
 
 from __future__ import annotations
@@ -27,10 +24,10 @@ from ..ir.interp import WorkInterpreter
 
 
 # ---------------------------------------------------------------------------
-# Shared fuse-gain pricing (serve front door + runtime chain fusion)
+# Fuse-gain pricing (the serve front door's group-fusion guard)
 # ---------------------------------------------------------------------------
 
-def fuse_gain(base_seconds: float, fused_seconds: float, k: int = 1) -> float:
+def fuse_gain(base_seconds: float, fused_seconds: float, k: int) -> float:
     """Predicted speedup of one fused execution over ``k`` unfused ones.
 
     ``base_seconds`` prices one unfused execution, ``fused_seconds`` the
@@ -52,39 +49,6 @@ def chain_seconds(cost, plans: Sequence, params: Dict[str, float]) -> float:
     rides.
     """
     return sum(cost.plan_seconds(plan, params) for plan in plans)
-
-
-def fused_chain_seconds(cost, plans: Sequence, params: Dict[str, float],
-                        launch_overhead_seconds: float) -> float:
-    """Predicted seconds of a segment chain executed as one fused kernel.
-
-    Fusing a linear producer→consumer chain keeps the per-element work but
-    collapses ``len(plans)`` launches into one: the interior
-    ``len(plans) - 1`` launch overheads are saved, and intermediates stay
-    in arena buffers instead of being re-materialized between kernels.
-    The per-plan predictions already include one launch overhead each
-    (:meth:`KernelPlan.predicted_seconds`), so the fused estimate is the
-    chain total minus the interior overheads, floored at zero.
-    """
-    total = chain_seconds(cost, plans, params)
-    saved = max(0, len(plans) - 1) * launch_overhead_seconds
-    return max(0.0, total - saved)
-
-
-def predicted_chain_fuse_gain(cost, plans: Sequence,
-                              params: Dict[str, float],
-                              launch_overhead_seconds: float) -> float:
-    """Model-predicted speedup of fusing ``plans`` into one kernel.
-
-    Input-aware by construction: launch overhead is a fixed cost while
-    kernel time scales with the input, so small bindings (overhead-bound)
-    clear a fusion threshold that large bindings (bandwidth-bound) do not
-    — the same per-input-size discipline the variant selector applies.
-    """
-    base = chain_seconds(cost, plans, params)
-    fused = fused_chain_seconds(cost, plans, params,
-                                launch_overhead_seconds)
-    return fuse_gain(base, fused)
 
 
 @dataclasses.dataclass

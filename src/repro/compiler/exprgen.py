@@ -447,186 +447,6 @@ def compile_vector_fn(expr: N.Expr, args: Sequence[str],
     return fn
 
 
-# ---------------------------------------------------------------------------
-# Fused segment-chain emission (vectorized path)
-#
-# A linear producer→consumer chain of map-shaped segments is emitted as ONE
-# numpy source: each stage loads from the previous stage's buffer with the
-# exact index arithmetic its plan's vector_body uses (interleaved, SoA, or
-# gather-translated), evaluates its output expressions over the whole
-# iteration space at once, and stores into the next in-arena buffer — the
-# intermediates are never re-materialized between kernel launches.  Because
-# map lanes are independent and every operator in the vector namespace is
-# elementwise, whole-array evaluation is bit-identical to the chunked
-# grid-stride vector_body the unfused path runs.
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass
-class ChainStage:
-    """One map-shaped stage of a fusable segment chain.
-
-    Produced by :meth:`KernelPlan.chain_stage`; consumed by
-    :func:`render_chain_source`.  ``outputs``/``gather`` are the plan's IR
-    expressions (un-renamed — the emitter prefixes auxiliary array names
-    per stage so chains never collide in one namespace); ``iterations`` /
-    ``k`` / ``m`` fix the stage geometry under one scalar binding.
-    """
-
-    name: str
-    outputs: list
-    k: int                      # pops per iteration
-    m: int                      # pushes per iteration
-    iterations: int
-    restructured: bool = False  # SoA input layout (j*n + i loads)
-    gather: Optional[N.Expr] = None
-    arrays: Dict[str, object] = dataclasses.field(default_factory=dict)
-
-
-def _rename_arrays(expr: N.Expr, mapping: Dict[str, str]) -> N.Expr:
-    """Rebuild ``expr`` with :class:`~repro.ir.nodes.Index` arrays renamed."""
-    if isinstance(expr, (N.Const, N.Var, N.Pop)):
-        return expr
-    if isinstance(expr, N.BinOp):
-        return N.BinOp(expr.op, _rename_arrays(expr.left, mapping),
-                       _rename_arrays(expr.right, mapping))
-    if isinstance(expr, N.UnaryOp):
-        return N.UnaryOp(expr.op, _rename_arrays(expr.operand, mapping))
-    if isinstance(expr, N.Call):
-        return N.Call(expr.fn,
-                      [_rename_arrays(a, mapping) for a in expr.args])
-    if isinstance(expr, N.Index):
-        return N.Index(mapping.get(expr.array, expr.array),
-                       _rename_arrays(expr.index, mapping))
-    if isinstance(expr, N.Peek):
-        return N.Peek(_rename_arrays(expr.offset, mapping))
-    return expr
-
-
-def _stage_aux_name(stage_index: int, array: str) -> str:
-    return f"_a{stage_index}_{array}"
-
-
-def _stage_renames(stage_index: int, stage: ChainStage) -> Dict[str, str]:
-    return {name: _stage_aux_name(stage_index, name)
-            for name in stage.arrays}
-
-
-def chain_fingerprint(stages: Sequence[ChainStage]) -> str:
-    """Stable digest of a chain's structure (geometry + stage expressions).
-
-    Auxiliary arrays enter through their deterministic per-stage renames
-    (value-free, like :func:`source_key`'s array treatment), so the same
-    source re-binds to a fresh process's arrays on hydration.
-    """
-    parts = []
-    for si, stage in enumerate(stages):
-        renames = _stage_renames(si, stage)
-        parts.append(f"S{si}:k={stage.k}:m={stage.m}:"
-                     f"n={stage.iterations}:"
-                     f"soa={int(stage.restructured)}")
-        if stage.gather is not None:
-            parts.append(
-                "g:" + expr_fingerprint(_rename_arrays(stage.gather,
-                                                       renames)))
-        for out in stage.outputs:
-            parts.append(expr_fingerprint(_rename_arrays(out, renames)))
-    return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:16]
-
-
-def chain_source_key(chain_id: str, stages: Sequence[ChainStage],
-                     params) -> str:
-    """Registry key of one fused-chain function (bundle participation)."""
-    scalars = ",".join(
-        f"{k}={_canon_scalar(v)}"
-        for k, v in sorted((k, v) for k, v in (params or {}).items()
-                           if _np.isscalar(v)))
-    return (f"chain|{chain_id}|{len(stages)}|{scalars}|"
-            f"{chain_fingerprint(stages)}")
-
-
-def _chain_buffers(n_stages: int) -> list:
-    return (["_src"] + [f"_t{i}" for i in range(n_stages - 1)] + ["_out"])
-
-
-def _load_index(j: int, k: int, n: int, restructured: bool) -> str:
-    """Index expression of pop component ``j``, matching vector_body."""
-    if restructured:
-        return "_i" if j == 0 else f"({j} * {n} + _i)"
-    return "_i" if k == 1 else f"(_i * {k} + {j})"
-
-
-def _store_index(idx: int, m: int) -> str:
-    return "_i" if m == 1 else f"(_i * {m} + {idx})"
-
-
-def render_chain_source(stages: Sequence[ChainStage], params,
-                        name: str = "chain") -> str:
-    """Render a fused-chain numpy source over raw buffer arrays.
-
-    The function signature is ``(src, t0, ..., out)``: one buffer per
-    stage boundary.  Per stage the loads replicate the plan's exact
-    vector_body indexing (so layout variants need no special-casing), the
-    bodies reuse :func:`vector_expr` (same float64 arithmetic, same libm
-    transcendentals), and the stores cover every output element — which
-    is what makes zero-filled recycled arena buffers safe.
-    """
-    bufs = _chain_buffers(len(stages))
-    lines = [f"def {name}({', '.join(bufs)}):"]
-    for si, stage in enumerate(stages):
-        src, dst = bufs[si], bufs[si + 1]
-        renames = _stage_renames(si, stage)
-        n = stage.iterations
-        args = [f"_x{j}" for j in range(stage.k)] + ["_i"]
-        lines.append(f"    _i = _np.arange({n}, dtype=_np.int64)")
-        if stage.gather is not None:
-            gexpr = vector_expr(_rename_arrays(stage.gather, renames),
-                                ["_i"], params)
-            lines.append(f"    _gi = _v_int({gexpr})")
-            lines.append(f"    _x0 = {src}[_gi].astype(_np.float64)")
-        else:
-            for j in range(stage.k):
-                idx = _load_index(j, stage.k, n, stage.restructured)
-                lines.append(
-                    f"    _x{j} = {src}[{idx}].astype(_np.float64)")
-        for idx, out in enumerate(stage.outputs):
-            body = vector_expr(_rename_arrays(out, renames), args, params)
-            lines.append(
-                f"    {dst}[{_store_index(idx, stage.m)}] = {body}")
-    return "\n".join(lines) + "\n"
-
-
-def compile_chain_fn(stages: Sequence[ChainStage], params,
-                     chain_id: str, name: str = "chain") -> Callable:
-    """Compile a fused segment chain to one numpy function.
-
-    Rides the same registry mechanics as the per-kernel compilers: the
-    rendered source is recorded under :func:`chain_source_key` (so it
-    participates in :class:`ArtifactBundle` save/load), and a
-    bundle-loaded source hydrates instead of re-rendering — a
-    bundle-warmed process's first fused run compiles nothing.
-    """
-    started = time.perf_counter()
-    key = chain_source_key(chain_id, stages, params)
-    source = SOURCE_REGISTRY.loaded_source(key)
-    hydrated = source is not None
-    if not hydrated:
-        source = render_chain_source(stages, params, name=name)
-    namespace = _vec_namespace()
-    for si, stage in enumerate(stages):
-        for aname, arr in stage.arrays.items():
-            namespace[_stage_aux_name(si, aname)] = arr
-    exec(compile(source, f"<exprgen:{name}>", "exec"), namespace)
-    fn = namespace[name]
-    fn.__source__ = source
-    SOURCE_REGISTRY.record(key, source)
-    if hydrated:
-        COMPILE_COUNTER.hydrated += 1
-    else:
-        COMPILE_COUNTER.vector += 1
-    COMPILE_COUNTER.seconds += time.perf_counter() - started
-    return fn
-
-
 _VEC_COMBINE = {
     "+": lambda a, b: a + b,
     "*": lambda a, b: a * b,

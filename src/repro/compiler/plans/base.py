@@ -12,6 +12,7 @@ model pick per input subrange.
 from __future__ import annotations
 
 import abc
+import collections
 import dataclasses
 import re
 from typing import Any, Callable, Dict, List, Optional
@@ -57,6 +58,15 @@ RESTRUCTURE_COUNTER = RestructureCounter()
 
 _MISS = object()
 
+#: Most warm-cache entries one plan keeps for bindings that carry arrays.
+#: Such an entry is keyed by the arrays' ids and pins them, so bindings
+#: whose arrays change every call (a served request's own vector, a
+#: solver's iterate) would otherwise grow the cache, and hold every
+#: array they passed, without bound.  The oldest entries go first.  In
+#: a 30-s perfbench run, no plan holds more than 40 (tmv-sweep, one per
+#: shape) or 18 (serve-tmv), so none evicts.
+WARM_ARRAY_ENTRIES = 64
+
 
 @dataclasses.dataclass
 class PlannedLaunch:
@@ -91,8 +101,10 @@ class KernelPlan(abc.ABC):
         #: Warm-path cache: compiled artifacts (element fns, reducers,
         #: offsets, restructure permutations) keyed per parameter binding.
         self._warm_cache: Dict[tuple, Any] = {}
-        #: Arrays pinned so the id()-based keys can never be recycled.
-        self._warm_pins: List[Any] = []
+        #: The arrays each array-keyed :attr:`_warm_cache` entry pins, by
+        #: entry key, oldest first: pinned, the id()-based keys can never
+        #: be recycled; evicted, the entry releases them.
+        self._entry_pins: Dict[tuple, tuple] = collections.OrderedDict()
 
     # -- identity ---------------------------------------------------------
     @property
@@ -144,21 +156,6 @@ class KernelPlan(abc.ABC):
             f"{type(self).__name__} ({self.strategy}) is a GPU plan; "
             f"it has no host execution path")
 
-    def chain_stage(self, params: Dict[str, float]):
-        """Chain-level ``vector_body`` contract (segment-chain fusion).
-
-        Plans whose vectorized execution is a pure lane-independent map
-        over the iteration space return a
-        :class:`~repro.compiler.exprgen.ChainStage` describing it, which
-        lets the runtime fuse consecutive segments into one emitted
-        kernel.  The default is ``None`` — not fusable.  Plans whose
-        vector bodies depend on launch geometry (block-structured
-        reductions, stencil tiles, generic actors) must keep the default:
-        a whole-stream reduction consumes every lane's value, so it can
-        terminate a chain but never extend one.
-        """
-        return None
-
     @abc.abstractmethod
     def output_size(self, params: Dict[str, float]) -> int:
         """Number of elements the segment produces."""
@@ -171,7 +168,7 @@ class KernelPlan(abc.ABC):
         element functions embed auxiliary arrays into their namespaces, so
         two bindings with equal scalars but different arrays must not share
         artifacts.  The arrays are pinned (:meth:`cached_artifact`) so ids
-        stay unambiguous for the cache's lifetime.
+        stay unambiguous for as long as the entry is cached.
         """
         return (freeze_scalars(params), freeze_arrays(params))
 
@@ -180,6 +177,8 @@ class KernelPlan(abc.ABC):
 
         The first call at a given ``(tag, warm_key)`` runs ``builder`` and
         memoizes its result; later calls return it without recompiling.
+        An entry whose binding carries arrays pins them, and past
+        :data:`WARM_ARRAY_ENTRIES` such entries the oldest is evicted.
         ``params=None`` (symbolic/cost-only mode) bypasses the cache — a
         ``None`` binding would collide with an empty concrete one.
         """
@@ -189,17 +188,25 @@ class KernelPlan(abc.ABC):
         cached = self._warm_cache.get(key, _MISS)
         if cached is not _MISS:
             return cached
-        for name, value in (params or {}).items():
-            if not np.isscalar(value) and value is not None:
-                self._warm_pins.append(value)
         artifact = builder()
         self._warm_cache[key] = artifact
+        pins = tuple(value for value in params.values()
+                     if value is not None and not np.isscalar(value))
+        if pins:
+            # Unlocked, as the miss path always was: racing threads can
+            # build an entry twice or leave a pin record that outlives
+            # its entry until evicted, but never keep an entry whose
+            # arrays were released.
+            self._entry_pins[key] = pins
+            if len(self._entry_pins) > WARM_ARRAY_ENTRIES:
+                oldest, _ = self._entry_pins.popitem(last=False)
+                self._warm_cache.pop(oldest, None)
         return artifact
 
     def clear_warm_cache(self) -> None:
         """Drop every memoized artifact (cold-start this plan)."""
         self._warm_cache.clear()
-        self._warm_pins.clear()
+        self._entry_pins.clear()
 
     # -- warm-state persistence (artifact bundles) -------------------------
     def export_permutations(self):

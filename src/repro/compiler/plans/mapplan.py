@@ -26,8 +26,7 @@ import numpy as np
 from ...gpu import Device, DeviceArray, GPUSpec, Kernel
 from ...ir import nodes as N
 from ...perfmodel import KernelWorkload
-from ..exprgen import (ChainStage, c_expr, compile_scalar_fn,
-                       compile_vector_fn)
+from ..exprgen import c_expr, compile_scalar_fn, compile_vector_fn
 from .base import (IN, LAYOUT_INTERLEAVED, LAYOUT_RESTRUCTURED, KernelPlan,
                    PlannedLaunch, expr_aux_loads, expr_ops, freeze_scalars)
 
@@ -145,25 +144,6 @@ class MapPlan(KernelPlan):
             regs_per_thread=14 + 2 * k, shared_per_block=0)
         _ = iterations
         return [PlannedLaunch(self.name, blocks, self.threads, workload)]
-
-    # ------------------------------------------------------------------
-    def chain_stage(self, params) -> ChainStage:
-        """Map vector bodies are lane-independent — always chain-fusable.
-
-        The stage carries the exact load indexing the plan's
-        ``vector_body`` uses (interleaved ``i*k+j``, restructured
-        ``j*n+i``, or gather-translated), so the fused emission and the
-        unfused chunked execution read and write identical elements.
-        """
-        return ChainStage(
-            name=self.name,
-            outputs=list(self.outputs),
-            k=self.shape.pops_per_iter,
-            m=self.shape.pushes_per_iter,
-            iterations=self.shape.iterations(params),
-            restructured=self.layout == LAYOUT_RESTRUCTURED,
-            gather=self.gather,
-            arrays=self.arrays_fn(params))
 
     # ------------------------------------------------------------------
     def _compiled_fns(self, params):

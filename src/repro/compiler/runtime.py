@@ -46,16 +46,14 @@ from ..errors import (BundleFormatError, BundleProgramError, CalibrationError,
                       CompileError, KernelExecutionError, KernelTimeoutError,
                       ModelSweepError, ReproError, SelectionError)
 from ..faults import KIND_NAN, KIND_RAISE, KIND_TIMEOUT
-from ..gpu import Device, ExecMode, GPUSpec, MODE_REFERENCE, MODE_VECTORIZED
+from ..gpu import Device, ExecMode, GPUSpec, MODE_REFERENCE
 from ..perfmodel import AxisSpec, CalibrationStore, FeedbackConfig, \
     PerformanceModel, RegionTable, Variant, geometric_points, hop_seconds, \
     layout_transform_seconds, size_bucket, sweep_region
-from .costing import predicted_chain_fuse_gain
-from .exprgen import (COMPILE_COUNTER, SOURCE_REGISTRY, ExprGenError,
-                      compile_chain_fn)
+from .exprgen import COMPILE_COUNTER, SOURCE_REGISTRY, ExprGenError
 from .plans.base import IN, FrozenParams, KernelPlan, RESTRUCTURE_COUNTER, \
-    freeze_arrays, freeze_scalars
-from .segments import RegionDispatch, Segment, chain_spans
+    freeze_scalars
+from .segments import RegionDispatch, Segment
 from .stats import CostCache, SelectionStats
 
 #: Layouts that need no host-side restructuring.
@@ -64,8 +62,6 @@ _CANONICAL = {"interleaved", "rows"}
 #: Relative calibration-factor change past which feedback re-sweeps the
 #: observed segment's dispatch table around the binding.
 REBAKE_THRESHOLD = 0.25
-
-_MISS = object()
 
 
 class InputLocation(str, enum.Enum):
@@ -228,25 +224,20 @@ class Step:
     ``kind`` is ``restructure`` (host-side layout staging of a host
     input), ``resident`` (a device-resident input materialized without a
     transfer), ``h2d`` / ``d2h`` (one PCIe hop in front of segment
-    ``index``, with its modeled ``nbytes`` and ``seconds``), ``kernel`` /
-    ``host`` (segment ``index`` on the GPU / the CPU; ``end`` is
-    ``index + 1``) or ``fused`` (segments ``index .. end - 1`` in one
-    launch of ``fn``, writing outputs of ``sizes`` elements).
+    ``index``, with its modeled ``nbytes`` and ``seconds``) or ``kernel``
+    / ``host`` (segment ``index`` on the GPU / the CPU).
     """
 
     kind: str
     index: int
-    end: int = 0
     nbytes: int = 0
     seconds: float = 0.0
-    fn: object = None
-    sizes: tuple = ()
 
 
 #: Stage each step kind's wall-clock lands on (``resident`` moves no
 #: data and is not timed).
 _STEP_STAGE = {"restructure": "restructure", "h2d": "h2d", "d2h": "d2h",
-               "kernel": "kernel", "host": "kernel", "fused": "kernel"}
+               "kernel": "kernel", "host": "kernel"}
 
 
 class CompiledProgram:
@@ -290,15 +281,6 @@ class CompiledProgram:
         #: Serializes quarantine + re-selection during failure recovery
         #: (the cost cache and calibration store are unsynchronized).
         self._quarantine_lock = threading.Lock()
-        #: Fused-chain plan memo: (plan ids, frozen params) -> span table
-        #: (or ``None`` when nothing in the selection fuses).  Keyed
-        #: without the input location, so a binding served from both
-        #: locations compiles its chain once.  Populated during
-        #: warmup/single-threaded runs; worker threads only read
-        #: memoized entries, mirroring the cost-cache discipline.
-        self._chain_cache: Dict[tuple, object] = {}
-        #: Arrays pinned so the id()-based chain-cache keys stay unambiguous.
-        self._chain_pins: List[object] = []
         #: Cached process pools for ``RunOptions(backend="process")``,
         #: keyed by worker count; kept warm across batches and torn down
         #: by :meth:`clear_warm_caches` / interpreter exit.
@@ -356,14 +338,14 @@ class CompiledProgram:
             count = self.segments[-1].output_size(params)
         return count * self.wire_dtype.itemsize
 
-    def _hops(self, index: int, end: int, side: str, prev: str,
+    def _hops(self, index: int, side: str, prev: str,
               params: Dict[str, float]
               ) -> Tuple[Optional[Step], Optional[Step]]:
-        """The hop rule: the PCIe hops around segments ``index .. end - 1``
-        running on ``side`` while the data is on side ``prev``.
+        """The hop rule: the PCIe hops around segment ``index`` running on
+        ``side`` while the data is on side ``prev``.
 
         Returns ``(entry, exit)``: an entry hop when the sides differ,
-        and the exit D2H when these segments end the chain on the GPU —
+        and the exit D2H when the segment ends the chain on the GPU —
         each a :class:`Step` sized by :meth:`_hop_bytes` and priced by
         :func:`hop_seconds`, or ``None``.  Both the executed schedule
         (:meth:`_steps`) and placement pricing (:meth:`_placement_extra`)
@@ -376,8 +358,8 @@ class CompiledProgram:
         entry = exit_ = None
         if side != prev:
             entry = hop("h2d" if side == "gpu" else "d2h", index)
-        if end == len(self.segments) and side == "gpu":
-            exit_ = hop("d2h", end)
+        if index + 1 == len(self.segments) and side == "gpu":
+            exit_ = hop("d2h", index + 1)
         return entry, exit_
 
     def _placement_extra(self, index: int, plan: KernelPlan,
@@ -396,7 +378,7 @@ class CompiledProgram:
         side = plan.placement
         if index == 0:
             prev = "cpu" if entry_on_host else "gpu"
-        entry, exit_ = self._hops(index, index + 1, side, prev, params)
+        entry, exit_ = self._hops(index, side, prev, params)
         extra = 0.0
         if entry is not None:
             extra += entry.seconds
@@ -582,7 +564,7 @@ class CompiledProgram:
         sides = (tuple(placements) if placements is not None
                  else ("gpu",) * len(self.segments))
         return sum(step.seconds
-                   for step in self._steps(params, location, sides, None))
+                   for step in self._steps(params, location, sides))
 
     # ------------------------------------------------------------------
     # Execution
@@ -637,111 +619,26 @@ class CompiledProgram:
         return ("gpu",) * len(plans)
 
     def _steps(self, params: Dict[str, float], location: InputLocation,
-               sides: Sequence[str], spans) -> Tuple[Step, ...]:
+               sides: Sequence[str]) -> Tuple[Step, ...]:
         """The schedule of one selection: the steps a run executes.
 
         The data enters on the input's side — a host input is staged by
         the first plan's ``restructure``, a device-resident one is
-        materialized ``resident`` without a transfer.  Each segment (or
-        fused span from ``spans``) then runs on its side from ``sides``,
-        with the hops :meth:`_hops` places around it.
+        materialized ``resident`` without a transfer.  Each segment then
+        runs on its side from ``sides``, with the hops :meth:`_hops`
+        places around it.
         """
         side = "cpu" if location.on_host else "gpu"
         steps = [Step("restructure" if location.on_host else "resident", 0)]
-        index, count = 0, len(self.segments)
-        while index < count:
-            span = spans.get(index) if spans else None
-            end = span[0] if span is not None else index + 1
-            entry, exit_ = self._hops(index, end, sides[index], side, params)
+        for index in range(len(self.segments)):
+            entry, exit_ = self._hops(index, sides[index], side, params)
             side = sides[index]
             if entry is not None:
                 steps.append(entry)
-            if span is not None:
-                steps.append(Step("fused", index, end, fn=span[1],
-                                  sizes=span[2]))
-            else:
-                steps.append(Step("kernel" if side == "gpu" else "host",
-                                  index, end))
+            steps.append(Step("kernel" if side == "gpu" else "host", index))
             if exit_ is not None:
                 steps.append(exit_)
-            index = end
         return tuple(steps)
-
-    def _fused_spans(self, plans: List[KernelPlan],
-                     params: Dict[str, float], device: Device):
-        """Fused-chain execution table for one selected plan chain.
-
-        Returns ``{start_index: (end_index, fn, output_sizes)}`` for every
-        span the cost model decides to fuse, or ``None`` when chain fusion
-        is off, unavailable (fault injection, non-vectorized executor), or
-        predicted unprofitable everywhere.  Memoized per (plan identity,
-        binding), so a warmed program's runs — including threaded batch
-        workers — never re-render chain sources or re-price spans.
-        """
-        if not getattr(self.options, "fuse_chains", False):
-            return None
-        if self.faults is not None:
-            # Fault injection targets per-segment launches; a fused span
-            # would launder injected faults past their segment rules.
-            return None
-        if device.exec_mode != MODE_VECTORIZED:
-            return None
-        key = (tuple(id(plan) for plan in plans), freeze_scalars(params),
-               freeze_arrays(params))
-        cached = self._chain_cache.get(key, _MISS)
-        if cached is not _MISS:
-            return cached
-        spans = {}
-        min_gain = getattr(self.options, "fuse_min_gain", 1.05)
-        overhead = self.spec.kernel_launch_overhead_us * 1e-6
-        cost = self._selection_cost()
-        for start, end, stages in chain_spans(plans, params):
-            span_plans = plans[start:end]
-            gain = predicted_chain_fuse_gain(cost, span_plans, params,
-                                             overhead)
-            if gain < min_gain:
-                continue
-            chain_id = "->".join(self.segments[j].name
-                                 for j in range(start, end))
-            fn = compile_chain_fn(stages, params, chain_id=chain_id)
-            sizes = tuple(plan.output_size(params) for plan in span_plans)
-            spans[start] = (end, fn, sizes)
-        value = spans or None
-        self._chain_pins.extend(plans)
-        for entry in (params or {}).values():
-            if not np.isscalar(entry) and entry is not None:
-                self._chain_pins.append(entry)
-        self._chain_cache[key] = value
-        return value
-
-    def _execute_fused_span(self, step: Step, plans: List[KernelPlan],
-                            device: Device, buf, params: Dict[str, float]):
-        """One fused-chain launch; returns the span's last output buffer.
-
-        Failures are wrapped exactly like per-segment ones, anchored at
-        the span's first segment so :meth:`_recover_segment` can
-        quarantine/re-select there (the replacement changes the plan
-        identity, which invalidates the memoized span and re-plans
-        fusion for the retry).
-        """
-        start, end = step.index, step.end
-        outs = [device.alloc(size, dtype=np.float64,
-                             name=f"{self.segments[j].name}.out")
-                for j, size in zip(range(start, end), step.sizes)]
-        try:
-            device.launch_fused_chain(
-                step.fn, [buf.data] + [out.data for out in outs])
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise KernelExecutionError(
-                f"fused chain {self.segments[start].name!r}.."
-                f"{self.segments[end - 1].name!r} failed: {exc}",
-                segment=self.segments[start].name,
-                plan=plans[start].strategy,
-                params=dict(freeze_scalars(params)), kind="crash",
-                segment_index=start) from exc
-        return outs[-1]
 
     def _execute_plans(self, host_input: np.ndarray,
                        params: Dict[str, float],
@@ -776,17 +673,8 @@ class CompiledProgram:
         exec_compile_before = COMPILE_COUNTER.snapshot()
         selections: List[SegmentExecution] = []
         predicted = 0.0
-        fused_runs = 0
-        steps = self._steps(
-            params, location, self._sides(plans),
-            self._fused_spans(plans, params, device))
+        steps = self._steps(params, location, self._sides(plans))
         segments = self.segments
-
-        def plan_seconds(plan):
-            if plan_costs is not None:
-                return plan_costs[id(plan)]
-            return self.cost.plan_seconds(plan, params)
-
         value = host_input      # a host array or a device buffer
         try:
             with device.scope():
@@ -799,9 +687,6 @@ class CompiledProgram:
                     elif kind == "host":
                         value = self._execute_segment(
                             index, plans[index], None, value, params)
-                    elif kind == "fused":
-                        value = self._execute_fused_span(
-                            step, plans, device, value, params)
                     elif kind == "h2d":
                         value = device.to_device(
                             value, name=f"{segments[index].name}.in")
@@ -815,30 +700,18 @@ class CompiledProgram:
                         continue
                     wall = time.perf_counter() - started
                     stage[_STEP_STAGE[kind]] += wall
-                    if kind not in ("kernel", "host", "fused"):
+                    if kind not in ("kernel", "host"):
                         continue
-                    members = range(index, step.end)
-                    costs = [plan_seconds(plans[j]) for j in members]
-                    shares, tags = [1.0], []
-                    if kind == "fused":
-                        # Per-segment report rows survive fusion: each
-                        # span member keeps its own predicted cost and a
-                        # predicted-share slice of the measured span
-                        # wall-clock (the feedback layer's observation
-                        # granularity is the segment).
-                        fused_runs += 1
-                        total = sum(costs)
-                        shares = [seconds / total if total > 0
-                                  else 1.0 / len(costs) for seconds in costs]
-                        tags = ["chain_fusion"]
-                    for j, seconds, share in zip(members, costs, shares):
-                        predicted += seconds
-                        selections.append(SegmentExecution(
-                            segment=segments[j].name, kind=segments[j].kind,
-                            strategy=plans[j].strategy,
-                            predicted_seconds=seconds,
-                            optimizations=list(plans[j].optimizations) + tags,
-                            measured_seconds=wall * share))
+                    plan = plans[index]
+                    seconds = (plan_costs[id(plan)] if plan_costs is not None
+                               else self.cost.plan_seconds(plan, params))
+                    predicted += seconds
+                    selections.append(SegmentExecution(
+                        segment=segments[index].name,
+                        kind=segments[index].kind, strategy=plan.strategy,
+                        predicted_seconds=seconds,
+                        optimizations=list(plan.optimizations),
+                        measured_seconds=wall))
         except KernelExecutionError as exc:
             # The scope above already released every buffer; attach the
             # failed attempt's counters so callers (guarded retry, the
@@ -863,7 +736,6 @@ class CompiledProgram:
         delta = SelectionStats(
             runs=1, expr_compiles=compiled.total,
             expr_hydrations=compiled.hydrated,
-            fused_chain_runs=fused_runs,
             restructure_builds=rebuilt.perm_builds,
             restructure_seconds=stage["restructure"],
             h2d_seconds=stage["h2d"], kernel_seconds=stage["kernel"],
@@ -1308,7 +1180,7 @@ class CompiledProgram:
         every batch item at that binding.  A fan-out (``workers > 1`` or
         the process backend) with ``warm`` first runs one warmup per
         binding, in this thread: it populates every memo the workers then
-        only read (costs, fused spans, compiled kernels, permutations)
+        only read (costs, compiled kernels, permutations)
         and everything the process bundle carries.  A serial batch needs
         none — each binding's first item warms those caches itself.
         Returns ``(selections, select_seconds)`` keyed by frozen scalars.
@@ -1962,9 +1834,9 @@ class CompiledProgram:
         the memoized cost layer (model-argmin selections are runtime
         work the paper charges to the initial transfer, so a cold start
         re-evaluates them), and resets the calibration store — measured
-        feedback is warm state.  Also evicts the fused-chain kernel
-        cache, shuts down any cached process pools, and sweeps this
-        process's shared-memory segments so ``/dev/shm`` never leaks.
+        feedback is warm state.  Also shuts down any cached process
+        pools and sweeps this process's shared-memory segments so
+        ``/dev/shm`` never leaks.
         Baked dispatch tables survive — they are compile-time products,
         not run-time warm state.
         """
@@ -1973,8 +1845,6 @@ class CompiledProgram:
                 plan.clear_warm_cache()
         self.cost.clear()
         self.calibration.reset()
-        self._chain_cache.clear()
-        self._chain_pins.clear()
         if self._process_pools:
             from .procpool import shutdown_worker_pools
             shutdown_worker_pools(self)

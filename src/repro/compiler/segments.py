@@ -163,46 +163,3 @@ class Segment:
             if dropped:
                 self.dispatch = None   # table may reference dropped plans
         return self.plans
-
-
-# ---------------------------------------------------------------------------
-# Segment-chain fusion: linear producer→consumer span discovery
-# ---------------------------------------------------------------------------
-
-def chain_spans(plans: Sequence[KernelPlan], params,
-                min_length: int = 2) -> List[tuple]:
-    """Maximal fusable spans in one selected plan chain.
-
-    Returns ``[(start, end, stages), ...]`` where ``plans[start:end]`` is a
-    maximal run of consecutive plans that provide a chain stage
-    (:meth:`KernelPlan.chain_stage`) *and* whose stage boundaries agree on
-    the intermediate stream size (producer output elements == consumer
-    input elements).  Plans without a stage — reductions, stencils,
-    generic actors — terminate the current run, which is why a
-    whole-stream reduction can end a fused chain but never sit inside
-    one.  Runs shorter than ``min_length`` are dropped (fusing one
-    segment is a no-op).
-    """
-    stages = [plan.chain_stage(params) for plan in plans]
-    spans: List[tuple] = []
-    start: Optional[int] = None
-    for i in range(len(plans) + 1):
-        stage = stages[i] if i < len(plans) else None
-        linked = stage is not None
-        if linked and start is not None:
-            prev = stages[i - 1]
-            if prev.m * prev.iterations != stage.k * stage.iterations:
-                linked = False      # boundary sizes disagree: break the run
-        if stage is not None and not linked:
-            # Close the current run and open a new one at this stage.
-            if start is not None and i - start >= min_length:
-                spans.append((start, i, stages[start:i]))
-            start = i
-            continue
-        if stage is None and start is not None:
-            if i - start >= min_length:
-                spans.append((start, i, stages[start:i]))
-            start = None
-        elif stage is not None and start is None:
-            start = i
-    return spans

@@ -81,9 +81,6 @@ class SelectionStats:
     degraded_runs: int = 0
     #: Dispatch-table bakes skipped because the sweep was infeasible.
     sweep_failures: int = 0
-    #: Whole-segment-chain fused executions (one emitted kernel covering a
-    #: linear run of map segments; see ``AdapticOptions.fuse_chains``).
-    fused_chain_runs: int = 0
 
     @property
     def runtime_evals(self) -> int:

@@ -135,15 +135,6 @@ class Device:
                 self._apply_launch_fault(fault, kernel, args)
         return stats
 
-    def launch_fused_chain(self, fn, arrays) -> None:
-        """One launch covering a whole fused segment chain.
-
-        Counts as a single launch — the accounting difference fusion
-        exists to create.
-        """
-        self.launch_count += 1
-        self.executor.launch_fused_chain(fn, arrays)
-
     def _apply_launch_fault(self, fault, kernel: Kernel,
                             args: Dict[str, Any]) -> None:
         """Apply a launch-scope injected fault after the real launch ran."""

@@ -81,22 +81,6 @@ class Executor:
         self.reference_launches = 0
         self.vectorized_launches = 0
         self.vector_fallbacks = 0
-        self.fused_chain_launches = 0
-
-    # ------------------------------------------------------------------
-    def launch_fused_chain(self, fn, arrays) -> None:
-        """Run one emitted fused-chain kernel over its stage buffers.
-
-        ``fn`` is a whole-array function from
-        :func:`~repro.compiler.exprgen.compile_chain_fn`; ``arrays`` are
-        the raw ndarrays it threads (source, intermediates, output).
-        Mirrors the vectorized path's floating-point environment so a
-        fused chain is bit-identical to the per-segment launches it
-        replaces.
-        """
-        self.fused_chain_launches += 1
-        with np.errstate(all="ignore"):
-            fn(*arrays)
 
     # ------------------------------------------------------------------
     def launch(self, kernel: Kernel, config: LaunchConfig,

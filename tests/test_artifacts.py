@@ -8,7 +8,9 @@ bundles (each its own `BundleError` subclass, nothing half-applied),
 and the counter-asserted contract itself — a bundle-loaded program
 serves its first request with zero perf-model evaluations and zero
 expression compiles, bit-identical to a cold-compiled run, both
-in-process and from a genuinely fresh interpreter.
+in-process and from a genuinely fresh interpreter.  Bundles saved by
+older code (``tests/data/``) still serve, or are refused, by the same
+checks.
 """
 
 import json
@@ -19,11 +21,12 @@ import sys
 import numpy as np
 import pytest
 
-from repro import api
+from repro import Filter, Pipeline, StreamProgram, api
 from repro.apps import tmv
-from repro.artifacts import (ArtifactBundle, atomic_write_json,
-                             decode_ndarray, decode_scalars, encode_ndarray,
-                             encode_scalars, program_fingerprint)
+from repro.artifacts import (ArtifactBundle, BUNDLE_SCHEMA_VERSION,
+                             atomic_write_json, decode_ndarray,
+                             decode_scalars, encode_ndarray, encode_scalars,
+                             program_fingerprint)
 from repro.compiler.exprgen import COMPILE_COUNTER, SOURCE_REGISTRY
 from repro.errors import (BundleArchError, BundleError, BundleFormatError,
                           BundleProgramError, BundleVersionError,
@@ -31,7 +34,11 @@ from repro.errors import (BundleArchError, BundleError, BundleFormatError,
 from repro.gpu import DeviceArray, GTX_285, TESLA_C2050
 from repro.perfmodel import CalibrationStore
 
+from workloads import SCALE_SRC, SQUARE_SRC, SUM_SRC
+
 pytestmark = pytest.mark.artifacts
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 @pytest.fixture(autouse=True)
@@ -500,3 +507,46 @@ print(json.dumps({{"out": out.tolist(),
         assert len(results) == 2
         assert stats.model_evals == 0
         assert stats.expr_compiles == 0
+
+
+class TestBundlesSavedBeforeChainFusionRemoval:
+    """Bundles saved at commit ``5667b6f``, before the runtime's own
+    segment-chain fusion option (options label ``+fuse``) was deleted,
+    by one vectorized run of :meth:`_compat_program` at n=256, a=1.75
+    (input ``default_rng(6).standard_normal(256)``) and ``save_bundle``
+    with that run's output in ``meta``.  The schema did not change."""
+
+    def _compat_program(self):
+        return StreamProgram(
+            Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
+                     Filter(SQUARE_SRC, pop="n", push="n"),
+                     Filter(SUM_SRC, pop="n", push=1)),
+            params=["n", "a"], input_size="n", name="chain_compat")
+
+    def test_default_options_bundle_serves_bit_identically(self):
+        bundle = ArtifactBundle.load(
+            os.path.join(DATA, "chain_compat_default.json"))
+        assert bundle.schema_version == BUNDLE_SCHEMA_VERSION
+        compiled = api.compile(self._compat_program())
+        compiled.load_bundle(bundle)
+        data = np.random.default_rng(bundle.meta["seed"]).standard_normal(
+            bundle.meta["params"]["n"])
+        compile_before = COMPILE_COUNTER.snapshot()
+        stats_before = compiled.stats.snapshot()
+        result = compiled.run(data, bundle.meta["params"],
+                              options=api.RunOptions(
+                                  exec_mode=api.ExecMode.VECTORIZED))
+        assert COMPILE_COUNTER.since(compile_before).total == 0
+        assert compiled.stats.since(stats_before).model_evals == 0
+        expected = np.asarray(bundle.meta["output"], dtype=np.float64)
+        assert result.output.tobytes() == expected.tobytes()
+
+    def test_runtime_fusion_bundle_is_refused(self):
+        """Its options label ends in ``+fuse``, which no program has
+        now, so the program fingerprint check refuses it."""
+        path = os.path.join(DATA, "chain_compat_fuse.json")
+        assert ArtifactBundle.load(path).options_label.endswith("+fuse")
+        compiled = api.compile(self._compat_program(),
+                               options=api.AdapticOptions(integration=False))
+        with pytest.raises(BundleProgramError):
+            compiled.load_bundle(path)

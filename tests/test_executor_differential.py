@@ -35,12 +35,12 @@ from repro.compiler.reducers import ArgReducer, ScalarReducer, reducer_for
 from repro.gpu import (Device, DeviceArray, MODE_REFERENCE, MODE_VECTORIZED,
                        TESLA_C2050)
 from repro.ir import classify, lift_code
+from repro.ir import nodes as N
 
 from workloads import (ISAMAX_SRC, SAXPY_SRC, SCALE_SRC, SDOT_SRC,
                        STENCIL5_SRC, STENCIL_ONE_SIDED_SRC,
                        STENCIL_ONE_SIDED_UNGUARDED_SRC,
                        STENCIL_RADIUS2_INDEXED_SRC, SUM_SRC)
-from repro.compiler import RunOptions
 
 pytestmark = pytest.mark.differential
 
@@ -137,6 +137,23 @@ class TestMapDifferential:
         plan = MapPlan(SPEC, "saxpy", shape, pattern.outputs, threads=256)
         params = {"n": 37, "a": -1.25}
         assert_differential(plan, rng.standard_normal(74), params)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"items_per_thread": 3}],
+                             ids=["grid_stride", "thread_merged"])
+    def test_gather_variants(self, rng, kwargs):
+        """Index-translated loads (``gather=``, a transfer actor folded
+        into its consumer): lane ``i`` reads element ``n - 1 - i``."""
+        pattern = classify(lift_code(SCALE_SRC)).pattern
+        reverse = N.BinOp("-", N.BinOp("-", N.Var("n"), N.Const(1)),
+                          N.Var("_i"))
+        shape = MapShape(lambda p: p["n"], 1, 1)
+        plan = MapPlan(SPEC, "reverse_scale", shape, pattern.outputs,
+                       threads=64, gather=reverse, **kwargs)
+        assert plan.strategy == "map.index_translated"
+        n = int(rng.integers(150, 1200))
+        data = rng.standard_normal(n)
+        out = assert_differential(plan, data, {"n": n, "a": 1.5})
+        assert out.tobytes() == (1.5 * data[::-1]).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -280,173 +297,6 @@ class TestStencilDifferential:
         """Several tiles with a partial last one: their halo windows
         leave the image and their stores are masked to it."""
         self._check(rng, TiledStencilPlan, src, dims=dims)
-
-
-# ----------------------------------------------------------------------
-# Fused segment chains: one emitted kernel vs per-segment launches
-# ----------------------------------------------------------------------
-SQUARE_SRC = """
-def square(n):
-    for i in range(n):
-        x = pop()
-        push(x * x + 0.5)
-"""
-
-OFFSET_SRC = """
-def offset(n, a):
-    for i in range(n):
-        push(pop() - a)
-"""
-
-
-@pytest.mark.fusedexec
-class TestFusedChainDifferential:
-    """Fused vectorized execution vs the unfused coroutine oracle.
-
-    The chain matrix covers every fusable plan-family combination: the
-    plain grid-stride map, the SoA-restructured variant (first segment,
-    host-staged), the thread-merged variant, the gather
-    (index-translated) variant, multi-stage chains, and a
-    whole-stream-reduction terminator that must stay outside the span.
-    Contract is the executor differential's: ``tobytes`` equality, not
-    ``allclose``.
-    """
-
-    def _compile_pair(self, prog):
-        from repro.compiler import AdapticCompiler, AdapticOptions
-        unfused = AdapticCompiler(
-            SPEC, AdapticOptions(integration=False)).compile(prog)
-        fused = AdapticCompiler(
-            SPEC, AdapticOptions(integration=False, fuse_chains=True,
-                                 fuse_min_gain=0.0)).compile(prog)
-        return unfused, fused
-
-    def _assert_fused_identical(self, prog, data, params, force=None,
-                                expect_spans=1):
-        from repro.gpu import ExecMode
-        unfused, fused = self._compile_pair(prog)
-        oracle = unfused.run(data, params, force=force,
-                             options=RunOptions(exec_mode=ExecMode.REFERENCE))
-        vec = unfused.run(data, params, force=force,
-                          options=RunOptions(exec_mode=ExecMode.VECTORIZED))
-        fus = fused.run(data, params, force=force,
-                        options=RunOptions(exec_mode=ExecMode.VECTORIZED))
-        assert vec.output.tobytes() == oracle.output.tobytes()
-        assert fus.output.tobytes() == oracle.output.tobytes()
-        assert fused.stats.fused_chain_runs == expect_spans
-        dev = fused._run_devices[ExecMode.VECTORIZED]
-        assert dev.executor.fused_chain_launches == expect_spans
-        if expect_spans:
-            fused_rows = [sel for sel in fus.selections
-                          if "chain_fusion" in sel.optimizations]
-            assert len(fused_rows) >= 2
-        return oracle, fus
-
-    def test_grid_stride_pair(self, rng):
-        from repro import Filter, Pipeline, StreamProgram
-        prog = StreamProgram(
-            Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
-                     Filter(SQUARE_SRC, pop="n", push="n")),
-            params=["n", "a"], input_size="n")
-        n = int(rng.integers(200, 3000))
-        self._assert_fused_identical(prog, rng.standard_normal(n),
-                                     {"n": n, "a": 1.75})
-
-    def test_soa_first_stage(self, rng):
-        """k=2 first segment forced onto the SoA layout, host-staged."""
-        from repro import Filter, Pipeline, StreamProgram
-        prog = StreamProgram(
-            Pipeline(Filter(SAXPY_SRC, pop="2*n", push="n"),
-                     Filter(SQUARE_SRC, pop="n", push="n")),
-            params=["n", "a"], input_size="2*n")
-        n = int(rng.integers(200, 2000))
-        unfused, fused = self._compile_pair(prog)
-        seg0 = fused.segments[0].name
-        force = {seg0: "map.grid_stride+soa"}
-        from repro.gpu import ExecMode
-        data = rng.standard_normal(2 * n)
-        params = {"n": n, "a": -0.75}
-        oracle = unfused.run(data, params, force=force,
-                             options=RunOptions(exec_mode=ExecMode.REFERENCE))
-        fus = fused.run(data, params, force=force,
-                        options=RunOptions(exec_mode=ExecMode.VECTORIZED))
-        assert fus.output.tobytes() == oracle.output.tobytes()
-        assert fused.stats.fused_chain_runs == 1
-        assert fus.selections[0].strategy == "map.grid_stride+soa"
-
-    def test_three_stage_chain(self, rng):
-        from repro import Filter, Pipeline, StreamProgram
-        prog = StreamProgram(
-            Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
-                     Filter(SQUARE_SRC, pop="n", push="n"),
-                     Filter(OFFSET_SRC, pop="n", push="n")),
-            params=["n", "a"], input_size="n")
-        n = int(rng.integers(300, 2500))
-        oracle, fus = self._assert_fused_identical(
-            prog, rng.standard_normal(n), {"n": n, "a": 0.3})
-        assert all("chain_fusion" in sel.optimizations
-                   for sel in fus.selections)
-
-    def test_reduction_terminates_chain(self, rng):
-        """A whole-stream reduction rides behind the span, never in it."""
-        from repro import Filter, Pipeline, StreamProgram
-        prog = StreamProgram(
-            Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
-                     Filter(SQUARE_SRC, pop="n", push="n"),
-                     Filter(SUM_SRC, pop="n", push=1)),
-            params=["n", "a"], input_size="n")
-        n = int(rng.integers(300, 2500))
-        oracle, fus = self._assert_fused_identical(
-            prog, rng.standard_normal(n), {"n": n, "a": 2.25})
-        assert "chain_fusion" not in fus.selections[-1].optimizations
-
-    def test_plan_level_matrix(self, rng):
-        """Direct exprgen-level matrix: every fusable variant family.
-
-        Chains built from hand-constructed MapPlans (thread-merged,
-        SoA, gather/index-translated) so combinations the compiler's
-        variant generator only emits under specific shapes are still
-        exercised.  The oracle is the unfused per-plan execution under
-        the reference (coroutine) interpreter.
-        """
-        from repro.compiler.exprgen import compile_chain_fn
-        from repro.ir import nodes as N
-        pattern = classify(lift_code(SCALE_SRC)).pattern
-        sq_pattern = classify(lift_code(SQUARE_SRC)).pattern
-        n = int(rng.integers(150, 1200))
-        params = {"n": n, "a": 1.5}
-        shape1 = MapShape(lambda p: p["n"], 1, 1)
-        reverse = N.BinOp("-", N.BinOp("-", N.Var("n"), N.Const(1)),
-                          N.Var("_i"))
-        combos = [
-            [MapPlan(SPEC, "m0", shape1, pattern.outputs, threads=64),
-             MapPlan(SPEC, "m1", shape1, sq_pattern.outputs, threads=64,
-                     items_per_thread=3)],
-            [MapPlan(SPEC, "g0", shape1, pattern.outputs, threads=64,
-                     gather=reverse),
-             MapPlan(SPEC, "g1", shape1, sq_pattern.outputs, threads=64)],
-            [MapPlan(SPEC, "t0", shape1, sq_pattern.outputs, threads=64,
-                     items_per_thread=4),
-             MapPlan(SPEC, "t1", shape1, pattern.outputs, threads=64,
-                     gather=reverse)],
-        ]
-        for plans in combos:
-            data = rng.standard_normal(n)
-            dev = Device(SPEC, exec_mode=MODE_REFERENCE)
-            buf = dev.to_device(np.asarray(data), "in")
-            for plan in plans:
-                buf = plan.execute(dev, {"in": buf}, params)
-            oracle = buf.data.copy()
-            stages = [plan.chain_stage(params) for plan in plans]
-            chain_id = "->".join(plan.name for plan in plans)
-            fn = compile_chain_fn(stages, params, chain_id=chain_id)
-            vdev = Device(SPEC, exec_mode=MODE_VECTORIZED)
-            bufs = ([np.asarray(data, dtype=np.float64)]
-                    + [np.zeros(plan.output_size(params))
-                       for plan in plans])
-            vdev.launch_fused_chain(fn, bufs)
-            assert bufs[-1].tobytes() == oracle.tobytes(), chain_id
-            assert vdev.executor.fused_chain_launches == 1
 
 
 # ----------------------------------------------------------------------

@@ -349,9 +349,9 @@ class TestOptionLatticeProperties:
     """Every execution route agrees with the sequential interpreter.
 
     A random chain of map stages (optionally ending in a sum reduction),
-    compiled under random placement / chain-fusion / integration / prune
-    flags, runs at every point of exec mode x input location x placement
-    pin on a fresh device.  Each point must match ``run_program``, price
+    compiled under random placement / integration / prune flags, runs
+    at every point of exec mode x input location x placement pin on a
+    fresh device.  Each point must match ``run_program``, price
     exactly the transfers it records, and agree bit for bit with a
     two-worker ``run_batch`` and with a bundle round trip of the same
     program.  A second property serves a same-binding group through
@@ -367,20 +367,18 @@ class TestOptionLatticeProperties:
                            min_size=1, max_size=3),
            reduce=st.booleans(), n=st.integers(16, 4096),
            a=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1),
-           placement=st.booleans(), fuse_chains=st.booleans(),
-           integration=st.booleans(), prune=st.booleans())
+           placement=st.booleans(), integration=st.booleans(),
+           prune=st.booleans())
     @example(stages=["scale"], reduce=True, n=300, a=1.5, seed=0,
-             placement=False, fuse_chains=False, integration=True,
-             prune=True)
+             placement=False, integration=True, prune=True)
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_every_lattice_point_matches_the_interpreter(
-            self, stages, reduce, n, a, seed, placement, fuse_chains,
-            integration, prune):
+            self, stages, reduce, n, a, seed, placement, integration,
+            prune):
         program = _lattice_program(stages, reduce,
                                    LATTICE_RANGES if prune else None)
         options = api.AdapticOptions(
-            placement=placement, fuse_chains=fuse_chains,
-            fuse_min_gain=0.0, integration=integration, prune=prune)
+            placement=placement, integration=integration, prune=prune)
         try:
             compiled = api.compile(program, options=options)
         except CompileError as exc:
@@ -439,19 +437,17 @@ class TestOptionLatticeProperties:
            reduce=st.booleans(), n=st.integers(16, 1024),
            a=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1),
            point=st.sampled_from(POINTS), placement=st.booleans(),
-           fuse_chains=st.booleans(), integration=st.booleans())
+           integration=st.booleans())
     @settings(max_examples=20, derandomize=True, deadline=None)
     def test_served_groups_match_run_batch(self, stages, reduce, n, a, seed,
-                                           point, placement, fuse_chains,
-                                           integration):
+                                           point, placement, integration):
         """Three same-binding requests served as one group, fused along
         ``n`` or not, give ``run_batch``'s outputs under the same
         ``RunOptions``; a chain ending in the sum cannot fuse."""
         compiled = api.compile(
             _lattice_program(stages, reduce),
-            options=api.AdapticOptions(
-                placement=placement, fuse_chains=fuse_chains,
-                fuse_min_gain=0.0, integration=integration))
+            options=api.AdapticOptions(placement=placement,
+                                       integration=integration))
         rng = np.random.default_rng(seed)
         inputs = [rng.standard_normal(n) for _ in range(3)]
         params = {"n": n, "a": a}

@@ -292,113 +292,6 @@ class TestThirdTarget:
                                           {"n": 1 << 18, "r": 1}) > 0
 
 
-class TestChainFusionRuntime:
-    """Whole-segment-chain fused execution (``fuse_chains=True``)."""
-
-    SQUARE_SRC = """
-def square(n):
-    for i in range(n):
-        x = pop()
-        push(x * x + 0.5)
-"""
-
-    def _program(self):
-        return StreamProgram(
-            Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
-                     Filter(self.SQUARE_SRC, pop="n", push="n"),
-                     Filter(SUM_SRC, pop="n", push=1)),
-            params=["n", "a"], input_size="n")
-
-    def _compile(self, **kwargs):
-        options = AdapticOptions(integration=False, **kwargs)
-        return AdapticCompiler(TESLA_C2050, options).compile(self._program())
-
-    def test_fused_bit_identical_and_counted(self, rng):
-        from repro.gpu import ExecMode
-        data = rng.standard_normal(2048)
-        params = {"n": 2048, "a": 1.25}
-        plain = self._compile()
-        fused = self._compile(fuse_chains=True, fuse_min_gain=0.0)
-        baseline = plain.run(data, params, options=RunOptions(exec_mode=ExecMode.VECTORIZED))
-        result = fused.run(data, params, options=RunOptions(exec_mode=ExecMode.VECTORIZED))
-        assert result.output.tobytes() == baseline.output.tobytes()
-        assert fused.stats.fused_chain_runs == 1
-        # One launch covers the two map segments; the reduction keeps
-        # its own launches — strictly fewer than the unfused chain.
-        fdev = fused._run_devices[ExecMode.VECTORIZED]
-        pdev = plain._run_devices[ExecMode.VECTORIZED]
-        assert fdev.launch_count < pdev.launch_count
-        assert fdev.executor.fused_chain_launches == 1
-
-    def test_infinite_gain_guard_disables_fusion(self, rng):
-        from repro.gpu import ExecMode
-        fused = self._compile(fuse_chains=True,
-                              fuse_min_gain=float("inf"))
-        fused.run(rng.standard_normal(512), {"n": 512, "a": 2.0},
-                  options=RunOptions(exec_mode=ExecMode.VECTORIZED))
-        assert fused.stats.fused_chain_runs == 0
-
-    def test_reference_mode_never_fuses(self, rng):
-        fused = self._compile(fuse_chains=True, fuse_min_gain=0.0)
-        fused.run(rng.standard_normal(512), {"n": 512, "a": 2.0})
-        assert fused.stats.fused_chain_runs == 0
-
-    def test_clear_warm_caches_evicts_chain_kernels(self, rng):
-        from repro.compiler.exprgen import COMPILE_COUNTER
-        from repro.gpu import ExecMode
-        fused = self._compile(fuse_chains=True, fuse_min_gain=0.0)
-        data = rng.standard_normal(1024)
-        params = {"n": 1024, "a": 0.5}
-        fused.run(data, params, options=RunOptions(exec_mode=ExecMode.VECTORIZED))
-        before = COMPILE_COUNTER.snapshot()
-        fused.run(data, params, options=RunOptions(exec_mode=ExecMode.VECTORIZED))
-        assert COMPILE_COUNTER.since(before).total == 0  # warm
-        fused.clear_warm_caches()
-        before = COMPILE_COUNTER.snapshot()
-        fused.run(data, params, options=RunOptions(exec_mode=ExecMode.VECTORIZED))
-        assert COMPILE_COUNTER.since(before).total > 0   # cold again
-        assert fused.stats.fused_chain_runs == 3
-
-    def test_fused_chain_rides_artifact_bundle(self, rng, tmp_path):
-        from repro.compiler.exprgen import COMPILE_COUNTER, SOURCE_REGISTRY
-        from repro.gpu import ExecMode
-        data = rng.standard_normal(1024)
-        params = {"n": 1024, "a": 3.0}
-        # One program object for both compiles: auto-assigned pipeline
-        # names participate in the bundle's program fingerprint.
-        program = self._program()
-        options = AdapticOptions(integration=False, fuse_chains=True,
-                                 fuse_min_gain=0.0)
-        # save_bundle exports the process-global source registry, and
-        # load_bundle feeds the global hydration map — snapshot both so
-        # this test leaves no other suite's compiles hydration-eligible.
-        recorded = dict(SOURCE_REGISTRY._recorded)
-        loaded = dict(SOURCE_REGISTRY._loaded)
-        try:
-            warm = AdapticCompiler(TESLA_C2050, options).compile(program)
-            baseline = warm.run(data, params, options=RunOptions(exec_mode=ExecMode.VECTORIZED))
-            assert any(key.startswith("chain|")
-                       for key in SOURCE_REGISTRY.export())
-            path = tmp_path / "fused.bundle.json"
-            warm.save_bundle(str(path))
-            cold = AdapticCompiler(TESLA_C2050, options).compile(program)
-            cold.load_bundle(str(path))
-            # Simulate a fresh process: only bundle-loaded sources serve.
-            SOURCE_REGISTRY._recorded.clear()
-            before = COMPILE_COUNTER.snapshot()
-            result = cold.run(data, params, options=RunOptions(exec_mode=ExecMode.VECTORIZED))
-            delta = COMPILE_COUNTER.since(before)
-        finally:
-            SOURCE_REGISTRY._recorded.clear()
-            SOURCE_REGISTRY._recorded.update(recorded)
-            SOURCE_REGISTRY._loaded.clear()
-            SOURCE_REGISTRY._loaded.update(loaded)
-        assert delta.total == 0
-        assert delta.hydrated > 0
-        assert result.output.tobytes() == baseline.output.tobytes()
-        assert cold.stats.fused_chain_runs == 1
-
-
 @pytest.mark.fusedexec
 class TestProcessPoolBackend:
     """``run_batch``/``run_many`` with ``backend="process"``."""

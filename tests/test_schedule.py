@@ -5,33 +5,29 @@ steps and ``transfer_seconds`` sums its hop steps.  The option lattice
 (program x exec mode x input location x placement pin) checks, on a fresh
 device per point, that outputs stay bit-identical and that the priced
 transfers equal the recorded ones exactly.  The remaining tests pin
-per-call array params that leave no warm state behind, the owned
-device's transfer log holding one run's records, the placement
+the plans' warm caches staying bounded under per-call array params, the
+owned device's transfer log holding one run's records, the placement
 pin on the process backend and in failure recovery, and feedback
 probes that fail without failing the request they probed for.
 """
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import Filter, Pipeline, StreamProgram, api
 from repro.apps import imagepipe, tmv
-from repro.compiler.exprgen import SOURCE_REGISTRY
+from repro.compiler.exprgen import COMPILE_COUNTER, SOURCE_REGISTRY
+from repro.compiler.plans.base import WARM_ARRAY_ENTRIES
 from repro.compiler.runtime import InputLocation
 from repro.faults import FaultInjector, FaultPlan
 from repro.gpu import Device, ExecMode
 from repro.perfmodel import size_bucket
 
-from workloads import SCALE_SRC, SUM_SRC
-
-SQUARE_SRC = """
-def square(n):
-    for i in range(n):
-        x = pop()
-        push(x * x + 0.5)
-"""
+from workloads import SCALE_SRC, SQUARE_SRC, SUM_SRC
 
 #: Narrowed imagepipe box (keeps the placement sweeps fast).
 RANGES = {"width": (32, 512), "height": (32, 512)}
@@ -59,9 +55,10 @@ def _imagepipe(placement):
 
 
 def _chain(placement):
+    """Without integration each stage is its own segment, so the chain's
+    schedule has a hop decision at every segment boundary."""
     return api.compile(_chain_program(), options=api.AdapticOptions(
-        integration=False, fuse_chains=True, fuse_min_gain=0.0,
-        placement=placement))
+        integration=False, placement=placement))
 
 
 def _image_input():
@@ -145,8 +142,7 @@ def test_option_lattice(lattice_programs, name, mode, location, pin):
     recorded = [(t.direction, t.nbytes) for t in device.transfers]
     plans = [compiled.segments[i].plan_named(sel.strategy)
              for i, sel in enumerate(result.selections)]
-    steps = compiled._steps(params, location, compiled._sides(plans),
-                            compiled._fused_spans(plans, params, device))
+    steps = compiled._steps(params, location, compiled._sides(plans))
     assert recorded == [(step.kind, step.nbytes) for step in steps
                         if step.kind in ("h2d", "d2h")]
     assert recorded == _expected_hops(compiled, result, params, location)
@@ -155,15 +151,20 @@ def test_option_lattice(lattice_programs, name, mode, location, pin):
 @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
 def test_fresh_array_params_leave_no_warm_state_behind(mode):
     """A binding whose array params change every call (a served request's
-    own vector, a solver's iterate) pins no arrays and grows no memo."""
+    own vector, a solver's iterate) leaves each plan at most
+    ``WARM_ARRAY_ENTRIES`` warm entries, evicted entries let their
+    arrays go, and a fixed binding still runs without compiling."""
     compiled = api.compile(tmv.build(),
                            options=api.AdapticOptions(prune=True))
-    matrix, _vec, params = tmv.make_input(64, 32,
-                                          rng=np.random.default_rng(8))
+    matrix, vec, params = tmv.make_input(64, 32,
+                                         rng=np.random.default_rng(8))
     rng = np.random.default_rng(9)
     options = api.RunOptions(exec_mode=mode)
+    plans = [plan for segment in compiled.segments
+             for plan in segment.plans]
 
     def run_fresh():
+        """Three fresh bindings: one run and a two-item batch."""
         vecs = [rng.standard_normal(32) for _ in range(3)]
         result = compiled.run(matrix, {**params, "vec": vecs[0]},
                               options=options)
@@ -174,12 +175,32 @@ def test_fresh_array_params_leave_no_warm_state_behind(mode):
         for output, vec in zip([result.output] + [r.output for r in
                                                   outcome.results], vecs):
             assert np.allclose(output, tmv.reference(matrix, vec, 64, 32))
+        return [weakref.ref(vec) for vec in vecs]
 
-    run_fresh()
-    warm = len(compiled._chain_pins), len(compiled._chain_cache)
-    for _ in range(50):
+    def sizes():
+        """Per plan: every warm entry, and those keyed by array ids."""
+        return [(len(plan._warm_cache),
+                 sum(1 for key in plan._warm_cache
+                     if key[0] != "perm" and key[-1]))
+                for plan in plans]
+
+    first = run_fresh()
+    rounds = WARM_ARRAY_ENTRIES // 3 + 1     # more bindings than the cap
+    for _ in range(rounds):
         run_fresh()
-    assert (len(compiled._chain_pins), len(compiled._chain_cache)) == warm
+    full = sizes()
+    assert max(keyed for _, keyed in full) == WARM_ARRAY_ENTRIES
+    for _ in range(rounds):
+        run_fresh()
+    assert sizes() == full
+    gc.collect()
+    assert all(ref() is None for ref in first)
+
+    fixed = {**params, "vec": vec}
+    compiled.run(matrix, fixed, options=options)
+    before = COMPILE_COUNTER.snapshot()
+    compiled.run(matrix, fixed, options=options)
+    assert COMPILE_COUNTER.since(before).total == 0
 
 
 def test_owned_device_transfer_log_stays_bounded():

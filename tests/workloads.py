@@ -53,6 +53,13 @@ def scale(n, a):
         push(a * pop())
 """
 
+SQUARE_SRC = """
+def square(n):
+    for i in range(n):
+        x = pop()
+        push(x * x + 0.5)
+"""
+
 SAXPY_SRC = """
 def saxpy(n, a):
     for i in range(n):
