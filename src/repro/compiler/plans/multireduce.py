@@ -6,9 +6,11 @@ Adaptic launches one kernel to compute both" — this plan reads the shared
 input once and feeds every reducer in the same pass, halving (or better)
 off-chip traffic and synchronization.
 
-Both the single-kernel (block per array) and two-kernel (initial + merge)
-reduction structures are supported, so horizontal integration composes with
-the input-aware choice of reduction shape.
+The reducers run side by side as one
+:class:`~repro.compiler.reducers.HorizontalReducer` through the plain
+reductions' single-kernel (block per array) and two-kernel (initial +
+merge) launchers, so horizontal integration composes with the
+input-aware choice of reduction shape.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from ...gpu import SYNC, Device, DeviceArray, GPUSpec, Kernel
+from ...gpu import Device, DeviceArray, GPUSpec
 from ...perfmodel import KernelWorkload
-from ..reducers import Reducer
+from ..reducers import HorizontalReducer, Reducer
 from .base import IN, KernelPlan, PlannedLaunch
-from .reduceplan import (LAYOUT_ROWS, ReduceShape, _index_fn, _select_state,
-                         _vector_tree)
+from .reduceplan import (LAYOUT_ROWS, ReduceShape, launch_single_kernel,
+                         launch_two_kernel)
 
 
 class HorizontalReducePlan(KernelPlan):
@@ -31,8 +33,7 @@ class HorizontalReducePlan(KernelPlan):
 
     def __init__(self, spec: GPUSpec, name: str, shape: ReduceShape,
                  reducer_fns: Sequence[Callable[[Dict], Reducer]],
-                 threads: int = 256, two_kernel: bool = False,
-                 layout: str = LAYOUT_ROWS):
+                 threads: int = 256, two_kernel: bool = False):
         super().__init__(spec, name)
         if threads & (threads - 1):
             raise ValueError("threads per block must be a power of two")
@@ -40,25 +41,23 @@ class HorizontalReducePlan(KernelPlan):
         self.reducer_fns = list(reducer_fns)
         self.threads = threads
         self.two_kernel = two_kernel
-        self.layout = layout
-        self.input_layout = layout
+        self.layout = self.input_layout = LAYOUT_ROWS
         self.strategy = ("hreduce.two_kernel" if two_kernel
                          else "hreduce.single_kernel")
         self.optimizations = ["actor_segmentation", "horizontal_integration"]
 
     # ------------------------------------------------------------------
-    def _reducers(self, params) -> List[Reducer]:
+    def _reducer(self, params) -> HorizontalReducer:
         # One warm-cache entry holds the whole reducer bank: every factory
         # may compile several element/epilogue functions, so a warm run
         # must reuse all of them at once.
         return self.cached_artifact(
             "reducers", params,
-            lambda: [fn(params) for fn in self.reducer_fns])
+            lambda: HorizontalReducer([fn(params) for fn in self.reducer_fns]))
 
     def output_size(self, params) -> int:
-        reducers = self._reducers(params)
-        per_array = sum(r.outputs_per_array for r in reducers)
-        return self.shape.narrays(params) * per_array
+        return (self.shape.narrays(params)
+                * self._reducer(params).outputs_per_array)
 
     def initial_blocks(self, params) -> int:
         length = self.shape.nelements(params)
@@ -74,7 +73,7 @@ class HorizontalReducePlan(KernelPlan):
         narrays = self.shape.narrays(params)
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
-        reducers = self._reducers(params)
+        reducers = self._reducer(params).reducers
         width = sum(r.state_width for r in reducers)
         elem_ops = sum(r.element_ops() + r.combine_ops() for r in reducers)
         aux = sum(r.element_aux_loads() for r in reducers)
@@ -117,233 +116,19 @@ class HorizontalReducePlan(KernelPlan):
 
     # ------------------------------------------------------------------
     def execute(self, device: Device, buffers, params) -> DeviceArray:
-        narrays = self.shape.narrays(params)
-        length = self.shape.nelements(params)
-        k = self.shape.pops_per_iter
-        reducers = self._reducers(params)
-        addr = _index_fn(self.layout, self.shape, params)
-        threads = self.threads
-        tree_steps = int(math.log2(threads))
-        per_array = sum(r.outputs_per_array for r in reducers)
+        reducer = self._reducer(params)
         out = device.alloc(self.output_size(params), dtype=np.float64,
                            name=f"{self.name}.out")
-        inbuf = buffers[IN]
-        widths = [r.state_width for r in reducers]
-        Q = len(reducers)
-
-        def slot(q: int, w: int) -> str:
-            return f"s{q}_{w}"
-
-        shared = {slot(q, w): (threads, np.float64)
-                  for q in range(Q) for w in range(widths[q])}
-        groups = [(red, [slot(q, w) for w in range(widths[q])])
-                  for q, red in enumerate(reducers)]
-
-        def reduce_block(ctx, r, lo, hi, write_partial=None):
-            """Strided read + tree reduction for all reducers at once."""
-            states = [red.identity() for red in reducers]
-            i = lo + ctx.tx
-            while i < hi:
-                vals = [ctx.gload(inbuf, addr(r, i, j)) for j in range(k)]
-                for q, red in enumerate(reducers):
-                    states[q] = red.combine(states[q], red.element(vals, i))
-                i += threads
-            for q in range(Q):
-                for w in range(widths[q]):
-                    ctx.sstore(slot(q, w), ctx.tx, states[q][w])
-            yield SYNC
-            active = threads // 2
-            for _step in range(tree_steps):
-                if ctx.tx < active:
-                    for q, red in enumerate(reducers):
-                        a = tuple(ctx.sload(slot(q, w), ctx.tx)
-                                  for w in range(widths[q]))
-                        b = tuple(ctx.sload(slot(q, w), ctx.tx + active)
-                                  for w in range(widths[q]))
-                        merged = red.combine(a, b)
-                        for w in range(widths[q]):
-                            ctx.sstore(slot(q, w), ctx.tx, merged[w])
-                yield SYNC
-                active //= 2
-            if ctx.tx == 0:
-                finals = [tuple(ctx.sload(slot(q, w), 0)
-                                for w in range(widths[q]))
-                          for q in range(Q)]
-                if write_partial is not None:
-                    write_partial(finals)
-                else:
-                    offset = 0
-                    for q, red in enumerate(reducers):
-                        for value in red.epilogue(finals[q]):
-                            ctx.gstore(out, r * per_array + offset, value)
-                            offset += 1
-
-        def vreduce_block(ctx, r, lo, hi, steps, write_partial=None):
-            """Vector mirror of ``reduce_block`` (same per-lane sequences)."""
-            tx = ctx.tx
-            states = [red.videntity(ctx.shape) for red in reducers]
-            for s in range(steps):
-                i = lo + tx + s * threads
-                m = i < hi
-                if not np.any(m):
-                    break
-                vals = [ctx.gload(inbuf, addr(r, i, j), m)
-                        for j in range(k)]
-                safe_i = np.where(m, i, 0)
-                for q, red in enumerate(reducers):
-                    states[q] = _select_state(
-                        m,
-                        red.vcombine(states[q], red.velement(vals, safe_i)),
-                        states[q])
-            for q in range(Q):
-                for w in range(widths[q]):
-                    ctx.sstore(slot(q, w), tx, states[q][w])
-            ctx.sync()
-            lane0, finals = _vector_tree(ctx, groups)
-            if write_partial is not None:
-                write_partial(lane0, finals)
-            else:
-                offset = 0
-                for q, red in enumerate(reducers):
-                    for value in red.vepilogue(finals[q]):
-                        lane0.gstore(out, r * per_array + offset, value)
-                        offset += 1
-
         if not self.two_kernel:
-            def body(ctx):
-                yield from reduce_block(ctx, ctx.bx, 0, length)
-
-            single_steps = math.ceil(length / threads) if length else 0
-
-            def vector_body(ctx):
-                vreduce_block(ctx, ctx.bx, 0, length, single_steps)
-
-            device.launch(Kernel(f"{self.name}_h", body, 18, shared,
-                                 vector_body=vector_body),
-                          narrays, threads, {"in": inbuf, "out": out})
+            launch_single_kernel(device, self, f"{self.name}_h", reducer,
+                                 params, buffers[IN], out)
             return out
-
         nblocks = self.initial_blocks(params)
-        chunk = math.ceil(length / nblocks)
-        total_width = sum(widths)
-        partials = device.alloc(narrays * nblocks * total_width,
-                                dtype=np.float64,
-                                name=f"{self.name}.partials")
-
-        def initial_body(ctx):
-            r, c = divmod(ctx.bx, nblocks)
-            lo = c * chunk
-            hi = min(length, lo + chunk)
-
-            def write(finals):
-                offset = 0
-                for q in range(Q):
-                    for w in range(widths[q]):
-                        ctx.gstore(
-                            partials,
-                            ((offset + w) * narrays + r) * nblocks + c,
-                            finals[q][w])
-                    offset += widths[q]
-
-            yield from reduce_block(ctx, r, lo, hi, write_partial=write)
-
-        def merge_body(ctx):
-            r = ctx.bx
-            states = [red.identity() for red in reducers]
-            c = ctx.tx
-            while c < nblocks:
-                offset = 0
-                for q, red in enumerate(reducers):
-                    part = tuple(
-                        ctx.gload(partials,
-                                  ((offset + w) * narrays + r) * nblocks + c)
-                        for w in range(widths[q]))
-                    states[q] = red.combine(states[q], part)
-                    offset += widths[q]
-                c += threads
-            for q in range(Q):
-                for w in range(widths[q]):
-                    ctx.sstore(slot(q, w), ctx.tx, states[q][w])
-            yield SYNC
-            active = threads // 2
-            for _step in range(tree_steps):
-                if ctx.tx < active:
-                    for q, red in enumerate(reducers):
-                        a = tuple(ctx.sload(slot(q, w), ctx.tx)
-                                  for w in range(widths[q]))
-                        b = tuple(ctx.sload(slot(q, w), ctx.tx + active)
-                                  for w in range(widths[q]))
-                        merged = red.combine(a, b)
-                        for w in range(widths[q]):
-                            ctx.sstore(slot(q, w), ctx.tx, merged[w])
-                yield SYNC
-                active //= 2
-            if ctx.tx == 0:
-                offset = 0
-                for q, red in enumerate(reducers):
-                    final = tuple(ctx.sload(slot(q, w), 0)
-                                  for w in range(widths[q]))
-                    for value in red.epilogue(final):
-                        ctx.gstore(out, r * per_array + offset, value)
-                        offset += 1
-
-        acc_steps = math.ceil(chunk / threads) if chunk else 0
-        merge_steps = math.ceil(nblocks / threads)
-
-        def initial_vector(ctx):
-            r = ctx.bx // nblocks
-            c = ctx.bx % nblocks
-            lo = c * chunk
-            hi = np.minimum(length, lo + chunk)
-
-            def write(lane0, finals):
-                offset = 0
-                for q in range(Q):
-                    for w in range(widths[q]):
-                        lane0.gstore(
-                            partials,
-                            ((offset + w) * narrays + r) * nblocks + c,
-                            finals[q][w])
-                    offset += widths[q]
-
-            vreduce_block(ctx, r, lo, hi, acc_steps, write_partial=write)
-
-        def merge_vector(ctx):
-            tx = ctx.tx
-            r = ctx.bx
-            states = [red.videntity(ctx.shape) for red in reducers]
-            for s in range(merge_steps):
-                c = tx + s * threads
-                m = c < nblocks
-                if not np.any(m):
-                    break
-                offset = 0
-                for q, red in enumerate(reducers):
-                    part = tuple(
-                        ctx.gload(partials,
-                                  ((offset + w) * narrays + r) * nblocks + c,
-                                  m)
-                        for w in range(widths[q]))
-                    states[q] = _select_state(
-                        m, red.vcombine(states[q], part), states[q])
-                    offset += widths[q]
-            for q in range(Q):
-                for w in range(widths[q]):
-                    ctx.sstore(slot(q, w), tx, states[q][w])
-            ctx.sync()
-            lane0, finals = _vector_tree(ctx, groups)
-            offset = 0
-            for q, red in enumerate(reducers):
-                for value in red.vepilogue(finals[q]):
-                    lane0.gstore(out, r * per_array + offset, value)
-                    offset += 1
-
-        device.launch(Kernel(f"{self.name}_h_initial", initial_body, 20,
-                             shared, vector_body=initial_vector),
-                      narrays * nblocks, threads, {"in": inbuf})
-        device.launch(Kernel(f"{self.name}_h_merge", merge_body, 16, shared,
-                             vector_body=merge_vector),
-                      narrays, threads, {})
+        partials = device.alloc(
+            self.shape.narrays(params) * nblocks * reducer.state_width,
+            dtype=np.float64, name=f"{self.name}.partials")
+        launch_two_kernel(device, self, f"{self.name}_h", 20, reducer,
+                          params, buffers[IN], partials, out, nblocks)
         return out
 
     def cuda_source(self) -> str:

@@ -22,6 +22,7 @@ compares with ``narrays``; together with horizontal thread integration
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -92,29 +93,191 @@ def _select_state(mask, new, old):
     return tuple(np.where(mask, n, o) for n, o in zip(new, old))
 
 
-def _vector_tree(ctx, groups, rows=None):
+def _vector_tree(ctx, reducer, names, rows=None):
     """Vector body of the shared-memory tree reduction and its read-back.
 
-    ``groups`` pairs each reducer with the shared names of its state
-    words; ``rows`` (``(blocks, 1)`` or None) masks off blocks with no
-    row.  Each step runs on its live lanes, ``ctx.lanes(active)``, so a
-    block does ``threads - 1`` lane combines, not ``threads`` per step.
-    Returns lane 0's view and each group's reduced state read through it.
+    ``names`` are the shared names of the reducer's state words;
+    ``rows`` (``(blocks, 1)`` or None) masks off blocks with no row.
+    Each step runs on its live lanes, ``ctx.lanes(active)``, so a block
+    does ``threads - 1`` lane combines, not ``threads`` per step.
+    Returns lane 0's view and the reduced state read through it.
     """
     active = ctx.threads // 2
     while active:
         live = ctx.lanes(active)
         tx = live.tx
-        for reducer, names in groups:
-            a = tuple(live.sload(name, tx, rows) for name in names)
-            b = tuple(live.sload(name, tx + active, rows) for name in names)
-            for name, value in zip(names, reducer.vcombine(a, b)):
-                live.sstore(name, tx, value, rows)
+        a = tuple(live.sload(name, tx, rows) for name in names)
+        b = tuple(live.sload(name, tx + active, rows) for name in names)
+        for name, value in zip(names, reducer.vcombine(a, b)):
+            live.sstore(name, tx, value, rows)
         live.sync()
         active //= 2
     lane0 = ctx.lanes(1)
-    return lane0, [tuple(lane0.sload(name, 0, rows) for name in names)
-                   for _, names in groups]
+    return lane0, tuple(lane0.sload(name, 0, rows) for name in names)
+
+
+def _state_words(words, i):
+    """A merge's element: the partial words it loads are a state."""
+    return tuple(words)
+
+
+def _tree_kernel(reducer, names, narrays, spans, fold, finish, ctx):
+    """Reference body of a tree-reduction kernel: one thread.
+
+    ``spans(bx)`` lists the block's spans ``(r, c, lo, hi)``; a span's
+    row exists where ``r < narrays``.  Per span, each thread folds
+    ``element(words, i)`` over ``i = lo + tx, lo + tx + threads, ...``
+    below ``hi``, with ``words`` the ``width`` words of ``src`` at
+    ``at(r, i, j)``, and stores its state to shared memory; the block
+    tree-reduces the states under barriers, and lane 0 writes each
+    value ``m`` of ``final(state)`` to ``dst`` at ``put(r, c, m)``.
+    ``fold`` is ``(src, at, width, element, velement)`` and ``finish``
+    ``(dst, put, final, vfinal)``; the v-forms are
+    :func:`_vector_kernel`'s.
+    """
+    src, at, width, element, _ = fold
+    dst, put, final, _ = finish
+    combine = reducer.combine
+    threads = ctx.bdim.x
+    tx = ctx.tx
+    words = range(width)
+    for r, c, lo, hi in spans(ctx.bx):
+        live = r < narrays
+        if live:
+            state = reducer.identity()
+            # A span's bound may be a numpy integer; fold over ints.
+            i, hi = lo + tx, int(hi)
+            while i < hi:
+                vals = [ctx.gload(src, at(r, i, j)) for j in words]
+                state = combine(state, element(vals, i))
+                i += threads
+            for name, value in zip(names, state):
+                ctx.sstore(name, tx, value)
+        yield SYNC
+        active = threads // 2
+        while active:
+            if live and tx < active:
+                a = tuple(ctx.sload(name, tx) for name in names)
+                b = tuple(ctx.sload(name, tx + active) for name in names)
+                for name, value in zip(names, combine(a, b)):
+                    ctx.sstore(name, tx, value)
+            yield SYNC
+            active //= 2
+        if live and tx == 0:
+            state = tuple(ctx.sload(name, 0) for name in names)
+            for m, value in enumerate(final(state)):
+                ctx.gstore(dst, put(r, c, m), value)
+
+
+def _vector_kernel(reducer, names, narrays, spans, fold, finish, ctx):
+    """Vector body of :func:`_tree_kernel`: every block at once.
+
+    A span's rows are masked only where some block lacks its row, so
+    where every row exists the fold's mask and index are one row of
+    lanes, not one per block.
+    """
+    src, at, width, _, element = fold
+    dst, put, _, final = finish
+    tx = ctx.tx
+    for r, c, lo, hi in spans(ctx.bx):
+        rows = r < narrays
+        rows = None if rows.all() else rows
+        state = reducer.videntity(ctx.shape)
+        i = lo + tx
+        while True:
+            mask = i < hi if rows is None else rows & (i < hi)
+            if not mask.any():
+                break
+            vals = [ctx.gload(src, at(r, i, j), mask) for j in range(width)]
+            part = element(vals, np.where(mask, i, 0))
+            state = _select_state(mask, reducer.vcombine(state, part), state)
+            i = i + ctx.threads
+        for name, value in zip(names, state):
+            ctx.sstore(name, tx, value, rows)
+        ctx.sync()
+        lane0, state = _vector_tree(ctx, reducer, names, rows)
+        for m, value in enumerate(final(state)):
+            lane0.gstore(dst, put(r, c, m), value, rows)
+
+
+def _launch_tree(device, name, regs, blocks, threads, reducer, narrays,
+                 spans, fold, finish, args):
+    """Launch one tree-reduction kernel (:func:`_tree_kernel`, with
+    :func:`_vector_kernel` as its vector body)."""
+    names = [f"s{w}" for w in range(reducer.state_width)]
+    # Every thread of a block walks the same spans: the reference body
+    # computes them once per block, in a cache that lives as long as
+    # this launch's kernel.
+    block_spans = functools.lru_cache(maxsize=None)(spans)
+    kernel = Kernel(
+        name, functools.partial(_tree_kernel, reducer, names, narrays,
+                                block_spans, fold, finish),
+        regs, {n: (threads, np.float64) for n in names},
+        vector_body=functools.partial(_vector_kernel, reducer, names,
+                                      narrays, spans, fold, finish))
+    device.launch(kernel, blocks, threads, args)
+
+
+def _input_fold(plan, reducer, inbuf, params):
+    """The fold over a plan's input: each iteration's pops, mapped by
+    the reducer's element function."""
+    return (inbuf, _index_fn(plan.layout, plan.shape, params),
+            plan.shape.pops_per_iter, reducer.element, reducer.velement)
+
+
+def _output_finish(reducer, out):
+    """Lane 0's epilogue outputs, ``outputs_per_array`` per row."""
+    out_w = reducer.outputs_per_array
+    return (out, lambda r, c, m: r * out_w + m, reducer.epilogue,
+            reducer.vepilogue)
+
+
+def launch_single_kernel(device: Device, plan, name: str, reducer: Reducer,
+                         params, inbuf: DeviceArray, out: DeviceArray,
+                         rows_per_block: int = 1) -> None:
+    """Figure 7(b): one block per ``rows_per_block`` arrays of ``plan``'s
+    input tree-reduces each of them and writes its epilogue to ``out``."""
+    narrays = plan.shape.narrays(params)
+    length = plan.shape.nelements(params)
+    slots = range(rows_per_block)
+
+    def spans(bx):
+        return [(bx * rows_per_block + rr, 0, 0, length) for rr in slots]
+
+    _launch_tree(device, name, 18, max(1, math.ceil(narrays / rows_per_block)),
+                 plan.threads, reducer, narrays, spans,
+                 _input_fold(plan, reducer, inbuf, params),
+                 _output_finish(reducer, out), {"in": inbuf, "out": out})
+
+
+def launch_two_kernel(device: Device, plan, prefix: str, initial_regs: int,
+                      reducer: Reducer, params, inbuf: DeviceArray,
+                      partials: DeviceArray, out: DeviceArray,
+                      nblocks: int) -> None:
+    """Figures 7(c) and 8: ``{prefix}_initial`` reduces each array in
+    ``nblocks`` chunks, one block each, into state words in
+    ``partials``; ``{prefix}_merge``, one block per array, reduces them
+    and writes the epilogue to ``out``."""
+    narrays = plan.shape.narrays(params)
+    length = plan.shape.nelements(params)
+    chunk = math.ceil(length / nblocks)
+
+    def partial(r, c, w):
+        return (w * narrays + r) * nblocks + c
+
+    def initial_spans(bx):
+        r, c = divmod(bx, nblocks)
+        return [(r, c, c * chunk, np.minimum(length, c * chunk + chunk))]
+
+    _launch_tree(device, f"{prefix}_initial", initial_regs,
+                 narrays * nblocks, plan.threads, reducer, narrays,
+                 initial_spans, _input_fold(plan, reducer, inbuf, params),
+                 (partials, partial, tuple, tuple), {"in": inbuf})
+    _launch_tree(device, f"{prefix}_merge", 16, narrays, plan.threads,
+                 reducer, narrays, lambda bx: [(bx, 0, 0, nblocks)],
+                 (partials, partial, reducer.state_width, _state_words,
+                  _state_words),
+                 _output_finish(reducer, out), {})
 
 
 def restructure_host(data: np.ndarray, layout: str, shape: ReduceShape,
@@ -228,93 +391,11 @@ class ReduceSingleKernelPlan(_ReducePlanBase):
 
     # -- execution ----------------------------------------------------------
     def execute(self, device: Device, buffers, params) -> DeviceArray:
-        narrays = self.shape.narrays(params)
-        length = self.shape.nelements(params)
-        k = self.shape.pops_per_iter
-        reducer = self._reducer(params)
-        addr = _index_fn(self.layout, self.shape, params)
         out = device.alloc(self.output_size(params), dtype=np.float64,
                            name=f"{self.name}.out")
-        threads = self.threads
-        rows_per_block = self.rows_per_block
-        width = reducer.state_width
-        out_w = reducer.outputs_per_array
-        tree_steps = int(math.log2(threads))
-        inbuf = buffers[IN]
-
-        def body(ctx):
-            for rr in range(rows_per_block):
-                r = ctx.bx * rows_per_block + rr
-                in_range = r < narrays
-                if in_range:
-                    state = reducer.identity()
-                    i = ctx.tx
-                    while i < length:
-                        vals = [ctx.gload(inbuf, addr(r, i, j))
-                                for j in range(k)]
-                        state = reducer.combine(state,
-                                                reducer.element(vals, i))
-                        i += threads
-                    for w in range(width):
-                        ctx.sstore(f"s{w}", ctx.tx, state[w])
-                yield SYNC
-                active = threads // 2
-                for _step in range(tree_steps):
-                    if in_range and ctx.tx < active:
-                        a = tuple(ctx.sload(f"s{w}", ctx.tx)
-                                  for w in range(width))
-                        b = tuple(ctx.sload(f"s{w}", ctx.tx + active)
-                                  for w in range(width))
-                        merged = reducer.combine(a, b)
-                        for w in range(width):
-                            ctx.sstore(f"s{w}", ctx.tx, merged[w])
-                    yield SYNC
-                    active //= 2
-                if in_range and ctx.tx == 0:
-                    final = tuple(ctx.sload(f"s{w}", 0)
-                                  for w in range(width))
-                    for m, value in enumerate(reducer.epilogue(final)):
-                        ctx.gstore(out, r * out_w + m, value)
-
-        acc_steps = math.ceil(length / threads) if length else 0
-        blocks = max(1, math.ceil(narrays / rows_per_block))
-        names = [f"s{w}" for w in range(width)]
-
-        def vector_body(ctx):
-            tx = ctx.tx
-            for rr in range(rows_per_block):
-                r = ctx.bx * rows_per_block + rr
-                in_range = np.broadcast_to(r < narrays, ctx.shape)
-                # No row mask when every block has row rr (always, with
-                # one row per block).
-                rows = (None if (blocks - 1) * rows_per_block + rr < narrays
-                        else r < narrays)
-                state = reducer.videntity(ctx.shape)
-                for s in range(acc_steps):
-                    i = tx + s * threads
-                    m = in_range & (i < length)
-                    if not m.any():
-                        break
-                    vals = [ctx.gload(inbuf, addr(r, i, j), m)
-                            for j in range(k)]
-                    safe_i = np.where(m, i, 0)
-                    state = _select_state(
-                        m,
-                        reducer.vcombine(state,
-                                         reducer.velement(vals, safe_i)),
-                        state)
-                for name, value in zip(names, state):
-                    ctx.sstore(name, tx, value, rows)
-                ctx.sync()
-                lane0, (final,) = _vector_tree(ctx, [(reducer, names)], rows)
-                for m_out, value in enumerate(reducer.vepilogue(final)):
-                    lane0.gstore(out, r * out_w + m_out, value, rows)
-
-        kernel = Kernel(
-            f"{self.name}_single", body, regs_per_thread=18,
-            shared_spec={name: (threads, np.float64) for name in names},
-            vector_body=vector_body)
-        device.launch(kernel, blocks, threads, {"in": inbuf, "out": out})
+        launch_single_kernel(device, self, f"{self.name}_single",
+                             self._reducer(params), params, buffers[IN], out,
+                             self.rows_per_block)
         return out
 
     # -- CUDA emission ----------------------------------------------------
@@ -400,144 +481,15 @@ class ReduceTwoKernelPlan(_ReducePlanBase):
 
     # -- execution ----------------------------------------------------------
     def execute(self, device: Device, buffers, params) -> DeviceArray:
-        narrays = self.shape.narrays(params)
-        length = self.shape.nelements(params)
-        k = self.shape.pops_per_iter
         reducer = self._reducer(params)
-        addr = _index_fn(self.layout, self.shape, params)
         nblocks = self.initial_blocks(params)
-        chunk = math.ceil(length / nblocks)
-        threads = self.threads
-        width = reducer.state_width
-        out_w = reducer.outputs_per_array
-        tree_steps = int(math.log2(threads))
-        inbuf = buffers[IN]
-        partials = device.alloc(narrays * nblocks * width, dtype=np.float64,
-                                name=f"{self.name}.partials")
+        partials = device.alloc(
+            self.shape.narrays(params) * nblocks * reducer.state_width,
+            dtype=np.float64, name=f"{self.name}.partials")
         out = device.alloc(self.output_size(params), dtype=np.float64,
                            name=f"{self.name}.out")
-
-        def initial_body(ctx):
-            r, c = divmod(ctx.bx, nblocks)
-            lo = c * chunk
-            hi = min(length, lo + chunk)
-            state = reducer.identity()
-            i = lo + ctx.tx
-            while i < hi:
-                vals = [ctx.gload(inbuf, addr(r, i, j)) for j in range(k)]
-                state = reducer.combine(state, reducer.element(vals, i))
-                i += threads
-            for w in range(width):
-                ctx.sstore(f"s{w}", ctx.tx, state[w])
-            yield SYNC
-            active = threads // 2
-            for _step in range(tree_steps):
-                if ctx.tx < active:
-                    a = tuple(ctx.sload(f"s{w}", ctx.tx)
-                              for w in range(width))
-                    b = tuple(ctx.sload(f"s{w}", ctx.tx + active)
-                              for w in range(width))
-                    merged = reducer.combine(a, b)
-                    for w in range(width):
-                        ctx.sstore(f"s{w}", ctx.tx, merged[w])
-                yield SYNC
-                active //= 2
-            if ctx.tx == 0:
-                final = tuple(ctx.sload(f"s{w}", 0) for w in range(width))
-                for w in range(width):
-                    ctx.gstore(partials, (w * narrays + r) * nblocks + c,
-                               final[w])
-
-        def merge_body(ctx):
-            r = ctx.bx
-            state = reducer.identity()
-            c = ctx.tx
-            while c < nblocks:
-                part = tuple(
-                    ctx.gload(partials, (w * narrays + r) * nblocks + c)
-                    for w in range(width))
-                state = reducer.combine(state, part)
-                c += threads
-            for w in range(width):
-                ctx.sstore(f"s{w}", ctx.tx, state[w])
-            yield SYNC
-            active = threads // 2
-            for _step in range(tree_steps):
-                if ctx.tx < active:
-                    a = tuple(ctx.sload(f"s{w}", ctx.tx)
-                              for w in range(width))
-                    b = tuple(ctx.sload(f"s{w}", ctx.tx + active)
-                              for w in range(width))
-                    merged = reducer.combine(a, b)
-                    for w in range(width):
-                        ctx.sstore(f"s{w}", ctx.tx, merged[w])
-                yield SYNC
-                active //= 2
-            if ctx.tx == 0:
-                final = tuple(ctx.sload(f"s{w}", 0) for w in range(width))
-                for m, value in enumerate(reducer.epilogue(final)):
-                    ctx.gstore(out, r * out_w + m, value)
-
-        acc_steps = math.ceil(chunk / threads) if chunk else 0
-        merge_steps = math.ceil(nblocks / threads)
-        names = [f"s{w}" for w in range(width)]
-
-        def initial_vector(ctx):
-            tx = ctx.tx
-            r = ctx.bx // nblocks
-            c = ctx.bx % nblocks
-            lo = c * chunk
-            hi = np.minimum(length, lo + chunk)
-            state = reducer.videntity(ctx.shape)
-            for s in range(acc_steps):
-                i = lo + tx + s * threads
-                m = i < hi
-                if not m.any():
-                    break
-                vals = [ctx.gload(inbuf, addr(r, i, j), m)
-                        for j in range(k)]
-                safe_i = np.where(m, i, 0)
-                state = _select_state(
-                    m,
-                    reducer.vcombine(state, reducer.velement(vals, safe_i)),
-                    state)
-            for name, value in zip(names, state):
-                ctx.sstore(name, tx, value)
-            ctx.sync()
-            lane0, (final,) = _vector_tree(ctx, [(reducer, names)])
-            for w, value in enumerate(final):
-                lane0.gstore(partials, (w * narrays + r) * nblocks + c, value)
-
-        def merge_vector(ctx):
-            tx = ctx.tx
-            r = ctx.bx
-            state = reducer.videntity(ctx.shape)
-            for s in range(merge_steps):
-                c = tx + s * threads
-                m = c < nblocks
-                if not np.any(m):
-                    break
-                part = tuple(
-                    ctx.gload(partials, (w * narrays + r) * nblocks + c, m)
-                    for w in range(width))
-                state = _select_state(
-                    m, reducer.vcombine(state, part), state)
-            for name, value in zip(names, state):
-                ctx.sstore(name, tx, value)
-            ctx.sync()
-            lane0, (final,) = _vector_tree(ctx, [(reducer, names)])
-            for m_out, value in enumerate(reducer.vepilogue(final)):
-                lane0.gstore(out, r * out_w + m_out, value)
-
-        shared = {name: (threads, np.float64) for name in names}
-        device.launch(
-            Kernel(f"{self.name}_initial", initial_body, 18, shared,
-                   vector_body=initial_vector),
-            narrays * nblocks, threads, {"in": inbuf})
-        device.launch(
-            Kernel(f"{self.name}_merge", merge_body, 16, shared,
-                   vector_body=merge_vector),
-            narrays, threads, {})
+        launch_two_kernel(device, self, self.name, 18, reducer, params,
+                          buffers[IN], partials, out, nblocks)
         return out
 
     def cuda_source(self) -> str:

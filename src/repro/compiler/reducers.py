@@ -9,7 +9,8 @@ reductions (isamax/isamin) whose state is a (value, index) pair.
 
 Kernel templates are generic over the reducer, which is how one stream-
 reduction implementation (§4.2.1, Figures 7–8) serves every reduction actor
-Adaptic detects.
+Adaptic detects; :class:`HorizontalReducer` runs several of them side by
+side through the same kernels (horizontal integration, §4.3.2).
 """
 
 from __future__ import annotations
@@ -277,6 +278,52 @@ class ArgReducer(Reducer):
         op = self.cmp
         return (f"if ({b}_v {op} {a}_v || ({b}_v == {a}_v && {b}_i < {a}_i)) "
                 f"{{ {a}_v = {b}_v; {a}_i = {b}_i; }}")
+
+
+class HorizontalReducer(Reducer):
+    """Several reducers over the same pops as one (§4.3.2).
+
+    Horizontal integration folds every member in one pass: the state is
+    the members' states side by side and the outputs are their outputs
+    in member order, so the plain reduction kernels run it unchanged.
+    """
+
+    def __init__(self, reducers: Sequence[Reducer]):
+        self.reducers = list(reducers)
+        self.state_width = sum(r.state_width for r in self.reducers)
+        self.pops_per_iter = self.reducers[0].pops_per_iter
+        self.outputs_per_array = sum(r.outputs_per_array
+                                     for r in self.reducers)
+        self._parts = []
+        start = 0
+        for reducer in self.reducers:
+            stop = start + reducer.state_width
+            self._parts.append((reducer, slice(start, stop)))
+            start = stop
+
+    def identity(self):
+        return sum([r.identity() for r in self.reducers], ())
+
+    def element(self, values, i):
+        return sum([r.element(values, i) for r in self.reducers], ())
+
+    def combine(self, a, b):
+        return sum([r.combine(a[s], b[s]) for r, s in self._parts], ())
+
+    def epilogue(self, state):
+        return [v for r, s in self._parts for v in r.epilogue(state[s])]
+
+    def videntity(self, shape):
+        return sum([r.videntity(shape) for r in self.reducers], ())
+
+    def velement(self, values, i):
+        return sum([r.velement(values, i) for r in self.reducers], ())
+
+    def vcombine(self, a, b):
+        return sum([r.vcombine(a[s], b[s]) for r, s in self._parts], ())
+
+    def vepilogue(self, state):
+        return [v for r, s in self._parts for v in r.vepilogue(state[s])]
 
 
 def reducer_for(classification, params: Dict[str, float],

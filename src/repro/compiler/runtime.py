@@ -1999,49 +1999,43 @@ class CompiledProgram:
         """Operating input ranges per kernel variant (§3's subranges).
 
         Sweeps the declared input ranges (or the single ``axis`` parameter)
-        and reports, per segment, which variant the runtime would select on
-        each subrange — the textual form of the paper's per-kernel
-        operating-range tables — plus the selection counters.
+        and reports, per segment, the variant :meth:`select` picks on each
+        subrange — with its placement hops, calibration and baked tables —
+        as the textual form of the paper's per-kernel operating-range
+        tables, plus the selection counters.
         """
         ranges = self.program.input_ranges
         if axis is not None:
             ranges = {axis: ranges[axis]}
         if not ranges:
             return "(program declares no input ranges)"
-        if len(ranges) != 1:
-            # Multi-axis: list pointwise winners over the sampled grid.
+        if len(ranges) == 1:
+            (name, (lo, hi)), = ranges.items()
+            points = [{**(extra_params or {}), name: value}
+                      for value in geometric_points(lo, hi, samples)]
+        else:
             points = self.sample_points(samples, extra_params)
-            lines = []
-            with self.cost.compile_scope():
-                for segment in self.segments:
-                    lines.append(f"segment {segment.name}:")
-                    for point in points:
-                        plan = segment.best_plan(self.cost, point)
-                        scalars = {k: v for k, v in point.items()
-                                   if np.isscalar(v)}
-                        lines.append(f"  {scalars} -> {plan.strategy}")
-            lines.append(f"selection stats: {self.stats.summary()}")
-            return "\n".join(lines)
-
-        (name, (lo, hi)), = ranges.items()
-        points = geometric_points(lo, hi, samples)
-        lines = []
         with self.cost.compile_scope():
-            for segment in self.segments:
-                lines.append(f"segment {segment.name}:")
-                current = None
-                start = prev = points[0]
-                for value in points:
-                    params = dict(extra_params or {})
-                    params[name] = value
-                    strategy = segment.best_plan(self.cost, params).strategy
-                    if strategy != current:
-                        if current is not None:
-                            lines.append(
-                                f"  {name} in [{start}, {prev}] -> {current}")
-                        current, start = strategy, value
-                    prev = value
-                lines.append(f"  {name} in [{start}, {points[-1]}] -> {current}")
+            picks = [[plan.strategy for plan in self.select(point)]
+                     for point in points]
+        lines = []
+        for index, segment in enumerate(self.segments):
+            lines.append(f"segment {segment.name}:")
+            if len(ranges) != 1:
+                # Multi-axis: list pointwise winners over the sampled grid.
+                for point, pick in zip(points, picks):
+                    scalars = {k: v for k, v in point.items()
+                               if np.isscalar(v)}
+                    lines.append(f"  {scalars} -> {pick[index]}")
+                continue
+            runs = []   # [first value, last value, strategy]
+            for point, pick in zip(points, picks):
+                if runs and runs[-1][2] == pick[index]:
+                    runs[-1][1] = point[name]
+                else:
+                    runs.append([point[name], point[name], pick[index]])
+            lines.extend(f"  {name} in [{first}, {last}] -> {strategy}"
+                         for first, last, strategy in runs)
         lines.append(f"selection stats: {self.stats.summary()}")
         return "\n".join(lines)
 

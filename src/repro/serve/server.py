@@ -44,7 +44,6 @@ from ..compiler.costing import chain_seconds, fuse_gain
 from ..compiler.plans.base import freeze_scalars
 from ..compiler.runtime import RunOptions, RunResult
 from ..errors import AdmissionError, ServeError
-from ..perfmodel import size_bucket
 from .batcher import (PendingRequest, ShapeBatcher, bucket_key,
                       linearly_batchable)
 from .metrics import ServeMetrics
@@ -136,10 +135,6 @@ class Server:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        #: strategy tag -> plan family, for per-tenant calibration folds.
-        self._family_of = {plan.strategy: plan.family
-                           for segment in compiled.segments
-                           for plan in segment.plans}
         #: binding -> is stream-axis fusion structurally valid there.
         self._fusable: Dict[tuple, bool] = {}
 
@@ -267,8 +262,7 @@ class Server:
         """Execute one coalesced group; one entry per request.
 
         Runs on the dispatch executor thread — the only thread that
-        ever touches the compiled program or the tenant calibration
-        stores, so neither needs locking.
+        ever touches the compiled program, so it needs no locking.
         """
         if self._should_fuse(group):
             try:
@@ -345,7 +339,6 @@ class Server:
             "select": run.stage_seconds.get("select", 0.0) / k,
             "kernel": run.stage_seconds.get("kernel", 0.0) / k,
         }
-        self._fold_tenants({r.tenant for r in group}, run, fused_params)
         entries = []
         for index, request in enumerate(group):
             output = run.output[index * per_request:
@@ -371,7 +364,6 @@ class Server:
                 entries.append(error)
                 continue
             run = outcome.results[index]
-            self._fold_tenants({request.tenant}, run, request.params)
             entries.append(ServeResult(
                 output=run.output, tenant=request.tenant,
                 priority=request.priority, batch_size=len(group),
@@ -383,17 +375,3 @@ class Server:
                 },
                 run=run))
         return entries
-
-    def _fold_tenants(self, tenants, run: RunResult, params: Dict) -> None:
-        """Fold one dispatch's measurements into each tenant's store."""
-        scalars = freeze_scalars(params)
-        bucket = size_bucket(params)
-        for name in tenants:
-            store = self.tenant(name).calibration
-            for selection in run.selections:
-                family = self._family_of.get(selection.strategy,
-                                             selection.strategy)
-                store.observe(family, scalars, bucket,
-                              selection.measured_seconds,
-                              selection.predicted_seconds,
-                              variant=selection.strategy)

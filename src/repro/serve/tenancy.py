@@ -10,11 +10,10 @@ function of the current depth, the tenant's in-flight count, and the
 request's priority class — so tests can assert exact accept/reject
 decisions.
 
-Each tenant also owns a private :class:`~repro.perfmodel.CalibrationStore`:
-the dispatcher folds the measured/predicted ratio of every dispatch the
-tenant participated in into it, so per-tenant model drift (a tenant
-whose traffic concentrates on shapes the analytic model mis-prices) is
-observable per tenant without perturbing the program's shared store.
+A tenant's live state is accounting only: request counts and its
+in-flight load.  Measured feedback goes to the program's own
+calibration store (``RunOptions(feedback=True)``), shared by every
+tenant.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import enum
 from typing import Dict, Optional
 
 from ..errors import AdmissionError
-from ..perfmodel import CalibrationStore
 
 
 class Priority(enum.IntEnum):
@@ -55,7 +53,7 @@ class TenantConfig:
 
 
 class TenantState:
-    """Live accounting + private calibration store for one tenant."""
+    """Live accounting for one tenant."""
 
     def __init__(self, config: TenantConfig):
         self.config = config
@@ -65,9 +63,6 @@ class TenantState:
         self.rejected = 0
         self.completed = 0
         self.failed = 0
-        #: Per-tenant measured-feedback store: every dispatch this tenant
-        #: participated in folds its observed/predicted ratio here.
-        self.calibration = CalibrationStore()
 
     @property
     def name(self) -> str:

@@ -8,6 +8,7 @@ from repro import (AdapticOptions, Filter, GTX_480, Pipeline, StreamProgram,
 from repro.compiler import AdapticCompiler, InputLocation, RunOptions
 from repro.errors import SelectionError
 from repro.gpu import Device, TESLA_C2050
+from repro.perfmodel import geometric_points
 
 from workloads import SCALE_SRC, SUM_SRC
 
@@ -79,6 +80,23 @@ class TestRangeReport:
         compiled = api.compile(prog)
         report = compiled.range_report(samples=3)
         assert "segment" in report and "->" in report
+
+    def test_reports_what_select_picks(self):
+        """With placement, raw kernel cost ranks the GPU map variants
+        first at large n, but hops make select() keep the host plan; the
+        report must list select()'s picks."""
+        prog = StreamProgram(Filter(SCALE_SRC, pop="n", push="n"),
+                             params=["n", "a"], input_size="n",
+                             input_ranges={"n": (16, 1 << 20)})
+        compiled = api.compile(prog,
+                               options=AdapticOptions(placement=True))
+        report = compiled.range_report(extra_params={"a": 2.0})
+        picks = {compiled.select({"n": n, "a": 2.0})[0].strategy
+                 for n in geometric_points(16, 1 << 20, 8)}
+        reported = {line.rsplit(" -> ", 1)[1]
+                    for line in report.splitlines() if " -> " in line}
+        assert reported == picks
+        assert f"  n in [16, {1 << 20}] -> cpu.vector_map" in report
 
 
 class TestMultiSegmentExecution:

@@ -428,7 +428,7 @@ class TestFailureIsolation:
 # Tenancy, dispatch order, metrics
 # ---------------------------------------------------------------------------
 class TestTenancyAndMetrics:
-    def test_per_tenant_calibration_stores_observe(self, compiled, rng):
+    def test_per_tenant_completions_counted(self, compiled, rng):
         inputs, params = make_binding(rng, n=2)
         config = ServeConfig(max_batch=2)
 
@@ -439,9 +439,8 @@ class TestTenancyAndMetrics:
                     server.submit(inputs[1], params, tenant="bob"))
                 return server
         server = asyncio.run(scenario())
-        assert len(server.tenant("alice").calibration) > 0
-        assert len(server.tenant("bob").calibration) > 0
         assert server.tenant("alice").completed == 1
+        assert server.tenant("bob").completed == 1
         assert server.metrics.summary()["completed"] == 2
 
     def test_dispatch_orders_by_priority_then_arrival(self, compiled, rng):
