@@ -9,9 +9,8 @@ paper reports.  Run with::
 Benchmarks that record machine-readable numbers (throughput, speedups,
 accuracies) do so through the ``bench_record`` fixture, keyed by group;
 the pytest session writes each group to ``BENCH_<group>.json`` in the
-working directory (``BENCH_fusedexec.json``, ``BENCH_multiaxis.json``,
-``BENCH_placement.json``), so CI can archive the series next to the
-rendered tables.
+working directory (``BENCH_multiaxis.json``, ``BENCH_placement.json``),
+so CI can archive the series next to the rendered tables.
 """
 
 import json

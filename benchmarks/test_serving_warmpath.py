@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.apps import tmv
-from repro.compiler import AdapticCompiler
+from repro.compiler import AdapticCompiler, runtime
 from repro.compiler.exprgen import COMPILE_COUNTER
 from repro.compiler.plans.base import RESTRUCTURE_COUNTER
 from repro.gpu import (DeviceArray, MODE_REFERENCE, MODE_VECTORIZED,
@@ -130,9 +130,8 @@ class TestRunManyThroughput:
         for _matrix, params in cases:
             warm_program.warmup(params, options=RunOptions(exec_mode=MODE_VECTORIZED))
         started = time.perf_counter()
-        results = warm_program.run_many(inputs, params_list,
-                                        options=RunOptions(exec_mode=MODE_VECTORIZED),
-                                        warm=False)
+        results = warm_program.run_many(
+            inputs, params_list, options=RunOptions(exec_mode=MODE_VECTORIZED))
         warm_seconds = time.perf_counter() - started
 
         for cold_out, result in zip(cold_outputs, results):
@@ -142,13 +141,16 @@ class TestRunManyThroughput:
             f"run_many only {speedup:.2f}x over cold loop " \
             f"({cold_seconds * 1e3:.1f}ms vs {warm_seconds * 1e3:.1f}ms)"
 
-    def test_run_many_batch_never_compiles_after_warmup(self):
+    def test_run_many_batch_never_compiles_after_warmup(self, monkeypatch):
+        # Items this small run serially; force a four-thread fan-out.
+        monkeypatch.setattr(runtime, "batch_threads", lambda *args: 4)
         compiled = _compile_tmv()
         rng = np.random.default_rng(5)
         matrix, _vec, params = tmv.make_input(32, 128, rng)
         compiled.warmup(params, options=RunOptions(exec_mode=MODE_VECTORIZED))
         before = COMPILE_COUNTER.snapshot()
-        results = compiled.run_many([matrix] * 8, params, options=RunOptions(workers=4, exec_mode=MODE_VECTORIZED))
+        options = RunOptions(exec_mode=MODE_VECTORIZED)
+        results = compiled.run_many([matrix] * 8, params, options=options)
         assert COMPILE_COUNTER.since(before).total == 0
         first = results[0].output.tobytes()
         assert all(r.output.tobytes() == first for r in results)

@@ -25,7 +25,6 @@ from . import api, apps
 from .experiments import (code_size, fig01, fig09, fig10, fig11, fig12,
                           multiaxis, placement, sec53)
 from .gpu import TARGETS, get_target
-from .compiler import RunOptions
 
 #: app name -> (StreamProgram builder, description); shared registry.
 _APP_BUILDERS = apps.BUILDERS
@@ -79,8 +78,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--tables", action="store_true",
                         help="with describe: print baked dispatch tables "
                              "(one region map per segment)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="with health: run_many worker threads")
     parser.add_argument("--elements", type=int, default=None,
                         help="with serve-bench: traffic shape-sweep element "
                              "budget (default 256)")
@@ -92,11 +89,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default: requests per shape)")
     parser.add_argument("--seed", type=int, default=None,
                         help="with serve-bench: traffic seed (default 0)")
-    parser.add_argument("--backend", choices=("thread", "process"),
-                        default=None,
-                        help="with serve-bench: executor backend for "
-                             "unfused dispatches (default thread; process "
-                             "uses bundle-warmed worker processes)")
     args = parser.parse_args(argv)
 
     spec = get_target(args.target)
@@ -170,7 +162,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{'verdict':16s} {'OK' if recovered else 'FAIL'}")
         return 0 if recovered else 1
     if args.command == "health":
-        return _health(spec, workers=args.workers)
+        return _health(spec)
     if args.command == "placement":
         return _placement(spec)
     if args.command == "serve-bench":
@@ -287,22 +279,20 @@ def _serve_bench(spec, args) -> int:
     if args.seed is not None:
         traffic.seed = args.seed
     config = None
-    if args.max_batch is not None or args.backend is not None:
+    if args.max_batch is not None:
         n_requests = (traffic.requests_per_shape
                       * len(apps.tmv.shape_sweep(traffic.total_elements)))
         config = ServeConfig(
             max_batch=args.max_batch or traffic.requests_per_shape,
             fuse_axis="rows", max_queue_depth=n_requests + 1,
-            options=api.RunOptions(exec_mode=api.ExecMode.VECTORIZED,
-                                   workers=args.workers,
-                                   backend=args.backend or "thread"))
+            options=api.RunOptions(exec_mode=api.ExecMode.VECTORIZED))
     report = run_benchmark(spec=spec, traffic=traffic, config=config)
     print(f"# serving front door vs serial run() — tmv on {spec.name}")
     print(render(report))
     return 0 if report["bit_identical"] else 1
 
 
-def _health(spec, workers: int = 2, total_elements: int = 1 << 10) -> int:
+def _health(spec, total_elements: int = 1 << 10) -> int:
     """Fault-tolerance self-check over a fig10-style TMV shape sweep.
 
     Serves the sweep twice — once clean, once with a seeded injector
@@ -322,15 +312,14 @@ def _health(spec, workers: int = 2, total_elements: int = 1 << 10) -> int:
         params_list.append(params)
 
     clean = api.compile(apps_mod.tmv.build(), arch=spec)
-    clean_results = clean.run_many(inputs, params_list, options=RunOptions(workers=workers))
+    clean_results = clean.run_many(inputs, params_list)
     victim = clean_results[0].selections[0].strategy
 
     injector = FaultInjector(
         [FaultPlan(family=victim, kind="raise", nth=1, count=1)], seed=0)
     guarded = api.compile(apps_mod.tmv.build(), arch=spec,
                           options=api.AdapticOptions(faults=injector))
-    injected_results = guarded.run_many(inputs, params_list,
-                                        options=RunOptions(workers=workers))
+    injected_results = guarded.run_many(inputs, params_list)
 
     identical = all(
         np.array_equal(a.output, b.output)
@@ -342,7 +331,7 @@ def _health(spec, workers: int = 2, total_elements: int = 1 << 10) -> int:
                       for name, value in expected.items())
 
     print(f"# fault-tolerance health — tmv on {spec.name} "
-          f"({len(shapes)} shapes, {workers} worker(s))")
+          f"({len(shapes)} shapes)")
     print(f"victim variant    {victim}")
     print(f"outputs identical {identical}")
     for name, value in expected.items():

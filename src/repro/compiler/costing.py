@@ -6,49 +6,15 @@ on the input and can be computed at compile time as a function of input size
 and dimensions" (§3).  This walks the IR, multiplying loop bodies by their
 trip counts evaluated under a parameter binding, and taking the more
 expensive branch of data-dependent ``if``s.
-
-This module also hosts the serving front door's fuse guard arithmetic
-(:func:`fuse_gain`, :func:`chain_seconds`): a group of same-binding
-requests runs as one fused execution only when the (calibrated) cost
-model, priced at the base and at the fused size, predicts a gain.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..ir import nodes as N
 from ..ir.interp import WorkInterpreter
-
-
-# ---------------------------------------------------------------------------
-# Fuse-gain pricing (the serve front door's group-fusion guard)
-# ---------------------------------------------------------------------------
-
-def fuse_gain(base_seconds: float, fused_seconds: float, k: int) -> float:
-    """Predicted speedup of one fused execution over ``k`` unfused ones.
-
-    ``base_seconds`` prices one unfused execution, ``fused_seconds`` the
-    single fused execution that replaces ``k`` of them.  A non-positive
-    fused cost means the model considers the fused run free, so the gain
-    is unbounded (``inf``) — the historical ``Server`` behavior.
-    """
-    if fused_seconds <= 0.0:
-        return math.inf
-    return (k * base_seconds) / fused_seconds
-
-
-def chain_seconds(cost, plans: Sequence, params: Dict[str, float]) -> float:
-    """Total predicted seconds of a plan chain under one binding.
-
-    ``cost`` is any object with the :class:`~repro.compiler.stats.CostCache`
-    ``plan_seconds(plan, params)`` duck type (the raw memoized cache or the
-    calibrated view), so callers price with exactly the model the selector
-    rides.
-    """
-    return sum(cost.plan_seconds(plan, params) for plan in plans)
 
 
 @dataclasses.dataclass

@@ -32,6 +32,7 @@ import dataclasses
 import enum
 import itertools
 import math
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -62,6 +63,45 @@ _CANONICAL = {"interleaved", "rows"}
 #: Relative calibration-factor change past which feedback re-sweeps the
 #: observed segment's dispatch table around the binding.
 REBAKE_THRESHOLD = 0.25
+
+#: What a batch needs before ``run_batch`` fans it out over threads: a
+#: mean item of at least ``FANOUT_MIN_ELEMENTS`` input elements, and at
+#: least ``FANOUT_MIN_ITEMS`` items per distinct binding, because a
+#: fan-out first runs one warmup execution per binding in the calling
+#: thread.  On 2 usable CPUs, batches of scale->sum, tmv and imagepipe
+#: ran 1.1-1.9x faster on threads from 2^19 elements and 16 items per
+#: binding in every run; with 8 per binding scale->sum lost in one run
+#: (0.90-0.97x), with 2 per binding all three lost, and at 2^18
+#: scale->sum or imagepipe lost in some run even with 16.
+FANOUT_MIN_ELEMENTS = 1 << 19
+FANOUT_MIN_ITEMS = 16
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has
+    one, else the machine's count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def batch_threads(item_elements: Sequence[int], bindings: int,
+                  cpus: int) -> int:
+    """Threads ``run_batch`` runs a batch on; 1 means the serial loop.
+
+    A batch of ``len(item_elements)`` items over ``bindings`` distinct
+    scalar bindings fans out over ``min(cpus, items)`` threads only when
+    at least 2 CPUs are usable, it has at least :data:`FANOUT_MIN_ITEMS`
+    items per binding (the fan-out's one warmup per binding must be
+    shared by enough items), and its mean item has at least
+    :data:`FANOUT_MIN_ELEMENTS` input elements (below that the threads'
+    hand-off costs more than the GIL-free numpy work they share).
+    """
+    items = len(item_elements)
+    if cpus < 2 or items < 2 or items < FANOUT_MIN_ITEMS * bindings \
+            or sum(item_elements) < FANOUT_MIN_ELEMENTS * items:
+        return 1
+    return min(cpus, items)
 
 
 class InputLocation(str, enum.Enum):
@@ -94,9 +134,9 @@ class RunOptions:
     :class:`~repro.serve.ServeConfig`, the serving front door).
 
     The one way to say how to run: a frozen value, validated once at
-    construction, built once and reused across calls.  ``workers`` and
-    ``backend`` only affect the batch entry points; ``run`` / ``warmup``
-    ignore them.
+    construction, built once and reused across calls.  How a batch is
+    spread over threads is not an option: ``run_batch`` picks it from
+    the batch (:func:`batch_threads`).
     """
 
     #: Executor path; ``None`` defers to the program's default mode.
@@ -106,10 +146,6 @@ class RunOptions:
     #: Fold measured times back into calibration (bool, or a
     #: :class:`FeedbackConfig` overriding the program's policy).
     feedback: Union[bool, FeedbackConfig] = False
-    #: Batch fan-out width (``run_batch`` / ``run_many`` only).
-    workers: int = 1
-    #: Batch executor backend: ``"thread"`` or ``"process"``.
-    backend: str = "thread"
     #: Placement constraint: ``"auto"`` lets the cost model choose per
     #: segment, ``"gpu"`` / ``"cpu"`` pin every segment that has a plan
     #: on that side (segments without one keep their only placement).
@@ -125,12 +161,6 @@ class RunOptions:
             raise ValueError(
                 f"unknown location {self.location!r}; expected one of "
                 f"{_members(InputLocation)}")
-        if self.backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown run_batch backend {self.backend!r}; expected "
-                f"'thread' or 'process'")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.placement not in ("auto", "gpu", "cpu"):
             raise ValueError(
                 f"unknown placement {self.placement!r}; expected "
@@ -281,10 +311,6 @@ class CompiledProgram:
         #: Serializes quarantine + re-selection during failure recovery
         #: (the cost cache and calibration store are unsynchronized).
         self._quarantine_lock = threading.Lock()
-        #: Cached process pools for ``RunOptions(backend="process")``,
-        #: keyed by worker count; kept warm across batches and torn down
-        #: by :meth:`clear_warm_caches` / interpreter exit.
-        self._process_pools: Dict[int, object] = {}
 
     @property
     def stats(self) -> SelectionStats:
@@ -654,8 +680,8 @@ class CompiledProgram:
         steps' modeled seconds, summed in order, are the run's
         ``transfer_seconds`` — the order :attr:`Device.transfer_seconds`
         sums the records those hops leave, so the two agree bit for bit.  Stats are returned as a
-        delta rather than applied to :attr:`stats` so ``run_many``
-        workers never race on the shared counters; single runs merge the
+        delta rather than applied to :attr:`stats` so ``run_batch``'s
+        threads never race on the shared counters; single runs merge the
         delta immediately.  ``plan_costs`` (``id(plan) -> seconds``) lets
         the batched runner reuse one cost lookup per selection instead
         of querying the (unsynchronized) cost cache from worker threads.
@@ -1019,8 +1045,7 @@ class CompiledProgram:
                   params_list: Union[Dict[str, float],
                                      Sequence[Dict[str, float]]], *,
                   options: Optional[RunOptions] = None,
-                  force: Optional[Dict[str, str]] = None,
-                  warm: bool = True) -> BatchOutcome:
+                  force: Optional[Dict[str, str]] = None) -> BatchOutcome:
         """Batch entry point with per-index outcomes and no batch abort.
 
         The serving front door's hook: identical semantics to
@@ -1032,29 +1057,23 @@ class CompiledProgram:
         complete.
 
         Selection happens once per distinct scalar binding, and each
-        item executes exactly once.  ``warm`` only matters for fan-outs
-        (``options.workers > 1`` or the process backend): with
-        ``warm=True`` (default) each distinct binding is warmed up front,
-        so workers never compile and never rebuild permutations.  A
-        serial batch never warms up — each binding's first item fills the
-        warm caches.  The one ``select()`` per binding is timed and its
+        item executes exactly once.  The batch picks its own executor
+        (:func:`batch_threads`): a batch with at least
+        :data:`FANOUT_MIN_ITEMS` items per distinct binding whose mean
+        item has at least :data:`FANOUT_MIN_ELEMENTS` input elements
+        fans out over one thread per usable CPU (at most one per item),
+        with one device per thread (arenas are not thread-safe); any
+        other batch runs serially on the program's own device.  A
+        fan-out first warms each distinct binding, so its threads never
+        compile and never rebuild permutations; a serial batch never
+        warms up — each binding's first item fills the warm caches.
+        Per-run counters are merged into :attr:`stats` after the items
+        finish.  The one ``select()`` per binding is timed and its
         wall-clock attributed to the binding's first completed result;
         every other item at the binding reports ``select == 0`` unless
         it degraded onto a replacement variant, in which case it keeps
         its own re-selection wall — so
         :meth:`SelectionStats.stage_summary` totals stay truthful.
-        ``options.workers > 1`` fans the batch out over a thread pool
-        with one device per worker (arenas are not thread-safe); per-run
-        counters are merged into :attr:`stats` after the workers join.
-
-        ``options.backend="process"`` fans out over a
-        :class:`~concurrent.futures.ProcessPoolExecutor` instead: worker
-        processes warm up instantly from an artifact bundle, inputs and
-        outputs cross the boundary through
-        :mod:`multiprocessing.shared_memory` segments sized by
-        :attr:`wire_dtype`, and per-worker counters/observations are
-        merged back here after the join — escaping the GIL for
-        CPU-bound batches (see :mod:`repro.compiler.procpool`).
 
         ``options.feedback=True`` folds one measured observation per
         distinct scalar binding back into :attr:`calibration` after the
@@ -1063,8 +1082,7 @@ class CompiledProgram:
         contributes its observation even when other items failed.
         """
         opts = options or RunOptions()
-        workers, location, exec_mode = \
-            opts.workers, opts.location, opts.exec_mode
+        location, exec_mode = opts.location, opts.exec_mode
         inputs = list(inputs)
         if isinstance(params_list, dict):
             params_list = [params_list] * len(inputs)
@@ -1073,13 +1091,12 @@ class CompiledProgram:
             raise ValueError(
                 f"run_batch got {len(inputs)} inputs but "
                 f"{len(params_list)} params")
-        if opts.backend == "process":
-            from .procpool import run_batch_process
-            return run_batch_process(self, inputs, params_list,
-                                     options=opts, force=force, warm=warm)
+        bindings = len({freeze_scalars(p) for p in params_list})
+        threads = batch_threads([np.size(x) for x in inputs], bindings,
+                                usable_cpus())
 
         selections, select_seconds = self._select_bindings(
-            params_list, opts, force, warm)
+            params_list, opts, force, warm=threads > 1)
         plan_costs: Dict[tuple, Dict[int, float]] = {}
         for params in params_list:
             key = freeze_scalars(params)
@@ -1108,10 +1125,10 @@ class CompiledProgram:
             params = params_list[index]
             key = freeze_scalars(params)
             host_input = self._validate_input(inputs[index], params)
-            if workers <= 1:
-                device = self._resolve_device(None, exec_mode)
-            else:
+            if threads > 1:
                 device = worker_device()
+            else:
+                device = self._resolve_device(None, exec_mode)
             # Snapshot the (plans, costs) pair under the refresh lock: a
             # degrading worker replaces both entries together, and an
             # unlocked pair of reads could pair a replacement plan list
@@ -1154,15 +1171,15 @@ class CompiledProgram:
                 results[index] = result
                 deltas.append(delta)
 
-        if workers <= 1:
-            for index in range(len(inputs)):
-                run_one(index)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
                 futures = [pool.submit(run_one, index)
                            for index in range(len(inputs))]
                 for future in futures:
                     future.result()
+        else:
+            for index in range(len(inputs)):
+                run_one(index)
         for delta in deltas:
             self.stats.merge(delta)
         self._finish_batch(inputs, params_list, results, selections,
@@ -1174,19 +1191,16 @@ class CompiledProgram:
     def _select_bindings(self, params_list: Sequence[Dict[str, float]],
                          options: RunOptions,
                          force: Optional[Dict[str, str]], warm: bool):
-        """Batch prologue shared by both ``run_batch`` backends.
+        """``run_batch``'s prologue.
 
         One timed ``select()`` per distinct scalar binding, shared by
-        every batch item at that binding.  A fan-out (``workers > 1`` or
-        the process backend) with ``warm`` first runs one warmup per
-        binding, in this thread: it populates every memo the workers then
-        only read (costs, compiled kernels, permutations)
-        and everything the process bundle carries.  A serial batch needs
-        none — each binding's first item warms those caches itself.
-        Returns ``(selections, select_seconds)`` keyed by frozen scalars.
+        every batch item at that binding.  With ``warm`` (a fan-out) it
+        first runs one warmup per binding, in this thread: it populates
+        every memo the threads then only read (costs, compiled kernels,
+        permutations).  A serial batch needs none — each binding's first
+        item warms those caches itself.  Returns ``(selections,
+        select_seconds)`` keyed by frozen scalars.
         """
-        warm = warm and (options.workers > 1
-                         or options.backend == "process")
         selections: Dict[tuple, List[KernelPlan]] = {}
         select_seconds: Dict[tuple, float] = {}
         for params in params_list:
@@ -1210,13 +1224,13 @@ class CompiledProgram:
                       selections: Dict[tuple, List[KernelPlan]],
                       select_seconds: Dict[tuple, float],
                       options: RunOptions) -> None:
-        """Batch epilogue shared by both ``run_batch`` backends.
+        """``run_batch``'s epilogue.
 
         Each binding's amortized select wall-clock is added to its first
         *completed* result (every other item reports only its own
         re-selection wall, if it degraded), so stage totals stay
         truthful.  With ``options.feedback`` that item's measurements
-        are folded into :attr:`calibration` — here, after the workers
+        are folded into :attr:`calibration` — here, after the threads
         joined, because the store is unsynchronized — even when other
         items at the binding failed.
         """
@@ -1242,8 +1256,7 @@ class CompiledProgram:
                  params_list: Union[Dict[str, float],
                                     Sequence[Dict[str, float]]], *,
                  options: Optional[RunOptions] = None,
-                 force: Optional[Dict[str, str]] = None,
-                 warm: bool = True) -> List[RunResult]:
+                 force: Optional[Dict[str, str]] = None) -> List[RunResult]:
         """Serve a batch of inputs through one shared warm path.
 
         ``params_list`` is either one params dict broadcast over the
@@ -1254,12 +1267,9 @@ class CompiledProgram:
         without an exception use :meth:`run_batch` directly.  Feedback
         for bindings whose first completed item succeeded is applied
         *before* the raise — completed measurements are never discarded.
-        ``options.backend="process"`` selects the bundle-warmed
-        process-pool fan-out (see :meth:`run_batch`); as there, ``warm``
-        only matters for fan-outs.
         """
         outcome = self.run_batch(
-            inputs, params_list, options=options, force=force, warm=warm)
+            inputs, params_list, options=options, force=force)
         if outcome.errors:
             failed = sorted(outcome.errors)
             first = outcome.errors[failed[0]]
@@ -1834,9 +1844,7 @@ class CompiledProgram:
         the memoized cost layer (model-argmin selections are runtime
         work the paper charges to the initial transfer, so a cold start
         re-evaluates them), and resets the calibration store — measured
-        feedback is warm state.  Also shuts down any cached process
-        pools and sweeps this process's shared-memory segments so
-        ``/dev/shm`` never leaks.
+        feedback is warm state.
         Baked dispatch tables survive — they are compile-time products,
         not run-time warm state.
         """
@@ -1845,11 +1853,6 @@ class CompiledProgram:
                 plan.clear_warm_cache()
         self.cost.clear()
         self.calibration.reset()
-        if self._process_pools:
-            from .procpool import shutdown_worker_pools
-            shutdown_worker_pools(self)
-        from .procpool import cleanup_shared_memory
-        cleanup_shared_memory()
         with self._device_lock:
             for device in self._run_devices.values():
                 device.arena.clear()

@@ -98,8 +98,8 @@ class SelectionStats:
     def merge(self, other: "SelectionStats") -> None:
         """Field-wise accumulate ``other`` into this instance.
 
-        The batched runner defers per-run counter updates until workers
-        join (worker threads must not race on shared ints), then merges
+        The batched runner defers per-run counter updates until its
+        threads join (they must not race on shared ints), then merges
         the per-run deltas here.
         """
         for f in dataclasses.fields(self):

@@ -31,8 +31,9 @@ Injection points:
 
 Determinism: ``nth``/``count`` trigger on exact per-fault execution
 counts; ``probability`` draws from a private ``random.Random(seed)``, so
-two injectors with equal seeds agree call-for-call (exact under a single
-worker; under ``workers > 1`` the draw order follows thread scheduling).
+two injectors with equal seeds agree call-for-call (exact on a serial
+batch; when ``run_batch`` fans out over threads the draw order follows
+thread scheduling).
 """
 
 from __future__ import annotations
@@ -94,10 +95,11 @@ class FaultInjector:
 
     Holds an ordered list of :class:`FaultPlan` rules, a per-rule
     execution counter, and one ``random.Random(seed)`` for
-    probabilistic rules.  All state is guarded by a lock so ``run_many``
-    workers can consult it concurrently.  ``enabled=False`` turns the
-    injector into a no-op without removing it (the disabled-injector
-    path must be bit-identical to no injector at all).
+    probabilistic rules.  All state is guarded by a lock so a
+    ``run_batch`` fan-out's threads can consult it concurrently.
+    ``enabled=False`` turns the injector into a no-op without removing
+    it (the disabled-injector path must be bit-identical to no injector
+    at all).
     """
 
     def __init__(self, plans: Sequence[FaultPlan] = (), seed: int = 0):

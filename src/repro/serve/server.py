@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..compiler.costing import chain_seconds, fuse_gain
 from ..compiler.plans.base import freeze_scalars
 from ..compiler.runtime import RunOptions, RunResult
 from ..errors import AdmissionError, ServeError
@@ -53,6 +53,30 @@ from .tenancy import (AdmissionPolicy, Priority, TenantConfig, TenantState,
 #: Name of the tenant used when ``submit()`` does not specify one.
 DEFAULT_TENANT = "default"
 
+#: Model-predicted speedup (one fused run vs the group run solo) a
+#: same-binding group must clear before the server fuses it.
+FUSE_MIN_GAIN = 2.0
+
+
+def fuse_gain(base_seconds: float, fused_seconds: float, k: int) -> float:
+    """Predicted speedup of one fused execution over ``k`` unfused ones.
+
+    ``base_seconds`` prices one unfused execution, ``fused_seconds`` the
+    single fused execution that replaces ``k`` of them.  A non-positive
+    fused cost means the model considers the fused run free, so the gain
+    is unbounded (``inf``).
+    """
+    if fused_seconds <= 0.0:
+        return math.inf
+    return (k * base_seconds) / fused_seconds
+
+
+def chain_seconds(cost, plans: Sequence, params: Dict) -> float:
+    """Total predicted seconds of a plan chain under one binding, priced
+    by ``cost`` (anything with ``CostCache.plan_seconds``), the model the
+    selector rides."""
+    return sum(cost.plan_seconds(plan, params) for plan in plans)
+
 
 @dataclasses.dataclass
 class ServeConfig:
@@ -63,25 +87,23 @@ class ServeConfig:
     bucket.  ``max_queue_depth`` bounds admitted-but-unresolved requests
     (priority classes scale it — see
     :class:`~repro.serve.tenancy.AdmissionPolicy`).  ``fuse_axis``
-    opts the program into stream-axis fusion for same-binding groups;
-    ``fuse_min_gain`` is the model-predicted speedup (one fused run vs
-    the group run solo) a group must clear before the server fuses it —
-    the fuse decision is itself input-aware, riding the same cost model
-    the selector uses, so bindings whose chosen variant stops scaling
-    at the fused size stay on the per-item path.
+    opts the program into stream-axis fusion for same-binding groups; a
+    group fuses only when the model predicts at least
+    :data:`FUSE_MIN_GAIN` — the fuse decision is itself input-aware,
+    riding the same cost model the selector uses, so bindings whose
+    chosen variant stops scaling at the fused size stay on the per-item
+    path.
 
     ``options`` is the one :class:`~repro.RunOptions` every dispatch and
     every fused-path selection runs with: exec mode, input location,
-    placement pin, ``feedback`` (so the program's own calibration store
-    keeps learning while serving), and the unfused dispatches'
-    ``workers`` / ``backend`` (``"process"`` fans out over bundle-warmed
-    worker processes — see :mod:`repro.compiler.procpool`).
+    placement pin and ``feedback`` (so the program's own calibration
+    store keeps learning while serving).  An unfused group is one
+    ``run_batch``, which picks serial or threads from the group itself.
     """
 
     max_batch: int = 8
     max_queue_depth: int = 256
     fuse_axis: Optional[str] = None
-    fuse_min_gain: float = 2.0
     default_quota: int = 64
     options: RunOptions = dataclasses.field(default_factory=RunOptions)
 
@@ -286,7 +308,7 @@ class Server:
         if not verdict:
             return False
         gain = self._predicted_fuse_gain(params, len(group))
-        return gain >= self.config.fuse_min_gain
+        return gain >= FUSE_MIN_GAIN
 
     def _select(self, params: Dict):
         """The chain ``run_batch`` would select for ``params`` under the

@@ -452,6 +452,7 @@ class TestDeprecationShims:
     @pytest.mark.parametrize("entry, keyword", [
         ("run", "input_on_host"), ("warmup", "exec_mode"),
         ("run_batch", "workers"), ("run_many", "backend"),
+        ("run_batch", "warm"), ("run_many", "warm"),
         ("recalibrate", "input_on_host")])
     def test_legacy_run_keywords_are_gone(self, entry, keyword):
         compiled = api.compile(sum_program())
@@ -469,6 +470,16 @@ class TestDeprecationShims:
         assert api.ServeConfig().options == RunOptions()
         with pytest.raises(TypeError):
             api.ServeConfig(workers=2)
+
+    @pytest.mark.parametrize("make", [
+        lambda: RunOptions(workers=2), lambda: RunOptions(backend="thread"),
+        lambda: api.ServeConfig(fuse_min_gain=1.0)],
+        ids=["workers", "backend", "fuse_min_gain"])
+    def test_batch_executor_and_fuse_knobs_are_gone(self, make):
+        """``run_batch`` picks serial or threads from the batch, and the
+        fuse threshold is the server's ``FUSE_MIN_GAIN``."""
+        with pytest.raises(TypeError):
+            make()
 
     def test_invalid_exec_mode_still_raises_without_warning(self, rng):
         compiled = api.compile(sum_program())

@@ -22,7 +22,7 @@ import pytest
 
 from repro import api
 from repro.apps import tmv
-from repro.compiler import AdapticOptions, CompileError
+from repro.compiler import AdapticOptions, CompileError, runtime
 from repro.compiler.runtime import CompiledProgram
 from repro.errors import (CalibrationError, KernelExecutionError,
                           KernelTimeoutError, ModelSweepError, ReproError,
@@ -251,29 +251,36 @@ class TestInjectedFaultRecovery:
 class TestFaultGate:
     """The acceptance gate: degraded sweep is bit-identical + counted."""
 
-    def test_sweep_completes_bit_identical_with_exact_counters(self):
+    def test_sweep_completes_bit_identical_with_exact_counters(
+            self, monkeypatch):
         inputs, params_list = _sweep_batch()
         clean = _compile()
-        clean_results = clean.run_many(inputs, params_list, options=RunOptions(workers=2))
+        clean_results = clean.run_many(inputs, params_list)
         victim = clean_results[0].selections[0].strategy
 
-        injector = FaultInjector(
-            [FaultPlan(family=victim, kind=KIND_RAISE, nth=1, count=1)],
-            seed=0)
-        guarded = _compile(faults=injector)
-        injected = guarded.run_many(inputs, params_list, options=RunOptions(workers=2))
+        # The sweep's small items run serially by the rule; check that
+        # executor and a fan-out over two threads, forced.
+        for threads in (2, 1):
+            monkeypatch.setattr(runtime, "batch_threads",
+                                lambda *args: threads)
+            injector = FaultInjector(
+                [FaultPlan(family=victim, kind=KIND_RAISE, nth=1,
+                           count=1)],
+                seed=0)
+            guarded = _compile(faults=injector)
+            injected = guarded.run_many(inputs, params_list)
 
-        assert len(injected) == len(inputs)
-        for a, b in zip(clean_results, injected):
-            np.testing.assert_array_equal(a.output, b.output)
-        stats = guarded.stats
-        assert stats.faults_injected == 1
-        assert stats.retries == 1
-        assert stats.quarantines == 1
-        assert stats.degraded_runs == 1
-        assert injector.faults_injected == 1
-        (entry,) = guarded.calibration.quarantined()
-        assert entry[0] == victim
+            assert len(injected) == len(inputs)
+            for a, b in zip(clean_results, injected):
+                np.testing.assert_array_equal(a.output, b.output)
+            stats = guarded.stats
+            assert stats.faults_injected == 1
+            assert stats.retries == 1
+            assert stats.quarantines == 1
+            assert stats.degraded_runs == 1
+            assert injector.faults_injected == 1
+            (entry,) = guarded.calibration.quarantined()
+            assert entry[0] == victim
 
     def test_disabled_injector_is_bit_identical_to_none(self):
         inputs, params_list = _sweep_batch()
@@ -297,7 +304,7 @@ class TestFaultGate:
         for token in ("faults=", "retries=", "quarantines=", "degraded="):
             assert token in stats_line
         from repro.cli import main
-        assert main(["health", "--workers", "1"]) == 0
+        assert main(["health"]) == 0
         out = capsys.readouterr().out
         assert "verdict           OK" in out
 
@@ -310,15 +317,19 @@ class TestRunManyPartialFailure:
         matrix, _vec, params = tmv.make_input(8, 32, rng)
         return [matrix.copy() for _ in range(n)], params
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_item_surfaces_per_index_with_partials(self, rng,
-                                                          workers):
+                                                          threads,
+                                                          monkeypatch):
+        # The rule runs these small items serially; force the fan-out.
+        monkeypatch.setattr(runtime, "batch_threads",
+                            lambda *args: threads)
         inputs, params = self._batch(rng)
         inputs[1] = np.ones(5)          # wrong size for this binding
         compiled = _compile()
         before = compiled.stats.snapshot()
         with pytest.raises(KernelExecutionError) as err:
-            compiled.run_many(inputs, params, options=RunOptions(workers=workers))
+            compiled.run_many(inputs, params)
         exc = err.value
         assert exc.batch_index == 1
         assert set(exc.batch_errors) == {1}
@@ -328,9 +339,9 @@ class TestRunManyPartialFailure:
         assert exc.partial_results[2] is not None
         assert exc.partial_results[1] is None
         delta = compiled.stats.since(before)
-        # The two completed items, plus the parent's warmup when the
-        # batch fans out to workers (a serial batch runs no warmup).
-        assert delta.runs == (3 if workers > 1 else 2)
+        # The two completed items, plus the warmup when the batch fans
+        # out over threads (a serial batch runs no warmup).
+        assert delta.runs == (3 if threads > 1 else 2)
 
     def test_successful_batch_unchanged(self, rng):
         inputs, params = self._batch(rng)
@@ -343,7 +354,6 @@ class TestWorkerExecMode:
     """Satellite: batch workers inherit the program's exec mode."""
 
     def _recorded_modes(self, monkeypatch, default_mode, exec_mode):
-        from repro.compiler import runtime as runtime_mod
         created = []
 
         class RecordingDevice(Device):
@@ -353,12 +363,15 @@ class TestWorkerExecMode:
                 super().__init__(spec, exec_mode=exec_mode,
                                  fault_injector=fault_injector)
 
-        monkeypatch.setattr(runtime_mod, "Device", RecordingDevice)
+        monkeypatch.setattr(runtime, "Device", RecordingDevice)
+        # Items this small run serially; force a two-thread fan-out.
+        monkeypatch.setattr(runtime, "batch_threads", lambda *args: 2)
         compiled = _compile()
         if default_mode is not None:
             compiled.default_exec_mode = default_mode
         matrix, _vec, params = tmv.make_input(8, 32)
-        compiled.run_many([matrix] * 4, params, options=RunOptions(workers=2, exec_mode=exec_mode))
+        compiled.run_many([matrix] * 4, params,
+                          options=RunOptions(exec_mode=exec_mode))
         assert created, "expected worker devices to be constructed"
         return created
 

@@ -280,7 +280,7 @@ class TestDegradedSelectAttribution:
             options=api.AdapticOptions(prune=True, placement=True,
                                        faults=injector))
         data, params = imagepipe.make_input(48, 48)
-        outcome = guarded.run_batch([data, data], params, warm=False)
+        outcome = guarded.run_batch([data, data], params)
         assert not outcome.errors
         # Item 0 ran clean (execution 1) and carries the binding's
         # amortized select wall; item 1 degraded (execution 2) and must

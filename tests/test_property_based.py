@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro import StreamProgram, api
 from repro.compiler.exprgen import SOURCE_REGISTRY
+from repro.compiler import runtime
 from repro.compiler.runtime import InputLocation
 from repro.errors import CompileError
 from repro.gpu import Device, ExecMode, TESLA_C2050
@@ -26,6 +28,7 @@ from repro.compiler.plans import (ReduceShape, ReduceSingleKernelPlan,
                                   ReduceTwoKernelPlan)
 from repro.compiler.reducers import ScalarReducer
 from repro.serve import ServeConfig, Server
+from repro.serve import server as server_module
 from repro.streamit import Filter, Pipeline, flatten, rate_match, run_program
 
 from workloads import SCALE_SRC, SUM_SRC
@@ -352,10 +355,11 @@ class TestOptionLatticeProperties:
     compiled under random placement / integration / prune flags, runs
     at every point of exec mode x input location x placement pin on a
     fresh device.  Each point must match ``run_program``, price
-    exactly the transfers it records, and agree bit for bit with a
-    two-worker ``run_batch`` and with a bundle round trip of the same
-    program.  A second property serves a same-binding group through
-    ``Server``, fused and unfused, and checks it against ``run_batch``.
+    exactly the transfers it records, and agree bit for bit with
+    ``run_batch`` — serial, and fanned out over two threads — and with
+    a bundle round trip of the same program.  A second property serves
+    a same-binding group through ``Server``, fused and unfused, and
+    checks it against ``run_batch``.
     """
 
     POINTS = list(itertools.product(
@@ -408,10 +412,14 @@ class TestOptionLatticeProperties:
                 assert result.output.tobytes() == expected.tobytes()
             assert result.transfer_seconds == device.transfer_seconds
             strategies = [sel.strategy for sel in result.selections]
-            batch = compiled.run_batch(
-                [data, data], params,
-                options=dataclasses.replace(run_options, workers=2))
-            for item in batch.results:
+            serial = compiled.run_batch([data, data], params,
+                                        options=run_options)
+            # Items this small run serially; force the threaded leg.
+            with mock.patch.object(runtime, "batch_threads",
+                                   lambda *args: 2):
+                threaded = compiled.run_batch([data, data], params,
+                                              options=run_options)
+            for item in serial.results + threaded.results:
                 assert [sel.strategy for sel in item.selections] \
                     == strategies
                 assert item.output.tobytes() == result.output.tobytes()
@@ -459,14 +467,15 @@ class TestOptionLatticeProperties:
 
         for fuse_axis in ("n", None):
             config = ServeConfig(max_batch=3, fuse_axis=fuse_axis,
-                                 fuse_min_gain=0.0, options=options)
+                                 options=options)
 
             async def serve():
                 async with Server(compiled, config) as server:
                     return await asyncio.gather(
                         *(server.submit(x, params) for x in inputs))
-            for result, expected in zip(asyncio.run(serve()),
-                                        batch.results):
+            with mock.patch.object(server_module, "FUSE_MIN_GAIN", 0.0):
+                served = asyncio.run(serve())
+            for result, expected in zip(served, batch.results):
                 assert result.batch_size == 3
                 assert result.fused == (fuse_axis is not None
                                         and not reduce)

@@ -5,7 +5,9 @@ import pytest
 
 from repro import (AdapticOptions, Filter, GTX_480, Pipeline, StreamProgram,
                    apps, api)
-from repro.compiler import AdapticCompiler, InputLocation, RunOptions
+from repro.compiler import AdapticCompiler, InputLocation, RunOptions, runtime
+from repro.compiler.runtime import (FANOUT_MIN_ELEMENTS, FANOUT_MIN_ITEMS,
+                                    batch_threads)
 from repro.errors import SelectionError
 from repro.gpu import Device, TESLA_C2050
 from repro.perfmodel import geometric_points
@@ -310,80 +312,69 @@ class TestThirdTarget:
                                           {"n": 1 << 18, "r": 1}) > 0
 
 
-@pytest.mark.fusedexec
-class TestProcessPoolBackend:
-    """``run_batch``/``run_many`` with ``backend="process"``."""
+class TestBatchExecutorRule:
+    """``run_batch`` picks serial or threads from the batch it is given:
+    threads only for ``FANOUT_MIN_ITEMS`` items per distinct binding
+    whose mean has ``FANOUT_MIN_ELEMENTS`` input elements, on 2+ usable
+    CPUs."""
 
-    def _compiled(self):
-        prog = StreamProgram(
-            Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
-                     Filter(SUM_SRC, pop="n", push=1)),
-            params=["n", "a"], input_size="n")
-        options = AdapticOptions(integration=False)
-        return AdapticCompiler(TESLA_C2050, options).compile(prog)
+    CPUS = (1, 2, 4, 64)
 
-    def test_outputs_match_threaded_and_stats_merge(self, rng):
-        compiled = self._compiled()
-        inputs = [rng.standard_normal(256) for _ in range(5)]
-        params = {"n": 256, "a": 2.0}
-        threaded = compiled.run_many(inputs, params, options=RunOptions(workers=2))
+    def test_serve_tmv_groups_stay_serial(self):
+        # serve-tmv sends groups of at most 8 items of at most 2^10.
+        for cpus in self.CPUS:
+            for items in range(1, 9):
+                assert batch_threads([1 << 10] * items, 1, cpus) == 1
+
+    def test_health_sweep_stays_serial(self):
+        sizes = [rows * cols for rows, cols in apps.tmv.shape_sweep(1 << 10)]
+        for cpus in self.CPUS:
+            assert batch_threads(sizes, len(sizes), cpus) == 1
+
+    def test_large_batches_fan_out_on_two_or_more_cpus(self):
+        sizes = [FANOUT_MIN_ELEMENTS] * 16
+        assert batch_threads(sizes, 1, 1) == 1
+        for cpus in self.CPUS[1:]:
+            assert batch_threads(sizes, 1, cpus) == min(cpus, 16)
+        # The mean item decides, and one item never fans out.
+        rest = [FANOUT_MIN_ELEMENTS] * (FANOUT_MIN_ITEMS - 2)
+        below = rest + [FANOUT_MIN_ELEMENTS, FANOUT_MIN_ELEMENTS - 1]
+        assert batch_threads(below, 1, 4) == 1
+        uneven = rest + [2 * FANOUT_MIN_ELEMENTS - 1, 1]
+        assert batch_threads(uneven, 1, 4) == 4
+        assert batch_threads([1 << 30], 1, 4) == 1
+
+    def test_each_binding_needs_its_own_items(self):
+        """A fan-out warms every distinct binding serially first, so each
+        binding must bring ``FANOUT_MIN_ITEMS`` items."""
+        big = FANOUT_MIN_ELEMENTS
+        assert batch_threads([big] * FANOUT_MIN_ITEMS, 1, 2) == 2
+        assert batch_threads([big] * (FANOUT_MIN_ITEMS - 1), 1, 2) == 1
+        assert batch_threads([big] * FANOUT_MIN_ITEMS, 2, 2) == 1
+        assert batch_threads([big] * (2 * FANOUT_MIN_ITEMS), 2, 2) == 2
+        assert batch_threads([big] * (2 * FANOUT_MIN_ITEMS), 3, 64) == 1
+
+    @pytest.mark.parametrize("cpus, bindings, runs",
+                             [(1, 1, 16), (2, 1, 17), (2, 2, 16)])
+    def test_run_batch_follows_the_rule(self, rng, monkeypatch, cpus,
+                                        bindings, runs):
+        """``run_batch`` hands the rule its item sizes, distinct
+        bindings and usable CPUs.  A fan-out warms its binding first
+        (one extra run); a serial batch does not."""
+        monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
+        # Small items keep the test fast; the rule's size bar moves.
+        monkeypatch.setattr(runtime, "FANOUT_MIN_ELEMENTS", 256)
+        compiled = api.compile(sum_program())
+        items = FANOUT_MIN_ITEMS
+        params_list = [{"n": 256, "r": 1 + i % bindings}
+                       for i in range(items)]
+        inputs = [rng.standard_normal(256 * p["r"]) for p in params_list]
         before = compiled.stats.snapshot()
-        pooled = compiled.run_many(inputs, params, options=RunOptions(workers=2, backend="process"))
-        delta = compiled.stats.since(before)
-        for a, b in zip(threaded, pooled):
-            assert np.array_equal(a.output, b.output)
-        # Worker deltas merged in the parent after the join: one run per
-        # item plus the parent-side warmup run.
-        assert delta.runs == len(inputs) + 1
-        assert all(result.stage_seconds["kernel"] >= 0
-                   for result in pooled)
-        compiled.clear_warm_caches()
-
-    def test_bundle_warmed_workers_compile_nothing(self, rng):
-        compiled = self._compiled()
-        params = {"n": 512, "a": 1.5}
-        compiled.warmup(params)      # parent compiles here, workers won't
-        inputs = [rng.standard_normal(512) for _ in range(4)]
-        before = compiled.stats.snapshot()
-        compiled.run_many(inputs, params, options=RunOptions(workers=2, backend="process"))
-        delta = compiled.stats.since(before)
-        assert delta.expr_compiles == 0      # counter-asserted: zero
-        assert delta.expr_hydrations > 0     # bundle-hydrated instead
-        compiled.clear_warm_caches()
-
-    def test_per_index_failure_capture_parity(self, rng):
-        compiled = self._compiled()
-        params = {"n": 128, "a": 1.0}
-        good = [rng.standard_normal(128) for _ in range(3)]
-        bad = list(good)
-        bad[1] = np.zeros(5)                 # wrong size
-        threaded = compiled.run_batch(bad, params, options=RunOptions(workers=2))
-        pooled = compiled.run_batch(bad, params, options=RunOptions(workers=2, backend="process"))
-        for outcome in (threaded, pooled):
-            assert sorted(outcome.errors) == [1]
-            assert isinstance(outcome.errors[1], ValueError)
-            assert outcome.results[0] is not None
-            assert outcome.results[2] is not None
-        assert np.array_equal(threaded.results[0].output,
-                              pooled.results[0].output)
-        with pytest.raises(Exception) as exc_info:
-            compiled.run_many(bad, params, options=RunOptions(workers=2, backend="process"))
-        assert getattr(exc_info.value, "batch_index", None) == 1
-        compiled.clear_warm_caches()
-
-    def test_unknown_backend_rejected(self, rng):
-        compiled = self._compiled()
-        with pytest.raises(ValueError, match="backend"):
-            compiled.run_batch([rng.standard_normal(128)],
-                               {"n": 128, "a": 1.0}, options=RunOptions(backend="mpi"))
-
-    def test_shared_memory_swept(self, rng):
-        import os
-        compiled = self._compiled()
-        inputs = [rng.standard_normal(128) for _ in range(2)]
-        compiled.run_many(inputs, {"n": 128, "a": 1.0}, options=RunOptions(workers=2, backend="process"))
-        compiled.clear_warm_caches()
-        if os.path.isdir("/dev/shm"):
-            leftovers = [name for name in os.listdir("/dev/shm")
-                         if name.startswith("psm_")]
-            assert leftovers == []
+        outcome = compiled.run_batch(
+            inputs, params_list,
+            options=RunOptions(exec_mode=api.ExecMode.VECTORIZED))
+        assert outcome.ok
+        assert compiled.stats.since(before).runs == runs
+        for data, result in zip(inputs, outcome.results):
+            np.testing.assert_allclose(result.output,
+                                       data.reshape(-1, 256).sum(axis=1))

@@ -7,7 +7,7 @@ device per point, that outputs stay bit-identical and that the priced
 transfers equal the recorded ones exactly.  The remaining tests pin
 the plans' warm caches staying bounded under per-call array params, the
 owned device's transfer log holding one run's records, the placement
-pin on the process backend and in failure recovery, and feedback
+pin in failure recovery, and feedback
 probes that fail without failing the request they probed for.
 """
 
@@ -222,26 +222,8 @@ def test_owned_device_transfer_log_stays_bounded():
 
 
 # ----------------------------------------------------------------------
-# Placement pin on the process backend and in failure recovery
+# Placement pin in failure recovery
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("pin", PINS)
-def test_process_backend_honors_placement_pin(pin):
-    compiled = _imagepipe(True)
-    data, params = _image_input()
-    try:
-        strategies = {}
-        for backend in ("thread", "process"):
-            outcome = compiled.run_batch(
-                [data], params, options=api.RunOptions(
-                    placement=pin, backend=backend))
-            assert not outcome.errors
-            strategies[backend] = [sel.strategy for sel
-                                   in outcome.results[0].selections]
-        assert strategies["process"] == strategies["thread"]
-    finally:
-        compiled.clear_warm_caches()
-
-
 def test_recovery_honors_placement_pin():
     injector = FaultInjector(
         [FaultPlan(family="map.grid_stride", kind="raise", nth=1,

@@ -17,12 +17,13 @@ import pytest
 
 from repro import Filter, Pipeline, StreamProgram, api
 from repro.apps import tmv
-from repro.compiler import AdapticCompiler
+from repro.compiler import AdapticCompiler, runtime
 from repro.errors import AdmissionError, KernelExecutionError, ServeError
 from repro.faults import FaultInjector, FaultPlan
 from repro.gpu import DeviceArray, TESLA_C2050
 from repro.serve import (AdmissionPolicy, Priority, ServeConfig, Server,
                          ServeMetrics, TenantConfig, percentile)
+from repro.serve import server as server_module
 from repro.serve.metrics import LATENCY_WINDOW, STAGES
 from repro.compiler import RunOptions
 
@@ -115,14 +116,18 @@ class TestRunBatchFixes:
         assert results[1].stage_seconds["select"] == 0.0
         assert results[2].stage_seconds["select"] > 0.0
 
-    def test_threaded_fault_recovery_stays_consistent(self, compiled, rng):
+    def test_threaded_fault_recovery_stays_consistent(self, compiled, rng,
+                                                      monkeypatch):
         """Regression for the selections/plan_costs refresh race.
 
         Mid-batch faults make degrading workers replace the shared
         (plans, costs) pair while other workers read it; the batch must
         degrade gracefully — no KeyError from a torn read, every item
-        completes, counters match the injection plan exactly.
+        completes, counters match the injection plan exactly.  The items
+        are small enough to run serially, so the rule is patched to fan
+        them out over 4 threads.
         """
+        monkeypatch.setattr(runtime, "batch_threads", lambda *args: 4)
         inputs, params = make_binding(rng, rows=16, cols=16, n=24)
         compiled.run(inputs[0], params)
         reference = [np.asarray(m).reshape(-1, params["cols"]) @
@@ -130,8 +135,7 @@ class TestRunBatchFixes:
         compiled.faults = FaultInjector(
             [FaultPlan(family="*", kind="raise", nth=3, count=4)], seed=0)
         before = compiled.stats.snapshot()
-        outcome = compiled.run_batch(inputs, [params] * len(inputs),
-                                     options=RunOptions(workers=4))
+        outcome = compiled.run_batch(inputs, [params] * len(inputs))
         assert outcome.ok, f"unexpected failures: {outcome.errors}"
         delta = compiled.stats.since(before)
         assert delta.faults_injected == 4
@@ -259,11 +263,12 @@ class TestCoalescing:
 # Stream-axis fusion
 # ---------------------------------------------------------------------------
 class TestFusion:
-    def test_fused_outputs_bit_identical_to_solo_runs(self, compiled, rng):
+    def test_fused_outputs_bit_identical_to_solo_runs(self, compiled, rng,
+                                                      monkeypatch):
+        monkeypatch.setattr(server_module, "FUSE_MIN_GAIN", 0.0)
         inputs, params = make_binding(rng, n=4)
         reference = [compiled.run(m, params).output.copy() for m in inputs]
-        config = ServeConfig(max_batch=4, fuse_axis="rows",
-                             fuse_min_gain=0.0)
+        config = ServeConfig(max_batch=4, fuse_axis="rows")
 
         async def scenario():
             async with Server(compiled, config) as server:
@@ -277,10 +282,10 @@ class TestFusion:
             np.testing.assert_array_equal(result.output, expected)
 
     def test_fuse_guard_keeps_unprofitable_groups_unfused(self, compiled,
-                                                          rng):
+                                                          rng, monkeypatch):
+        monkeypatch.setattr(server_module, "FUSE_MIN_GAIN", float("inf"))
         inputs, params = make_binding(rng, n=4)
-        config = ServeConfig(max_batch=4, fuse_axis="rows",
-                             fuse_min_gain=float("inf"))
+        config = ServeConfig(max_batch=4, fuse_axis="rows")
 
         async def scenario():
             async with Server(compiled, config) as server:
@@ -312,6 +317,10 @@ class TestFusedPathHonorsOptions:
     location and placement pin — exactly as ``run_batch`` does (it used
     to select with the defaults and force that chain on the fused run)."""
 
+    @pytest.fixture(autouse=True)
+    def always_fuse(self, monkeypatch):
+        monkeypatch.setattr(server_module, "FUSE_MIN_GAIN", 0.0)
+
     def _assert_served_like_run_batch(self, compiled, inputs, params,
                                       config):
         batch = compiled.run_batch(inputs, params, options=config.options)
@@ -331,7 +340,7 @@ class TestFusedPathHonorsOptions:
     def test_device_resident_input(self, compiled, rng):
         inputs, params = make_binding(rng, rows=512, cols=8, n=4)
         config = ServeConfig(
-            max_batch=4, fuse_axis="rows", fuse_min_gain=0.0,
+            max_batch=4, fuse_axis="rows",
             options=RunOptions(location=api.InputLocation.DEVICE))
         served = self._assert_served_like_run_batch(compiled, inputs,
                                                     params, config)
@@ -349,7 +358,7 @@ class TestFusedPathHonorsOptions:
             integration=False, placement=True))
         params = {"n": 64, "a": 1.5}
         inputs = [rng.standard_normal(64) for _ in range(4)]
-        config = ServeConfig(max_batch=4, fuse_axis="n", fuse_min_gain=0.0,
+        config = ServeConfig(max_batch=4, fuse_axis="n",
                              options=RunOptions(placement="gpu"))
         served = self._assert_served_like_run_batch(placed, inputs, params,
                                                     config)
@@ -396,7 +405,8 @@ class TestFailureIsolation:
         assert compiled.stats.since(before).runs == 3
 
     def test_fused_failure_falls_back_to_per_item_dispatch(self, compiled,
-                                                           rng):
+                                                           rng, monkeypatch):
+        monkeypatch.setattr(server_module, "FUSE_MIN_GAIN", 0.0)
         inputs, params = make_binding(rng, n=3)
         compiled.run(inputs[0], params)
         reference = [np.asarray(m).reshape(-1, params["cols"]) @
@@ -407,8 +417,7 @@ class TestFailureIsolation:
         compiled.faults = FaultInjector(
             [FaultPlan(family="*", kind="raise", nth=1,
                        count=TMV_VARIANTS)], seed=0)
-        config = ServeConfig(max_batch=3, fuse_axis="rows",
-                             fuse_min_gain=0.0)
+        config = ServeConfig(max_batch=3, fuse_axis="rows")
 
         async def scenario():
             async with Server(compiled, config) as server:

@@ -12,7 +12,7 @@ import pytest
 
 from repro import api
 from repro.apps import imagepipe, tmv
-from repro.compiler import AdapticCompiler
+from repro.compiler import AdapticCompiler, runtime
 from repro.compiler.exprgen import COMPILE_COUNTER
 from repro.compiler.plans import TiledStencilPlan
 from repro.compiler.plans import base as plan_base
@@ -220,11 +220,14 @@ class TestWarmupAndRunMany:
         for out, result in zip(single, batched):
             assert result.output.tobytes() == out.tobytes()
 
-    def test_run_many_workers_match_serial(self, compiled, tmv_case):
+    def test_run_many_workers_match_serial(self, compiled, tmv_case,
+                                           monkeypatch):
         matrix, params = tmv_case
-        serial = compiled.run_many([matrix] * 4, params,
-                                   options=RunOptions(exec_mode=MODE_VECTORIZED))
-        threaded = compiled.run_many([matrix] * 4, params, options=RunOptions(workers=2, exec_mode=MODE_VECTORIZED))
+        options = RunOptions(exec_mode=MODE_VECTORIZED)
+        serial = compiled.run_many([matrix] * 4, params, options=options)
+        # Items this small run serially; force a two-thread fan-out.
+        monkeypatch.setattr(runtime, "batch_threads", lambda *args: 2)
+        threaded = compiled.run_many([matrix] * 4, params, options=options)
         for a, b in zip(serial, threaded):
             assert a.output.tobytes() == b.output.tobytes()
 
@@ -242,7 +245,7 @@ class TestWarmupAndRunMany:
         assert compiled.stats.runs == 0
         assert compiled.stats.select_calls == 0
         assert compiled.stats.kernel_seconds == 0.0
-        compiled.run_many([matrix] * 2, params, warm=False,
+        compiled.run_many([matrix] * 2, params,
                           options=RunOptions(exec_mode=MODE_VECTORIZED))
         assert compiled.stats.runs == 2
         assert compiled.stats.expr_compiles == 0     # batch stayed warm
