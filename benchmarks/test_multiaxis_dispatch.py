@@ -9,10 +9,6 @@ every point of the grid they were swept on.  Third, when the tables are
 baked under a model biased for one kernel family, the feedback loop
 (probe -> subtree re-sweep -> converged re-sweep) repairs the 2-D
 break-even surface to >=0.95 selection accuracy against ground truth.
-
-Measured numbers accumulate through the ``bench_record`` fixture;
-the session writes them to ``BENCH_multiaxis.json`` (see
-``conftest.py``).
 """
 
 import pytest
@@ -24,10 +20,8 @@ pytestmark = pytest.mark.multiaxis
 
 
 class TestDispatchCost:
-    def test_zero_evals_and_5x_over_argmin(self, bench_record):
+    def test_zero_evals_and_5x_over_argmin(self):
         result = multiaxis.dispatch_cost(samples=5, repeats=3)
-        bench_record("multiaxis", "dispatch_cost", **{
-            k: v for k, v in result.items()})
         assert result["runtime_evals"] == 0
         assert result["mismatches"] == 0
         assert result["table_hits"] > 0
@@ -35,22 +29,17 @@ class TestDispatchCost:
 
 
 class TestGridAccuracy:
-    def test_baked_tables_exact_on_swept_grid(self, report,
-                                              bench_record):
+    def test_baked_tables_exact_on_swept_grid(self, report):
         figure = multiaxis.run(samples=5)
         report(figure)
         total = sum(len(s.y) for s in figure.series)
         correct = sum(sum(s.y) for s in figure.series)
-        bench_record("multiaxis", "grid_accuracy", points=total,
-                     accuracy=correct / total, notes=figure.notes)
         assert correct == total
 
 
 class TestCalibrationRepair:
-    def test_biased_boundary_repaired_to_95(self, bench_record):
+    def test_biased_boundary_repaired_to_95(self):
         result = multiaxis.calibration_report(samples=5)
-        bench_record("multiaxis", "calibration_repair", **{
-            k: v for k, v in result.items()})
         # The biased bake must actually move the boundary (otherwise
         # the repair claim is vacuous), and feedback must repair it.
         assert result["accuracy_before"] < 0.95

@@ -9,10 +9,6 @@ transfer and layout terms) per call.  Second, the split is real: on the
 shape sweep at least one shape routes a segment to the host and its
 measured ``run()`` wall beats the same program pinned all-GPU, with the
 mixed outputs bit-identical to the all-GPU chain.
-
-Measured numbers accumulate through the ``bench_record`` fixture;
-the session writes them to ``BENCH_placement.json`` (see
-``conftest.py``).
 """
 
 import pytest
@@ -23,11 +19,8 @@ pytestmark = pytest.mark.placement
 
 
 class TestDispatchCost:
-    def test_baked_placement_dispatch_5x_over_argmin(self,
-                                                     bench_record):
+    def test_baked_placement_dispatch_5x_over_argmin(self):
         result = placement.dispatch_cost(samples=5, repeats=3)
-        bench_record("placement", "dispatch_cost", **{
-            k: v for k, v in result.items()})
         assert result["runtime_evals"] == 0
         assert result["mismatches"] == 0
         assert result["table_hits"] > 0
@@ -35,15 +28,10 @@ class TestDispatchCost:
 
 
 class TestMeasuredSplit:
-    def test_cpu_placed_shape_beats_all_gpu(self, report, bench_record):
+    def test_cpu_placed_shape_beats_all_gpu(self, report):
         figure = placement.run(repeats=5)
         report(figure)
         rep = placement.placement_report(repeats=5)
-        bench_record("placement", "shape_sweep",
-                     cpu_win_shapes=rep["cpu_win_shapes"],
-                     runtime_evals=rep["runtime_evals"],
-                     bit_identical=rep["bit_identical"],
-                     rows=rep["rows"])
         assert rep["bit_identical"]
         assert rep["runtime_evals"] == 0
         assert rep["cpu_win_shapes"], \

@@ -396,27 +396,12 @@ class AdapticCompiler:
 
     # -- reductions -------------------------------------------------------
     def _reducer_factory(self, spec: _ActorSpec):
-        consts = self._consts(spec.filters)
-        arrays_fn = self._arrays_fn(consts)
+        """``params -> reducer``; ``None`` gives the parameter-free one
+        the plans price from.  Each plan caches what it executes."""
+        arrays_fn = self._arrays_fn(self._consts(spec.filters))
         pattern = spec.pattern
         cls = ScalarReducer if spec.kind == "reduction" else ArgReducer
-        # Model queries hit this factory once per variant per selection;
-        # cache array-free reducers by their scalar parameters so the
-        # element functions are compiled once, not per dispatch.
-        cache: Dict[tuple, object] = {}
-
-        def fn(params):
-            if params is None:
-                return cls(pattern, None)
-            arrays = arrays_fn(params)
-            if arrays:
-                return cls(pattern, params, arrays)
-            key = freeze_scalars(params)
-            if key not in cache:
-                cache[key] = cls(pattern, params)
-            return cache[key]
-
-        return fn
+        return lambda params: cls(pattern, params, arrays_fn(params))
 
     def _build_reduction(self, spec: _ActorSpec, sizing: _Sizing,
                          name: str) -> Segment:
@@ -478,7 +463,7 @@ class AdapticCompiler:
                     threads, rows_per_block=rows))
         for plan in plans:
             plan.optimizations = plan.optimizations + fused_tag
-        out_w = reducer_fn(None).outputs_per_array
+        out_w = base.symbolic.outputs_per_array
         return Segment(
             name=name, kind=spec.kind, plans=plans,
             input_size=shape.input_size,

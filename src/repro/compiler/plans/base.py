@@ -179,11 +179,7 @@ class KernelPlan(abc.ABC):
         memoizes its result; later calls return it without recompiling.
         An entry whose binding carries arrays pins them, and past
         :data:`WARM_ARRAY_ENTRIES` such entries the oldest is evicted.
-        ``params=None`` (symbolic/cost-only mode) bypasses the cache — a
-        ``None`` binding would collide with an empty concrete one.
         """
-        if params is None:
-            return builder()
         key = (tag,) + self.warm_key(params)
         cached = self._warm_cache.get(key, _MISS)
         if cached is not _MISS:

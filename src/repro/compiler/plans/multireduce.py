@@ -39,6 +39,9 @@ class HorizontalReducePlan(KernelPlan):
             raise ValueError("threads per block must be a power of two")
         self.shape = shape
         self.reducer_fns = list(reducer_fns)
+        #: The parameter-free reducer bank the cost queries price from.
+        self.symbolic = HorizontalReducer([fn(None)
+                                           for fn in self.reducer_fns])
         self.threads = threads
         self.two_kernel = two_kernel
         self.layout = self.input_layout = LAYOUT_ROWS
@@ -48,16 +51,15 @@ class HorizontalReducePlan(KernelPlan):
 
     # ------------------------------------------------------------------
     def _reducer(self, params) -> HorizontalReducer:
-        # One warm-cache entry holds the whole reducer bank: every factory
-        # may compile several element/epilogue functions, so a warm run
-        # must reuse all of them at once.
+        # One warm-cache entry holds the whole executable reducer bank:
+        # every factory may compile several element/epilogue functions,
+        # so a warm run must reuse all of them at once.
         return self.cached_artifact(
             "reducers", params,
             lambda: HorizontalReducer([fn(params) for fn in self.reducer_fns]))
 
     def output_size(self, params) -> int:
-        return (self.shape.narrays(params)
-                * self._reducer(params).outputs_per_array)
+        return self.shape.narrays(params) * self.symbolic.outputs_per_array
 
     def initial_blocks(self, params) -> int:
         length = self.shape.nelements(params)
@@ -73,7 +75,7 @@ class HorizontalReducePlan(KernelPlan):
         narrays = self.shape.narrays(params)
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
-        reducers = self._reducer(params).reducers
+        reducers = self.symbolic.reducers
         width = sum(r.state_width for r in reducers)
         elem_ops = sum(r.element_ops() + r.combine_ops() for r in reducers)
         aux = sum(r.element_aux_loads() for r in reducers)

@@ -307,25 +307,30 @@ class _ReducePlanBase(KernelPlan):
             raise ValueError("threads per block must be a power of two")
         self.shape = shape
         self.reducer_fn = reducer_fn
+        #: The parameter-free reducer: every cost field (op counts,
+        #: state and output widths) and the CUDA text are functions of
+        #: the pattern alone, so cost queries price from it and never
+        #: compile.
+        self.symbolic = reducer_fn(None)
         self.layout = layout
         self.threads = threads
         self.input_layout = layout
 
     def _reducer(self, params):
-        """Reducer for this binding, compiled once and reused warm.
+        """Executable reducer for this binding, compiled once and reused
+        warm.
 
         ``reducer_fn`` may compile several element/epilogue functions per
         call (e.g. :class:`~repro.compiler.reducers.ScalarReducer`); the
         per-plan artifact cache keys on scalars *and* auxiliary-array
         identity, so bindings that carry different const arrays never share
-        a reducer.
+        a reducer.  Only :meth:`execute` asks for it.
         """
         return self.cached_artifact("reducer", params,
                                     lambda: self.reducer_fn(params))
 
     def output_size(self, params) -> int:
-        reducer = self._reducer(params)
-        return self.shape.narrays(params) * reducer.outputs_per_array
+        return self.shape.narrays(params) * self.symbolic.outputs_per_array
 
     def restructure_permutation(self, size, params):
         if self.layout == LAYOUT_ROWS:
@@ -369,7 +374,7 @@ class ReduceSingleKernelPlan(_ReducePlanBase):
         narrays = self.shape.narrays(params)
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
-        reducer = self._reducer(params)
+        reducer = self.symbolic
         blocks = max(1, math.ceil(narrays / self.rows_per_block))
         iters_per_thread = math.ceil(length / self.threads)
         requests = iters_per_thread * k * self.rows_per_block
@@ -400,8 +405,7 @@ class ReduceSingleKernelPlan(_ReducePlanBase):
 
     # -- CUDA emission ----------------------------------------------------
     def cuda_source(self) -> str:
-        reducer = self.reducer_fn(None)
-        return _single_kernel_cuda(self.name, reducer, self.threads,
+        return _single_kernel_cuda(self.name, self.symbolic, self.threads,
                                    self.rows_per_block,
                                    self.shape.pops_per_iter)
 
@@ -446,7 +450,7 @@ class ReduceTwoKernelPlan(_ReducePlanBase):
         narrays = self.shape.narrays(params)
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
-        reducer = self._reducer(params)
+        reducer = self.symbolic
         nblocks = self.initial_blocks(params)
         chunk = math.ceil(length / nblocks)
         iters_per_thread = math.ceil(chunk / self.threads)
@@ -493,8 +497,7 @@ class ReduceTwoKernelPlan(_ReducePlanBase):
         return out
 
     def cuda_source(self) -> str:
-        reducer = self.reducer_fn(None)
-        return _two_kernel_cuda(self.name, reducer, self.threads,
+        return _two_kernel_cuda(self.name, self.symbolic, self.threads,
                                 self.shape.pops_per_iter)
 
 
@@ -519,7 +522,7 @@ class ReduceThreadPerArrayPlan(_ReducePlanBase):
         narrays = self.shape.narrays(params)
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
-        reducer = self._reducer(params)
+        reducer = self.symbolic
         blocks = max(1, math.ceil(narrays / self.threads))
         requests = length * k
         if self.layout == LAYOUT_TRANSPOSED:
@@ -576,8 +579,8 @@ class ReduceThreadPerArrayPlan(_ReducePlanBase):
         return out
 
     def cuda_source(self) -> str:
-        reducer = self.reducer_fn(None)
-        return _thread_per_array_cuda(self.name, reducer, self.threads)
+        return _thread_per_array_cuda(self.name, self.symbolic,
+                                      self.threads)
 
 
 # ---------------------------------------------------------------------------

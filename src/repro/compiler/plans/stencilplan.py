@@ -25,6 +25,7 @@ import numpy as np
 from ...gpu import SYNC, Device, DeviceArray, GPUSpec, Kernel
 from ...ir.nodes import free_vars
 from ...ir.patterns import StencilPattern
+from ...ir.rates import eval_expr
 from ...perfmodel import KernelWorkload
 from ..exprgen import compile_scalar_fn, compile_vector_fn
 from .base import IN, KernelPlan, PlannedLaunch, expr_ops, freeze_scalars
@@ -66,11 +67,7 @@ class StencilShape:
 def linear_offsets(pattern: StencilPattern,
                    params: Dict[str, float]) -> List[int]:
     """Evaluate the pattern's displacement expressions to integers."""
-    disps = []
-    for disp in pattern.offsets:
-        fn = compile_scalar_fn(disp, [], params, name="disp")
-        disps.append(int(fn()))
-    return disps
+    return [int(eval_expr(disp, params)) for disp in pattern.offsets]
 
 
 def _decompose(disps: List[int], width: int) -> List[Tuple[int, int]]:
@@ -154,8 +151,8 @@ class _StencilPlanBase(KernelPlan):
         return self.cached_artifact("stencil_vfns", params, build)
 
     def _linear_offsets(self, params) -> List[int]:
-        """Displacements for this binding; the per-offset compiled
-        evaluator functions are built once and reused warm."""
+        """Displacements for this binding, evaluated once and reused
+        warm."""
         return self.cached_artifact(
             "offsets", params, lambda: linear_offsets(self.pattern, params))
 

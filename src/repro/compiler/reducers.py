@@ -22,6 +22,7 @@ import numpy as np
 
 from ..ir import nodes as N
 from ..ir.patterns import ArgReducePattern, ReductionPattern
+from ..ir.rates import eval_expr
 from .exprgen import (c_combine, c_expr, combine_identity,
                       compile_scalar_fn, compile_vector_combine_fn,
                       compile_vector_fn)
@@ -132,9 +133,7 @@ class ScalarReducer(Reducer):
                                        name="vepi", arrays=self.arrays)
         # The sequential semantics start from the actor's declared init
         # value (e.g. acc = 0.0), folded in by the merge epilogue.
-        init = compile_scalar_fn(pattern.init, [], params, name="init",
-                                 arrays=self.arrays)
-        self.init_value = init()
+        self.init_value = eval_expr(pattern.init, params)
 
     def identity(self) -> Tuple[float, ...]:
         return (combine_identity(self.kind),)

@@ -51,7 +51,7 @@ from ..gpu import Device, ExecMode, GPUSpec, MODE_REFERENCE
 from ..perfmodel import AxisSpec, CalibrationStore, FeedbackConfig, \
     PerformanceModel, RegionTable, Variant, geometric_points, hop_seconds, \
     layout_transform_seconds, size_bucket, sweep_region
-from .exprgen import COMPILE_COUNTER, SOURCE_REGISTRY, ExprGenError
+from .exprgen import COMPILE_COUNTER, SOURCE_REGISTRY
 from .plans.base import IN, FrozenParams, KernelPlan, RESTRUCTURE_COUNTER, \
     freeze_scalars
 from .segments import RegionDispatch, Segment
@@ -67,10 +67,11 @@ REBAKE_THRESHOLD = 0.25
 #: What a batch needs before ``run_batch`` fans it out over threads: a
 #: mean item of at least ``FANOUT_MIN_ELEMENTS`` input elements, and at
 #: least ``FANOUT_MIN_ITEMS`` items per distinct binding, because a
-#: fan-out first runs one warmup execution per binding in the calling
-#: thread.  On 2 usable CPUs, batches of scale->sum, tmv and imagepipe
-#: ran 1.1-1.9x faster on threads from 2^19 elements and 16 items per
-#: binding in every run; with 8 per binding scale->sum lost in one run
+#: fan-out first runs each binding's first item in the calling thread.
+#: Measured with an extra warmup execution per binding in its place: on
+#: 2 usable CPUs, batches of scale->sum, tmv and imagepipe ran 1.1-1.9x
+#: faster on threads from 2^19 elements and 16 items per binding in
+#: every run; with 8 per binding scale->sum lost in one run
 #: (0.90-0.97x), with 2 per binding all three lost, and at 2^18
 #: scale->sum or imagepipe lost in some run even with 16.
 FANOUT_MIN_ELEMENTS = 1 << 19
@@ -92,8 +93,8 @@ def batch_threads(item_elements: Sequence[int], bindings: int,
     A batch of ``len(item_elements)`` items over ``bindings`` distinct
     scalar bindings fans out over ``min(cpus, items)`` threads only when
     at least 2 CPUs are usable, it has at least :data:`FANOUT_MIN_ITEMS`
-    items per binding (the fan-out's one warmup per binding must be
-    shared by enough items), and its mean item has at least
+    items per binding (each binding's first item runs serially before
+    the threads start), and its mean item has at least
     :data:`FANOUT_MIN_ELEMENTS` input elements (below that the threads'
     hand-off costs more than the GIL-free numpy work they share).
     """
@@ -670,8 +671,7 @@ class CompiledProgram:
                        params: Dict[str, float],
                        plans: List[KernelPlan], device: Device,
                        location: InputLocation,
-                       plan_costs: Optional[Dict[int, float]] = None,
-                       compile_before=None, restructure_before=None
+                       plan_costs: Optional[Dict[int, float]] = None
                        ) -> Tuple[RunResult, SelectionStats]:
         """Run one selected plan chain; returns (result, stats delta).
 
@@ -685,18 +685,13 @@ class CompiledProgram:
         delta immediately.  ``plan_costs`` (``id(plan) -> seconds``) lets
         the batched runner reuse one cost lookup per selection instead
         of querying the (unsynchronized) cost cache from worker threads.
-        ``compile_before`` / ``restructure_before`` widen the
-        counter-attribution window (the single-run path opens it before
-        selection, whose cost-model queries may compile the winning
-        plan's functions).
+        The run's compile and permutation counters are what its steps
+        did: selection prices plans without compiling them.
         """
         stage = {"select": 0.0, "restructure": 0.0, "h2d": 0.0,
                  "kernel": 0.0, "d2h": 0.0, "compile": 0.0}
-        if compile_before is None:
-            compile_before = COMPILE_COUNTER.snapshot()
-        if restructure_before is None:
-            restructure_before = RESTRUCTURE_COUNTER.snapshot()
-        exec_compile_before = COMPILE_COUNTER.snapshot()
+        compile_before = COMPILE_COUNTER.snapshot()
+        restructure_before = RESTRUCTURE_COUNTER.snapshot()
         selections: List[SegmentExecution] = []
         predicted = 0.0
         steps = self._steps(params, location, self._sides(plans))
@@ -753,12 +748,10 @@ class CompiledProgram:
                 compile_seconds=failed_compiled.seconds)
             raise
         compiled = COMPILE_COUNTER.since(compile_before)
-        in_execute = COMPILE_COUNTER.since(exec_compile_before)
         rebuilt = RESTRUCTURE_COUNTER.since(restructure_before)
         stage["compile"] = compiled.seconds
-        # Only compiles that ran inside plan.execute inflate the kernel
-        # wall-clock; selection-triggered ones were spent before it.
-        stage["kernel"] = max(0.0, stage["kernel"] - in_execute.seconds)
+        # Compiles run inside plan.execute: take them off the kernel wall.
+        stage["kernel"] = max(0.0, stage["kernel"] - compiled.seconds)
         delta = SelectionStats(
             runs=1, expr_compiles=compiled.total,
             expr_hydrations=compiled.hydrated,
@@ -890,8 +883,7 @@ class CompiledProgram:
                          params: Dict[str, float],
                          plans: List[KernelPlan], device: Device,
                          location: InputLocation, placement: str = "auto",
-                         plan_costs: Optional[Dict[int, float]] = None,
-                         compile_before=None, restructure_before=None):
+                         plan_costs: Optional[Dict[int, float]] = None):
         """Retry-then-degrade wrapper around :meth:`_execute_plans`.
 
         On a variant failure the failed (strategy, size-bucket) pair is
@@ -910,7 +902,7 @@ class CompiledProgram:
             try:
                 result, delta = self._execute_plans(
                     host_input, params, plans, device, location,
-                    plan_costs, compile_before, restructure_before)
+                    plan_costs)
             except KernelExecutionError as exc:
                 if recovery is None:
                     recovery = SelectionStats()
@@ -938,10 +930,6 @@ class CompiledProgram:
                 recovery.retries += 1
                 if newly:
                     recovery.quarantines += 1
-                # Fresh counter windows per attempt: the failed attempt's
-                # compiles/stage times are already in ``recovery``.
-                compile_before = None
-                restructure_before = None
                 continue
             if recovery is not None:
                 recovery.degraded_runs = 1
@@ -992,17 +980,13 @@ class CompiledProgram:
         device = self._resolve_device(device, opts.exec_mode)
         params = FrozenParams(params)
         host_input = self._validate_input(host_input, params)
-        compile_before = COMPILE_COUNTER.snapshot()
-        restructure_before = RESTRUCTURE_COUNTER.snapshot()
         started = time.perf_counter()
         plans = self.select(params, force, input_on_host=location,
                             placement=opts.placement)
         select_seconds = time.perf_counter() - started
         try:
             result, delta, plans, _ = self._execute_guarded(
-                host_input, params, plans, device, location, opts.placement,
-                compile_before=compile_before,
-                restructure_before=restructure_before)
+                host_input, params, plans, device, location, opts.placement)
         except KernelExecutionError as exc:
             partial = getattr(exc, "stats_delta", None)
             if partial is not None:
@@ -1063,13 +1047,14 @@ class CompiledProgram:
         item has at least :data:`FANOUT_MIN_ELEMENTS` input elements
         fans out over one thread per usable CPU (at most one per item),
         with one device per thread (arenas are not thread-safe); any
-        other batch runs serially on the program's own device.  A
-        fan-out first warms each distinct binding, so its threads never
-        compile and never rebuild permutations; a serial batch never
-        warms up — each binding's first item fills the warm caches.
-        Per-run counters are merged into :attr:`stats` after the items
-        finish.  The one ``select()`` per binding is timed and its
-        wall-clock attributed to the binding's first completed result;
+        other batch runs serially on the program's own device.  Either
+        way each binding's first item fills the warm caches: a fan-out
+        runs those items in the calling thread before it starts the
+        threads, so its threads never compile and never rebuild
+        permutations.  Per-run counters are merged into :attr:`stats`
+        after the items finish.  The one ``select()`` per binding is
+        timed and its wall-clock attributed to the binding's first
+        completed result;
         every other item at the binding reports ``select == 0`` unless
         it degraded onto a replacement variant, in which case it keeps
         its own re-selection wall — so
@@ -1091,22 +1076,23 @@ class CompiledProgram:
             raise ValueError(
                 f"run_batch got {len(inputs)} inputs but "
                 f"{len(params_list)} params")
-        bindings = len({freeze_scalars(p) for p in params_list})
-        threads = batch_threads([np.size(x) for x in inputs], bindings,
+        firsts: Dict[tuple, int] = {}
+        for index, params in enumerate(params_list):
+            firsts.setdefault(freeze_scalars(params), index)
+        threads = batch_threads([np.size(x) for x in inputs], len(firsts),
                                 usable_cpus())
 
         selections, select_seconds = self._select_bindings(
-            params_list, opts, force, warm=threads > 1)
+            params_list, opts, force)
         plan_costs: Dict[tuple, Dict[int, float]] = {}
-        for params in params_list:
-            key = freeze_scalars(params)
-            if key not in plan_costs:
-                plan_costs[key] = {id(plan): self.cost.plan_seconds(plan,
-                                                                    params)
-                                   for plan in selections[key]}
+        for key, index in firsts.items():
+            plan_costs[key] = {
+                id(plan): self.cost.plan_seconds(plan, params_list[index])
+                for plan in selections[key]}
 
         local = threading.local()
         refresh_lock = threading.Lock()
+        caller = threading.current_thread()
 
         def worker_device() -> Device:
             device = getattr(local, "device", None)
@@ -1125,10 +1111,10 @@ class CompiledProgram:
             params = params_list[index]
             key = freeze_scalars(params)
             host_input = self._validate_input(inputs[index], params)
-            if threads > 1:
-                device = worker_device()
-            else:
+            if threading.current_thread() is caller:
                 device = self._resolve_device(None, exec_mode)
+            else:
+                device = worker_device()
             # Snapshot the (plans, costs) pair under the refresh lock: a
             # degrading worker replaces both entries together, and an
             # unlocked pair of reads could pair a replacement plan list
@@ -1172,9 +1158,15 @@ class CompiledProgram:
                 deltas.append(delta)
 
         if threads > 1:
+            # Each binding's first item runs here before the threads
+            # start, so they only read the caches those items fill.
+            lead = set(firsts.values())
+            for index in sorted(lead):
+                run_one(index)
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 futures = [pool.submit(run_one, index)
-                           for index in range(len(inputs))]
+                           for index in range(len(inputs))
+                           if index not in lead]
                 for future in futures:
                     future.result()
         else:
@@ -1190,15 +1182,11 @@ class CompiledProgram:
 
     def _select_bindings(self, params_list: Sequence[Dict[str, float]],
                          options: RunOptions,
-                         force: Optional[Dict[str, str]], warm: bool):
+                         force: Optional[Dict[str, str]]):
         """``run_batch``'s prologue.
 
         One timed ``select()`` per distinct scalar binding, shared by
-        every batch item at that binding.  With ``warm`` (a fan-out) it
-        first runs one warmup per binding, in this thread: it populates
-        every memo the threads then only read (costs, compiled kernels,
-        permutations).  A serial batch needs none — each binding's first
-        item warms those caches itself.  Returns ``(selections,
+        every batch item at that binding.  Returns ``(selections,
         select_seconds)`` keyed by frozen scalars.
         """
         selections: Dict[tuple, List[KernelPlan]] = {}
@@ -1207,10 +1195,6 @@ class CompiledProgram:
             key = freeze_scalars(params)
             if key in selections:
                 continue
-            if warm:
-                self.warmup(params, force=force,
-                            options=dataclasses.replace(options,
-                                                        feedback=False))
             started = time.perf_counter()
             selections[key] = self.select(
                 params, force, input_on_host=options.location,
@@ -1904,13 +1888,13 @@ class CompiledProgram:
         """Report a sweep that read a scalar with no range and no pin.
 
         A cost model that needs such a scalar fails wherever it reads it
-        (the expression emitter, the IR interpreter or a params lookup);
-        that failure becomes a :class:`CompileError` naming every
-        declared parameter the sweep box leaves unbound.
+        (the IR interpreter or a params lookup); that failure becomes a
+        :class:`CompileError` naming every declared parameter the sweep
+        box leaves unbound.
         """
         try:
             yield
-        except (ExprGenError, NameError, KeyError) as exc:
+        except (NameError, KeyError) as exc:
             bound = set(self.program.input_ranges) | set(extra_params or ())
             unranged = [name for name in self.program.params
                         if name not in bound]

@@ -15,7 +15,8 @@ import numpy as np
 from .. import api, apps
 from ..baselines import cublas, sdk
 from ..gpu import DeviceArray, GPUSpec, TESLA_C2050
-from .common import FigureResult, Series, model_for, shape_label, size_label
+from .common import (FigureResult, Series, calibration_trial, model_for,
+                     shape_label, size_label)
 from ..compiler import RunOptions
 
 #: Seven vector sizes for the CUBLAS reductions.
@@ -160,38 +161,18 @@ def calibration_report(name: str = "sdot", spec: GPUSpec = TESLA_C2050,
                        family: str = None) -> Dict[str, object]:
     """Selection accuracy over the seven sizes before/after recalibration.
 
-    A controlled model-error experiment: perturb the analytic model by a
-    known multiplicative ``bias`` for one variant family (by default the
-    family the un-biased model would pick at the largest size, so the
-    error actually flips decisions), bake the dispatch table from the
-    biased model, and score selection against the un-biased model over
-    :data:`VECTOR_SIZES`.  Then drive :meth:`CompiledProgram.recalibrate`
-    with the un-biased model as the measurement source and score again —
-    the EWMA factors cancel the bias and the mispredict probes re-sweep
-    the wrong table entries.
+    A :func:`~.common.calibration_trial` over :data:`VECTOR_SIZES`: the
+    bias falls on the family the un-biased model picks at the largest
+    size (by default), so the error actually flips decisions, and the
+    dispatch table is baked from the biased model.
     """
     compiled = api.compile(_program(name), arch=spec)
-    truth = compiled.cost.plan_seconds
     extras = BAKE_EXTRAS.get(name) or {}
     points = [{"n": n, **extras} for n in VECTOR_SIZES]
-    if family is None:
-        family = compiled.select(dict(points[-1]))[0].family
-    compiled.calibration.set_model_bias(family, bias)
-    compiled.bake_decision_tables(samples=len(VECTOR_SIZES),
-                                  extra_params=extras, refine=False)
-    before = api.selection_accuracy(compiled, points, reference=truth)
-    config = api.FeedbackConfig(
-        observer=lambda plan, params: truth(plan, params))
-    compiled.recalibrate(points, feedback=config)
-    after = api.selection_accuracy(compiled, points, reference=truth)
-    stats = compiled.stats
-    return {
-        "benchmark": name, "family": family, "bias": bias,
-        "accuracy_before": before, "accuracy_after": after,
-        "observations": stats.feedback_observations,
-        "probes": stats.probe_runs, "mispredicts": stats.mispredicts,
-        "rebakes": stats.table_rebakes,
-    }
+    return {"benchmark": name, **calibration_trial(
+        compiled, points, bias, family,
+        rebake=lambda: compiled.bake_decision_tables(
+            samples=len(VECTOR_SIZES), extra_params=extras, refine=False))}
 
 
 def run_benchmark(name: str, spec: GPUSpec = TESLA_C2050) -> Series:

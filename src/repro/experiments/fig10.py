@@ -16,7 +16,8 @@ from .. import api
 from ..apps import tmv
 from ..baselines import cublas
 from ..gpu import DeviceArray, GPUSpec, TESLA_C2050
-from .common import FigureResult, Series, model_for, shape_label
+from .common import (FigureResult, Series, calibration_trial, model_for,
+                     shape_label)
 from ..compiler import RunOptions
 
 PANELS = {"1M": 1 << 20, "4M": 4 << 20, "16M": 16 << 20}
@@ -100,38 +101,18 @@ def calibration_report(total_elements: int = 1 << 20,
 
     The figure's sweep holds total elements fixed, so every
     (rows × cols) point lands in one size bucket — the setting where a
-    single learned factor must transfer across shapes.  A known
-    multiplicative ``bias`` is injected for one variant family (by
-    default the family the un-biased model picks mid-sweep, where the
-    break-even structure is densest); selection is scored against the
-    un-biased model across the sweep, the feedback loop runs with the
-    un-biased model as its measurement source, and selection is scored
-    again.  TMV declares ranges on both axes, so there is no baked
-    table here: recovery is purely the EWMA factors steering the
-    calibrated argmin.
+    single learned factor must transfer across shapes.  A
+    :func:`~.common.calibration_trial` over the sweep biases, by
+    default, the family the un-biased model picks mid-sweep, where the
+    break-even structure is densest.  TMV declares ranges on both axes,
+    so there is no baked table here: recovery is purely the EWMA factors
+    steering the calibrated argmin.
     """
     compiled = api.compile(tmv.build(), arch=spec)
-    truth = compiled.cost.plan_seconds
     points = [{"rows": rows, "cols": cols}
               for rows, cols in tmv.shape_sweep(total_elements)]
-    if family is None:
-        family = compiled.select(
-            dict(points[len(points) // 2]))[0].family
-    compiled.calibration.set_model_bias(family, bias)
-    before = api.selection_accuracy(compiled, points, reference=truth)
-    config = api.FeedbackConfig(
-        observer=lambda plan, params: truth(plan, params))
-    compiled.recalibrate(points, feedback=config)
-    after = api.selection_accuracy(compiled, points, reference=truth)
-    stats = compiled.stats
-    return {
-        "sweep": f"{total_elements >> 20}M", "family": family,
-        "bias": bias, "points": len(points),
-        "accuracy_before": before, "accuracy_after": after,
-        "observations": stats.feedback_observations,
-        "probes": stats.probe_runs, "mispredicts": stats.mispredicts,
-        "rebakes": stats.table_rebakes,
-    }
+    return {"sweep": f"{total_elements >> 20}M", **calibration_trial(
+        compiled, points, bias, family, pick=len(points) // 2)}
 
 
 def _warm_sweep(compiled, total_elements: int, seed: int = 0):

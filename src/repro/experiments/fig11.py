@@ -135,48 +135,6 @@ def functional_check(n: int = 96, spec: GPUSpec = TESLA_C2050,
     return checked
 
 
-def calibration_report(spec: GPUSpec = TESLA_C2050, bias: float = 3.0,
-                       sizes: List[int] = None) -> Dict[str, object]:
-    """Per-step selection accuracy before/after recalibration.
-
-    For every BiCGSTAB step under the full optimization pipeline, a
-    known multiplicative ``bias`` is injected for the family the
-    un-biased model picks at the largest size, selection is scored
-    against the un-biased model over :data:`SIZES`, the feedback loop
-    runs with the un-biased model as its measurement source, and
-    selection is scored again.  Steps whose kernel segments offer a
-    single variant family cannot mispredict and score 1.0 throughout.
-    """
-    sizes = sizes or SIZES
-    steps = _compile_steps(CONFIGS[-1][1], spec)
-    per_step: Dict[str, Dict[str, float]] = {}
-    befores: List[float] = []
-    afters: List[float] = []
-    probes = 0
-    for step, compiled in steps:
-        truth = compiled.cost.plan_seconds
-        points = [_step_params(step, n) for n in sizes]
-        family = compiled.select(dict(points[-1]))[0].family
-        compiled.calibration.set_model_bias(family, bias)
-        before = api.selection_accuracy(compiled, points, reference=truth)
-        config = api.FeedbackConfig(
-            observer=lambda plan, params, truth=truth: truth(plan, params))
-        compiled.recalibrate(points, feedback=config)
-        after = api.selection_accuracy(compiled, points, reference=truth)
-        per_step[step.name] = {"family": family, "accuracy_before": before,
-                               "accuracy_after": after,
-                               "probes": compiled.stats.probe_runs}
-        befores.append(before)
-        afters.append(after)
-        probes += compiled.stats.probe_runs
-    return {
-        "bias": bias, "steps": per_step,
-        "accuracy_before": sum(befores) / len(befores),
-        "accuracy_after": sum(afters) / len(afters),
-        "probes": probes,
-    }
-
-
 def cublas_iteration_seconds(n: int, spec: GPUSpec) -> float:
     model = model_for(spec)
     total = 0.0

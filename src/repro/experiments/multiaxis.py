@@ -21,13 +21,13 @@ Region tables over two input axes, measured:
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
 from .. import api
 from ..apps import imagepipe
 from ..gpu import GPUSpec, TESLA_C2050
-from ..perfmodel import PerformanceModel, geometric_points
+from ..perfmodel import geometric_points
+from . import common
 from .common import FigureResult, Series
 
 #: Grid geometry bounds shared by every function here (the app's declared
@@ -103,57 +103,10 @@ def run(spec: GPUSpec = TESLA_C2050, samples: int = 7) -> FigureResult:
 
 def dispatch_cost(spec: GPUSpec = TESLA_C2050, samples: int = 5,
                   repeats: int = 3) -> Dict[str, object]:
-    """Amortized select() cost: baked region lookup vs bare-model argmin.
-
-    The baseline is what every dispatch would pay without baked tables:
-    ``best_plan`` over an uncached :class:`PerformanceModel`, evaluating
-    the analytic model per variant at the actual input (the exact
-    fallback path).  Both sides answer the same grid of in-range
-    bindings; outputs must agree pointwise on the swept grid.
-    """
-    baked = _compiled(spec, samples=samples)
-    model = PerformanceModel(spec)
-    points = grid_points(samples)
-    # Check pointwise agreement outside the timed loops (also warms both
-    # sides so neither pays one-off compile work in the loop).
-    mismatches = 0
-    for point in points:
-        from_host = True
-        chosen = baked.select(dict(point))
-        for segment, picked in zip(baked.segments, chosen):
-            eligible = baked._eligible(segment, from_host)
-            exact = segment.best_plan(model, point, plans=eligible)
-            from_host = False
-            if exact.strategy != picked.strategy:
-                mismatches += 1
-
-    before = baked.stats.snapshot()
-    started = time.perf_counter()
-    for _ in range(repeats):
-        for point in points:
-            baked.select(point)
-    baked_seconds = time.perf_counter() - started
-    delta = baked.stats.since(before)
-
-    started = time.perf_counter()
-    for _ in range(repeats):
-        for point in points:
-            from_host = True
-            for segment in baked.segments:
-                eligible = baked._eligible(segment, from_host)
-                segment.best_plan(model, point, plans=eligible)
-                from_host = False
-    argmin_seconds = time.perf_counter() - started
-    n = repeats * len(points)
-    return {
-        "points": len(points), "repeats": repeats,
-        "baked_select_us": baked_seconds / n * 1e6,
-        "argmin_select_us": argmin_seconds / n * 1e6,
-        "speedup": argmin_seconds / baked_seconds,
-        "table_hits": delta.table_hits,
-        "runtime_evals": delta.runtime_evals,
-        "mismatches": mismatches,
-    }
+    """:func:`~.common.dispatch_cost` over the swept ``(width, height)``
+    grid: baked region lookup vs per-call argmin over a bare model."""
+    return common.dispatch_cost(_compiled(spec, samples=samples),
+                                grid_points(samples), repeats)
 
 
 def calibration_report(spec: GPUSpec = TESLA_C2050, bias: float = 3.0,
@@ -161,36 +114,16 @@ def calibration_report(spec: GPUSpec = TESLA_C2050, bias: float = 3.0,
                        samples: int = 7) -> Dict[str, object]:
     """Feedback-directed repair of a biased 2-D break-even boundary.
 
-    The region tables are (re-)baked while the cost model carries a
-    multiplicative ``bias`` for one kernel family (by default the family
-    the un-biased model picks mid-grid), so the baked break-even surface
-    sits in the wrong place relative to ground truth.  The feedback loop
-    then runs with the un-biased model as its observer: mispredicted
-    bindings probe the runner-up, and a probe the table contradicts or a
-    large factor swing re-sweeps the containing subtree.  Selection
-    accuracy is scored against the un-biased model before and after.
+    A :func:`~.common.calibration_trial` over the grid: the region
+    tables are re-baked while the cost model carries the bias for one
+    kernel family (by default the family the un-biased model picks
+    mid-grid), so the baked break-even surface sits in the wrong place
+    relative to ground truth.  Mispredicted bindings then probe the
+    runner-up, and a probe the table contradicts or a large factor
+    swing re-sweeps the containing subtree.
     """
     compiled = _compiled(spec, samples=samples)
-    truth = compiled.cost.plan_seconds
     points = grid_points(samples)
-    if family is None:
-        family = compiled.select(dict(points[len(points) // 2]))[0].family
-    # Bake the dispatch tables under the biased model: the break-even
-    # surface moves, and in-range lookups now disagree with ground truth.
-    compiled.calibration.set_model_bias(family, bias)
-    compiled.bake_decision_tables(samples=samples)
-    before = api.selection_accuracy(compiled, points, reference=truth)
-    config = api.FeedbackConfig(
-        observer=lambda plan, params: truth(plan, params))
-    compiled.recalibrate(points, feedback=config)
-    after = api.selection_accuracy(compiled, points, reference=truth)
-    stats = compiled.stats
-    return {
-        "app": "imagepipe", "family": family, "bias": bias,
-        "points": len(points),
-        "accuracy_before": before, "accuracy_after": after,
-        "observations": stats.feedback_observations,
-        "probes": stats.probe_runs, "mispredicts": stats.mispredicts,
-        "rebakes": stats.table_rebakes,
-        "subtree_resweeps": stats.subtree_resweeps,
-    }
+    return {"app": "imagepipe", **common.calibration_trial(
+        compiled, points, bias, family, pick=len(points) // 2,
+        rebake=lambda: compiled.bake_decision_tables(samples=samples))}

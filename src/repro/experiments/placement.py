@@ -25,16 +25,13 @@ import numpy as np
 from .. import api
 from ..apps import imagepipe
 from ..gpu import GPUSpec, TESLA_C2050
-from ..perfmodel import PerformanceModel, geometric_points
+from . import common
 from .common import FigureResult, Series
+from .multiaxis import grid_points
 
 #: Shape sweep for the measured comparison: small squares where the CPU
 #: should win through large ones where the GPU must.
 SWEEP_SHAPES = (32, 64, 128, 256, 512)
-
-#: Region-table box used by the dispatch-cost benchmark (kept modest so
-#: pruning + baking stay fast in CI).
-AXIS_LO, AXIS_HI = 32, 4096
 
 
 def _compiled(spec: GPUSpec, samples: Optional[int] = None):
@@ -45,12 +42,6 @@ def _compiled(spec: GPUSpec, samples: Optional[int] = None):
     if samples is not None:
         compiled.bake_decision_tables(samples=samples)
     return compiled
-
-
-def grid_points(samples: int = 5) -> List[Dict[str, int]]:
-    """Cartesian ``(width, height)`` grid, geometric per axis."""
-    axis = geometric_points(AXIS_LO, AXIS_HI, samples)
-    return [{"width": w, "height": h} for h in axis for w in axis]
 
 
 def _best_wall(compiled, data, params, options, repeats: int) -> float:
@@ -133,49 +124,11 @@ def run(spec: GPUSpec = TESLA_C2050, repeats: int = 5) -> FigureResult:
 
 def dispatch_cost(spec: GPUSpec = TESLA_C2050, samples: int = 5,
                   repeats: int = 3) -> Dict[str, object]:
-    """Amortized select() cost: baked placement tables vs placed argmin.
-
-    The baseline is what every dispatch would pay without baked tables:
-    :meth:`~repro.compiler.runtime.CompiledProgram.select_argmin` over a
-    bare :class:`PerformanceModel`, re-evaluating the analytic model —
-    including the boundary transfer/layout terms — per candidate at the
-    actual input.  Both sides answer the same grid of in-range bindings;
-    winners must agree pointwise on the swept grid.
-    """
-    baked = _compiled(spec, samples=samples)
-    model = PerformanceModel(spec)
-    points = grid_points(samples)
-    # Agreement check outside the timed loops (also warms both sides).
-    mismatches = 0
-    for point in points:
-        chosen = baked.select(dict(point))
-        exact = baked.select_argmin(dict(point), model=model)
-        mismatches += sum(a.strategy != b.strategy
-                          for a, b in zip(chosen, exact))
-
-    before = baked.stats.snapshot()
-    started = time.perf_counter()
-    for _ in range(repeats):
-        for point in points:
-            baked.select(point)
-    baked_seconds = time.perf_counter() - started
-    delta = baked.stats.since(before)
-
-    started = time.perf_counter()
-    for _ in range(repeats):
-        for point in points:
-            baked.select_argmin(point, model=model)
-    argmin_seconds = time.perf_counter() - started
-    n = repeats * len(points)
-    return {
-        "points": len(points), "repeats": repeats,
-        "baked_select_us": baked_seconds / n * 1e6,
-        "argmin_select_us": argmin_seconds / n * 1e6,
-        "speedup": argmin_seconds / baked_seconds,
-        "table_hits": delta.table_hits,
-        "runtime_evals": delta.runtime_evals,
-        "mismatches": mismatches,
-    }
+    """:func:`~.common.dispatch_cost` with placement compiled in: baked
+    placement tables vs placed argmin, which re-prices every candidate's
+    boundary transfer and layout terms per call."""
+    return common.dispatch_cost(_compiled(spec, samples=samples),
+                                grid_points(samples), repeats)
 
 
 def placement_report(spec: GPUSpec = TESLA_C2050,

@@ -36,7 +36,7 @@ class RateExpr:
 
     # ------------------------------------------------------------------
     def evaluate(self, params: Dict[str, Any]) -> int:
-        value = _eval_expr(self.expr, params)
+        value = eval_expr(self.expr, params)
         result = int(round(value))
         if result < 0:
             raise ValueError(f"rate {self} evaluated to {result} < 0")
@@ -78,8 +78,13 @@ def parse_expr(source: str) -> N.Expr:
     return _lift_expr(tree.body, f"<rate {source!r}>")
 
 
-def _eval_expr(expr: N.Expr, params: Dict[str, Any]):
-    """Evaluate a parameter expression using the interpreter machinery."""
+def eval_expr(expr: N.Expr, params: Dict[str, Any]):
+    """Evaluate a closed parameter expression with the IR interpreter.
+
+    For expressions evaluated once per binding (rates, stencil
+    displacements, a reduction's initial value), where compiling a
+    function would cost more than the one evaluation it serves.
+    """
     work = N.WorkFunction("<rate>", tuple(params), [N.Assign("__r", expr)])
     interp = WorkInterpreter(work, params, state={"__r": None})
     interp.run([])

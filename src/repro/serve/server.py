@@ -33,7 +33,9 @@ dispatch is in flight, which is what makes groups grow under load.
 from __future__ import annotations
 
 import asyncio
+import collections
 import dataclasses
+import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -52,6 +54,14 @@ from .tenancy import (AdmissionPolicy, Priority, TenantConfig, TenantState,
 
 #: Name of the tenant used when ``submit()`` does not specify one.
 DEFAULT_TENANT = "default"
+
+#: Most auto-registered tenants the table keeps once they are idle.
+#: Past it the least recently used idle ones are dropped, counts and
+#: all, so a long-lived server's table does not grow with every name it
+#: has seen, as :data:`~repro.serve.metrics.LATENCY_WINDOW` bounds the
+#: latency record.  Configured tenants and tenants with requests in
+#: flight are never dropped.
+TENANT_WINDOW = 1024
 
 #: Model-predicted speedup (one fused run vs the group run solo) a
 #: same-binding group must clear before the server fuses it.
@@ -146,6 +156,8 @@ class Server:
         self.config = config or ServeConfig()
         self.metrics = ServeMetrics()
         self.tenants: Dict[str, TenantState] = resolve_tenants(tenants)
+        #: Auto-registered tenant names, least recently used first.
+        self._auto: Dict[str, None] = collections.OrderedDict()
         self._policy = AdmissionPolicy(self.config.max_queue_depth)
         self._batcher = ShapeBatcher(self.config.max_batch)
         #: Set when a request arrives or the server closes, so the idle
@@ -196,12 +208,24 @@ class Server:
 
     # -- tenancy ---------------------------------------------------------
     def tenant(self, name: str) -> TenantState:
-        """The tenant's live state, auto-registered on first sight."""
+        """The tenant's live state, auto-registered on first sight.
+
+        Registering one past :data:`TENANT_WINDOW` auto-registered
+        tenants drops the least recently used idle ones.
+        """
         state = self.tenants.get(name)
-        if state is None:
+        if name in self._auto:
+            self._auto.move_to_end(name)
+        elif state is None:
             state = TenantState(TenantConfig(
                 name=name, quota=self.config.default_quota))
             self.tenants[name] = state
+            self._auto[name] = None
+            idle = (old for old in self._auto
+                    if old != name and self.tenants[old].inflight == 0)
+            excess = max(0, len(self._auto) - TENANT_WINDOW)
+            for old in list(itertools.islice(idle, excess)):
+                del self._auto[old], self.tenants[old]
         return state
 
     # -- submission ------------------------------------------------------

@@ -6,8 +6,9 @@ import pytest
 
 from repro import (AdapticOptions, Duplicate, Filter, Pipeline, SplitJoin,
                    StreamProgram, TESLA_C2050, GTX_285, roundrobin,
-                   run_program, api)
+                   run_program, api, apps)
 from repro.compiler import AdapticCompiler
+from repro.compiler.exprgen import COMPILE_COUNTER
 from repro.errors import CompileError
 
 from workloads import (ISAMAX_SRC, SAXPY_SRC, SCALE_SRC, SDOT_SRC, SNRM2_SRC,
@@ -252,22 +253,33 @@ class TestCompiledProgramAPI:
         assert 1 <= after <= before
 
     def test_prune_names_a_scalar_missing_from_the_box(self, rng):
-        """prune=True over a box without ``a``, which SCALE fused into
-        SUM reads, is a CompileError naming ``a`` (it used to escape as
-        a raw ExprGenError); pinning ``a`` prunes a program that runs."""
-        prog = StreamProgram(
+        """prune=True over a box without ``r``, the array count the cost
+        model reads, is a CompileError naming ``r``; pinning ``r``
+        prunes a program that runs.  ``a``, which SCALE fused into SUM
+        reads only in its element function, blocks nothing: no cost
+        query compiles that function."""
+        sums = StreamProgram(Filter(SUM_SRC, pop="n", push=1),
+                             params=["n", "r"], input_size="n*r",
+                             input_ranges={"n": (16, 4096)})
+        with pytest.raises(CompileError, match=r"\['r'\]"):
+            api.compile(sums, options=AdapticOptions(prune=True))
+        compiled = api.compile(sums)
+        compiled.prune_variants(extra_params={"r": 2})
+        data = rng.standard_normal(200)
+        result = compiled.run(data, {"n": 100, "r": 2})
+        assert np.allclose(result.output,
+                           run_program(sums, data, {"n": 100, "r": 2}))
+
+        scaled = StreamProgram(
             Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
                      Filter(SUM_SRC, pop="n", push=1)),
             params=["n", "a"], input_size="n",
             input_ranges={"n": (16, 4096)})
-        with pytest.raises(CompileError, match=r"\['a'\]"):
-            api.compile(prog, options=AdapticOptions(prune=True))
-        compiled = api.compile(prog)
-        compiled.prune_variants(extra_params={"a": 1.5})
+        compiled = api.compile(scaled, options=AdapticOptions(prune=True))
         data = rng.standard_normal(100)
         result = compiled.run(data, {"n": 100, "a": 1.5})
         assert np.allclose(result.output,
-                           run_program(prog, data, {"n": 100, "a": 1.5}))
+                           run_program(scaled, data, {"n": 100, "a": 1.5}))
 
     def test_cuda_source_nonempty(self):
         compiled = self._compiled()
@@ -283,3 +295,22 @@ class TestCompiledProgramAPI:
         compiled = self._compiled()
         with pytest.raises(ValueError):
             compiled.run(rng.standard_normal(10), {"n": 4, "r": 1})
+
+
+class TestCostQueriesCompileNothing:
+    """Pricing a plan is arithmetic over the IR (§3's closed-form
+    evaluations): pruning, baking and selecting compile no expression;
+    only the plan that runs compiles its functions."""
+
+    @pytest.mark.parametrize("placement", [False, True])
+    @pytest.mark.parametrize("app", sorted(apps.BUILDERS))
+    def test_prune_and_select_compile_nothing(self, app, placement):
+        build, _description = apps.BUILDERS[app]
+        compiled = api.compile(
+            build(), options=AdapticOptions(placement=placement))
+        pins = apps.PINS.get(app)
+        before = COMPILE_COUNTER.snapshot()
+        compiled.prune_variants(extra_params=pins)
+        for point in compiled.sample_points(4, pins):
+            compiled.select(point)
+        assert COMPILE_COUNTER.since(before).total == 0

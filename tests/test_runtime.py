@@ -345,8 +345,8 @@ class TestBatchExecutorRule:
         assert batch_threads([1 << 30], 1, 4) == 1
 
     def test_each_binding_needs_its_own_items(self):
-        """A fan-out warms every distinct binding serially first, so each
-        binding must bring ``FANOUT_MIN_ITEMS`` items."""
+        """A fan-out runs every distinct binding's first item serially
+        first, so each binding must bring ``FANOUT_MIN_ITEMS`` items."""
         big = FANOUT_MIN_ELEMENTS
         assert batch_threads([big] * FANOUT_MIN_ITEMS, 1, 2) == 2
         assert batch_threads([big] * (FANOUT_MIN_ITEMS - 1), 1, 2) == 1
@@ -355,12 +355,13 @@ class TestBatchExecutorRule:
         assert batch_threads([big] * (2 * FANOUT_MIN_ITEMS), 3, 64) == 1
 
     @pytest.mark.parametrize("cpus, bindings, runs",
-                             [(1, 1, 16), (2, 1, 17), (2, 2, 16)])
+                             [(1, 1, 16), (2, 1, 16), (2, 2, 16)])
     def test_run_batch_follows_the_rule(self, rng, monkeypatch, cpus,
                                         bindings, runs):
         """``run_batch`` hands the rule its item sizes, distinct
-        bindings and usable CPUs.  A fan-out warms its binding first
-        (one extra run); a serial batch does not."""
+        bindings and usable CPUs.  Serial or fanned out, each item
+        executes once: a fan-out runs its binding's first item before
+        the threads start, not an extra warmup."""
         monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
         # Small items keep the test fast; the rule's size bar moves.
         monkeypatch.setattr(runtime, "FANOUT_MIN_ELEMENTS", 256)

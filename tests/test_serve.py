@@ -452,6 +452,50 @@ class TestTenancyAndMetrics:
         assert server.tenant("bob").completed == 1
         assert server.metrics.summary()["completed"] == 2
 
+    def test_tenant_table_is_bounded(self, compiled, rng):
+        """2000 one-request tenants leave at most TENANT_WINDOW
+        auto-registered entries, the most recent ones, beside every
+        configured tenant."""
+        inputs, params = make_binding(rng, rows=4, cols=4, n=1)
+        names = [f"t{i}" for i in range(2000)]
+
+        async def scenario():
+            config = ServeConfig(max_batch=100, options=RunOptions(
+                exec_mode=api.ExecMode.VECTORIZED))
+            async with Server(compiled, config, tenants=["carol"]) as server:
+                for start in range(0, len(names), 100):
+                    await asyncio.gather(*(
+                        server.submit(inputs[0], params, tenant=name)
+                        for name in names[start:start + 100]))
+                return server
+        server = asyncio.run(scenario())
+        window = server_module.TENANT_WINDOW
+        assert len(server.tenants) == window + 1
+        assert "carol" in server.tenants
+        assert set(server.tenants) - {"carol"} == set(names[-window:])
+        assert all(server.tenants[name].completed == 1
+                   for name in names[-window:])
+        assert server.metrics.summary()["completed"] == len(names)
+
+    def test_tenants_in_flight_are_kept(self, compiled, rng, monkeypatch):
+        """Only idle tenants are dropped: four concurrent tenants over a
+        window of two all keep their counts until they finish."""
+        monkeypatch.setattr(server_module, "TENANT_WINDOW", 2)
+        inputs, params = make_binding(rng, n=5)
+        names = ["a", "b", "c", "d"]
+
+        async def scenario():
+            async with Server(compiled) as server:
+                await asyncio.gather(*(
+                    server.submit(data, params, tenant=name)
+                    for data, name in zip(inputs, names)))
+                assert all(server.tenants[name].completed == 1
+                           for name in names)
+                await server.submit(inputs[4], params, tenant="e")
+                return server
+        server = asyncio.run(scenario())
+        assert set(server.tenants) == {"d", "e"}
+
     def test_dispatch_orders_by_priority_then_arrival(self, compiled, rng):
         """The free dispatcher takes the best priority class first and
         the oldest request within a class."""
