@@ -29,9 +29,8 @@ class TestDispatchCost:
 
 class TestMeasuredSplit:
     def test_cpu_placed_shape_beats_all_gpu(self, report):
-        figure = placement.run(repeats=5)
-        report(figure)
         rep = placement.placement_report(repeats=5)
+        report(placement.figure(rep))
         assert rep["bit_identical"]
         assert rep["runtime_evals"] == 0
         assert rep["cpu_win_shapes"], \

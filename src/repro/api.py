@@ -43,8 +43,7 @@ from .faults import FaultInjector, FaultPlan
 from .gpu import (Device, ExecMode, GPUSpec, GTX_285, GTX_480, TARGETS,
                   TESLA_C2050, get_target)
 from .perfmodel import (AxisSpec, CalibrationStore, FeedbackConfig,
-                        Observation, RegionTable, selection_accuracy,
-                        size_bucket)
+                        RegionTable, selection_accuracy, size_bucket)
 from .serve import (Priority, ServeConfig, ServeResult, Server,
                     TenantConfig)
 from .streamit import StreamProgram
@@ -62,8 +61,8 @@ __all__ = [
     "BundleError", "BundleFormatError", "BundleVersionError",
     "BundleArchError", "BundleProgramError",
     "FaultInjector", "FaultPlan",
-    "CalibrationStore", "FeedbackConfig", "Observation",
-    "selection_accuracy", "size_bucket",
+    "CalibrationStore", "FeedbackConfig", "selection_accuracy",
+    "size_bucket",
     "GPUSpec", "TESLA_C2050", "GTX_285", "GTX_480", "TARGETS", "get_target",
 ]
 

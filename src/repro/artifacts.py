@@ -1,19 +1,22 @@
-"""Versioned artifact bundles: the complete warm state of a compiled program.
+"""Versioned artifact bundles: the compile-time products of a program.
 
 The paper's input-aware compilation pays a one-off cost — variant pruning,
-break-even sweeps, expression compilation, restructure permutation builds —
-that today dies with the process.  An :class:`ArtifactBundle` serializes
-everything the warm path needs so a *fresh* process can serve its first
-request with zero perf-model evaluations and zero expression compiles:
+break-even sweeps, restructure permutation builds — that would otherwise
+die with the process.  An :class:`ArtifactBundle` serializes those
+products so a *fresh* process can serve its first request with zero
+perf-model evaluations and zero permutation builds:
 
 * per-segment dispatch tables (region tables) with their exact break-even
   points;
 * the surviving (unpruned) variant set per segment;
-* generated kernel source recorded by :mod:`repro.compiler.exprgen`;
 * restructure permutations (bit-exact, base64);
 * memoized cost-model entries;
 * the measured-feedback :class:`~repro.perfmodel.calibration.CalibrationStore`
-  (factors, probes, quarantines, observation windows).
+  (factors, probes, quarantines).
+
+A bundle is data: nothing in it executes.  The expression functions of
+the plans a loaded program runs are rendered from the program's own IR
+on first use, a few microseconds each, as in any cold process.
 
 Every bundle carries an invalidation key — (program IR fingerprint, arch
 fingerprint, repro version, bundle schema version) — and loading validates
@@ -205,11 +208,12 @@ class ArtifactBundle:
     ``segments`` is a list of per-segment dicts (name, kind, surviving
     strategies, pruned strategies, dispatch payload, permutations);
     ``costs`` are cost memo entries; ``calibration`` is the
-    :meth:`CalibrationStore.to_dict` payload; ``sources`` maps exprgen
-    source keys to generated kernel source.  ``meta`` is free-form
-    (e.g. the app registry name that built the program).  Unknown
-    payload keys are ignored on load, so a bundle that still carries
-    the retired ``transfers`` memo loads unchanged.
+    :meth:`CalibrationStore.to_dict` payload.  ``meta`` is free-form
+    (e.g. the app registry name that built the program).  Every field
+    is data; no code rides in a bundle.  Unknown payload keys are
+    ignored on load, so a bundle that still carries the retired
+    ``transfers`` memo or kernel ``sources`` loads unchanged, and
+    nothing in those keys runs.
     """
 
     schema_version: int
@@ -223,7 +227,6 @@ class ArtifactBundle:
     segments: List[Dict[str, Any]]
     costs: List[Dict[str, Any]]
     calibration: Dict[str, Any]
-    sources: Dict[str, str]
     meta: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
     # -- payload <-> object -------------------------------------------
@@ -322,8 +325,7 @@ class ArtifactBundle:
             f"versions  schema={self.schema_version} "
             f"repro={self.repro_version}",
             f"payload   {len(self.segments)} segment(s), "
-            f"{len(self.costs)} cost memo entr{'y' if len(self.costs) == 1 else 'ies'}, "
-            f"{len(self.sources)} kernel source(s)",
+            f"{len(self.costs)} cost memo entr{'y' if len(self.costs) == 1 else 'ies'}",
         ]
         for seg in self.segments:
             dispatches = seg.get("dispatch") or []

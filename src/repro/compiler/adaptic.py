@@ -49,10 +49,6 @@ from .reducers import ArgReducer, ScalarReducer
 from .runtime import CompiledProgram
 from .segments import Segment
 
-#: Layouts that coincide with canonical stream order (no restructuring).
-CANONICAL_LAYOUTS = {LAYOUT_INTERLEAVED, LAYOUT_ROWS}
-
-
 @dataclasses.dataclass
 class AdapticOptions:
     """Optimization-group switches (Figure 11's cumulative bars)."""

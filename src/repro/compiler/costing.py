@@ -14,7 +14,7 @@ import dataclasses
 from typing import Dict, List
 
 from ..ir import nodes as N
-from ..ir.interp import WorkInterpreter
+from ..ir.rates import eval_expr
 
 
 @dataclasses.dataclass
@@ -42,17 +42,17 @@ class DynamicCounts:
 def count_dynamic(work: N.WorkFunction,
                   params: Dict[str, float]) -> DynamicCounts:
     """Dynamic counts for one work invocation under ``params``."""
-    return _count_block(work, work.body, params)
+    return _count_block(work.body, params)
 
 
-def _count_block(work, body: List[N.Stmt], params) -> DynamicCounts:
+def _count_block(body: List[N.Stmt], params) -> DynamicCounts:
     total = DynamicCounts()
     for stmt in body:
-        total = total + _count_stmt(work, stmt, params)
+        total = total + _count_stmt(stmt, params)
     return total
 
 
-def _count_stmt(work, stmt: N.Stmt, params) -> DynamicCounts:
+def _count_stmt(stmt: N.Stmt, params) -> DynamicCounts:
     if isinstance(stmt, N.Assign):
         counts = _count_expr(stmt.value)
         counts.comp += 1  # the store/move itself
@@ -62,15 +62,14 @@ def _count_stmt(work, stmt: N.Stmt, params) -> DynamicCounts:
         counts.pushes += 1
         return counts
     if isinstance(stmt, N.For):
-        trips = max(0.0, _eval(work, stmt.stop, params)
-                    - _eval(work, stmt.start, params))
-        inner = _count_block(work, stmt.body, params)
+        trips = max(0.0, _eval(stmt.stop, params) - _eval(stmt.start, params))
+        inner = _count_block(stmt.body, params)
         inner.comp += 2  # loop increment + compare
         return inner.scaled(trips)
     if isinstance(stmt, N.If):
         cond = _count_expr(stmt.cond)
-        then = _count_block(work, stmt.then, params)
-        orelse = _count_block(work, stmt.orelse, params)
+        then = _count_block(stmt.then, params)
+        orelse = _count_block(stmt.orelse, params)
         branch = then if then.comp + then.pops >= orelse.comp + orelse.pops \
             else orelse
         return cond + branch
@@ -91,19 +90,14 @@ def _count_expr(expr: N.Expr) -> DynamicCounts:
     return counts
 
 
-def _eval(work, expr: N.Expr, params) -> float:
-    """Evaluate a parameter expression numerically.
+def _eval(expr: N.Expr, params) -> float:
+    """Evaluate a loop bound numerically.
 
     Loop bounds inside work functions may only reference parameters and
-    outer loop variables; outer loop variables are approximated by their
-    midpoint when present (rare — none of the paper's benchmarks need it).
+    outer loop variables; a name ``params`` does not bind (an outer loop
+    variable) counts as 0 (rare — none of the paper's benchmarks need
+    it).
     """
-    names = N.free_vars(expr)
-    bound = {name: params[name] for name in names if name in params}
-    missing = names - set(bound)
-    for name in missing:
-        bound[name] = 0
-    shell = N.WorkFunction("<count>", tuple(bound), [N.Assign("__v", expr)])
-    interp = WorkInterpreter(shell, bound, state={"__v": None})
-    interp.run([])
-    return float(interp.state["__v"])
+    bound = {name: params[name] if name in params else 0
+             for name in N.free_vars(expr)}
+    return float(eval_expr(expr, bound))

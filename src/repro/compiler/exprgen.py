@@ -10,10 +10,9 @@ text spliced into generated CUDA kernels.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import time
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 import numpy as _np
 
@@ -29,18 +28,11 @@ class CompileCounter:
     leave them untouched.  ``seconds`` is the accumulated wall-clock spent
     inside ``compile_scalar_fn``/``compile_vector_fn``, which the runtime
     subtracts out of its kernel-stage timing.
-
-    ``hydrated`` counts functions rebuilt by exec'ing source *loaded from
-    an artifact bundle* instead of being rendered from IR.  Hydrations
-    are deliberately excluded from :attr:`total`: the zero-cold-start
-    contract ("a bundle-loaded process's first run compiles nothing") is
-    asserted as ``total == 0`` while hydrations stay observable.
     """
 
     scalar: int = 0
     vector: int = 0
     seconds: float = 0.0
-    hydrated: int = 0
 
     @property
     def total(self) -> int:
@@ -52,8 +44,7 @@ class CompileCounter:
     def since(self, earlier: "CompileCounter") -> "CompileCounter":
         return CompileCounter(self.scalar - earlier.scalar,
                               self.vector - earlier.vector,
-                              self.seconds - earlier.seconds,
-                              self.hydrated - earlier.hydrated)
+                              self.seconds - earlier.seconds)
 
 
 #: Shared by every plan's codegen; snapshot/since around a region to
@@ -85,143 +76,6 @@ _C_COMBINE = {
 
 class ExprGenError(ValueError):
     """The expression contains constructs the emitter cannot lower."""
-
-
-# ---------------------------------------------------------------------------
-# Kernel-source registry (zero-cold-start hydration)
-# ---------------------------------------------------------------------------
-
-def expr_fingerprint(expr: N.Expr) -> str:
-    """Stable digest of an IR expression's structure.
-
-    Part of the kernel-source registry key: two expressions with the
-    same fingerprint render to the same source under the same arguments
-    and folded scalars, so a bundle-loaded source can only ever be
-    exec'd in place of an identical rendering.
-    """
-    parts = []
-
-    def walk(node):
-        if isinstance(node, N.Const):
-            parts.append(f"C:{type(node.value).__name__}:{node.value!r}")
-        elif isinstance(node, N.Var):
-            parts.append(f"V:{node.name}")
-        elif isinstance(node, N.BinOp):
-            parts.append(f"B:{node.op}(")
-            walk(node.left)
-            walk(node.right)
-            parts.append(")")
-        elif isinstance(node, N.UnaryOp):
-            parts.append(f"U:{node.op}(")
-            walk(node.operand)
-            parts.append(")")
-        elif isinstance(node, N.Call):
-            parts.append(f"F:{node.fn}(")
-            for arg in node.args:
-                walk(arg)
-            parts.append(")")
-        elif isinstance(node, N.Index):
-            parts.append(f"I:{node.array}(")
-            walk(node.index)
-            parts.append(")")
-        elif isinstance(node, N.Peek):
-            parts.append("P(")
-            walk(node.offset)
-            parts.append(")")
-        elif isinstance(node, N.Pop):
-            parts.append("pop")
-        else:
-            parts.append(f"X:{type(node).__name__}:{node}")
-
-    walk(expr)
-    return hashlib.sha256("".join(parts).encode("utf-8")).hexdigest()[:16]
-
-
-def _canon_scalar(value) -> str:
-    """Deterministic, type-tagged rendering of one folded scalar."""
-    if isinstance(value, (bool, _np.bool_)):
-        return f"b:{bool(value)}"
-    if isinstance(value, (int, _np.integer)):
-        return f"i:{int(value)}"
-    if isinstance(value, (float, _np.floating)):
-        return f"f:{float(value)!r}"
-    return f"s:{value!r}"
-
-
-def source_key(kind: str, name: str, args: Sequence[str],
-               params, expr: N.Expr) -> str:
-    """Registry key of one compiled function.
-
-    The generated source depends on exactly these inputs: the emitter
-    kind (scalar vs vector namespace), the function name, the argument
-    list, the scalar parameters folded into the body, and the expression
-    itself.  Auxiliary arrays are referenced by name in the source and
-    bound at exec time, so they are deliberately *not* part of the key —
-    the same source re-binds to a fresh process's arrays.
-    """
-    scalars = ",".join(
-        f"{k}={_canon_scalar(v)}"
-        for k, v in sorted((k, v) for k, v in (params or {}).items()
-                           if _np.isscalar(v)))
-    return (f"{kind}|{name}|{','.join(args)}|{scalars}|"
-            f"{expr_fingerprint(expr)}")
-
-
-class KernelSourceRegistry:
-    """Process-wide store of generated kernel source text.
-
-    Two roles:
-
-    * every compile records ``key -> source``, which is what
-      :meth:`CompiledProgram.save_bundle` exports as the bundle's
-      compiled-kernel artifacts;
-    * sources *loaded* from a bundle are consulted before rendering: a
-      hit re-execs the stored text (a hydration, counted in
-      :attr:`CompileCounter.hydrated`) instead of re-deriving it from
-      IR, which is how a bundle-loaded process serves its first run with
-      a zero compile-counter delta.
-
-    Self-recorded sources are never consulted on the compile path — a
-    cold re-run after :meth:`CompiledProgram.clear_warm_caches` must
-    count real compiles, exactly as before this registry existed.
-    """
-
-    def __init__(self):
-        self._recorded: Dict[str, str] = {}
-        self._loaded: Dict[str, str] = {}
-
-    def __len__(self) -> int:
-        return len(self._recorded) + len(self._loaded)
-
-    def record(self, key: str, source: str) -> None:
-        self._recorded[key] = source
-
-    def loaded_source(self, key: str) -> Optional[str]:
-        return self._loaded.get(key)
-
-    def load(self, entries: Dict[str, str]) -> None:
-        """Merge bundle-carried sources into the hydration map."""
-        for key, source in entries.items():
-            self._loaded[str(key)] = str(source)
-
-    def export(self) -> Dict[str, str]:
-        """Every known source (loaded entries carry over into re-saves)."""
-        merged = dict(self._loaded)
-        merged.update(self._recorded)
-        return merged
-
-    def clear(self) -> None:
-        self._recorded.clear()
-        self._loaded.clear()
-
-    def clear_loaded(self) -> None:
-        """Drop bundle-carried sources (for cold-start benchmarking)."""
-        self._loaded.clear()
-
-
-#: Process-wide registry shared by every compiled program; keys embed an
-#: expression fingerprint, so programs can never collide on a source.
-SOURCE_REGISTRY = KernelSourceRegistry()
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +139,15 @@ def compile_scalar_fn(expr: N.Expr, args: Sequence[str],
     the function's namespace.
     """
     started = time.perf_counter()
-    key = source_key("scalar", name, args, params, expr)
-    source = SOURCE_REGISTRY.loaded_source(key)
-    hydrated = source is not None
-    if not hydrated:
-        body = python_expr(expr, args, params)
-        source = f"def {name}({', '.join(args)}):\n    return {body}\n"
+    body = python_expr(expr, args, params)
+    source = f"def {name}({', '.join(args)}):\n    return {body}\n"
     namespace = {"math": math}
     if arrays:
         namespace.update(arrays)
     exec(compile(source, f"<exprgen:{name}>", "exec"), namespace)
     fn = namespace[name]
     fn.__source__ = source
-    SOURCE_REGISTRY.record(key, source)
-    if hydrated:
-        COMPILE_COUNTER.hydrated += 1
-    else:
-        COMPILE_COUNTER.scalar += 1
+    COMPILE_COUNTER.scalar += 1
     COMPILE_COUNTER.seconds += time.perf_counter() - started
     return fn
 
@@ -426,23 +272,15 @@ def compile_vector_fn(expr: N.Expr, args: Sequence[str],
     (same float64 arithmetic, same tie rules, same libm transcendentals).
     """
     started = time.perf_counter()
-    key = source_key("vector", name, args, params, expr)
-    source = SOURCE_REGISTRY.loaded_source(key)
-    hydrated = source is not None
-    if not hydrated:
-        body = vector_expr(expr, args, params)
-        source = f"def {name}({', '.join(args)}):\n    return {body}\n"
+    body = vector_expr(expr, args, params)
+    source = f"def {name}({', '.join(args)}):\n    return {body}\n"
     namespace = _vec_namespace()
     if arrays:
         namespace.update(arrays)
     exec(compile(source, f"<exprgen:{name}>", "exec"), namespace)
     fn = namespace[name]
     fn.__source__ = source
-    SOURCE_REGISTRY.record(key, source)
-    if hydrated:
-        COMPILE_COUNTER.hydrated += 1
-    else:
-        COMPILE_COUNTER.vector += 1
+    COMPILE_COUNTER.vector += 1
     COMPILE_COUNTER.seconds += time.perf_counter() - started
     return fn
 

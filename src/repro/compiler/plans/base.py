@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from ...gpu import Device, DeviceArray, GPUSpec
+from ...ir import nodes as N
 from ...perfmodel import KernelWorkload, PerformanceModel
 
 #: Canonical buffer names inside a segment.
@@ -36,22 +37,16 @@ class RestructureCounter:
     """Process-wide tally of host-side restructuring work.
 
     ``perm_builds`` counts permutation index arrays actually constructed
-    (the O(n) part a warm run must never repeat); ``perm_hits`` counts
-    memoized reuses; ``gathers`` counts fancy-index applications (one per
-    non-canonical staging, warm or cold).
+    (the O(n) part a warm run must never repeat).
     """
 
     perm_builds: int = 0
-    perm_hits: int = 0
-    gathers: int = 0
 
     def snapshot(self) -> "RestructureCounter":
         return dataclasses.replace(self)
 
     def since(self, earlier: "RestructureCounter") -> "RestructureCounter":
-        return RestructureCounter(self.perm_builds - earlier.perm_builds,
-                                  self.perm_hits - earlier.perm_hits,
-                                  self.gathers - earlier.gathers)
+        return RestructureCounter(self.perm_builds - earlier.perm_builds)
 
 
 RESTRUCTURE_COUNTER = RestructureCounter()
@@ -119,10 +114,6 @@ class KernelPlan(abc.ABC):
         the memory behavior the model must predict.
         """
         return re.split(r"[\[@]", self.strategy, maxsplit=1)[0]
-
-    def variant_key(self, params: Optional[Dict[str, float]] = None) -> str:
-        """Identity of this variant in feedback records (the strategy tag)."""
-        return self.strategy
 
     # -- modeling ---------------------------------------------------------
     @abc.abstractmethod
@@ -212,7 +203,7 @@ class KernelPlan(abc.ABC):
         Permutation keys are the only warm-cache entries with no
         array-identity component, so they survive a round trip into a
         fresh process; compiled-artifact entries (id-keyed) do not and
-        are rebuilt there by rehydrated source instead.
+        are rendered there from IR on first use.
         """
         for key, perm in self._warm_cache.items():
             if (len(key) == 3 and key[0] == "perm"
@@ -257,11 +248,8 @@ class KernelPlan(abc.ABC):
                 perm = np.ascontiguousarray(perm, dtype=np.intp)
                 RESTRUCTURE_COUNTER.perm_builds += 1
             self._warm_cache[key] = perm
-        elif perm is not None:
-            RESTRUCTURE_COUNTER.perm_hits += 1
         if perm is None:
             return data
-        RESTRUCTURE_COUNTER.gathers += 1
         return data[perm]
 
     # -- code emission ----------------------------------------------------
@@ -336,11 +324,10 @@ def _array_key(params) -> tuple:
 
 def expr_ops(expr) -> int:
     """Dynamic instruction estimate for one evaluation of an IR expression."""
-    from ...ir import nodes as N
     return sum(1 for n in expr.walk()
                if isinstance(n, (N.BinOp, N.UnaryOp, N.Call, N.Index)))
 
 
 def expr_aux_loads(expr) -> int:
-    from ...ir import nodes as N
+    """Global loads from auxiliary arrays per evaluation."""
     return sum(1 for n in expr.walk() if isinstance(n, N.Index))

@@ -20,23 +20,12 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..ir import nodes as N
 from ..ir.patterns import ArgReducePattern, ReductionPattern
 from ..ir.rates import eval_expr
 from .exprgen import (c_combine, c_expr, combine_identity,
-                      compile_scalar_fn, compile_vector_combine_fn,
-                      compile_vector_fn)
-
-
-def _expr_ops(expr: N.Expr) -> int:
-    """Rough dynamic instruction count of evaluating ``expr`` once."""
-    return sum(1 for n in expr.walk()
-               if isinstance(n, (N.BinOp, N.UnaryOp, N.Call, N.Index)))
-
-
-def _expr_aux_loads(expr: N.Expr) -> int:
-    """Global loads from auxiliary arrays per evaluation."""
-    return sum(1 for n in expr.walk() if isinstance(n, N.Index))
+                      compile_combine_fn, compile_scalar_fn,
+                      compile_vector_combine_fn, compile_vector_fn)
+from .plans.base import expr_aux_loads, expr_ops
 
 
 class Reducer:
@@ -109,12 +98,7 @@ class ScalarReducer(Reducer):
         self.state_width = 1
         self.pops_per_iter = pattern.pops_per_iter
         self.outputs_per_array = 1
-        self._combine = {
-            "+": lambda a, b: a + b,
-            "*": lambda a, b: a * b,
-            "min": min,
-            "max": max,
-        }[self.kind]
+        self._combine = compile_combine_fn(self.kind)
         self._vcombine = compile_vector_combine_fn(self.kind)
         if params is None:
             # Symbolic mode: only cost metadata and CUDA emission are valid.
@@ -164,10 +148,10 @@ class ScalarReducer(Reducer):
         return [self._vepi(acc)]
 
     def element_ops(self) -> int:
-        return max(1, _expr_ops(self.pattern.element))
+        return max(1, expr_ops(self.pattern.element))
 
     def element_aux_loads(self) -> int:
-        return _expr_aux_loads(self.pattern.element)
+        return expr_aux_loads(self.pattern.element)
 
     # -- CUDA -----------------------------------------------------------
     def c_state_decl(self, name: str) -> str:
@@ -256,10 +240,10 @@ class ArgReducer(Reducer):
         return out
 
     def element_ops(self) -> int:
-        return max(1, _expr_ops(self.pattern.element)) + 2  # cmp + select
+        return max(1, expr_ops(self.pattern.element)) + 2  # cmp + select
 
     def element_aux_loads(self) -> int:
-        return _expr_aux_loads(self.pattern.element)
+        return expr_aux_loads(self.pattern.element)
 
     def combine_ops(self) -> int:
         return 3

@@ -51,14 +51,16 @@ from ..gpu import Device, ExecMode, GPUSpec, MODE_REFERENCE
 from ..perfmodel import AxisSpec, CalibrationStore, FeedbackConfig, \
     PerformanceModel, RegionTable, Variant, geometric_points, hop_seconds, \
     layout_transform_seconds, size_bucket, sweep_region
-from .exprgen import COMPILE_COUNTER, SOURCE_REGISTRY
+from .exprgen import COMPILE_COUNTER
+from .plans import LAYOUT_INTERLEAVED, LAYOUT_ROWS
 from .plans.base import IN, FrozenParams, KernelPlan, RESTRUCTURE_COUNTER, \
     freeze_scalars
 from .segments import RegionDispatch, Segment
 from .stats import CostCache, SelectionStats
 
-#: Layouts that need no host-side restructuring.
-_CANONICAL = {"interleaved", "rows"}
+#: Layouts that coincide with canonical stream order (no host-side
+#: restructuring).
+_CANONICAL = {LAYOUT_INTERLEAVED, LAYOUT_ROWS}
 
 #: Relative calibration-factor change past which feedback re-sweeps the
 #: observed segment's dispatch table around the binding.
@@ -297,7 +299,7 @@ class CompiledProgram:
         #: and layout costs included in sweeps and argmin fallback).
         self._placement = bool(getattr(options, "placement", False))
         #: Measured-feedback state: per-family EWMA calibration factors,
-        #: raw observations, probe budgets (repro.perfmodel.calibration).
+        #: probe budgets, quarantines (repro.perfmodel.calibration).
         self.calibration = CalibrationStore()
         #: Policy for the feedback loop (margin, probe budget, observer).
         self.feedback = FeedbackConfig()
@@ -754,7 +756,6 @@ class CompiledProgram:
         stage["kernel"] = max(0.0, stage["kernel"] - compiled.seconds)
         delta = SelectionStats(
             runs=1, expr_compiles=compiled.total,
-            expr_hydrations=compiled.hydrated,
             restructure_builds=rebuilt.perm_builds,
             restructure_seconds=stage["restructure"],
             h2d_seconds=stage["h2d"], kernel_seconds=stage["kernel"],
@@ -1070,8 +1071,9 @@ class CompiledProgram:
         location, exec_mode = opts.location, opts.exec_mode
         inputs = list(inputs)
         if isinstance(params_list, dict):
-            params_list = [params_list] * len(inputs)
-        params_list = [dict(p) for p in params_list]
+            params_list = [FrozenParams(params_list)] * len(inputs)
+        else:
+            params_list = [FrozenParams(p) for p in params_list]
         if len(params_list) != len(inputs):
             raise ValueError(
                 f"run_batch got {len(inputs)} inputs but "
@@ -1365,14 +1367,15 @@ class CompiledProgram:
     def export_bundle(self, meta: Optional[Dict] = None) -> ArtifactBundle:
         """Assemble this program's complete warm state into a bundle.
 
-        Captures everything the warm path needs — surviving variants,
-        dispatch tables, restructure permutations, cost memo entries,
-        the calibration store, and every kernel source the
-        process-wide exprgen registry has recorded — keyed by (program
+        Captures the compile-time products the warm path needs —
+        surviving variants, dispatch tables, restructure permutations,
+        cost memo entries and the calibration store — keyed by (program
         IR fingerprint, arch fingerprint, repro version, schema
-        version).  :meth:`load_bundle` in a fresh process replays it so
-        the first run needs zero model evaluations and zero expression
-        compiles.
+        version).  The bundle is data only: no code rides in it.
+        :meth:`load_bundle` in a fresh process replays it so the first
+        run needs zero model evaluations and zero permutation builds;
+        that run renders only the expression functions of the plans it
+        executes, as any cold plan does.
         """
         segments_payload = []
         for segment in self.segments:
@@ -1426,7 +1429,6 @@ class CompiledProgram:
             segments=segments_payload,
             costs=costs,
             calibration=self.calibration.to_dict(),
-            sources=SOURCE_REGISTRY.export(),
             meta=dict(meta or {}))
 
     def save_bundle(self, path, meta: Optional[Dict] = None
@@ -1447,8 +1449,10 @@ class CompiledProgram:
         and leaves the program untouched (never half-applied).  After a
         successful load the first ``run()`` selects from seeded cost
         memo entries or baked tables (zero model evaluations) and
-        rehydrates kernels from bundle-carried source (zero expression
-        compiles).  ``force=True`` only relaxes the repro-version check.
+        restructures with seeded permutations (zero builds).  Unknown
+        payload keys, such as the ``sources`` older bundles carried,
+        are ignored.  ``force=True`` only relaxes the repro-version
+        check.
         """
         if not isinstance(bundle, ArtifactBundle):
             bundle = ArtifactBundle.load(bundle)
@@ -1523,12 +1527,6 @@ class CompiledProgram:
         except CalibrationError as exc:
             raise BundleFormatError(
                 f"bundle calibration payload rejected: {exc}") from exc
-        if not isinstance(bundle.sources, dict) or not all(
-                isinstance(k, str) and isinstance(v, str)
-                for k, v in bundle.sources.items()):
-            raise BundleFormatError(
-                "bundle kernel-source map is malformed (expected "
-                "str -> str)")
 
         # -- commit: nothing below can fail on bundle content ----------
         for segment, payload, dispatch, permutations in staged:
@@ -1552,7 +1550,6 @@ class CompiledProgram:
                 self.cost.seed(plan, decode_scalars(entry["scalars"]),
                                entry["seconds"])
         self.calibration = calibration
-        SOURCE_REGISTRY.load(bundle.sources)
         self.wire_dtype = np.dtype(bundle.wire_dtype)
         return bundle
 
@@ -1586,7 +1583,6 @@ class CompiledProgram:
         store = self.calibration
         stats = self.stats
         bucket = size_bucket(params)
-        scalars = freeze_scalars(params)
 
         def measure(index: int, plan: KernelPlan) -> float:
             if config.observer is not None:
@@ -1600,9 +1596,8 @@ class CompiledProgram:
                  observed: float) -> None:
             raw = self.cost.plan_seconds(plan, params)
             predicted = raw * store.bias(plan.family)
-            change = store.observe(
-                plan.family, scalars, bucket, observed, predicted,
-                alpha=config.alpha, variant=plan.variant_key(params))
+            change = store.observe(plan.family, bucket, observed, predicted,
+                                   alpha=config.alpha)
             stats.feedback_observations += 1
             if change > REBAKE_THRESHOLD and segment.dispatch is not None:
                 self._rebake_dispatch(segment, params)
@@ -1889,8 +1884,9 @@ class CompiledProgram:
 
         A cost model that needs such a scalar fails wherever it reads it
         (the IR interpreter or a params lookup); that failure becomes a
-        :class:`CompileError` naming every declared parameter the sweep
-        box leaves unbound.
+        :class:`CompileError` naming the declared parameter it read
+        unbound, or every declared parameter the sweep box leaves
+        unbound when the failure does not say which it read.
         """
         try:
             yield
@@ -1900,6 +1896,9 @@ class CompiledProgram:
                         if name not in bound]
             if not unranged:
                 raise
+            read = getattr(exc, "name", None)
+            if read in unranged:
+                unranged = [read]
             raise CompileError(
                 f"cannot sweep the declared input ranges: parameter(s) "
                 f"{unranged} have no range; declare input_ranges for them "

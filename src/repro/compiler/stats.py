@@ -45,9 +45,6 @@ class SelectionStats:
     runs: int = 0
     #: Expression compilations performed inside ``run()`` (0 when warm).
     expr_compiles: int = 0
-    #: Expression functions rehydrated from bundle-carried source instead
-    #: of being rendered (0 unless a bundle was loaded).
-    expr_hydrations: int = 0
     #: Restructure permutation arrays built inside ``run()`` (0 when warm).
     restructure_builds: int = 0
     #: Per-stage wall-clock accumulated over ``run()`` executions.  The

@@ -115,23 +115,19 @@ def calibration_report(total_elements: int = 1 << 20,
         compiled, points, bias, family, pick=len(points) // 2)}
 
 
-def _warm_sweep(compiled, total_elements: int, seed: int = 0):
-    """Serve one full shape sweep; returns the (inputs, params) pairs.
+def _warm_sweep(compiled, total_elements: int, seed: int = 0) -> None:
+    """Serve one full shape sweep: the warm-up ``save_bundle`` captures.
 
-    This is the warm-up ``save_bundle`` captures: every shape's variant
-    is selected (populating the cost memo) and executed under *both*
-    executor modes (recording scalar and vector kernel sources, and
-    building restructure permutations), and its transfer time is
-    memoized — so the saved bundle serves either mode cold-start-free.
+    Every shape's variant is selected (populating the cost memo) and
+    executed under both executor modes (building its restructure
+    permutation), so the saved bundle serves the sweep in either mode
+    with zero model evaluations and zero permutation builds.
     """
     rng = np.random.default_rng(seed)
-    pairs = []
     for rows, cols in tmv.shape_sweep(total_elements):
         matrix, _vec, params = tmv.make_input(rows, cols, rng)
         compiled.run(matrix, params, options=RunOptions(exec_mode=api.ExecMode.REFERENCE))
         compiled.run(matrix, params, options=RunOptions(exec_mode=api.ExecMode.VECTORIZED))
-        pairs.append((matrix, params))
-    return pairs
 
 
 def save_bundle(path: str, spec: GPUSpec = TESLA_C2050,
@@ -141,7 +137,7 @@ def save_bundle(path: str, spec: GPUSpec = TESLA_C2050,
 
     The saved bundle replays this warm state into a fresh process: the
     sweep's first request there needs zero model evaluations and zero
-    expression compiles (see :func:`bundle_verify`).
+    permutation builds (see :func:`bundle_verify`).
     """
     compiled = api.compile(tmv.build(), arch=spec)
     compiled.prune_variants(samples=prune_samples)
@@ -156,9 +152,11 @@ def bundle_verify(path: str, total_elements: int = 1 << 10,
     """Load a fig10 bundle and serve the sweep, counting cold-start work.
 
     Meant to run in a *fresh* process: a healthy bundle serves every
-    sweep shape with ``model_evals == 0``, ``expr_compiles == 0`` and
-    ``perm_builds == 0``.  Returns the counter dict; the CLI exits
-    non-zero when any of the three is nonzero.
+    sweep shape with ``model_evals == 0`` and ``perm_builds == 0``.
+    ``expr_compiles`` counts the expression functions the served plans
+    render from IR, the same number a cold run of those plans renders.
+    Returns the counter dict; the CLI exits non-zero when model
+    evaluations or permutation builds are nonzero.
     """
     from ..compiler.exprgen import COMPILE_COUNTER
 
@@ -176,7 +174,6 @@ def bundle_verify(path: str, total_elements: int = 1 << 10,
         "shapes": len(outputs),
         "model_evals": stats.model_evals,
         "expr_compiles": compile_delta.total,
-        "expr_hydrations": compile_delta.hydrated,
         "perm_builds": stats.restructure_builds,
         "cache_hits": stats.cache_hits,
         "table_hits": stats.table_hits,
@@ -193,17 +190,13 @@ def bundle_benchmark(total_elements: int = 1 << 10,
     Both sides serve the sweep's first shape from nothing.  Cold pays
     structural compilation, variant pruning, model-argmin selection and
     expression compilation; the bundle side pays structural compilation
-    plus warm-state injection and then selects from seeded memo entries
-    and rehydrates kernels from carried source.  Outputs must be
-    bit-identical.  The exprgen registry's loaded side is cleared before
-    the cold run so it measures true cold compiles even after a bundle
-    load in the same process.
+    plus warm-state injection, then selects from seeded memo entries and
+    renders only the executed plan's expression functions.  Outputs
+    must be bit-identical.
     """
     import os
     import tempfile
     import time
-
-    from ..compiler.exprgen import SOURCE_REGISTRY
 
     owns_path = path is None
     if owns_path:
@@ -216,7 +209,6 @@ def bundle_benchmark(total_elements: int = 1 << 10,
         matrix, _vec, params = tmv.make_input(rows, cols, rng)
 
         mode = api.ExecMode.VECTORIZED
-        SOURCE_REGISTRY.clear()
         started = time.perf_counter()
         cold = api.compile(tmv.build(), arch=spec)
         cold.prune_variants(samples=prune_samples)

@@ -2,7 +2,7 @@
 
 Placement as a selection axis, measured three ways:
 
-* :func:`run` — shape sweep comparing the measured wall-clock of
+* :func:`sweep` — shape sweep comparing the measured wall-clock of
   cost-modeled automatic placement against the same program pinned
   all-GPU; small shapes route their map segment to the host (the PCIe
   hops plus launch overhead dwarf the arithmetic) and must actually win
@@ -10,9 +10,10 @@ Placement as a selection axis, measured three ways:
 * :func:`dispatch_cost` — amortized per-``select()`` wall-clock of the
   baked placement-aware region tables against per-call placed argmin
   over a bare (uncached) model — the zero-evaluation contract priced;
-* :func:`placement_report` — the ``python -m repro placement`` view:
-  per-shape placements, measured walls, and the dispatch counters
-  proving the baked path answered with zero runtime model evaluations.
+* :func:`placement_report` — the ``python -m repro placement`` view of
+  one sweep: per-shape placements, measured walls, and the dispatch
+  counters proving the baked path answered with zero runtime model
+  evaluations; :func:`figure` renders the same report as a table.
 """
 
 from __future__ import annotations
@@ -96,9 +97,9 @@ def sweep(spec: GPUSpec = TESLA_C2050, repeats: int = 5
     return rows
 
 
-def run(spec: GPUSpec = TESLA_C2050, repeats: int = 5) -> FigureResult:
-    """Render the placement shape sweep as a figure table."""
-    rows = sweep(spec, repeats=repeats)
+def figure(report: Dict[str, object]) -> FigureResult:
+    """A :func:`placement_report` as a figure table (no re-sweep)."""
+    rows = report["rows"]
     labels = [row["shape"] for row in rows]
     series = [
         Series("auto placement (us)", labels,
@@ -108,18 +109,15 @@ def run(spec: GPUSpec = TESLA_C2050, repeats: int = 5) -> FigureResult:
         Series("auto speedup", labels,
                [row["auto_speedup"] for row in rows]),
     ]
-    cpu_wins = [row["shape"] for row in rows
-                if row["cpu_placed"] and row["auto_speedup"] > 1.0]
-    evals = sum(row["runtime_evals"] for row in rows)
-    identical = all(row["bit_identical"] for row in rows)
     return FigureResult(
         figure="placement",
-        title=f"heterogeneous placement vs all-GPU on {spec.name}",
+        title=f"heterogeneous placement vs all-GPU on {report['arch']}",
         series=series,
         unit="measured run() wall-clock",
-        notes=f"CPU-placed wins at {cpu_wins or 'none'}; "
-              f"runtime model evals on auto path: {evals}; "
-              f"outputs bit-identical: {identical}")
+        notes=f"CPU-placed wins at {report['cpu_win_shapes'] or 'none'}; "
+              f"runtime model evals on auto path: "
+              f"{report['runtime_evals']}; "
+              f"outputs bit-identical: {report['bit_identical']}")
 
 
 def dispatch_cost(spec: GPUSpec = TESLA_C2050, samples: int = 5,
@@ -146,6 +144,7 @@ def placement_report(spec: GPUSpec = TESLA_C2050,
     identical = all(row["bit_identical"] for row in rows)
     return {
         "app": "imagepipe",
+        "arch": spec.name,
         "rows": rows,
         "cpu_win_shapes": cpu_wins,
         "runtime_evals": evals,

@@ -90,9 +90,11 @@ class WorkInterpreter:
             return expr.value
         if isinstance(expr, N.Var):
             if expr.name not in env:
-                raise NameError(
+                exc = NameError(
                     f"work {self.work.name!r}: variable {expr.name!r} read "
                     "before assignment (not a parameter either)")
+                exc.name = expr.name  # NameError(name=...) needs 3.10
+                raise exc
             return env[expr.name]
         if isinstance(expr, N.BinOp):
             return _apply_binop(expr.op,

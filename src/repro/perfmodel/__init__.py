@@ -2,7 +2,7 @@
 
 from .breakeven import (AxisSpec, RegionNode, RegionTable, Variant,
                         argmin_variant, geometric_points, sweep_region)
-from .calibration import (CalibrationStore, FeedbackConfig, Observation,
+from .calibration import (CalibrationStore, FeedbackConfig,
                           selection_accuracy, size_bucket)
 from .hostmodel import (HOST_MEM_BANDWIDTH_GBPS,
                         HOST_VECTOR_DISPATCH_SECONDS,
@@ -16,8 +16,8 @@ __all__ = [
     "BLOCK_SCHED_OVERHEAD_CYCLES",
     "Variant", "AxisSpec", "RegionNode", "RegionTable", "sweep_region",
     "argmin_variant", "geometric_points",
-    "CalibrationStore", "FeedbackConfig", "Observation",
-    "selection_accuracy", "size_bucket",
+    "CalibrationStore", "FeedbackConfig", "selection_accuracy",
+    "size_bucket",
     "hop_seconds", "layout_transform_seconds",
     "HOST_VECTOR_OPS_PER_SECOND", "HOST_VECTOR_DISPATCH_SECONDS",
     "HOST_MEM_BANDWIDTH_GBPS",

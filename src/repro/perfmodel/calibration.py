@@ -12,28 +12,23 @@ SDFG performance portability) prescribes: it keeps, per
 ratio, and the runtime multiplies raw model predictions by that factor
 before every dispatch decision.
 
-The store also keeps the raw observation records
-(``(variant, frozen scalars, bucket) -> kernel/restructure/transfer
-seconds``), a per-family model-bias hook (the controlled perturbation
-used by the calibration experiments and tests), and the probe budget
-that bounds mispredict-triggered re-selection.  Everything is
-JSON-serializable so a warmed service can restart hot
-(:meth:`CalibrationStore.save` / :meth:`CalibrationStore.load`).
+The store also keeps a per-family model-bias hook (the controlled
+perturbation used by the calibration experiments and tests), the probe
+budget that bounds mispredict-triggered re-selection, and the
+quarantined variants.  Everything is JSON-serializable so a warmed
+service can restart hot (:meth:`CalibrationStore.save` /
+:meth:`CalibrationStore.load`).
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import json
 import math
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..artifacts import atomic_write_json
 from ..errors import CalibrationError
-
-#: Raw observation records kept per ``(variant, scalars, bucket)`` key.
-OBSERVATION_WINDOW = 32
 
 #: Schema version stamped into saved stores; bump on layout changes.
 CALIBRATION_SCHEMA_VERSION = 1
@@ -88,23 +83,6 @@ class FeedbackConfig:
 
 
 @dataclasses.dataclass
-class Observation:
-    """One measured execution of one variant at one binding."""
-
-    variant: str
-    scalars: tuple
-    bucket: int
-    observed_seconds: float
-    predicted_seconds: float
-    restructure_seconds: float = 0.0
-    transfer_seconds: float = 0.0
-
-    @property
-    def ratio(self) -> float:
-        return self.observed_seconds / self.predicted_seconds
-
-
-@dataclasses.dataclass
 class _Factor:
     """EWMA state of one ``(family, bucket)`` calibration factor."""
 
@@ -136,7 +114,6 @@ class CalibrationStore:
         self._factors: Dict[Tuple[str, int], _Factor] = {}
         self._bias: Dict[str, float] = {}
         self._probes: Dict[Tuple[str, int], int] = {}
-        self._observations: Dict[tuple, Deque[Observation]] = {}
         self._quarantined: Dict[Tuple[str, int], str] = {}
         #: :meth:`GPUSpec.fingerprint` of the architecture the factors
         #: were measured on (``None`` until stamped by the runtime).
@@ -180,11 +157,9 @@ class CalibrationStore:
         state = self._factors.get((family, bucket))
         return state is not None and state.observations > 0
 
-    def observe(self, family: str, scalars: tuple, bucket: int,
+    def observe(self, family: str, bucket: int,
                 observed_seconds: float, predicted_seconds: float,
-                alpha: float = 0.5, variant: Optional[str] = None,
-                restructure_seconds: float = 0.0,
-                transfer_seconds: float = 0.0) -> float:
+                alpha: float = 0.5) -> float:
         """Fold one measurement into the family's factor.
 
         ``predicted_seconds`` is the model's biased prediction *before*
@@ -208,25 +183,7 @@ class CalibrationStore:
             new = (1.0 - alpha) * old + alpha * ratio
             count = state.observations + 1
         self._factors[(family, bucket)] = _Factor(new, count)
-        record = Observation(
-            variant=variant or family, scalars=tuple(scalars),
-            bucket=bucket, observed_seconds=observed_seconds,
-            predicted_seconds=predicted_seconds,
-            restructure_seconds=restructure_seconds,
-            transfer_seconds=transfer_seconds)
-        key = (record.variant, record.scalars, bucket)
-        window = self._observations.get(key)
-        if window is None:
-            window = collections.deque(maxlen=OBSERVATION_WINDOW)
-            self._observations[key] = window
-        window.append(record)
         return abs(new - old) / old if old else 0.0
-
-    def observations(self, variant: str, scalars: tuple,
-                     bucket: int) -> List[Observation]:
-        """Raw observation records for one variant at one binding."""
-        return list(self._observations.get((variant, tuple(scalars),
-                                            bucket), ()))
 
     # -- probe budget ----------------------------------------------------
     def probes_used(self, segment: str, bucket: int) -> int:
@@ -268,12 +225,10 @@ class CalibrationStore:
 
     # -- lifecycle -------------------------------------------------------
     def reset(self) -> None:
-        """Cold-start: drop factors, bias, probes, observations,
-        quarantines."""
+        """Cold-start: drop factors, bias, probes and quarantines."""
         self._factors.clear()
         self._bias.clear()
         self._probes.clear()
-        self._observations.clear()
         self._quarantined.clear()
         self.arch_fingerprint = None
 
@@ -297,11 +252,6 @@ class CalibrationStore:
                 {"strategy": strategy, "bucket": bucket, "reason": reason}
                 for (strategy, bucket), reason
                 in sorted(self._quarantined.items())
-            ],
-            "observations": [
-                dataclasses.asdict(obs)
-                for window in self._observations.values()
-                for obs in window
             ],
         }
 
@@ -339,20 +289,6 @@ class CalibrationStore:
         for entry in payload.get("probes", ()):
             store._probes[(entry["segment"], int(entry["bucket"]))] = \
                 int(entry["count"])
-        for entry in payload.get("observations", ()):
-            obs = Observation(
-                variant=entry["variant"],
-                scalars=tuple(tuple(item) for item in entry["scalars"]),
-                bucket=int(entry["bucket"]),
-                observed_seconds=float(entry["observed_seconds"]),
-                predicted_seconds=float(entry["predicted_seconds"]),
-                restructure_seconds=float(
-                    entry.get("restructure_seconds", 0.0)),
-                transfer_seconds=float(entry.get("transfer_seconds", 0.0)))
-            key = (obs.variant, obs.scalars, obs.bucket)
-            window = store._observations.setdefault(
-                key, collections.deque(maxlen=OBSERVATION_WINDOW))
-            window.append(obs)
         for entry in payload.get("quarantines", ()):
             store._quarantined[(entry["strategy"], int(entry["bucket"]))] = \
                 str(entry.get("reason", ""))
@@ -402,7 +338,6 @@ class CalibrationStore:
         self._factors = restored._factors
         self._bias = restored._bias
         self._probes = restored._probes
-        self._observations = restored._observations
         self._quarantined = restored._quarantined
 
     def summary(self) -> str:

@@ -7,10 +7,12 @@ payload round trips, loud rejection of truncated/stale/cross-arch
 bundles (each its own `BundleError` subclass, nothing half-applied),
 and the counter-asserted contract itself — a bundle-loaded program
 serves its first request with zero perf-model evaluations and zero
-expression compiles, bit-identical to a cold-compiled run, both
-in-process and from a genuinely fresh interpreter.  Bundles saved by
-older code (``tests/data/``) still serve, or are refused, by the same
-checks.
+permutation builds, compiles exactly the expression functions a cold
+run of the same plans compiles, and is bit-identical to a
+cold-compiled run, both in-process and from a genuinely fresh
+interpreter.  Bundles saved by older code (``tests/data/``) still
+serve, or are refused, by the same checks, and the kernel source they
+carry never runs.
 """
 
 import json
@@ -27,7 +29,7 @@ from repro.artifacts import (ArtifactBundle, BUNDLE_SCHEMA_VERSION,
                              atomic_write_json, decode_ndarray,
                              decode_scalars, encode_ndarray, encode_scalars,
                              program_fingerprint)
-from repro.compiler.exprgen import COMPILE_COUNTER, SOURCE_REGISTRY
+from repro.compiler.exprgen import COMPILE_COUNTER
 from repro.errors import (BundleArchError, BundleError, BundleFormatError,
                           BundleProgramError, BundleVersionError,
                           CalibrationError)
@@ -40,21 +42,15 @@ pytestmark = pytest.mark.artifacts
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
-
-@pytest.fixture(autouse=True)
-def _isolated_source_registry():
-    """Drop bundle-carried sources after every test.
-
-    The hydration registry is process-global by design (a served bundle
-    should keep hydrating for the process lifetime); tests must not
-    leak that state into each other or into the rest of the suite,
-    where cold-run assertions count real compiles.
-    """
-    yield
-    SOURCE_REGISTRY.clear_loaded()
-
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
+
+
+def _compiles(call):
+    """``(result, expression compiles)`` of one call."""
+    before = COMPILE_COUNTER.snapshot()
+    result = call()
+    return result, COMPILE_COUNTER.since(before).total
 
 
 def _warm_tmv(rows=8, cols=64, spec=TESLA_C2050, prune=True):
@@ -67,11 +63,6 @@ def _warm_tmv(rows=8, cols=64, spec=TESLA_C2050, prune=True):
     matrix, _vec, params = tmv.make_input(rows, cols, rng)
     out = np.asarray(compiled.run(matrix, params).output)
     return compiled, (matrix, params, out)
-
-
-def _records(store: CalibrationStore) -> int:
-    """Raw observation records a store holds (proof a payload loaded)."""
-    return len(store.to_dict()["observations"])
 
 
 @pytest.fixture
@@ -107,11 +98,11 @@ class TestAtomicWrite:
     def test_calibration_save_failure_preserves_previous(self, tmp_path):
         path = str(tmp_path / "cal.json")
         store = CalibrationStore()
-        store.observe("fam", (("n", 8),), 3, 2.0, 1.0)
+        store.observe("fam", 3, 2.0, 1.0)
         store.save(path)
         before = open(path).read()
         bad = CalibrationStore()
-        bad.observe("fam", (("n", object()),), 3, 2.0, 1.0)
+        bad.quarantine("fam", 3, reason=object())   # not JSON-serializable
         with pytest.raises(TypeError):
             bad.save(path)
         assert open(path).read() == before
@@ -152,11 +143,9 @@ class TestCalibrationStoreRoundTrip:
     def _populated(self):
         store = CalibrationStore()
         store.set_model_bias("reduce.two_kernel", 3.0)
-        for i in range(40):   # overflow one observation window
-            store.observe("reduce.two_kernel", (("n", 1 << i % 5),),
-                          bucket=9, observed_seconds=2.0 + i,
-                          predicted_seconds=1.0,
-                          variant="reduce.two_kernel@128")
+        for i in range(3):
+            store.observe("reduce.two_kernel", bucket=9,
+                          observed_seconds=2.0 + i, predicted_seconds=1.0)
         store.note_probe("seg0", 9)
         store.note_probe("seg0", 9)
         store.quarantine("reduce.single_kernel", 9, reason="raise")
@@ -174,8 +163,18 @@ class TestCalibrationStoreRoundTrip:
             store.ewma("reduce.two_kernel", 9)
         assert loaded.probes_used("seg0", 9) == 2
         assert loaded.is_quarantined("reduce.single_kernel", 9)
-        assert loaded.observations("reduce.two_kernel@128",
-                                   (("n", 1),), 9)
+
+    def test_retired_observation_log_is_ignored(self):
+        """Stores saved with the raw observation log still load; the
+        ``observations`` key is ignored."""
+        store = self._populated()
+        payload = store.to_dict()
+        payload["observations"] = [{
+            "variant": "reduce.two_kernel@128", "scalars": [["n", 1]],
+            "bucket": 9, "observed_seconds": 2.0, "predicted_seconds": 1.0,
+            "restructure_seconds": 0.0, "transfer_seconds": 0.0}]
+        assert CalibrationStore.from_dict(payload).to_dict() == \
+            store.to_dict()
 
     def test_truncated_file_rejected(self, tmp_path):
         path = str(tmp_path / "cal.json")
@@ -197,20 +196,23 @@ class TestCalibrationStoreRoundTrip:
         assert "99" in str(err.value) and "[1]" in str(err.value)
 
     def test_missing_version_defaults_to_v1(self):
-        payload = self._populated().to_dict()
+        store = self._populated()
+        payload = store.to_dict()
         del payload["version"]
-        assert _records(CalibrationStore.from_dict(payload)) == 40
+        assert CalibrationStore.from_dict(payload).to_dict() == \
+            store.to_dict()
 
     def test_arch_mismatch_rejected_with_force_escape(self, tmp_path):
         path = str(tmp_path / "cal.json")
-        self._populated().save(path)
+        store = self._populated()
+        store.save(path)
         other = GTX_285.fingerprint()
         with pytest.raises(CalibrationError) as err:
             CalibrationStore().load(path, expected_arch=other)
         assert "force=True" in str(err.value)
         forced = CalibrationStore()
         forced.load(path, expected_arch=other, force=True)
-        assert _records(forced) == 40
+        assert forced.to_dict() == store.to_dict()
 
     def test_unstamped_store_loads_anywhere(self, tmp_path):
         store = self._populated()
@@ -219,7 +221,7 @@ class TestCalibrationStoreRoundTrip:
         store.save(path)
         loaded = CalibrationStore()
         loaded.load(path, expected_arch=GTX_285.fingerprint())
-        assert _records(loaded) == 40
+        assert loaded.to_dict() == store.to_dict()
 
     def test_program_save_calibration_stamps_arch(self, tmp_path):
         compiled, _io = _warm_tmv(prune=False)
@@ -388,23 +390,27 @@ class TestBundleRejection:
 
 
 class TestZeroColdStart:
+    """The first run after a load makes zero model evaluations and zero
+    permutation builds, and renders exactly the expression functions of
+    the plans it runs: as many as the same run compiles after
+    ``clear_warm_caches()``."""
+
     def test_in_process_first_run_zero_counters_bit_identical(
             self, saved_bundle):
         path, matrix, params, cold_out = saved_bundle
-        SOURCE_REGISTRY.clear()   # drop self-recorded sources: hydration
-        warm = api.load_bundle(path)   # must come from the bundle alone
-        compile_before = COMPILE_COUNTER.snapshot()
+        warm = api.load_bundle(path)
         stats_before = warm.stats.snapshot()
-        out = np.asarray(warm.run(matrix, dict(params)).output)
-        compiled_delta = COMPILE_COUNTER.since(compile_before)
+        result, compiles = _compiles(
+            lambda: warm.run(matrix, dict(params)))
         stats = warm.stats.since(stats_before)
         assert stats.model_evals == 0
-        assert compiled_delta.total == 0
-        assert compiled_delta.hydrated > 0
-        assert stats.expr_compiles == 0
-        assert stats.expr_hydrations == compiled_delta.hydrated
         assert stats.restructure_builds == 0
-        assert out.tobytes() == cold_out.tobytes()
+        assert stats.expr_compiles == compiles
+        assert np.asarray(result.output).tobytes() == cold_out.tobytes()
+        warm.clear_warm_caches()
+        _result, cold_compiles = _compiles(
+            lambda: warm.run(matrix, dict(params)))
+        assert compiles == cold_compiles > 0
 
     def test_fresh_process_first_run_zero_counters(self, saved_bundle):
         path, _matrix, _params, cold_out = saved_bundle
@@ -421,9 +427,12 @@ matrix, _vec, params = tmv.make_input(8, 64, rng)
 out = np.asarray(warm.run(matrix, params).output)
 delta = COMPILE_COUNTER.since(before)
 stats = warm.stats.since(stats0)
+warm.clear_warm_caches()
+cold = COMPILE_COUNTER.snapshot()
+warm.run(matrix, params)
 print(json.dumps({{"out": out.tolist(),
                    "compiles": delta.total,
-                   "hydrated": delta.hydrated,
+                   "cold_compiles": COMPILE_COUNTER.since(cold).total,
                    "model_evals": stats.model_evals,
                    "perm_builds": stats.restructure_builds}}))
 """.format(path=path)
@@ -432,22 +441,17 @@ print(json.dumps({{"out": out.tolist(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        assert report["compiles"] == 0
+        assert report["compiles"] == report["cold_compiles"] > 0
         assert report["model_evals"] == 0
         assert report["perm_builds"] == 0
-        assert report["hydrated"] > 0
         assert np.asarray(report["out"]).tobytes() == cold_out.tobytes()
 
     def test_cold_rerun_after_clear_still_counts_compiles(self):
-        # The registry must never let self-recorded sources masquerade
-        # as bundle hydrations: a cold re-run recompiles for real.
         compiled, (matrix, params, _out) = _warm_tmv()
         compiled.clear_warm_caches()
-        before = COMPILE_COUNTER.snapshot()
-        compiled.run(matrix, dict(params))
-        delta = COMPILE_COUNTER.since(before)
-        assert delta.total > 0
-        assert delta.hydrated == 0
+        _result, compiles = _compiles(
+            lambda: compiled.run(matrix, dict(params)))
+        assert compiles > 0
 
     def test_table_backed_bundle_serves_by_bisect(self, tmp_path):
         # Pin cols so a one-axis dispatch table bakes over rows; the
@@ -480,8 +484,7 @@ print(json.dumps({{"out": out.tolist(),
 
     def test_bundle_restores_quarantines_and_calibration(self, tmp_path):
         compiled, (matrix, params, _out) = _warm_tmv()
-        compiled.calibration.observe(
-            "reduce.two_kernel", (("cols", 64), ("rows", 8)), 9, 2.0, 1.0)
+        compiled.calibration.observe("reduce.two_kernel", 9, 2.0, 1.0)
         compiled.calibration.quarantine("reduce.single_kernel", 9, "raise")
         path = str(tmp_path / "cal.bundle.json")
         compiled.save_bundle(path, meta={"app": "tmv"})
@@ -502,11 +505,16 @@ print(json.dumps({{"out": out.tolist(),
             inputs.append(matrix)
             bindings.append(params)
         stats_before = warm.stats.snapshot()
-        results = warm.run_many(inputs, bindings)
+        results, compiles = _compiles(
+            lambda: warm.run_many(inputs, bindings))
         stats = warm.stats.since(stats_before)
         assert len(results) == 2
         assert stats.model_evals == 0
-        assert stats.expr_compiles == 0
+        assert stats.restructure_builds == 0
+        warm.clear_warm_caches()
+        _results, cold_compiles = _compiles(
+            lambda: warm.run_many(inputs, bindings))
+        assert compiles == cold_compiles
 
 
 class TestBundlesSavedBeforeChainFusionRemoval:
@@ -523,23 +531,55 @@ class TestBundlesSavedBeforeChainFusionRemoval:
                      Filter(SUM_SRC, pop="n", push=1)),
             params=["n", "a"], input_size="n", name="chain_compat")
 
+    def _load(self, bundle):
+        """Load ``bundle`` into a fresh program; returns the program and
+        a call that runs the bundle's recorded request on it."""
+        compiled = api.compile(self._compat_program())
+        compiled.load_bundle(bundle)
+        params = bundle.meta["params"]
+        data = np.random.default_rng(bundle.meta["seed"]).standard_normal(
+            params["n"])
+        return compiled, lambda: compiled.run(
+            data, params,
+            options=api.RunOptions(exec_mode=api.ExecMode.VECTORIZED))
+
     def test_default_options_bundle_serves_bit_identically(self):
         bundle = ArtifactBundle.load(
             os.path.join(DATA, "chain_compat_default.json"))
         assert bundle.schema_version == BUNDLE_SCHEMA_VERSION
-        compiled = api.compile(self._compat_program())
-        compiled.load_bundle(bundle)
-        data = np.random.default_rng(bundle.meta["seed"]).standard_normal(
-            bundle.meta["params"]["n"])
-        compile_before = COMPILE_COUNTER.snapshot()
+        compiled, run = self._load(bundle)
         stats_before = compiled.stats.snapshot()
-        result = compiled.run(data, bundle.meta["params"],
-                              options=api.RunOptions(
-                                  exec_mode=api.ExecMode.VECTORIZED))
-        assert COMPILE_COUNTER.since(compile_before).total == 0
+        result, compiles = _compiles(run)
         assert compiled.stats.since(stats_before).model_evals == 0
         expected = np.asarray(bundle.meta["output"], dtype=np.float64)
         assert result.output.tobytes() == expected.tobytes()
+        compiled.clear_warm_caches()
+        _result, cold_compiles = _compiles(run)
+        assert compiles == cold_compiles > 0
+
+    def test_carried_kernel_source_never_runs(self, tmp_path):
+        """The compat bundle still carries the kernel ``sources`` older
+        builds wrote.  Rewrite the vector element function the recorded
+        request runs so that executing it writes a file and raises: the
+        load ignores the key, and the run renders its functions from
+        the program's IR."""
+        with open(os.path.join(DATA, "chain_compat_default.json")) as f:
+            payload = json.load(f)
+        marker = tmp_path / "bundle-code-ran"
+        key, = [k for k in payload["sources"]
+                if k.startswith("vector|velem|")]
+        payload["sources"][key] = (
+            f"open({str(marker)!r}, 'w').write('ran')\n"
+            "def velem(_x0, _i):\n"
+            "    raise RuntimeError('bundle-carried code ran')\n")
+        path = str(tmp_path / "tampered.bundle.json")
+        atomic_write_json(path, payload)
+        bundle = ArtifactBundle.load(path)
+        _compiled, run = self._load(bundle)
+        result = run()
+        expected = np.asarray(bundle.meta["output"], dtype=np.float64)
+        assert result.output.tobytes() == expected.tobytes()
+        assert not marker.exists()
 
     def test_runtime_fusion_bundle_is_refused(self):
         """Its options label ends in ``+fuse``, which no program has

@@ -88,29 +88,29 @@ class TestCalibrationStore:
         store = CalibrationStore()
         assert store.is_identity()
         assert store.scale("f", 10) == 1.0
-        store.observe("f", (), 10, observed_seconds=2.0,
+        store.observe("f", 10, observed_seconds=2.0,
                       predicted_seconds=1.0)
         assert not store.is_identity()
 
     def test_first_observation_seeds_factor_exactly(self):
         store = CalibrationStore()
-        store.observe("f", (), 12, observed_seconds=3.0,
+        store.observe("f", 12, observed_seconds=3.0,
                       predicted_seconds=1.0, alpha=0.5)
         assert store.ewma("f", 12) == pytest.approx(3.0)
 
     def test_ewma_converges_to_stationary_ratio(self):
         store = CalibrationStore()
         # Seed far away, then feed a constant ratio of 2.0.
-        store.observe("f", (), 10, observed_seconds=100.0,
+        store.observe("f", 10, observed_seconds=100.0,
                       predicted_seconds=1.0, alpha=0.5)
         for _ in range(20):
-            store.observe("f", (), 10, observed_seconds=2.0,
+            store.observe("f", 10, observed_seconds=2.0,
                           predicted_seconds=1.0, alpha=0.5)
         assert store.ewma("f", 10) == pytest.approx(2.0, rel=1e-4)
 
     def test_factors_are_per_family_and_per_bucket(self):
         store = CalibrationStore()
-        store.observe("f", (), 10, 2.0, 1.0)
+        store.observe("f", 10, 2.0, 1.0)
         assert store.ewma("f", 11) == 1.0
         assert store.ewma("g", 10) == 1.0
 
@@ -118,7 +118,7 @@ class TestCalibrationStore:
         store = CalibrationStore()
         store.set_model_bias("f", 3.0)
         assert not store.is_identity()
-        store.observe("f", (), 10, observed_seconds=1.0,
+        store.observe("f", 10, observed_seconds=1.0,
                       predicted_seconds=3.0)
         assert store.scale("f", 10) == pytest.approx(1.0)
         store.set_model_bias("f", 1.0)  # unity bias is dropped
@@ -126,23 +126,14 @@ class TestCalibrationStore:
 
     def test_nonfinite_observations_rejected(self):
         store = CalibrationStore()
-        assert store.observe("f", (), 10, float("nan"), 1.0) == 0.0
-        assert store.observe("f", (), 10, 1.0, 0.0) == 0.0
+        assert store.observe("f", 10, float("nan"), 1.0) == 0.0
+        assert store.observe("f", 10, 1.0, 0.0) == 0.0
         assert store.is_identity()
-
-    def test_observation_records_kept_per_variant_binding(self):
-        store = CalibrationStore()
-        scalars = (("n", 1024), ("r", 1))
-        store.observe("f", scalars, 10, 2.0, 1.0, variant="f@128")
-        records = store.observations("f@128", scalars, 10)
-        assert len(records) == 1
-        assert records[0].ratio == pytest.approx(2.0)
 
     def test_roundtrip_through_dict_and_json(self, tmp_path):
         store = CalibrationStore()
         store.set_model_bias("g", 3.0)
-        store.observe("f", (("n", 64),), 6, 2.0, 1.0, variant="f@64",
-                      restructure_seconds=0.1, transfer_seconds=0.2)
+        store.observe("f", 6, 2.0, 1.0)
         store.note_probe("seg0", 6)
         path = tmp_path / "calibration.json"
         store.save(path)
@@ -153,19 +144,15 @@ class TestCalibrationStore:
         assert restored.ewma("f", 6) == store.ewma("f", 6)
         assert restored.bias("g") == 3.0
         assert restored.probes_used("seg0", 6) == 1
-        rec = restored.observations("f@64", (("n", 64),), 6)
-        assert rec == store.observations("f@64", (("n", 64),), 6)
-        assert rec and rec[0].transfer_seconds == pytest.approx(0.2)
 
     def test_reset_restores_identity(self):
         store = CalibrationStore()
-        store.observe("f", (), 10, 2.0, 1.0)
+        store.observe("f", 10, 2.0, 1.0)
         store.set_model_bias("g", 2.0)
         store.note_probe("seg0", 10)
         store.reset()
         assert store.is_identity()
         assert store.probes_used("seg0", 10) == 0
-        assert store.observations("f", (), 10) == []
 
 
 class TestUncalibratedPathUnchanged:
@@ -366,7 +353,6 @@ class TestFeedbackLoop:
         assert not compiled.calibration.is_identity()
         compiled.clear_warm_caches()
         assert compiled.calibration.is_identity()
-        assert not compiled.calibration.to_dict()["observations"]
         assert compiled._selection_cost() is compiled.cost
 
 
@@ -409,7 +395,7 @@ class TestApiFacade:
     def test_facade_reexports_the_public_types(self):
         for name in ("CompiledProgram", "RunResult", "SelectionStats",
                      "ExecMode", "InputLocation", "CalibrationStore",
-                     "FeedbackConfig", "Observation", "selection_accuracy",
+                     "FeedbackConfig", "selection_accuracy",
                      "size_bucket", "AdapticOptions", "CompileError",
                      "Device", "GPUSpec", "TESLA_C2050", "get_target"):
             assert hasattr(api, name), name

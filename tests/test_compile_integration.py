@@ -254,10 +254,11 @@ class TestCompiledProgramAPI:
 
     def test_prune_names_a_scalar_missing_from_the_box(self, rng):
         """prune=True over a box without ``r``, the array count the cost
-        model reads, is a CompileError naming ``r``; pinning ``r``
-        prunes a program that runs.  ``a``, which SCALE fused into SUM
-        reads only in its element function, blocks nothing: no cost
-        query compiles that function."""
+        model reads, is a CompileError naming ``r`` alone, also when an
+        unranged ``a`` is declared too; pinning ``r`` prunes a program
+        that runs.  ``a``, which SCALE fused into SUM reads only in its
+        element function, blocks nothing: no cost query compiles that
+        function."""
         sums = StreamProgram(Filter(SUM_SRC, pop="n", push=1),
                              params=["n", "r"], input_size="n*r",
                              input_ranges={"n": (16, 4096)})
@@ -269,6 +270,14 @@ class TestCompiledProgramAPI:
         result = compiled.run(data, {"n": 100, "r": 2})
         assert np.allclose(result.output,
                            run_program(sums, data, {"n": 100, "r": 2}))
+
+        scaled_sums = StreamProgram(
+            Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
+                     Filter(SUM_SRC, pop="n", push=1)),
+            params=["n", "r", "a"], input_size="n*r",
+            input_ranges={"n": (16, 4096)})
+        with pytest.raises(CompileError, match=r"\['r'\]"):
+            api.compile(scaled_sums, options=AdapticOptions(prune=True))
 
         scaled = StreamProgram(
             Pipeline(Filter(SCALE_SRC, pop="n", push="n"),

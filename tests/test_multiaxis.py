@@ -16,25 +16,13 @@ import pytest
 
 from repro import api
 from repro.apps import imagepipe
-from repro.compiler.exprgen import COMPILE_COUNTER, SOURCE_REGISTRY
+from repro.compiler.exprgen import COMPILE_COUNTER
 from repro.compiler.segments import RegionDispatch
 from repro.errors import CalibrationError
 from repro.perfmodel import AxisSpec
 from repro.perfmodel.breakeven import Variant, sweep_region
 
 pytestmark = pytest.mark.multiaxis
-
-
-@pytest.fixture(autouse=True)
-def _isolated_source_registry():
-    """Drop bundle-carried sources after every test.
-
-    The hydration registry is process-global by design; the bundle
-    round-trip test below must not leak loaded sources into the rest of
-    the suite, where cold-run assertions count real compiles.
-    """
-    yield
-    SOURCE_REGISTRY.clear_loaded()
 
 
 def _axes(samples=5, lo=1, hi=1000):

@@ -15,7 +15,7 @@ import pytest
 
 from repro import api
 from repro.apps import imagepipe
-from repro.compiler.exprgen import COMPILE_COUNTER, SOURCE_REGISTRY
+from repro.compiler.exprgen import COMPILE_COUNTER
 from repro.compiler.runtime import InputLocation
 from repro.compiler.segments import RegionDispatch
 from repro.faults import FaultInjector, FaultPlan
@@ -28,13 +28,6 @@ pytestmark = pytest.mark.placement
 
 #: Narrowed box shared by the compiled fixtures (keeps sweeps fast).
 RANGES = {"width": (32, 512), "height": (32, 512)}
-
-
-@pytest.fixture(autouse=True)
-def _isolated_source_registry():
-    """Drop bundle-carried sources after every test (see test_multiaxis)."""
-    yield
-    SOURCE_REGISTRY.clear_loaded()
 
 
 @pytest.fixture(scope="module")
@@ -341,9 +334,9 @@ class TestRecalibratePlacementPin:
 class TestCalibrationNamespaces:
     def test_device_factors_are_independent(self):
         store = CalibrationStore()
-        store.observe("map.grid_stride", ("w", 1), 0,
+        store.observe("map.grid_stride", 0,
                       observed_seconds=0.5, predicted_seconds=1.0)
-        store.observe("cpu.vector_map", ("w", 1), 0,
+        store.observe("cpu.vector_map", 0,
                       observed_seconds=2.0, predicted_seconds=1.0)
         # Observing a CPU family never moves a GPU family's factor: host
         # families carry the ``cpu.`` prefix, so their keys are disjoint.

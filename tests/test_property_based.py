@@ -14,7 +14,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import StreamProgram, api
-from repro.compiler.exprgen import SOURCE_REGISTRY
 from repro.compiler import runtime
 from repro.compiler.runtime import InputLocation
 from repro.errors import CompileError
@@ -430,15 +429,12 @@ class TestOptionLatticeProperties:
             path = os.path.join(tmpdir, "lattice.bundle.json")
             compiled.save_bundle(path)
             loaded = api.load_bundle(path, program, options=options)
-        try:
-            for (mode, location, pin), (strategies, output) in seen.items():
-                result = loaded.run(data, params, options=api.RunOptions(
-                    exec_mode=mode, location=location, placement=pin))
-                assert [sel.strategy for sel in result.selections] \
-                    == strategies
-                assert result.output.tobytes() == output
-        finally:
-            SOURCE_REGISTRY.clear_loaded()
+        for (mode, location, pin), (strategies, output) in seen.items():
+            result = loaded.run(data, params, options=api.RunOptions(
+                exec_mode=mode, location=location, placement=pin))
+            assert [sel.strategy for sel in result.selections] \
+                == strategies
+            assert result.output.tobytes() == output
 
     @given(stages=st.lists(st.sampled_from(sorted(LATTICE_STAGES)),
                            min_size=1, max_size=3),

@@ -20,7 +20,7 @@ import pytest
 
 from repro import Filter, Pipeline, StreamProgram, api
 from repro.apps import imagepipe, tmv
-from repro.compiler.exprgen import COMPILE_COUNTER, SOURCE_REGISTRY
+from repro.compiler.exprgen import COMPILE_COUNTER
 from repro.compiler.plans.base import WARM_ARRAY_ENTRIES
 from repro.compiler.runtime import InputLocation
 from repro.faults import FaultInjector, FaultPlan
@@ -31,13 +31,6 @@ from workloads import SCALE_SRC, SQUARE_SRC, SUM_SRC
 
 #: Narrowed imagepipe box (keeps the placement sweeps fast).
 RANGES = {"width": (32, 512), "height": (32, 512)}
-
-
-@pytest.fixture(autouse=True)
-def _isolated_source_registry():
-    """Drop bundle-carried sources after every test (see test_multiaxis)."""
-    yield
-    SOURCE_REGISTRY.clear_loaded()
 
 
 def _chain_program():
