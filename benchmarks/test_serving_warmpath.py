@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.apps import tmv
-from repro.compiler import AdapticCompiler, runtime
+from repro.compiler import AdapticCompiler
 from repro.compiler.exprgen import COMPILE_COUNTER
 from repro.compiler.plans.base import RESTRUCTURE_COUNTER
 from repro.gpu import (DeviceArray, MODE_REFERENCE, MODE_VECTORIZED,
@@ -166,9 +166,7 @@ class TestRunManyThroughput:
             f"run_many took {warm_seconds * 1e3:.1f}ms, the cold loop " \
             f"{cold_seconds * 1e3:.1f}ms"
 
-    def test_run_many_batch_never_compiles_after_warmup(self, monkeypatch):
-        # Items this small run serially; force a four-thread fan-out.
-        monkeypatch.setattr(runtime, "batch_threads", lambda *args: 4)
+    def test_run_many_batch_never_compiles_after_warmup(self):
         compiled = _compile_tmv()
         rng = np.random.default_rng(5)
         matrix, _vec, params = tmv.make_input(32, 128, rng)

@@ -94,8 +94,11 @@ def load_bundle(path: str,
     Loads the :class:`ArtifactBundle` at ``path``, compiles the program
     it belongs to (structural work only), and injects the bundle's warm
     state, so the first :meth:`~CompiledProgram.run` /
-    :meth:`~CompiledProgram.run_many` executes with zero perf-model
-    evaluations and zero expression compiles.
+    :meth:`~CompiledProgram.run_many` makes zero perf-model evaluations
+    and zero permutation builds.  A bundle carries no code: that request
+    compiles exactly the expression functions of the plans it runs, as
+    many as the same request compiles after
+    :meth:`~CompiledProgram.clear_warm_caches`.
 
     ``program`` defaults to rebuilding the app named in the bundle's
     ``meta["app"]`` (the ``bundle save`` CLI records it); ``arch``

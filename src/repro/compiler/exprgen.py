@@ -49,8 +49,8 @@ class CompileCounter:
 
 #: Shared by every plan's codegen; snapshot/since around a region to
 #: attribute compiles to it.  Mutated only under the GIL (plain int/float
-#: bumps); the runtime takes care to warm caches before fanning out to
-#: worker threads, so concurrent warm runs never touch it.
+#: bumps); a run counts the compiles of its own window, on the thread
+#: that runs it.
 COMPILE_COUNTER = CompileCounter()
 
 _PY_INTRINSICS = {

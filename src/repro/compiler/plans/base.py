@@ -180,10 +180,8 @@ class KernelPlan(abc.ABC):
         pins = tuple(value for value in params.values()
                      if value is not None and not np.isscalar(value))
         if pins:
-            # Unlocked, as the miss path always was: racing threads can
-            # build an entry twice or leave a pin record that outlives
-            # its entry until evicted, but never keep an entry whose
-            # arrays were released.
+            # Past the window the oldest entry is evicted with its pins,
+            # so no cached entry outlives the arrays it embeds.
             self._entry_pins[key] = pins
             if len(self._entry_pins) > WARM_ARRAY_ENTRIES:
                 oldest, _ = self._entry_pins.popitem(last=False)

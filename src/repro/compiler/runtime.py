@@ -32,10 +32,8 @@ import dataclasses
 import enum
 import itertools
 import math
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -65,46 +63,6 @@ _CANONICAL = {LAYOUT_INTERLEAVED, LAYOUT_ROWS}
 #: Relative calibration-factor change past which feedback re-sweeps the
 #: observed segment's dispatch table around the binding.
 REBAKE_THRESHOLD = 0.25
-
-#: What a batch needs before ``run_batch`` fans it out over threads: a
-#: mean item of at least ``FANOUT_MIN_ELEMENTS`` input elements, and at
-#: least ``FANOUT_MIN_ITEMS`` items per distinct binding, because a
-#: fan-out first runs each binding's first item in the calling thread.
-#: Measured with an extra warmup execution per binding in its place: on
-#: 2 usable CPUs, batches of scale->sum, tmv and imagepipe ran 1.1-1.9x
-#: faster on threads from 2^19 elements and 16 items per binding in
-#: every run; with 8 per binding scale->sum lost in one run
-#: (0.90-0.97x), with 2 per binding all three lost, and at 2^18
-#: scale->sum or imagepipe lost in some run even with 16.
-FANOUT_MIN_ELEMENTS = 1 << 19
-FANOUT_MIN_ITEMS = 16
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has
-    one, else the machine's count)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def batch_threads(item_elements: Sequence[int], bindings: int,
-                  cpus: int) -> int:
-    """Threads ``run_batch`` runs a batch on; 1 means the serial loop.
-
-    A batch of ``len(item_elements)`` items over ``bindings`` distinct
-    scalar bindings fans out over ``min(cpus, items)`` threads only when
-    at least 2 CPUs are usable, it has at least :data:`FANOUT_MIN_ITEMS`
-    items per binding (each binding's first item runs serially before
-    the threads start), and its mean item has at least
-    :data:`FANOUT_MIN_ELEMENTS` input elements (below that the threads'
-    hand-off costs more than the GIL-free numpy work they share).
-    """
-    items = len(item_elements)
-    if cpus < 2 or items < 2 or items < FANOUT_MIN_ITEMS * bindings \
-            or sum(item_elements) < FANOUT_MIN_ELEMENTS * items:
-        return 1
-    return min(cpus, items)
 
 
 class InputLocation(str, enum.Enum):
@@ -137,9 +95,7 @@ class RunOptions:
     :class:`~repro.serve.ServeConfig`, the serving front door).
 
     The one way to say how to run: a frozen value, validated once at
-    construction, built once and reused across calls.  How a batch is
-    spread over threads is not an option: ``run_batch`` picks it from
-    the batch (:func:`batch_threads`).
+    construction, built once and reused across calls.
     """
 
     #: Executor path; ``None`` defers to the program's default mode.
@@ -293,6 +249,8 @@ class CompiledProgram:
         #: is called without an explicit device) so the buffer arena stays
         #: warm across calls.
         self._run_devices: Dict[str, Device] = {}
+        #: Guards that table: a ``Server``'s dispatch thread and its
+        #: caller can both reach it.
         self._device_lock = threading.Lock()
         #: Whether the compile options made placement a selection axis
         #: (CPU plan variants priced against GPU ones, boundary transfer
@@ -308,11 +266,12 @@ class CompiledProgram:
         #: and threaded into program-owned devices.
         self.faults = getattr(options, "faults", None)
         #: Exec mode used when neither ``run()`` nor ``run_many()`` names
-        #: one; owned devices *and* batch worker devices honor it, so both
-        #: paths run the same executor by construction.
+        #: one; the owned devices honor it.
         self.default_exec_mode = MODE_REFERENCE
         #: Serializes quarantine + re-selection during failure recovery
-        #: (the cost cache and calibration store are unsynchronized).
+        #: (the cost cache and calibration store are unsynchronized, and
+        #: a ``Server``'s dispatch thread and its caller share one
+        #: program).
         self._quarantine_lock = threading.Lock()
 
     @property
@@ -672,23 +631,19 @@ class CompiledProgram:
     def _execute_plans(self, host_input: np.ndarray,
                        params: Dict[str, float],
                        plans: List[KernelPlan], device: Device,
-                       location: InputLocation,
-                       plan_costs: Optional[Dict[int, float]] = None
-                       ) -> Tuple[RunResult, SelectionStats]:
-        """Run one selected plan chain; returns (result, stats delta).
+                       location: InputLocation) -> RunResult:
+        """Run one selected plan chain.
 
         One loop over the selection's schedule (:meth:`_steps`): each
         step runs and its wall-clock lands on its stage, and the hop
         steps' modeled seconds, summed in order, are the run's
         ``transfer_seconds`` — the order :attr:`Device.transfer_seconds`
-        sums the records those hops leave, so the two agree bit for bit.  Stats are returned as a
-        delta rather than applied to :attr:`stats` so ``run_batch``'s
-        threads never race on the shared counters; single runs merge the
-        delta immediately.  ``plan_costs`` (``id(plan) -> seconds``) lets
-        the batched runner reuse one cost lookup per selection instead
-        of querying the (unsynchronized) cost cache from worker threads.
-        The run's compile and permutation counters are what its steps
-        did: selection prices plans without compiling them.
+        sums the records those hops leave, so the two agree bit for bit.
+        Each executed plan is priced through :attr:`cost`.  The stage
+        wall-clocks and the compile and permutation counts of what the
+        steps did go into :attr:`stats` whether or not the chain
+        completes (selection prices plans without compiling them);
+        counting the run is the caller's.
         """
         stage = {"select": 0.0, "restructure": 0.0, "h2d": 0.0,
                  "kernel": 0.0, "d2h": 0.0, "compile": 0.0}
@@ -726,8 +681,7 @@ class CompiledProgram:
                     if kind not in ("kernel", "host"):
                         continue
                     plan = plans[index]
-                    seconds = (plan_costs[id(plan)] if plan_costs is not None
-                               else self.cost.plan_seconds(plan, params))
+                    seconds = self.cost.plan_seconds(plan, params)
                     predicted += seconds
                     selections.append(SegmentExecution(
                         segment=segments[index].name,
@@ -735,37 +689,28 @@ class CompiledProgram:
                         predicted_seconds=seconds,
                         optimizations=list(plan.optimizations),
                         measured_seconds=wall))
-        except KernelExecutionError as exc:
-            # The scope above already released every buffer; attach the
-            # failed attempt's counters so callers (guarded retry, the
-            # batched runner) can account for partial work faithfully.
-            failed_compiled = COMPILE_COUNTER.since(compile_before)
-            failed_rebuilt = RESTRUCTURE_COUNTER.since(restructure_before)
-            exc.stats_delta = SelectionStats(
-                expr_compiles=failed_compiled.total,
-                restructure_builds=failed_rebuilt.perm_builds,
-                restructure_seconds=stage["restructure"],
-                h2d_seconds=stage["h2d"], kernel_seconds=stage["kernel"],
-                d2h_seconds=stage["d2h"],
-                compile_seconds=failed_compiled.seconds)
-            raise
-        compiled = COMPILE_COUNTER.since(compile_before)
-        rebuilt = RESTRUCTURE_COUNTER.since(restructure_before)
-        stage["compile"] = compiled.seconds
-        # Compiles run inside plan.execute: take them off the kernel wall.
-        stage["kernel"] = max(0.0, stage["kernel"] - compiled.seconds)
-        delta = SelectionStats(
-            runs=1, expr_compiles=compiled.total,
-            restructure_builds=rebuilt.perm_builds,
-            restructure_seconds=stage["restructure"],
-            h2d_seconds=stage["h2d"], kernel_seconds=stage["kernel"],
-            d2h_seconds=stage["d2h"], compile_seconds=stage["compile"])
-        result = RunResult(
+        finally:
+            # A failed attempt's partial work is counted too (the scope
+            # above already released every buffer).
+            compiled = COMPILE_COUNTER.since(compile_before)
+            stage["compile"] = compiled.seconds
+            # Compiles run inside plan.execute: take them off the kernel
+            # wall.
+            stage["kernel"] = max(0.0, stage["kernel"] - compiled.seconds)
+            stats = self.stats
+            stats.expr_compiles += compiled.total
+            stats.restructure_builds += RESTRUCTURE_COUNTER.since(
+                restructure_before).perm_builds
+            stats.restructure_seconds += stage["restructure"]
+            stats.h2d_seconds += stage["h2d"]
+            stats.kernel_seconds += stage["kernel"]
+            stats.d2h_seconds += stage["d2h"]
+            stats.compile_seconds += stage["compile"]
+        return RunResult(
             output=value, selections=selections,
             predicted_kernel_seconds=predicted,
             transfer_seconds=sum(step.seconds for step in steps),
             stage_seconds=stage)
-        return result, delta
 
     def _execute_segment(self, index: int, plan: KernelPlan,
                          device: Optional[Device], data,
@@ -844,8 +789,8 @@ class CompiledProgram:
 
         The replacement is the placement-priced argmin over the
         segment's surviving variants, restricted to the run's placement
-        pin.  Returns ``(new_plans, replacement, seconds,
-        newly_quarantined)`` or ``None`` when the failure is terminal:
+        pin.  Returns ``(new_plans, newly_quarantined)`` or ``None``
+        when the failure is terminal:
         the error carries no segment position, or the failed variant is
         the segment's last non-quarantined option (the last variant is
         never quarantined — serving something beats serving nothing).
@@ -873,71 +818,58 @@ class CompiledProgram:
                     self._restrict_placement(remaining, placement), params,
                     plans[index - 1].placement if index else None,
                     location.on_host)
-                seconds = self.cost.plan_seconds(replacement, params)
             except SelectionError:
                 return None
         new_plans = list(plans)
         new_plans[index] = replacement
-        return new_plans, replacement, seconds, newly
+        return new_plans, newly
 
     def _execute_guarded(self, host_input: np.ndarray,
                          params: Dict[str, float],
                          plans: List[KernelPlan], device: Device,
-                         location: InputLocation, placement: str = "auto",
-                         plan_costs: Optional[Dict[int, float]] = None):
+                         location: InputLocation, placement: str = "auto"):
         """Retry-then-degrade wrapper around :meth:`_execute_plans`.
 
         On a variant failure the failed (strategy, size-bucket) pair is
         quarantined, the segment re-selected among the survivors under
         the run's ``placement`` pin, and the chain re-run (the failed
         attempt's scope already released its buffers, so retries recycle
-        them).  Terminal failures re-raise with the accumulated counters
-        on ``exc.stats_delta``.  Returns ``(result, delta, plans,
-        plan_costs)`` where ``plans`` / ``plan_costs`` reflect any
-        degraded substitution so callers can refresh their cached
-        selection.
+        them).  Every attempt's counters go into :attr:`stats` as it
+        happens; a terminal failure re-raises.  Returns ``(result,
+        plans)`` where ``plans`` reflects any degraded substitution so
+        callers can refresh their cached selection.
         """
-        recovery: Optional[SelectionStats] = None
+        stats = self.stats
         reselect_total = 0.0
+        retried = False
         while True:
             try:
-                result, delta = self._execute_plans(
-                    host_input, params, plans, device, location,
-                    plan_costs)
+                result = self._execute_plans(host_input, params, plans,
+                                             device, location)
             except KernelExecutionError as exc:
-                if recovery is None:
-                    recovery = SelectionStats()
-                partial = getattr(exc, "stats_delta", None)
-                if partial is not None:
-                    recovery.merge(partial)
                 if exc.injected:
-                    recovery.faults_injected += 1
+                    stats.faults_injected += 1
                 # The quarantine + re-selection is selection work: its
-                # wall-clock lands on the degraded run's ``select`` stage
-                # (it used to vanish — degraded items reported 0.0).
+                # wall-clock lands on the degraded run's ``select`` stage.
                 reselect_started = time.perf_counter()
                 recovered = self._recover_segment(exc, params, plans,
                                                   location, placement)
                 reselect = time.perf_counter() - reselect_started
-                recovery.select_seconds += reselect
+                stats.select_seconds += reselect
                 reselect_total += reselect
                 if recovered is None:
-                    exc.stats_delta = recovery
                     raise
-                plans, replacement, seconds, newly = recovered
-                if plan_costs is not None:
-                    plan_costs = dict(plan_costs)
-                    plan_costs[id(replacement)] = seconds
-                recovery.retries += 1
+                plans, newly = recovered
+                stats.retries += 1
                 if newly:
-                    recovery.quarantines += 1
+                    stats.quarantines += 1
+                retried = True
                 continue
-            if recovery is not None:
-                recovery.degraded_runs = 1
-                delta.merge(recovery)
-                result.stage_seconds["select"] = \
-                    result.stage_seconds.get("select", 0.0) + reselect_total
-            return result, delta, plans, plan_costs
+            stats.runs += 1
+            if retried:
+                stats.degraded_runs += 1
+                result.stage_seconds["select"] += reselect_total
+            return result, plans
 
     def run(self, host_input: np.ndarray, params: Dict[str, float], *,
             options: Optional[RunOptions] = None,
@@ -945,6 +877,8 @@ class CompiledProgram:
             force: Optional[Dict[str, str]] = None) -> RunResult:
         """Execute functionally on the simulator device.
 
+        A batch of one: the item runs through :meth:`run_batch`'s path
+        (:meth:`_run_items`), and its own exception, if any, is raised.
         Execution options come in one :class:`RunOptions` value
         (``options=``; the defaults when omitted).
 
@@ -976,35 +910,11 @@ class CompiledProgram:
         override :attr:`feedback` for this call.  The default leaves the
         calibration state untouched.
         """
-        opts = options or RunOptions()
-        location = opts.location
-        device = self._resolve_device(device, opts.exec_mode)
-        params = FrozenParams(params)
-        host_input = self._validate_input(host_input, params)
-        started = time.perf_counter()
-        plans = self.select(params, force, input_on_host=location,
-                            placement=opts.placement)
-        select_seconds = time.perf_counter() - started
-        try:
-            result, delta, plans, _ = self._execute_guarded(
-                host_input, params, plans, device, location, opts.placement)
-        except KernelExecutionError as exc:
-            partial = getattr(exc, "stats_delta", None)
-            if partial is not None:
-                self.stats.merge(partial)
-            raise
-        # Accumulate, don't overwrite: a degraded run already carries its
-        # re-selection wall on the select stage.
-        result.stage_seconds["select"] = \
-            result.stage_seconds.get("select", 0.0) + select_seconds
-        self.stats.merge(delta)
-        if opts.feedback:
-            config = (opts.feedback
-                      if isinstance(opts.feedback, FeedbackConfig)
-                      else self.feedback)
-            self._apply_feedback(host_input, params, plans, result,
-                                 device, location, config)
-        return result
+        outcome = self._run_items([host_input], [FrozenParams(params)],
+                                  options or RunOptions(), force, device)
+        if outcome.errors:
+            raise outcome.errors[0]
+        return outcome.results[0]
 
     def warmup(self, params: Dict[str, float], *,
                options: Optional[RunOptions] = None,
@@ -1039,36 +949,11 @@ class CompiledProgram:
         :class:`RunResult` and maps each failed index to its exception —
         so a caller multiplexing independent requests into one dispatch
         can fail exactly the poisoned request while its batch-mates
-        complete.
-
-        Selection happens once per distinct scalar binding, and each
-        item executes exactly once.  The batch picks its own executor
-        (:func:`batch_threads`): a batch with at least
-        :data:`FANOUT_MIN_ITEMS` items per distinct binding whose mean
-        item has at least :data:`FANOUT_MIN_ELEMENTS` input elements
-        fans out over one thread per usable CPU (at most one per item),
-        with one device per thread (arenas are not thread-safe); any
-        other batch runs serially on the program's own device.  Either
-        way each binding's first item fills the warm caches: a fan-out
-        runs those items in the calling thread before it starts the
-        threads, so its threads never compile and never rebuild
-        permutations.  Per-run counters are merged into :attr:`stats`
-        after the items finish.  The one ``select()`` per binding is
-        timed and its wall-clock attributed to the binding's first
-        completed result;
-        every other item at the binding reports ``select == 0`` unless
-        it degraded onto a replacement variant, in which case it keeps
-        its own re-selection wall — so
-        :meth:`SelectionStats.stage_summary` totals stay truthful.
-
-        ``options.feedback=True`` folds one measured observation per
-        distinct scalar binding back into :attr:`calibration` after the
-        batch completes (never from worker threads — the store is
-        unsynchronized).  A binding whose first completed item succeeded
-        contributes its observation even when other items failed.
+        complete.  The items run through :meth:`_run_items`, the path
+        :meth:`run` takes with a batch of one: selection once per
+        distinct scalar binding, then each item once, in order, on the
+        calling thread and the program's own device.
         """
-        opts = options or RunOptions()
-        location, exec_mode = opts.location, opts.exec_mode
         inputs = list(inputs)
         if isinstance(params_list, dict):
             params_list = [FrozenParams(params_list)] * len(inputs)
@@ -1078,165 +963,79 @@ class CompiledProgram:
             raise ValueError(
                 f"run_batch got {len(inputs)} inputs but "
                 f"{len(params_list)} params")
-        firsts: Dict[tuple, int] = {}
-        for index, params in enumerate(params_list):
-            firsts.setdefault(freeze_scalars(params), index)
-        threads = batch_threads([np.size(x) for x in inputs], len(firsts),
-                                usable_cpus())
+        return self._run_items(inputs, params_list, options or RunOptions(),
+                               force)
 
-        selections, select_seconds = self._select_bindings(
-            params_list, opts, force)
-        plan_costs: Dict[tuple, Dict[int, float]] = {}
-        for key, index in firsts.items():
-            plan_costs[key] = {
-                id(plan): self.cost.plan_seconds(plan, params_list[index])
-                for plan in selections[key]}
+    def _run_items(self, inputs: Sequence[np.ndarray],
+                   params_list: Sequence[FrozenParams],
+                   options: RunOptions, force: Optional[Dict[str, str]],
+                   device: Optional[Device] = None) -> BatchOutcome:
+        """The one item path of :meth:`run` and :meth:`run_batch`.
 
-        local = threading.local()
-        refresh_lock = threading.Lock()
-        caller = threading.current_thread()
-
-        def worker_device() -> Device:
-            device = getattr(local, "device", None)
-            if device is None:
-                # Workers inherit the program's default exec mode, so a
-                # threaded batch runs the same executor as the serial
-                # path (this used to hardcode the reference interpreter).
-                device = Device(
-                    self.spec,
-                    exec_mode=exec_mode or self.default_exec_mode,
-                    fault_injector=self.faults)
-                local.device = device
-            return device
-
-        def job(index: int) -> Tuple[RunResult, SelectionStats]:
-            params = params_list[index]
-            key = freeze_scalars(params)
-            host_input = self._validate_input(inputs[index], params)
-            if threading.current_thread() is caller:
-                device = self._resolve_device(None, exec_mode)
-            else:
-                device = worker_device()
-            # Snapshot the (plans, costs) pair under the refresh lock: a
-            # degrading worker replaces both entries together, and an
-            # unlocked pair of reads could pair a replacement plan list
-            # with the stale cost dict (or vice versa) and KeyError on
-            # ``plan_costs[id(plan)]`` mid-execution.
-            with refresh_lock:
-                job_plans = selections[key]
-                job_costs = plan_costs[key]
-            result, delta, used_plans, used_costs = self._execute_guarded(
-                host_input, params, job_plans, device, location,
-                opts.placement, job_costs)
-            if used_plans is not job_plans:
-                # The item degraded onto a replacement variant; later
-                # items at the same binding start from the new selection
-                # instead of re-tripping over the quarantined one.
-                with refresh_lock:
-                    selections[key] = used_plans
-                    plan_costs[key] = used_costs
-            # A degraded item keeps the re-selection wall the guarded
-            # runner attributed to its select stage; hard-zeroing here
-            # used to erase it from the stage totals.
-            return result, delta
-
-        results: List[Optional[RunResult]] = [None] * len(inputs)
-        errors: List[Optional[BaseException]] = [None] * len(inputs)
-        deltas: List[SelectionStats] = []
-
-        def run_one(index: int) -> None:
-            # Per-item capture: one failing item must not discard the
-            # completed items' results or their counters (pool.map's
-            # first-exception propagation used to abort the whole batch).
-            try:
-                result, delta = job(index)
-            except Exception as exc:
-                partial = getattr(exc, "stats_delta", None)
-                if partial is not None:
-                    deltas.append(partial)
-                errors[index] = exc
-            else:
-                results[index] = result
-                deltas.append(delta)
-
-        if threads > 1:
-            # Each binding's first item runs here before the threads
-            # start, so they only read the caches those items fill.
-            lead = set(firsts.values())
-            for index in sorted(lead):
-                run_one(index)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(run_one, index)
-                           for index in range(len(inputs))
-                           if index not in lead]
-                for future in futures:
-                    future.result()
-        else:
-            for index in range(len(inputs)):
-                run_one(index)
-        for delta in deltas:
-            self.stats.merge(delta)
-        self._finish_batch(inputs, params_list, results, selections,
-                           select_seconds, opts)
-        return BatchOutcome(
-            results=results,
-            errors={i: e for i, e in enumerate(errors) if e is not None})
-
-    def _select_bindings(self, params_list: Sequence[Dict[str, float]],
-                         options: RunOptions,
-                         force: Optional[Dict[str, str]]):
-        """``run_batch``'s prologue.
-
-        One timed ``select()`` per distinct scalar binding, shared by
-        every batch item at that binding.  Returns ``(selections,
-        select_seconds)`` keyed by frozen scalars.
-        """
-        selections: Dict[tuple, List[KernelPlan]] = {}
-        select_seconds: Dict[tuple, float] = {}
-        for params in params_list:
-            key = freeze_scalars(params)
-            if key in selections:
-                continue
-            started = time.perf_counter()
-            selections[key] = self.select(
-                params, force, input_on_host=options.location,
-                placement=options.placement)
-            select_seconds[key] = time.perf_counter() - started
-        return selections, select_seconds
-
-    def _finish_batch(self, inputs: Sequence[np.ndarray],
-                      params_list: Sequence[Dict[str, float]],
-                      results: List[Optional[RunResult]],
-                      selections: Dict[tuple, List[KernelPlan]],
-                      select_seconds: Dict[tuple, float],
-                      options: RunOptions) -> None:
-        """``run_batch``'s epilogue.
-
-        Each binding's amortized select wall-clock is added to its first
-        *completed* result (every other item reports only its own
-        re-selection wall, if it degraded), so stage totals stay
-        truthful.  With ``options.feedback`` that item's measurements
-        are folded into :attr:`calibration` — here, after the threads
-        joined, because the store is unsynchronized — even when other
+        Each input is validated before its binding is selected, so a
+        malformed one fails before any selection counter moves; each
+        distinct scalar binding with a valid item is selected once (one
+        timed ``select()`` under the options' location and placement
+        pin).  Then the items run in order on ``device`` — the program's own device for the exec mode
+        when ``None`` — each through :meth:`_execute_guarded`.  An item
+        that degraded onto a replacement variant leaves its binding's
+        selection on the replacement, so later items skip the
+        quarantined variant outright.  A binding's select wall-clock is
+        added to its first *completed* result (every other item reports
+        only its own re-selection wall, if it degraded), so
+        :meth:`SelectionStats.stage_summary` totals stay truthful.  With
+        ``options.feedback`` that item's measurements are folded into
+        :attr:`calibration` once the items are done, even when other
         items at the binding failed.
         """
-        feedback = options.feedback
-        config = (feedback if isinstance(feedback, FeedbackConfig)
-                  else self.feedback)
-        done = set()
-        for index, params in enumerate(params_list):
-            key = freeze_scalars(params)
-            if key in done or results[index] is None:
+        staged: List[Optional[np.ndarray]] = [None] * len(inputs)
+        errors: Dict[int, BaseException] = {}
+        selections: Dict[tuple, List[KernelPlan]] = {}
+        select_seconds: Dict[tuple, float] = {}
+        for index, (data, params) in enumerate(zip(inputs, params_list)):
+            try:
+                staged[index] = self._validate_input(data, params)
+            except Exception as exc:
+                errors[index] = exc
                 continue
-            done.add(key)
-            stage = results[index].stage_seconds
-            stage["select"] = stage.get("select", 0.0) + select_seconds[key]
-            if feedback:
+            key = freeze_scalars(params)
+            if key not in selections:
+                started = time.perf_counter()
+                selections[key] = self.select(
+                    params, force, input_on_host=options.location,
+                    placement=options.placement)
+                select_seconds[key] = time.perf_counter() - started
+        results: List[Optional[RunResult]] = [None] * len(inputs)
+        firsts: Dict[tuple, Tuple[int, List[KernelPlan]]] = {}
+        for index, params in enumerate(params_list):
+            if index in errors:
+                continue
+            key = freeze_scalars(params)
+            try:
+                result, plans = self._execute_guarded(
+                    staged[index], params, selections[key],
+                    self._resolve_device(device, options.exec_mode),
+                    options.location, options.placement)
+            except Exception as exc:
+                errors[index] = exc
+                continue
+            results[index] = result
+            selections[key] = plans
+            if key not in firsts:
+                firsts[key] = (index, plans)
+                result.stage_seconds["select"] += select_seconds[key]
+        if options.feedback:
+            config = (options.feedback
+                      if isinstance(options.feedback, FeedbackConfig)
+                      else self.feedback)
+            for index, plans in firsts.values():
                 self._apply_feedback(
-                    self._validate_input(inputs[index], params), params,
-                    selections[key], results[index],
-                    self._resolve_device(None, options.exec_mode),
+                    staged[index], params_list[index], plans,
+                    results[index],
+                    self._resolve_device(device, options.exec_mode),
                     options.location, config)
+        return BatchOutcome(results=results, errors=dict(sorted(
+            errors.items())))
 
     def run_many(self, inputs: Sequence[np.ndarray],
                  params_list: Union[Dict[str, float],
@@ -1665,10 +1464,10 @@ class CompiledProgram:
                        location: InputLocation) -> Optional[float]:
         """Measure ``runner`` by re-running the chain with it substituted.
 
-        The probe's counters are merged into :attr:`stats` with ``runs``
-        zeroed — probe executions are accounted by ``probe_runs``, not as
-        served runs.  A probe that fails returns ``None``: its partial
-        counters (and injected fault) are merged, ``runner`` is
+        The probe's stage and compile counters go into :attr:`stats`,
+        but it is not a served run: probe executions are counted by
+        ``probe_runs``, not ``runs``.  A probe that fails returns
+        ``None``: its injected fault is counted, ``runner`` is
         quarantined at this size bucket when it is what failed, and the
         request the probe ran for — which already succeeded — is left
         alone.
@@ -1676,22 +1475,17 @@ class CompiledProgram:
         probe_plans = list(plans)
         probe_plans[index] = runner
         try:
-            result, delta = self._execute_plans(host_input, params,
-                                                probe_plans, device,
-                                                location)
+            result = self._execute_plans(host_input, params, probe_plans,
+                                         device, location)
         except KernelExecutionError as exc:
-            delta = getattr(exc, "stats_delta", None) or SelectionStats()
             if exc.injected:
-                delta.faults_injected += 1
+                self.stats.faults_injected += 1
             if exc.segment_index in (None, index) and \
                     self.calibration.quarantine(
                         runner.strategy, size_bucket(params),
                         reason=exc.kind or type(exc).__name__):
-                delta.quarantines += 1
-            self.stats.merge(delta)
+                self.stats.quarantines += 1
             return None
-        delta.runs = 0
-        self.stats.merge(delta)
         return result.selections[index].measured_seconds
 
     def _sweep_cost(self, cost, plan: KernelPlan,

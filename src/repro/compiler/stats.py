@@ -92,17 +92,6 @@ class SelectionStats:
         for f in dataclasses.fields(self):
             setattr(self, f.name, f.default)
 
-    def merge(self, other: "SelectionStats") -> None:
-        """Field-wise accumulate ``other`` into this instance.
-
-        The batched runner defers per-run counter updates until its
-        threads join (they must not race on shared ints), then merges
-        the per-run deltas here.
-        """
-        for f in dataclasses.fields(self):
-            setattr(self, f.name,
-                    getattr(self, f.name) + getattr(other, f.name))
-
     def since(self, earlier: "SelectionStats") -> "SelectionStats":
         """Counter deltas accumulated after ``earlier`` was snapshotted."""
         return SelectionStats(**{

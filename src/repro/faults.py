@@ -31,9 +31,8 @@ Injection points:
 
 Determinism: ``nth``/``count`` trigger on exact per-fault execution
 counts; ``probability`` draws from a private ``random.Random(seed)``, so
-two injectors with equal seeds agree call-for-call (exact on a serial
-batch; when ``run_batch`` fans out over threads the draw order follows
-thread scheduling).
+two injectors with equal seeds agree call-for-call.  Every batch runs
+its items in order on one thread, so both are exact for every batch.
 """
 
 from __future__ import annotations
@@ -95,8 +94,9 @@ class FaultInjector:
 
     Holds an ordered list of :class:`FaultPlan` rules, a per-rule
     execution counter, and one ``random.Random(seed)`` for
-    probabilistic rules.  All state is guarded by a lock so a
-    ``run_batch`` fan-out's threads can consult it concurrently.
+    probabilistic rules.  All state is guarded by a lock: one injector
+    can serve several programs and devices, and a ``Server``'s dispatch
+    thread and its caller can consult it at once.
     ``enabled=False`` turns the injector into a no-op without removing
     it (the disabled-injector path must be bit-identical to no injector
     at all).

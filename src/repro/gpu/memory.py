@@ -104,8 +104,8 @@ class BufferArena:
     may legitimately skip stores (fresh allocations are zeroed too, so
     warm and cold outputs stay bit-identical).
 
-    Not thread-safe by design: each worker :class:`Device` owns its own
-    arena (the batched runner hands one device per thread).
+    Not thread-safe by design: each :class:`Device` owns its own arena,
+    and a program runs its items one at a time on its device.
     """
 
     def __init__(self) -> None:

@@ -108,7 +108,8 @@ class ServeConfig:
     every fused-path selection runs with: exec mode, input location,
     placement pin and ``feedback`` (so the program's own calibration
     store keeps learning while serving).  An unfused group is one
-    ``run_batch``, which picks serial or threads from the group itself.
+    ``run_batch``, which runs its items in order on the dispatch
+    thread.
     """
 
     max_batch: int = 8

@@ -251,36 +251,29 @@ class TestInjectedFaultRecovery:
 class TestFaultGate:
     """The acceptance gate: degraded sweep is bit-identical + counted."""
 
-    def test_sweep_completes_bit_identical_with_exact_counters(
-            self, monkeypatch):
+    def test_sweep_completes_bit_identical_with_exact_counters(self):
         inputs, params_list = _sweep_batch()
         clean = _compile()
         clean_results = clean.run_many(inputs, params_list)
         victim = clean_results[0].selections[0].strategy
 
-        # The sweep's small items run serially by the rule; check that
-        # executor and a fan-out over two threads, forced.
-        for threads in (2, 1):
-            monkeypatch.setattr(runtime, "batch_threads",
-                                lambda *args: threads)
-            injector = FaultInjector(
-                [FaultPlan(family=victim, kind=KIND_RAISE, nth=1,
-                           count=1)],
-                seed=0)
-            guarded = _compile(faults=injector)
-            injected = guarded.run_many(inputs, params_list)
+        injector = FaultInjector(
+            [FaultPlan(family=victim, kind=KIND_RAISE, nth=1, count=1)],
+            seed=0)
+        guarded = _compile(faults=injector)
+        injected = guarded.run_many(inputs, params_list)
 
-            assert len(injected) == len(inputs)
-            for a, b in zip(clean_results, injected):
-                np.testing.assert_array_equal(a.output, b.output)
-            stats = guarded.stats
-            assert stats.faults_injected == 1
-            assert stats.retries == 1
-            assert stats.quarantines == 1
-            assert stats.degraded_runs == 1
-            assert injector.faults_injected == 1
-            (entry,) = guarded.calibration.quarantined()
-            assert entry[0] == victim
+        assert len(injected) == len(inputs)
+        for a, b in zip(clean_results, injected):
+            np.testing.assert_array_equal(a.output, b.output)
+        stats = guarded.stats
+        assert stats.faults_injected == 1
+        assert stats.retries == 1
+        assert stats.quarantines == 1
+        assert stats.degraded_runs == 1
+        assert injector.faults_injected == 1
+        (entry,) = guarded.calibration.quarantined()
+        assert entry[0] == victim
 
     def test_disabled_injector_is_bit_identical_to_none(self):
         inputs, params_list = _sweep_batch()
@@ -317,13 +310,7 @@ class TestRunManyPartialFailure:
         matrix, _vec, params = tmv.make_input(8, 32, rng)
         return [matrix.copy() for _ in range(n)], params
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_failed_item_surfaces_per_index_with_partials(self, rng,
-                                                          threads,
-                                                          monkeypatch):
-        # The rule runs these small items serially; force the fan-out.
-        monkeypatch.setattr(runtime, "batch_threads",
-                            lambda *args: threads)
+    def test_failed_item_surfaces_per_index_with_partials(self, rng):
         inputs, params = self._batch(rng)
         inputs[1] = np.ones(5)          # wrong size for this binding
         compiled = _compile()
@@ -339,8 +326,7 @@ class TestRunManyPartialFailure:
         assert exc.partial_results[2] is not None
         assert exc.partial_results[1] is None
         delta = compiled.stats.since(before)
-        # The two completed items, serial or fanned out: a fan-out
-        # runs no extra warmup.
+        # The two completed items, each executed once.
         assert delta.runs == 2
 
     def test_successful_batch_unchanged(self, rng):
@@ -350,8 +336,8 @@ class TestRunManyPartialFailure:
         assert all(r is not None for r in results)
 
 
-class TestWorkerExecMode:
-    """Satellite: batch workers inherit the program's exec mode."""
+class TestBatchExecMode:
+    """Satellite: a batch's device inherits the program's exec mode."""
 
     def _recorded_modes(self, monkeypatch, default_mode, exec_mode):
         created = []
@@ -364,26 +350,25 @@ class TestWorkerExecMode:
                                  fault_injector=fault_injector)
 
         monkeypatch.setattr(runtime, "Device", RecordingDevice)
-        # Items this small run serially; force a two-thread fan-out.
-        monkeypatch.setattr(runtime, "batch_threads", lambda *args: 2)
         compiled = _compile()
         if default_mode is not None:
             compiled.default_exec_mode = default_mode
         matrix, _vec, params = tmv.make_input(8, 32)
         compiled.run_many([matrix] * 4, params,
                           options=RunOptions(exec_mode=exec_mode))
-        assert created, "expected worker devices to be constructed"
+        assert created, "expected the batch's device to be constructed"
         return created
 
-    def test_workers_inherit_program_default_mode(self, monkeypatch):
+    def test_batch_device_inherits_program_default_mode(self,
+                                                        monkeypatch):
         implicit = self._recorded_modes(monkeypatch,
                                         default_mode=MODE_VECTORIZED,
                                         exec_mode=None)
         explicit = self._recorded_modes(monkeypatch, default_mode=None,
                                         exec_mode=MODE_VECTORIZED)
         # Identical mode both ways: via the program default and via the
-        # explicit argument (this used to silently fall back to the
-        # reference interpreter for worker devices).
+        # explicit argument (batch devices used to silently fall back to
+        # the reference interpreter).
         assert set(implicit) == {MODE_VECTORIZED}
         assert set(implicit) == set(explicit)
 

@@ -14,7 +14,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import StreamProgram, api
-from repro.compiler import runtime
 from repro.compiler.runtime import InputLocation
 from repro.errors import CompileError
 from repro.gpu import Device, ExecMode, TESLA_C2050
@@ -355,10 +354,9 @@ class TestOptionLatticeProperties:
     at every point of exec mode x input location x placement pin on a
     fresh device.  Each point must match ``run_program``, price
     exactly the transfers it records, and agree bit for bit with
-    ``run_batch`` — serial, and fanned out over two threads — and with
-    a bundle round trip of the same program.  A second property serves
-    a same-binding group through ``Server``, fused and unfused, and
-    checks it against ``run_batch``.
+    ``run_batch`` and with a bundle round trip of the same program.  A
+    second property serves a same-binding group through ``Server``,
+    fused and unfused, and checks it against ``run_batch``.
     """
 
     POINTS = list(itertools.product(
@@ -411,14 +409,9 @@ class TestOptionLatticeProperties:
                 assert result.output.tobytes() == expected.tobytes()
             assert result.transfer_seconds == device.transfer_seconds
             strategies = [sel.strategy for sel in result.selections]
-            serial = compiled.run_batch([data, data], params,
-                                        options=run_options)
-            # Items this small run serially; force the threaded leg.
-            with mock.patch.object(runtime, "batch_threads",
-                                   lambda *args: 2):
-                threaded = compiled.run_batch([data, data], params,
-                                              options=run_options)
-            for item in serial.results + threaded.results:
+            batch = compiled.run_batch([data, data], params,
+                                       options=run_options)
+            for item in batch.results:
                 assert [sel.strategy for sel in item.selections] \
                     == strategies
                 assert item.output.tobytes() == result.output.tobytes()

@@ -1,14 +1,16 @@
 """Tests for the compiled-program runtime: selection, reporting, transfers."""
 
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 
 from repro import (AdapticOptions, Filter, GTX_480, Pipeline, StreamProgram,
                    apps, api)
-from repro.compiler import AdapticCompiler, InputLocation, RunOptions, runtime
-from repro.compiler.runtime import (FANOUT_MIN_ELEMENTS, FANOUT_MIN_ITEMS,
-                                    batch_threads)
-from repro.errors import SelectionError
+from repro.compiler import AdapticCompiler, InputLocation, RunOptions
+from repro.errors import KernelExecutionError, SelectionError
+from repro.faults import ANY_FAMILY, FaultInjector, FaultPlan
 from repro.gpu import Device, TESLA_C2050
 from repro.perfmodel import geometric_points
 
@@ -312,70 +314,94 @@ class TestThirdTarget:
                                           {"n": 1 << 18, "r": 1}) > 0
 
 
-class TestBatchExecutorRule:
-    """``run_batch`` picks serial or threads from the batch it is given:
-    threads only for ``FANOUT_MIN_ITEMS`` items per distinct binding
-    whose mean has ``FANOUT_MIN_ELEMENTS`` input elements, on 2+ usable
-    CPUs."""
+def int_counters(stats):
+    """The integer counters of a stats delta (wall-clocks vary)."""
+    return {f.name: getattr(stats, f.name)
+            for f in dataclasses.fields(stats)
+            if isinstance(getattr(stats, f.name), int)}
 
-    CPUS = (1, 2, 4, 64)
 
-    def test_serve_tmv_groups_stay_serial(self):
-        # serve-tmv sends groups of at most 8 items of at most 2^10.
-        for cpus in self.CPUS:
-            for items in range(1, 9):
-                assert batch_threads([1 << 10] * items, 1, cpus) == 1
+class TestOneItemPath:
+    """``run()`` is a batch of one: it and ``run_batch()`` share one item
+    path, which runs every item on the calling thread."""
 
-    def test_health_sweep_stays_serial(self):
-        sizes = [rows * cols for rows, cols in apps.tmv.shape_sweep(1 << 10)]
-        for cpus in self.CPUS:
-            assert batch_threads(sizes, len(sizes), cpus) == 1
+    PARAMS = {"n": 4096, "r": 4}
 
-    def test_large_batches_fan_out_on_two_or_more_cpus(self):
-        sizes = [FANOUT_MIN_ELEMENTS] * 16
-        assert batch_threads(sizes, 1, 1) == 1
-        for cpus in self.CPUS[1:]:
-            assert batch_threads(sizes, 1, cpus) == min(cpus, 16)
-        # The mean item decides, and one item never fans out.
-        rest = [FANOUT_MIN_ELEMENTS] * (FANOUT_MIN_ITEMS - 2)
-        below = rest + [FANOUT_MIN_ELEMENTS, FANOUT_MIN_ELEMENTS - 1]
-        assert batch_threads(below, 1, 4) == 1
-        uneven = rest + [2 * FANOUT_MIN_ELEMENTS - 1, 1]
-        assert batch_threads(uneven, 1, 4) == 4
-        assert batch_threads([1 << 30], 1, 4) == 1
+    @pytest.mark.parametrize("fault", [False, True],
+                             ids=["clean", "degraded"])
+    @pytest.mark.parametrize("location", list(InputLocation))
+    @pytest.mark.parametrize("mode", list(api.ExecMode))
+    def test_run_matches_a_one_item_batch(self, rng, mode, location,
+                                          fault):
+        data = rng.standard_normal(self.PARAMS["n"] * self.PARAMS["r"])
+        options = RunOptions(exec_mode=mode, location=location)
+        victim = api.compile(sum_program()).select(
+            self.PARAMS, input_on_host=location)[0].strategy
+        reports = []
+        for call in ("run", "run_batch"):
+            injector = (FaultInjector([FaultPlan(family=victim)])
+                        if fault else None)
+            compiled = api.compile(sum_program(),
+                                   options=AdapticOptions(faults=injector))
+            before = compiled.stats.snapshot()
+            if call == "run":
+                result = compiled.run(data, self.PARAMS, options=options)
+            else:
+                outcome = compiled.run_batch([data], [self.PARAMS],
+                                             options=options)
+                assert outcome.ok
+                (result,) = outcome.results
+            reports.append((result.output.tobytes(),
+                            [sel.strategy for sel in result.selections],
+                            sorted(result.stage_seconds),
+                            int_counters(compiled.stats.since(before))))
+        assert reports[0] == reports[1]
+        _output, strategies, _stages, counters = reports[0]
+        assert counters["runs"] == 1
+        assert counters["degraded_runs"] == counters["faults_injected"] \
+            == int(fault)
+        assert (strategies[0] != victim) == fault
 
-    def test_each_binding_needs_its_own_items(self):
-        """A fan-out runs every distinct binding's first item serially
-        first, so each binding must bring ``FANOUT_MIN_ITEMS`` items."""
-        big = FANOUT_MIN_ELEMENTS
-        assert batch_threads([big] * FANOUT_MIN_ITEMS, 1, 2) == 2
-        assert batch_threads([big] * (FANOUT_MIN_ITEMS - 1), 1, 2) == 1
-        assert batch_threads([big] * FANOUT_MIN_ITEMS, 2, 2) == 1
-        assert batch_threads([big] * (2 * FANOUT_MIN_ITEMS), 2, 2) == 2
-        assert batch_threads([big] * (2 * FANOUT_MIN_ITEMS), 3, 64) == 1
-
-    @pytest.mark.parametrize("cpus, bindings, runs",
-                             [(1, 1, 16), (2, 1, 16), (2, 2, 16)])
-    def test_run_batch_follows_the_rule(self, rng, monkeypatch, cpus,
-                                        bindings, runs):
-        """``run_batch`` hands the rule its item sizes, distinct
-        bindings and usable CPUs.  Serial or fanned out, each item
-        executes once: a fan-out runs its binding's first item before
-        the threads start, not an extra warmup."""
-        monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
-        # Small items keep the test fast; the rule's size bar moves.
-        monkeypatch.setattr(runtime, "FANOUT_MIN_ELEMENTS", 256)
+    def test_run_keeps_its_failure_contract(self, rng):
         compiled = api.compile(sum_program())
-        items = FANOUT_MIN_ITEMS
-        params_list = [{"n": 256, "r": 1 + i % bindings}
-                       for i in range(items)]
-        inputs = [rng.standard_normal(256 * p["r"]) for p in params_list]
+        data = rng.standard_normal(self.PARAMS["n"] * self.PARAMS["r"])
+        # A malformed input fails before any selection counter moves.
+        before = compiled.stats.snapshot()
+        with pytest.raises(ValueError, match="expects 16384 input"):
+            compiled.run(data[:-1], self.PARAMS)
+        assert int_counters(compiled.stats.since(before)) \
+            == int_counters(before.since(before))
+        with pytest.raises(SelectionError, match="no variant"):
+            compiled.run(data, self.PARAMS,
+                         force={compiled.segments[0].name: "nope"})
+        # A terminal kernel failure raises, and the work it did before
+        # failing (the input's staging and copy) is counted.
+        injector = FaultInjector([FaultPlan(family=ANY_FAMILY,
+                                            count=None)])
+        lone = api.compile(sum_program(), options=AdapticOptions(
+            faults=injector, segmentation=False, memory=False,
+            integration=False))
+        assert len(lone.segments[0].plans) == 1
+        with pytest.raises(KernelExecutionError):
+            lone.run(data, self.PARAMS)
+        assert lone.stats.faults_injected == 1
+        assert lone.stats.runs == 0
+        assert lone.stats.h2d_seconds > 0.0
+
+    def test_a_batch_the_fan_out_took_starts_no_thread(self, monkeypatch):
+        """16 items of 2^19 elements on one binding, a batch that used to
+        fan out over threads on 2+ CPUs, run on the calling thread."""
+        def refuse(thread):
+            raise AssertionError(f"run_batch started {thread.name}")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        n = 1 << 19
+        data = np.arange(n, dtype=np.float64) % 7.0
+        compiled = api.compile(sum_program())
         before = compiled.stats.snapshot()
         outcome = compiled.run_batch(
-            inputs, params_list,
+            [data] * 16, {"n": n, "r": 1},
             options=RunOptions(exec_mode=api.ExecMode.VECTORIZED))
         assert outcome.ok
-        assert compiled.stats.since(before).runs == runs
-        for data, result in zip(inputs, outcome.results):
-            np.testing.assert_allclose(result.output,
-                                       data.reshape(-1, 256).sum(axis=1))
+        assert compiled.stats.since(before).runs == 16
+        for result in outcome.results:
+            np.testing.assert_allclose(result.output, [data.sum()])

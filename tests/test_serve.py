@@ -17,7 +17,7 @@ import pytest
 
 from repro import Filter, Pipeline, StreamProgram, api
 from repro.apps import tmv
-from repro.compiler import AdapticCompiler, runtime
+from repro.compiler import AdapticCompiler
 from repro.errors import AdmissionError, KernelExecutionError, ServeError
 from repro.faults import FaultInjector, FaultPlan
 from repro.gpu import DeviceArray, TESLA_C2050
@@ -116,18 +116,13 @@ class TestRunBatchFixes:
         assert results[1].stage_seconds["select"] == 0.0
         assert results[2].stage_seconds["select"] > 0.0
 
-    def test_threaded_fault_recovery_stays_consistent(self, compiled, rng,
-                                                      monkeypatch):
-        """Regression for the selections/plan_costs refresh race.
-
-        Mid-batch faults make degrading workers replace the shared
-        (plans, costs) pair while other workers read it; the batch must
-        degrade gracefully — no KeyError from a torn read, every item
-        completes, counters match the injection plan exactly.  The items
-        are small enough to run serially, so the rule is patched to fan
-        them out over 4 threads.
+    def test_mid_batch_fault_recovery_stays_consistent(self, compiled,
+                                                       rng):
+        """Mid-batch faults degrade items one after another; the batch
+        must degrade gracefully — every item completes, counters match
+        the injection plan exactly, and the items after the last
+        degraded one start from its replacement selection.
         """
-        monkeypatch.setattr(runtime, "batch_threads", lambda *args: 4)
         inputs, params = make_binding(rng, rows=16, cols=16, n=24)
         compiled.run(inputs[0], params)
         reference = [np.asarray(m).reshape(-1, params["cols"]) @
@@ -140,8 +135,14 @@ class TestRunBatchFixes:
         delta = compiled.stats.since(before)
         assert delta.faults_injected == 4
         assert delta.retries == 4
+        assert delta.degraded_runs == 1
         for result, expected in zip(outcome.results, reference):
             np.testing.assert_allclose(result.output, expected)
+        # Executions 3-6 fail, all on the third item; the selection
+        # refresh puts every later item on the variant it degraded onto.
+        strategies = [r.selections[0].strategy for r in outcome.results]
+        assert len(set(strategies[2:])) == 1
+        assert strategies[2] != strategies[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from repro import api
 from repro.apps import imagepipe, tmv
-from repro.compiler import AdapticCompiler, runtime
+from repro.compiler import AdapticCompiler
 from repro.compiler.exprgen import COMPILE_COUNTER
 from repro.compiler.plans import TiledStencilPlan
 from repro.compiler.plans import base as plan_base
@@ -219,17 +219,6 @@ class TestWarmupAndRunMany:
                                     options=RunOptions(exec_mode=MODE_VECTORIZED))
         for out, result in zip(single, batched):
             assert result.output.tobytes() == out.tobytes()
-
-    def test_run_many_workers_match_serial(self, compiled, tmv_case,
-                                           monkeypatch):
-        matrix, params = tmv_case
-        options = RunOptions(exec_mode=MODE_VECTORIZED)
-        serial = compiled.run_many([matrix] * 4, params, options=options)
-        # Items this small run serially; force a two-thread fan-out.
-        monkeypatch.setattr(runtime, "batch_threads", lambda *args: 2)
-        threaded = compiled.run_many([matrix] * 4, params, options=options)
-        for a, b in zip(serial, threaded):
-            assert a.output.tobytes() == b.output.tobytes()
 
     def test_run_many_length_mismatch_raises(self, compiled, tmv_case):
         matrix, params = tmv_case
