@@ -89,16 +89,18 @@ def load_bundle(path: str,
                 arch: Union[GPUSpec, str, None] = None,
                 options: Optional[AdapticOptions] = None,
                 force: bool = False) -> CompiledProgram:
-    """Reconstruct a warm :class:`CompiledProgram` from a saved bundle.
+    """Reconstruct a :class:`CompiledProgram` from a saved bundle.
 
     Loads the :class:`ArtifactBundle` at ``path``, compiles the program
-    it belongs to (structural work only), and injects the bundle's warm
-    state, so the first :meth:`~CompiledProgram.run` /
-    :meth:`~CompiledProgram.run_many` makes zero perf-model evaluations
-    and zero permutation builds.  A bundle carries no code: that request
-    compiles exactly the expression functions of the plans it runs, as
-    many as the same request compiles after
-    :meth:`~CompiledProgram.clear_warm_caches`.
+    it belongs to (structural work only), and applies the bundle's
+    decisions — surviving variants, baked tables, calibration — so the
+    first :meth:`~CompiledProgram.run` /
+    :meth:`~CompiledProgram.run_many` runs no prune or bake, selects
+    in-box inputs from the baked tables with zero model evaluations,
+    and makes exactly the model evaluations, permutation builds and
+    expression compiles the same requests make after
+    :meth:`~CompiledProgram.clear_warm_caches`.  A bundle carries no
+    code and no warm caches.
 
     ``program`` defaults to rebuilding the app named in the bundle's
     ``meta["app"]`` (the ``bundle save`` CLI records it); ``arch``

@@ -1,22 +1,25 @@
-"""Versioned artifact bundles: the compile-time products of a program.
+"""Versioned artifact bundles: the compile-time decisions of a program.
 
-The paper's input-aware compilation pays a one-off cost — variant pruning,
-break-even sweeps, restructure permutation builds — that would otherwise
-die with the process.  An :class:`ArtifactBundle` serializes those
-products so a *fresh* process can serve its first request with zero
-perf-model evaluations and zero permutation builds:
+The paper's input-aware compilation pays a one-off cost — variant
+pruning and break-even sweeps — that would otherwise die with the
+process.  An :class:`ArtifactBundle` serializes what a *fresh* process
+cannot recompute cheaply:
 
 * per-segment dispatch tables (region tables) with their exact break-even
   points;
 * the surviving (unpruned) variant set per segment;
-* restructure permutations (bit-exact, base64);
-* memoized cost-model entries;
 * the measured-feedback :class:`~repro.perfmodel.calibration.CalibrationStore`
   (factors, probes, quarantines).
 
-A bundle is data: nothing in it executes.  The expression functions of
-the plans a loaded program runs are rendered from the program's own IR
-on first use, a few microseconds each, as in any cold process.
+Everything else the runtime recomputes from the program's IR in the
+process that runs it, as after
+:meth:`~repro.compiler.runtime.CompiledProgram.clear_warm_caches`: model
+costs (a few closed-form evaluations, §3), restructure permutations and
+expression functions.  So a loaded program's first requests run no prune
+or bake, select in-box inputs from the baked tables with zero
+evaluations, and make exactly the model evaluations, permutation builds
+and expression compiles the same requests make after
+``clear_warm_caches()``.  A bundle is data: nothing in it executes.
 
 Every bundle carries an invalidation key — (program IR fingerprint, arch
 fingerprint, repro version, bundle schema version) — and loading validates
@@ -33,7 +36,6 @@ can use :func:`atomic_write_json` without an import cycle.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import hashlib
 import json
@@ -88,22 +90,6 @@ def atomic_write_json(path: str, payload: Any, *, indent: int = 2) -> None:
 # ----------------------------------------------------------------------
 # Value codecs
 # ----------------------------------------------------------------------
-def encode_ndarray(array: np.ndarray) -> Dict[str, Any]:
-    """Bit-exact JSON form of an ndarray (dtype + shape + base64 bytes)."""
-    array = np.ascontiguousarray(array)
-    return {
-        "dtype": array.dtype.str,
-        "shape": list(array.shape),
-        "data": base64.b64encode(array.tobytes()).decode("ascii"),
-    }
-
-
-def decode_ndarray(payload: Dict[str, Any]) -> np.ndarray:
-    raw = base64.b64decode(payload["data"].encode("ascii"))
-    array = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
-    return array.reshape(tuple(payload["shape"])).copy()
-
-
 def _encode_scalar(value: Any) -> Any:
     """Coerce numpy scalars to plain JSON-safe Python scalars."""
     if isinstance(value, np.generic):
@@ -203,17 +189,16 @@ def _repro_version() -> str:
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class ArtifactBundle:
-    """Serialized warm state of one :class:`CompiledProgram`.
+    """Serialized compile-time decisions of one :class:`CompiledProgram`.
 
     ``segments`` is a list of per-segment dicts (name, kind, surviving
-    strategies, pruned strategies, dispatch payload, permutations);
-    ``costs`` are cost memo entries; ``calibration`` is the
-    :meth:`CalibrationStore.to_dict` payload.  ``meta`` is free-form
+    strategies, pruned strategies, dispatch payload); ``calibration`` is
+    the :meth:`CalibrationStore.to_dict` payload.  ``meta`` is free-form
     (e.g. the app registry name that built the program).  Every field
     is data; no code rides in a bundle.  Unknown payload keys are
-    ignored on load, so a bundle that still carries the retired
-    ``transfers`` memo or kernel ``sources`` loads unchanged, and
-    nothing in those keys runs.
+    ignored on load, so a bundle that still carries a retired payload
+    (the ``transfers`` or ``costs`` memo, ``permutations``, kernel
+    ``sources``) loads unchanged, and nothing in those keys is used.
     """
 
     schema_version: int
@@ -225,7 +210,6 @@ class ArtifactBundle:
     options_label: str
     wire_dtype: str
     segments: List[Dict[str, Any]]
-    costs: List[Dict[str, Any]]
     calibration: Dict[str, Any]
     meta: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
@@ -296,7 +280,7 @@ class ArtifactBundle:
             raise BundleVersionError(
                 f"bundle was written by repro {self.repro_version!r} but "
                 f"this build is {version!r}; re-save the bundle, or pass "
-                f"force=True if the warm state is known-compatible",
+                f"force=True if the bundle is known-compatible",
                 found=self.repro_version, supported=[version])
         if self.arch_fingerprint != arch_fingerprint:
             raise BundleArchError(
@@ -324,18 +308,15 @@ class ArtifactBundle:
             f"options   {self.options_label}",
             f"versions  schema={self.schema_version} "
             f"repro={self.repro_version}",
-            f"payload   {len(self.segments)} segment(s), "
-            f"{len(self.costs)} cost memo entr{'y' if len(self.costs) == 1 else 'ies'}",
+            f"payload   {len(self.segments)} segment(s)",
         ]
         for seg in self.segments:
             dispatches = seg.get("dispatch") or []
-            perms = seg.get("permutations") or []
             lines.append(
                 f"  segment {seg['name']} [{seg['kind']}]: "
                 f"{len(seg['strategies'])} variant(s) "
                 f"({', '.join(seg['strategies'])}), "
-                f"{len(dispatches)} dispatch table(s), "
-                f"{len(perms)} permutation(s)")
+                f"{len(dispatches)} dispatch table(s)")
             for dispatch in dispatches:
                 region = dispatch.get("region") or {}
                 axes = region.get("axes") or []

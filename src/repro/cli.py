@@ -179,15 +179,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _bundle(parser, args, spec) -> int:
     """``bundle {save,load,inspect}`` — zero-cold-start artifact store.
 
-    ``save`` compiles + prunes + warms an app and writes its bundle
-    (the full fig10 shape sweep for ``tmv``; prune-only warm state for
-    other apps).  ``load`` reconstructs a warm program in *this*
-    process — run it from a fresh interpreter to demonstrate
-    zero-cold-start — and for tmv bundles re-serves the sweep and fails
-    loudly if it made any model evaluation or permutation build (it
-    prints the expression compiles of the plans it ran).  ``inspect``
-    prints the bundle's invalidation key and contents without applying
-    it.
+    ``save`` compiles + prunes an app and writes its bundle (for
+    ``tmv``, the fig10 program, with the sweep ``load`` serves in its
+    meta).  ``load`` reconstructs the program in *this* process — run
+    it from a fresh interpreter to demonstrate zero-cold-start — and
+    for tmv bundles serves the sweep, then serves it again after
+    ``clear_warm_caches()``, and fails unless the first sweep ran no
+    prune or bake and made the second one's model evaluations,
+    permutation builds and expression compiles, with bit-identical
+    outputs.  ``inspect`` prints the bundle's invalidation key and
+    contents without applying it.
     """
     from .artifacts import ArtifactBundle
 
@@ -221,12 +222,14 @@ def _bundle(parser, args, spec) -> int:
                                                    1 << 10)),
                 seed=int(bundle.meta.get("seed", 0)))
             print(f"# zero-cold-start check — tmv from {args.path}")
-            for key, value in report.items():
-                print(f"{key:16s} {value}")
-            cold_work = report["model_evals"] + report["perm_builds"]
-            print(f"verdict           "
-                  f"{'OK' if cold_work == 0 else 'FAIL'}")
-            return 0 if cold_work == 0 else 1
+            print(f"{'shapes':16s} {report['shapes']}")
+            print(f"{'':16s} {'loaded':>8s} {'cleared':>8s}")
+            for key, value in report["loaded"].items():
+                print(f"{key:16s} {value:8d} {report['cleared'][key]:8d}")
+            print(f"{'identical':16s} {report['identical']}")
+            print(f"{'checksum':16s} {report['checksum']}")
+            print(f"{'verdict':16s} {'OK' if report['ok'] else 'FAIL'}")
+            return 0 if report["ok"] else 1
         compiled = api.load_bundle(args.path, force=args.force)
         print(f"loaded {args.path} into a warm "
               f"{compiled.program.name!r} program "

@@ -628,9 +628,12 @@ class AdapticCompiler:
                                  arrays_fn, self.options.threads)
         plans: List = [fused]
         from .plans.cpusubgraph import CpuGraphPlan
+        # The chain fused because each producer pushes what its consumer
+        # pops, so one first-actor invocation is one chain steady state.
         plans.append(CpuGraphPlan(self.spec, name,
                                   Pipeline(*spec.filters),
-                                  self.options.threads))
+                                  self.options.threads,
+                                  steady_states=shape.invocations))
         return Segment(
             name=name, kind="generic_chain", plans=plans,
             input_size=lambda p: shape.invocations(p) * shape.pop(p),

@@ -193,30 +193,6 @@ class KernelPlan(abc.ABC):
         self._warm_cache.clear()
         self._entry_pins.clear()
 
-    # -- warm-state persistence (artifact bundles) -------------------------
-    def export_permutations(self):
-        """Yield ``(size, frozen_scalars, perm)`` for every memoized
-        restructure permutation (bundle assembly).
-
-        Permutation keys are the only warm-cache entries with no
-        array-identity component, so they survive a round trip into a
-        fresh process; compiled-artifact entries (id-keyed) do not and
-        are rendered there from IR on first use.
-        """
-        for key, perm in self._warm_cache.items():
-            if (len(key) == 3 and key[0] == "perm"
-                    and isinstance(key[1], int) and perm is not None):
-                yield key[1], key[2], perm
-
-    def inject_permutation(self, size: int, scalars, perm) -> None:
-        """Pre-seed one restructure permutation (bundle warm-state load).
-
-        Later :meth:`restructure_input` calls at this ``(size, scalars)``
-        hit the warm cache — zero permutation builds.
-        """
-        perm = np.ascontiguousarray(perm, dtype=np.intp)
-        self._warm_cache[("perm", int(size), tuple(scalars))] = perm
-
     # -- host-side staging -----------------------------------------------
     def restructure_permutation(self, size: int,
                                 params) -> Optional[np.ndarray]:

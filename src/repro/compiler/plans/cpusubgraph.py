@@ -8,7 +8,7 @@ so *any* valid StreamIt program compiles and runs end to end.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -26,11 +26,15 @@ class CpuGraphPlan(KernelPlan):
     strategy = "cpu.subgraph"
     placement = "cpu"
 
-    def __init__(self, spec: GPUSpec, name: str, stream, threads: int = 256):
+    def __init__(self, spec: GPUSpec, name: str, stream, threads: int = 256,
+                 steady_states: Optional[Callable[[Dict], int]] = None):
         super().__init__(spec, name)
         self.stream = stream
         self.graph = flatten(stream)
         self.optimizations = ["cpu_placement"]
+        #: Subgraph steady states one execution runs: one for a whole
+        #: program, the first actor's invocations for a fused chain.
+        self._states = steady_states or (lambda params: 1)
 
     # ------------------------------------------------------------------
     def _schedule(self, params):
@@ -43,10 +47,10 @@ class CpuGraphPlan(KernelPlan):
         return max(1, input_len // sched.inputs_per_steady)
 
     def expected_input_size(self, params) -> int:
-        return self._schedule(params).inputs_per_steady
+        return self._schedule(params).inputs_per_steady * self._states(params)
 
     def output_size(self, params) -> int:
-        return self._schedule(params).outputs_per_steady
+        return self._schedule(params).outputs_per_steady * self._states(params)
 
     def launches(self, params) -> List[PlannedLaunch]:
         return []
@@ -59,6 +63,7 @@ class CpuGraphPlan(KernelPlan):
             per = (counts.comp + counts.pops + counts.pushes + counts.peeks
                    + counts.aux_loads)
             total_ops += per * sched.repetitions[node.id]
+        total_ops *= self._states(params)
         return CPU_DISPATCH_SECONDS + total_ops / CPU_OPS_PER_SECOND
 
     def execute_host(self, data, params) -> np.ndarray:

@@ -16,7 +16,7 @@ side through the same kernels (horizontal integration, §4.3.2).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,9 @@ class Reducer:
     state_width: int          # number of scalar slots per partial result
     pops_per_iter: int
     outputs_per_array: int
+    #: ``(ops, aux loads)`` of one element, once :meth:`_element_counts`
+    #: has walked the IR.
+    _counts: Optional[Tuple[int, int]] = None
 
     def identity(self) -> Tuple[float, ...]:
         raise NotImplementedError
@@ -70,6 +73,18 @@ class Reducer:
 
     def element_aux_loads(self) -> int:
         return 0
+
+    def _element_counts(self) -> Tuple[int, int]:
+        """``(ops, aux loads)`` of one ``pattern.element`` evaluation.
+
+        Constants of the reducer, walked from the IR on the first cost
+        query: a plan's ``symbolic`` reducer serves all its queries.
+        """
+        if self._counts is None:
+            element = self.pattern.element
+            self._counts = (max(1, expr_ops(element)),
+                            expr_aux_loads(element))
+        return self._counts
 
     def combine_ops(self) -> int:
         return 1
@@ -148,10 +163,10 @@ class ScalarReducer(Reducer):
         return [self._vepi(acc)]
 
     def element_ops(self) -> int:
-        return max(1, expr_ops(self.pattern.element))
+        return self._element_counts()[0]
 
     def element_aux_loads(self) -> int:
-        return expr_aux_loads(self.pattern.element)
+        return self._element_counts()[1]
 
     # -- CUDA -----------------------------------------------------------
     def c_state_decl(self, name: str) -> str:
@@ -240,10 +255,10 @@ class ArgReducer(Reducer):
         return out
 
     def element_ops(self) -> int:
-        return max(1, expr_ops(self.pattern.element)) + 2  # cmp + select
+        return self._element_counts()[0] + 2  # cmp + select
 
     def element_aux_loads(self) -> int:
-        return expr_aux_loads(self.pattern.element)
+        return self._element_counts()[1]
 
     def combine_ops(self) -> int:
         return 3

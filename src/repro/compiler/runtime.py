@@ -39,8 +39,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..artifacts import (ArtifactBundle, BUNDLE_SCHEMA_VERSION,
-                         decode_ndarray, decode_scalars, encode_ndarray,
-                         encode_scalars, program_fingerprint, _repro_version)
+                         decode_scalars, encode_scalars, program_fingerprint,
+                         _repro_version)
 from ..errors import (BundleFormatError, BundleProgramError, CalibrationError,
                       CompileError, KernelExecutionError, KernelTimeoutError,
                       ModelSweepError, ReproError, SelectionError)
@@ -63,6 +63,9 @@ _CANONICAL = {LAYOUT_INTERLEAVED, LAYOUT_ROWS}
 #: Relative calibration-factor change past which feedback re-sweeps the
 #: observed segment's dispatch table around the binding.
 REBAKE_THRESHOLD = 0.25
+#: Mispredict threshold: the chosen variant's observed time must exceed
+#: this many times the runner-up's calibrated prediction.
+MISPREDICT_MARGIN = 1.25
 
 
 class InputLocation(str, enum.Enum):
@@ -259,7 +262,7 @@ class CompiledProgram:
         #: Measured-feedback state: per-family EWMA calibration factors,
         #: probe budgets, quarantines (repro.perfmodel.calibration).
         self.calibration = CalibrationStore()
-        #: Policy for the feedback loop (margin, probe budget, observer).
+        #: Policy for the feedback loop (probe budget, observer).
         self.feedback = FeedbackConfig()
         #: Optional :class:`~repro.faults.FaultInjector` (from
         #: ``options.faults``) consulted around every segment execution
@@ -1164,17 +1167,15 @@ class CompiledProgram:
                                                    None))
 
     def export_bundle(self, meta: Optional[Dict] = None) -> ArtifactBundle:
-        """Assemble this program's complete warm state into a bundle.
+        """Assemble this program's compile-time decisions into a bundle.
 
-        Captures the compile-time products the warm path needs —
-        surviving variants, dispatch tables, restructure permutations,
-        cost memo entries and the calibration store — keyed by (program
-        IR fingerprint, arch fingerprint, repro version, schema
-        version).  The bundle is data only: no code rides in it.
-        :meth:`load_bundle` in a fresh process replays it so the first
-        run needs zero model evaluations and zero permutation builds;
-        that run renders only the expression functions of the plans it
-        executes, as any cold plan does.
+        Captures what a fresh process cannot recompute cheaply —
+        surviving variants, dispatch tables and the calibration store —
+        keyed by (program IR fingerprint, arch fingerprint, repro
+        version, schema version).  Warm caches (cost memo, restructure
+        permutations, expression functions) stay out, so serving
+        without feedback never changes the bundle.  The bundle is data
+        only: no code rides in it.
         """
         segments_payload = []
         for segment in self.segments:
@@ -1187,33 +1188,12 @@ class CompiledProgram:
                     "from_host": bool(d.from_host),
                     "region": d.region.to_payload(),
                 })
-            permutations = []
-            for plan in segment.plans:
-                for size, scalars, perm in plan.export_permutations():
-                    permutations.append({
-                        "strategy": plan.strategy, "size": int(size),
-                        "scalars": encode_scalars(scalars),
-                        "perm": encode_ndarray(perm),
-                    })
             segments_payload.append({
                 "name": segment.name, "kind": segment.kind,
                 "strategies": [p.strategy for p in segment.plans],
                 "pruned": list(segment.pruned_strategies),
                 "dispatch": dispatch_payload,
-                "permutations": permutations,
             })
-
-        plan_location = {id(plan): (segment.name, plan.strategy)
-                         for segment in self.segments
-                         for plan in segment.plans}
-        costs = []
-        for plan, scalars, seconds in self.cost.entries():
-            location = plan_location.get(id(plan))
-            if location is None:
-                continue          # memo entry for a since-pruned plan
-            costs.append({"segment": location[0], "strategy": location[1],
-                          "scalars": encode_scalars(scalars),
-                          "seconds": float(seconds)})
 
         self.calibration.arch_fingerprint = self.spec.fingerprint()
         return ArtifactBundle(
@@ -1226,7 +1206,6 @@ class CompiledProgram:
             options_label=self.options.label(),
             wire_dtype=self.wire_dtype.str,
             segments=segments_payload,
-            costs=costs,
             calibration=self.calibration.to_dict(),
             meta=dict(meta or {}))
 
@@ -1239,19 +1218,21 @@ class CompiledProgram:
 
     def load_bundle(self, bundle: Union[ArtifactBundle, str], *,
                     force: bool = False) -> ArtifactBundle:
-        """Inject a bundle's warm state into this (cold) program.
+        """Apply a bundle's compile-time decisions to this (cold) program.
 
         Validates the full invalidation key and stages every piece of
         state — segment/strategy resolution, dispatch tables,
-        permutations, calibration — *before* mutating anything, so a
-        stale bundle raises the precise :class:`BundleError` subclass
-        and leaves the program untouched (never half-applied).  After a
-        successful load the first ``run()`` selects from seeded cost
-        memo entries or baked tables (zero model evaluations) and
-        restructures with seeded permutations (zero builds).  Unknown
-        payload keys, such as the ``sources`` older bundles carried,
-        are ignored.  ``force=True`` only relaxes the repro-version
-        check.
+        calibration — *before* mutating anything, so a stale bundle
+        raises the precise :class:`BundleError` subclass and leaves the
+        program untouched (never half-applied).  After a successful
+        load the first requests run no prune or bake, select in-box
+        inputs from the baked tables with zero model evaluations, and
+        make exactly the model evaluations, permutation builds and
+        expression compiles the same requests make after
+        :meth:`clear_warm_caches`.  Unknown payload keys, such as the
+        ``costs``, ``permutations`` and ``sources`` older bundles
+        carried, are ignored.  ``force=True`` only relaxes the
+        repro-version check.
         """
         if not isinstance(bundle, ArtifactBundle):
             bundle = ArtifactBundle.load(bundle)
@@ -1307,20 +1288,7 @@ class CompiledProgram:
                         f"bundle's surviving set {sorted(survivors)}; "
                         f"re-save the bundle",
                         segment=segment.name, plan=unknown[0])
-            permutations = []
-            for entry in payload.get("permutations") or []:
-                if entry["strategy"] not in survivors:
-                    continue
-                try:
-                    permutations.append(
-                        (entry["strategy"], int(entry["size"]),
-                         decode_scalars(entry["scalars"]),
-                         decode_ndarray(entry["perm"])))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise BundleFormatError(
-                        f"segment {segment.name!r}: malformed permutation "
-                        f"payload: {exc}", segment=segment.name) from exc
-            staged.append((segment, payload, dispatch, permutations))
+            staged.append((segment, payload, dispatch))
         try:
             calibration = CalibrationStore.from_dict(bundle.calibration)
         except CalibrationError as exc:
@@ -1328,7 +1296,7 @@ class CompiledProgram:
                 f"bundle calibration payload rejected: {exc}") from exc
 
         # -- commit: nothing below can fail on bundle content ----------
-        for segment, payload, dispatch, permutations in staged:
+        for segment, payload, dispatch in staged:
             keep = set(payload["strategies"])
             dropped = tuple(plan.strategy for plan in segment.plans
                             if plan.strategy not in keep)
@@ -1338,16 +1306,6 @@ class CompiledProgram:
                                          or segment.pruned_strategies
                                          + dropped)
             segment.dispatch = dispatch
-            plans = {plan.strategy: plan for plan in segment.plans}
-            for strategy, size, scalars, perm in permutations:
-                plans[strategy].inject_permutation(size, scalars, perm)
-        plan_of = {(segment.name, plan.strategy): plan
-                   for segment in self.segments for plan in segment.plans}
-        for entry in bundle.costs:
-            plan = plan_of.get((entry["segment"], entry["strategy"]))
-            if plan is not None:
-                self.cost.seed(plan, decode_scalars(entry["scalars"]),
-                               entry["seconds"])
         self.calibration = calibration
         self.wire_dtype = np.dtype(bundle.wire_dtype)
         return bundle
@@ -1367,8 +1325,8 @@ class CompiledProgram:
         decide whether to spend a probe on the calibrated runner-up —
         because that family has never been observed at this size bucket
         (exploration), or because the chosen variant's observed time
-        exceeded the runner-up's calibrated prediction by the mispredict
-        margin.  A probe measures the runner-up (observer call, or a
+        exceeded the runner-up's calibrated prediction by
+        :data:`MISPREDICT_MARGIN`.  A probe measures the runner-up (observer call, or a
         re-execution of the chain with the runner substituted).  Probes
         are bounded per ``(segment, bucket)`` by ``config.probe_limit``.
 
@@ -1395,8 +1353,7 @@ class CompiledProgram:
                  observed: float) -> None:
             raw = self.cost.plan_seconds(plan, params)
             predicted = raw * store.bias(plan.family)
-            change = store.observe(plan.family, bucket, observed, predicted,
-                                   alpha=config.alpha)
+            change = store.observe(plan.family, bucket, observed, predicted)
             stats.feedback_observations += 1
             if change > REBAKE_THRESHOLD and segment.dispatch is not None:
                 self._rebake_dispatch(segment, params)
@@ -1430,7 +1387,7 @@ class CompiledProgram:
                 runner = ranked[0]
             runner_cal = cost.plan_seconds(runner, params)
             mispredict = (not explore
-                          and observed > config.margin * runner_cal)
+                          and observed > MISPREDICT_MARGIN * runner_cal)
             if mispredict:
                 stats.mispredicts += 1
             if not (explore or mispredict):

@@ -163,27 +163,6 @@ class CostCache:
         self._costs.clear()
         self._plans.clear()
 
-    def entries(self):
-        """Yield ``(plan, frozen_scalars, seconds)`` for every memo entry.
-
-        Used by the artifact bundle writer; entries whose plan object is
-        no longer pinned (cleared mid-iteration) are skipped.
-        """
-        for (plan_id, scalars), seconds in self._costs.items():
-            plan = self._plans.get(plan_id)
-            if plan is not None:
-                yield plan, scalars, seconds
-
-    def seed(self, plan: KernelPlan, scalars, seconds: float) -> None:
-        """Pre-populate one memo entry (bundle warm-state injection).
-
-        Seeded entries answer later ``plan_seconds`` queries as cache
-        hits — zero model evaluations — exactly as if the process had
-        already evaluated the model at that binding.
-        """
-        self._plans.setdefault(id(plan), plan)
-        self._costs[(id(plan), tuple(scalars))] = float(seconds)
-
     @contextlib.contextmanager
     def compile_scope(self):
         """Attribute model evaluations inside the scope to compile time."""

@@ -115,52 +115,27 @@ def calibration_report(total_elements: int = 1 << 20,
         compiled, points, bias, family, pick=len(points) // 2)}
 
 
-def _warm_sweep(compiled, total_elements: int, seed: int = 0) -> None:
-    """Serve one full shape sweep: the warm-up ``save_bundle`` captures.
-
-    Every shape's variant is selected (populating the cost memo) and
-    executed under both executor modes (building its restructure
-    permutation), so the saved bundle serves the sweep in either mode
-    with zero model evaluations and zero permutation builds.
-    """
-    rng = np.random.default_rng(seed)
-    for rows, cols in tmv.shape_sweep(total_elements):
-        matrix, _vec, params = tmv.make_input(rows, cols, rng)
-        compiled.run(matrix, params, options=RunOptions(exec_mode=api.ExecMode.REFERENCE))
-        compiled.run(matrix, params, options=RunOptions(exec_mode=api.ExecMode.VECTORIZED))
-
-
 def save_bundle(path: str, spec: GPUSpec = TESLA_C2050,
                 total_elements: int = 1 << 10,
                 prune_samples: int = 6, seed: int = 0):
-    """Compile + prune + warm the fig10 TMV sweep, then bundle it.
+    """Compile + prune the fig10 TMV program, then bundle it.
 
-    The saved bundle replays this warm state into a fresh process: the
-    sweep's first request there needs zero model evaluations and zero
-    permutation builds (see :func:`bundle_verify`).
+    The bundle holds the pruned variants and baked tables; a fresh
+    process that loads it serves the sweep with no prune or bake (see
+    :func:`bundle_verify`).  ``total_elements`` and ``seed`` name the
+    sweep :func:`bundle_verify` serves.
     """
     compiled = api.compile(tmv.build(), arch=spec)
     compiled.prune_variants(samples=prune_samples)
-    _warm_sweep(compiled, total_elements, seed)
     return compiled.save_bundle(path, meta={
         "app": "tmv", "total_elements": total_elements,
         "prune_samples": prune_samples, "seed": seed})
 
 
-def bundle_verify(path: str, total_elements: int = 1 << 10,
-                  seed: int = 0) -> Dict[str, object]:
-    """Load a fig10 bundle and serve the sweep, counting cold-start work.
-
-    Meant to run in a *fresh* process: a healthy bundle serves every
-    sweep shape with ``model_evals == 0`` and ``perm_builds == 0``.
-    ``expr_compiles`` counts the expression functions the served plans
-    render from IR, the same number a cold run of those plans renders.
-    Returns the counter dict; the CLI exits non-zero when model
-    evaluations or permutation builds are nonzero.
-    """
+def _serve_sweep(compiled, total_elements: int, seed: int):
+    """Run the sweep once; returns its outputs and counter deltas."""
     from ..compiler.exprgen import COMPILE_COUNTER
 
-    compiled = api.load_bundle(path)
     before = COMPILE_COUNTER.snapshot()
     stats_before = compiled.stats.snapshot()
     rng = np.random.default_rng(seed)
@@ -168,16 +143,42 @@ def bundle_verify(path: str, total_elements: int = 1 << 10,
     for rows, cols in tmv.shape_sweep(total_elements):
         matrix, _vec, params = tmv.make_input(rows, cols, rng)
         outputs.append(np.asarray(compiled.run(matrix, params).output))
-    compile_delta = COMPILE_COUNTER.since(before)
     stats = compiled.stats.since(stats_before)
+    return outputs, {
+        "compile_evals": stats.compile_evals,
+        "model_evals": stats.model_evals,
+        "perm_builds": stats.restructure_builds,
+        "expr_compiles": COMPILE_COUNTER.since(before).total,
+        "table_hits": stats.table_hits,
+    }
+
+
+def bundle_verify(path: str, total_elements: int = 1 << 10,
+                  seed: int = 0) -> Dict[str, object]:
+    """Load a fig10 bundle and check the zero-cold-start contract.
+
+    Meant to run in a *fresh* process.  The loaded program serves the
+    sweep once (``loaded``), then again after ``clear_warm_caches()``
+    (``cleared``).  The contract holds (``ok``) when the loaded sweep
+    runs no prune or bake (``compile_evals == 0``), makes exactly the
+    model evaluations, permutation builds and expression compiles of
+    the cleared sweep, and both sweeps' outputs are bit-identical.
+    """
+    compiled = api.load_bundle(path)
+    outputs, loaded = _serve_sweep(compiled, total_elements, seed)
+    compiled.clear_warm_caches()
+    again, cleared = _serve_sweep(compiled, total_elements, seed)
+    identical = all(a.tobytes() == b.tobytes()
+                    for a, b in zip(outputs, again))
+    same_work = all(loaded[key] == cleared[key] for key in
+                    ("model_evals", "perm_builds", "expr_compiles"))
     return {
         "shapes": len(outputs),
-        "model_evals": stats.model_evals,
-        "expr_compiles": compile_delta.total,
-        "perm_builds": stats.restructure_builds,
-        "cache_hits": stats.cache_hits,
-        "table_hits": stats.table_hits,
+        "loaded": loaded,
+        "cleared": cleared,
+        "identical": identical,
         "checksum": float(sum(float(np.sum(out)) for out in outputs)),
+        "ok": loaded["compile_evals"] == 0 and same_work and identical,
     }
 
 
@@ -190,9 +191,9 @@ def bundle_benchmark(total_elements: int = 1 << 10,
     Both sides serve the sweep's first shape from nothing.  Cold pays
     structural compilation, variant pruning, model-argmin selection and
     expression compilation; the bundle side pays structural compilation
-    plus warm-state injection, then selects from seeded memo entries and
-    renders only the executed plan's expression functions.  Outputs
-    must be bit-identical.
+    plus the load, then selects from the baked tables, prices the plan
+    it runs and renders that plan's expression functions.  Outputs must
+    be bit-identical.
     """
     import os
     import tempfile
@@ -231,7 +232,9 @@ def bundle_benchmark(total_elements: int = 1 << 10,
             "bundle_seconds": bundle_seconds,
             "speedup": cold_seconds / bundle_seconds,
             "cold_model_evals": cold.stats.model_evals,
+            "cold_compile_evals": cold.stats.compile_evals,
             "bundle_model_evals": warm.stats.model_evals,
+            "bundle_compile_evals": warm.stats.compile_evals,
         }
     finally:
         if owns_path:

@@ -34,6 +34,8 @@ from ..errors import CalibrationError
 CALIBRATION_SCHEMA_VERSION = 1
 #: Schema versions this build can read.
 SUPPORTED_CALIBRATION_VERSIONS = (1,)
+#: EWMA weight of the newest observed/predicted ratio.
+EWMA_ALPHA = 0.5
 
 
 def size_bucket(params) -> int:
@@ -71,11 +73,6 @@ class FeedbackConfig:
     re-executing the runner-up variant.
     """
 
-    #: EWMA weight of the newest observed/predicted ratio.
-    alpha: float = 0.5
-    #: Mispredict threshold: the chosen variant's observed time must
-    #: exceed ``margin`` times the runner-up's calibrated prediction.
-    margin: float = 1.25
     #: Maximum probe runs per ``(segment, size bucket)``.
     probe_limit: int = 3
     #: Deterministic measurement source for recalibration drivers.
@@ -158,15 +155,14 @@ class CalibrationStore:
         return state is not None and state.observations > 0
 
     def observe(self, family: str, bucket: int,
-                observed_seconds: float, predicted_seconds: float,
-                alpha: float = 0.5) -> float:
+                observed_seconds: float, predicted_seconds: float) -> float:
         """Fold one measurement into the family's factor.
 
         ``predicted_seconds`` is the model's biased prediction *before*
         the EWMA factor (the factor must converge to the ratio between
         reality and the model, not chase its own corrections).  The
         first observation seeds the EWMA with the raw ratio; later ones
-        blend with weight ``alpha``.  Returns the relative change of
+        blend with weight :data:`EWMA_ALPHA`.  Returns the relative change of
         the factor — the runtime re-sweeps dispatch tables when it
         exceeds :data:`~repro.compiler.runtime.REBAKE_THRESHOLD`.
         """
@@ -180,7 +176,7 @@ class CalibrationStore:
             old, new, count = 1.0, ratio, 1
         else:
             old = state.factor
-            new = (1.0 - alpha) * old + alpha * ratio
+            new = (1.0 - EWMA_ALPHA) * old + EWMA_ALPHA * ratio
             count = state.observations + 1
         self._factors[(family, bucket)] = _Factor(new, count)
         return abs(new - old) / old if old else 0.0

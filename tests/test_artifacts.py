@@ -5,16 +5,19 @@ failed save preserves the previous good file), `CalibrationStore`
 save→load→to_dict equality with version/arch gates, `ArtifactBundle`
 payload round trips, loud rejection of truncated/stale/cross-arch
 bundles (each its own `BundleError` subclass, nothing half-applied),
-and the counter-asserted contract itself — a bundle-loaded program
-serves its first request with zero perf-model evaluations and zero
-permutation builds, compiles exactly the expression functions a cold
-run of the same plans compiles, and is bit-identical to a
-cold-compiled run, both in-process and from a genuinely fresh
-interpreter.  Bundles saved by older code (``tests/data/``) still
-serve, or are refused, by the same checks, and the kernel source they
-carry never runs.
+and the counter-asserted contract itself — a bundle-loaded program's
+first requests run no prune or bake, make exactly the model
+evaluations, permutation builds and expression compiles the same
+requests make after ``clear_warm_caches()``, and are bit-identical to
+a cold-compiled run, both in-process and from a genuinely fresh
+interpreter.  A bundle holds decisions, not caches: what a program has
+served never changes the bytes it saves, and the cost memo entries
+and permutations older bundles carried are ignored.  Bundles saved by
+older code (``tests/data/``) still serve, or are refused, by the same
+checks, and the kernel source they carry never runs.
 """
 
+import base64
 import json
 import os
 import subprocess
@@ -26,9 +29,8 @@ import pytest
 from repro import Filter, Pipeline, StreamProgram, api
 from repro.apps import tmv
 from repro.artifacts import (ArtifactBundle, BUNDLE_SCHEMA_VERSION,
-                             atomic_write_json, decode_ndarray,
-                             decode_scalars, encode_ndarray, encode_scalars,
-                             program_fingerprint)
+                             atomic_write_json, decode_scalars,
+                             encode_scalars, program_fingerprint)
 from repro.compiler.exprgen import COMPILE_COUNTER
 from repro.errors import (BundleArchError, BundleError, BundleFormatError,
                           BundleProgramError, BundleVersionError,
@@ -51,6 +53,19 @@ def _compiles(call):
     before = COMPILE_COUNTER.snapshot()
     result = call()
     return result, COMPILE_COUNTER.since(before).total
+
+
+def _work(program, call):
+    """``(result, counters)`` of one call on ``program``: the model
+    evaluations it made (and the compile-time ones among them), the
+    permutations it built and the expression functions it compiled."""
+    stats_before = program.stats.snapshot()
+    result, compiles = _compiles(call)
+    stats = program.stats.since(stats_before)
+    return result, {"model_evals": stats.model_evals,
+                    "compile_evals": stats.compile_evals,
+                    "perm_builds": stats.restructure_builds,
+                    "compiles": compiles}
 
 
 def _warm_tmv(rows=8, cols=64, spec=TESLA_C2050, prune=True):
@@ -109,14 +124,6 @@ class TestAtomicWrite:
 
 
 class TestCodecs:
-    def test_ndarray_round_trip_bit_exact(self):
-        for array in (np.arange(7, dtype=np.intp),
-                      np.random.default_rng(0).random((3, 5)),
-                      np.array([np.inf, -np.inf, 0.0])):
-            back = decode_ndarray(encode_ndarray(array))
-            assert back.dtype == array.dtype
-            assert back.tobytes() == array.tobytes()
-
     def test_scalars_round_trip_with_numpy_values(self):
         scalars = (("cols", np.int64(128)), ("rows", 8), ("x", 1.5))
         back = decode_scalars(encode_scalars(scalars))
@@ -390,29 +397,29 @@ class TestBundleRejection:
 
 
 class TestZeroColdStart:
-    """The first run after a load makes zero model evaluations and zero
-    permutation builds, and renders exactly the expression functions of
-    the plans it runs: as many as the same run compiles after
-    ``clear_warm_caches()``."""
+    """The first run after a load runs no prune or bake, and makes
+    exactly the model evaluations, permutation builds and expression
+    compiles the same run makes after ``clear_warm_caches()``."""
 
-    def test_in_process_first_run_zero_counters_bit_identical(
+    def test_in_process_first_run_matches_cleared_run_bit_identical(
             self, saved_bundle):
         path, matrix, params, cold_out = saved_bundle
         warm = api.load_bundle(path)
         stats_before = warm.stats.snapshot()
-        result, compiles = _compiles(
-            lambda: warm.run(matrix, dict(params)))
-        stats = warm.stats.since(stats_before)
-        assert stats.model_evals == 0
-        assert stats.restructure_builds == 0
-        assert stats.expr_compiles == compiles
+        result, loaded = _work(warm, lambda: warm.run(matrix, dict(params)))
+        assert warm.stats.since(stats_before).expr_compiles == \
+            loaded["compiles"]
+        assert loaded["compile_evals"] == 0
         assert np.asarray(result.output).tobytes() == cold_out.tobytes()
         warm.clear_warm_caches()
-        _result, cold_compiles = _compiles(
-            lambda: warm.run(matrix, dict(params)))
-        assert compiles == cold_compiles > 0
+        again, cleared = _work(warm, lambda: warm.run(matrix, dict(params)))
+        assert loaded == cleared
+        assert loaded["compiles"] > 0
+        assert np.asarray(again.output).tobytes() == cold_out.tobytes()
+        assert again.predicted_kernel_seconds == \
+            result.predicted_kernel_seconds
 
-    def test_fresh_process_first_run_zero_counters(self, saved_bundle):
+    def test_fresh_process_first_run_matches_cleared_run(self, saved_bundle):
         path, _matrix, _params, cold_out = saved_bundle
         script = """
 import json, numpy as np
@@ -420,31 +427,37 @@ from repro import api
 from repro.apps import tmv
 from repro.compiler.exprgen import COMPILE_COUNTER
 warm = api.load_bundle({path!r})
-before = COMPILE_COUNTER.snapshot()
-stats0 = warm.stats.snapshot()
 rng = np.random.default_rng(7)
 matrix, _vec, params = tmv.make_input(8, 64, rng)
-out = np.asarray(warm.run(matrix, params).output)
-delta = COMPILE_COUNTER.since(before)
-stats = warm.stats.since(stats0)
+
+def work():
+    before = COMPILE_COUNTER.snapshot()
+    stats0 = warm.stats.snapshot()
+    out = np.asarray(warm.run(matrix, params).output)
+    stats = warm.stats.since(stats0)
+    return out, {{"model_evals": stats.model_evals,
+                 "compile_evals": stats.compile_evals,
+                 "perm_builds": stats.restructure_builds,
+                 "compiles": COMPILE_COUNTER.since(before).total,
+                 "table_hits": stats.table_hits}}
+
+out, loaded = work()
 warm.clear_warm_caches()
-cold = COMPILE_COUNTER.snapshot()
-warm.run(matrix, params)
-print(json.dumps({{"out": out.tolist(),
-                   "compiles": delta.total,
-                   "cold_compiles": COMPILE_COUNTER.since(cold).total,
-                   "model_evals": stats.model_evals,
-                   "perm_builds": stats.restructure_builds}}))
+again, cleared = work()
+print(json.dumps({{"out": out.tolist(), "again": again.tolist(),
+                   "loaded": loaded, "cleared": cleared}}))
 """.format(path=path)
         env = dict(os.environ, PYTHONPATH=REPO_SRC)
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        assert report["compiles"] == report["cold_compiles"] > 0
-        assert report["model_evals"] == 0
-        assert report["perm_builds"] == 0
-        assert np.asarray(report["out"]).tobytes() == cold_out.tobytes()
+        assert report["loaded"] == report["cleared"]
+        assert report["loaded"]["compile_evals"] == 0
+        assert report["loaded"]["table_hits"] == 1
+        assert report["loaded"]["compiles"] > 0
+        for key in ("out", "again"):
+            assert np.asarray(report[key]).tobytes() == cold_out.tobytes()
 
     def test_cold_rerun_after_clear_still_counts_compiles(self):
         compiled, (matrix, params, _out) = _warm_tmv()
@@ -456,7 +469,7 @@ print(json.dumps({{"out": out.tolist(),
     def test_table_backed_bundle_serves_by_bisect(self, tmp_path):
         # Pin cols so a one-axis dispatch table bakes over rows; the
         # bundle then carries the table and the loaded program selects
-        # by table lookup.
+        # by table lookup, with zero model evaluations.
         DeviceArray.reset_base_allocator()
         compiled = api.compile(tmv.build())
         compiled.prune_variants(samples=4, extra_params={"cols": 64})
@@ -476,11 +489,18 @@ print(json.dumps({{"out": out.tolist(),
         for (_lo, hi), (lo, _hi) in zip(runs, runs[1:]):
             assert lo == hi + 1
         stats_before = warm.stats.snapshot()
-        out = np.asarray(warm.run(matrix, dict(params)).output)
-        stats = warm.stats.since(stats_before)
-        assert stats.table_hits >= 1
-        assert stats.model_evals == 0
-        assert out.tobytes() == cold_out.tobytes()
+        warm.select(dict(params))
+        selected = warm.stats.since(stats_before)
+        assert selected.table_hits == 1
+        assert selected.model_evals == 0
+        stats_before = warm.stats.snapshot()
+        result, loaded = _work(warm, lambda: warm.run(matrix, dict(params)))
+        assert warm.stats.since(stats_before).table_hits >= 1
+        assert loaded["compile_evals"] == 0
+        assert np.asarray(result.output).tobytes() == cold_out.tobytes()
+        warm.clear_warm_caches()
+        _again, cleared = _work(warm, lambda: warm.run(matrix, dict(params)))
+        assert loaded == cleared
 
     def test_bundle_restores_quarantines_and_calibration(self, tmp_path):
         compiled, (matrix, params, _out) = _warm_tmv()
@@ -495,7 +515,8 @@ print(json.dumps({{"out": out.tolist(),
         assert warm.calibration.arch_fingerprint == \
             TESLA_C2050.fingerprint()
 
-    def test_run_many_after_bundle_load_is_warm(self, saved_bundle):
+    def test_run_many_after_bundle_load_matches_cleared_run(
+            self, saved_bundle):
         path, _matrix, _params, _out = saved_bundle
         warm = api.load_bundle(path)
         rng = np.random.default_rng(7)
@@ -504,17 +525,86 @@ print(json.dumps({{"out": out.tolist(),
             matrix, _vec, params = tmv.make_input(rows, cols, rng)
             inputs.append(matrix)
             bindings.append(params)
-        stats_before = warm.stats.snapshot()
-        results, compiles = _compiles(
-            lambda: warm.run_many(inputs, bindings))
-        stats = warm.stats.since(stats_before)
+        results, loaded = _work(warm,
+                                lambda: warm.run_many(inputs, bindings))
         assert len(results) == 2
-        assert stats.model_evals == 0
-        assert stats.restructure_builds == 0
+        assert loaded["compile_evals"] == 0
         warm.clear_warm_caches()
-        _results, cold_compiles = _compiles(
-            lambda: warm.run_many(inputs, bindings))
-        assert compiles == cold_compiles
+        again, cleared = _work(warm,
+                               lambda: warm.run_many(inputs, bindings))
+        assert loaded == cleared
+        for first, second in zip(results, again):
+            assert np.asarray(first.output).tobytes() == \
+                np.asarray(second.output).tobytes()
+
+
+class TestBundlesCarryDecisionsNotCaches:
+    """A bundle holds surviving variants, tables and calibration, never
+    the warm caches a fresh process recomputes from the IR."""
+
+    def test_saved_bytes_do_not_depend_on_what_was_served(self, tmp_path):
+        """Saved after one served shape and after all twelve of the
+        serving benchmark's shapes, the bundle is the same file."""
+        DeviceArray.reset_base_allocator()
+        compiled = api.compile(tmv.build())
+        compiled.prune_variants()
+        shapes = tmv.shape_sweep(1 << 8) + tmv.shape_sweep(1 << 10)
+        assert len(shapes) == 12
+        rng = np.random.default_rng(11)
+        saved = []
+        for served in (shapes[:1], shapes[1:]):
+            for rows, cols in served:
+                matrix, _vec, params = tmv.make_input(rows, cols, rng)
+                compiled.run(matrix, params)
+            path = tmp_path / f"served{len(saved)}.bundle.json"
+            compiled.save_bundle(str(path), meta={"app": "tmv"})
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+        payload = json.loads(saved[0])
+        assert "costs" not in payload
+        assert all("permutations" not in segment
+                   for segment in payload["segments"])
+
+    def test_carried_costs_and_permutations_are_ignored(self, tmp_path):
+        """Older bundles carried cost memo entries and restructure
+        permutations.  Reverse the permutation a 256x4 request stages
+        its input with and set that request's cost entry to -1.0: the
+        loaded run still computes and prices what an honest program
+        does."""
+        from repro.compiler.plans.base import freeze_scalars
+
+        DeviceArray.reset_base_allocator()
+        honest = api.compile(tmv.build())
+        honest.prune_variants(samples=4)
+        matrix, _vec, params = tmv.make_input(256, 4,
+                                              np.random.default_rng(5))
+        expected = honest.run(matrix, dict(params))
+        plan, = honest.select(params)
+        perm = plan.restructure_permutation(matrix.size, params)
+        assert perm is not None
+        path = str(tmp_path / "tampered.bundle.json")
+        honest.save_bundle(path, meta={"app": "tmv"})
+        with open(path) as handle:
+            payload = json.load(handle)
+        scalars = encode_scalars(freeze_scalars(params))
+        reverse = np.ascontiguousarray(perm[::-1], dtype=np.intp)
+        segment = payload["segments"][0]
+        segment["permutations"] = [{
+            "strategy": plan.strategy, "size": int(matrix.size),
+            "scalars": scalars,
+            "perm": {"dtype": reverse.dtype.str,
+                     "shape": list(reverse.shape),
+                     "data": base64.b64encode(
+                         reverse.tobytes()).decode("ascii")}}]
+        payload["costs"] = [{"segment": segment["name"],
+                             "strategy": plan.strategy,
+                             "scalars": scalars, "seconds": -1.0}]
+        atomic_write_json(path, payload)
+        result = api.load_bundle(path).run(matrix, dict(params))
+        assert np.asarray(result.output).tobytes() == \
+            np.asarray(expected.output).tobytes()
+        assert result.predicted_kernel_seconds == \
+            expected.predicted_kernel_seconds > 0
 
 
 class TestBundlesSavedBeforeChainFusionRemoval:
@@ -548,14 +638,15 @@ class TestBundlesSavedBeforeChainFusionRemoval:
             os.path.join(DATA, "chain_compat_default.json"))
         assert bundle.schema_version == BUNDLE_SCHEMA_VERSION
         compiled, run = self._load(bundle)
-        stats_before = compiled.stats.snapshot()
-        result, compiles = _compiles(run)
-        assert compiled.stats.since(stats_before).model_evals == 0
+        result, loaded = _work(compiled, run)
+        assert loaded["compile_evals"] == 0
         expected = np.asarray(bundle.meta["output"], dtype=np.float64)
         assert result.output.tobytes() == expected.tobytes()
         compiled.clear_warm_caches()
-        _result, cold_compiles = _compiles(run)
-        assert compiles == cold_compiles > 0
+        again, cleared = _work(compiled, run)
+        assert loaded == cleared
+        assert loaded["compiles"] > 0
+        assert again.output.tobytes() == expected.tobytes()
 
     def test_carried_kernel_source_never_runs(self, tmp_path):
         """The compat bundle still carries the kernel ``sources`` older

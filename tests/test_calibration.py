@@ -95,17 +95,17 @@ class TestCalibrationStore:
     def test_first_observation_seeds_factor_exactly(self):
         store = CalibrationStore()
         store.observe("f", 12, observed_seconds=3.0,
-                      predicted_seconds=1.0, alpha=0.5)
+                      predicted_seconds=1.0)
         assert store.ewma("f", 12) == pytest.approx(3.0)
 
     def test_ewma_converges_to_stationary_ratio(self):
         store = CalibrationStore()
         # Seed far away, then feed a constant ratio of 2.0.
         store.observe("f", 10, observed_seconds=100.0,
-                      predicted_seconds=1.0, alpha=0.5)
+                      predicted_seconds=1.0)
         for _ in range(20):
             store.observe("f", 10, observed_seconds=2.0,
-                          predicted_seconds=1.0, alpha=0.5)
+                          predicted_seconds=1.0)
         assert store.ewma("f", 10) == pytest.approx(2.0, rel=1e-4)
 
     def test_factors_are_per_family_and_per_bucket(self):

@@ -1,9 +1,16 @@
 """Tests for the command-line harness."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import apps
 from repro.cli import main
+
+REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
 
 
 class TestCli:
@@ -73,6 +80,38 @@ class TestCli:
     def test_unknown_target_errors(self):
         with pytest.raises(KeyError):
             main(["fig01", "--target", "rtx9090"])
+
+
+class TestBundleCommand:
+    def _repro(self, *args):
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        return subprocess.run([sys.executable, "-m", "repro", *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+
+    def test_save_then_fresh_process_load_verdict_ok(self, tmp_path):
+        path = str(tmp_path / "tmv.bundle.json")
+        saved = self._repro("bundle", "save", "tmv", "--out", path)
+        assert saved.returncode == 0, saved.stderr
+        loaded = self._repro("bundle", "load", path)
+        assert loaded.returncode == 0, loaded.stdout + loaded.stderr
+        lines = loaded.stdout.splitlines()
+        assert lines[-1].split() == ["verdict", "OK"]
+        assert any(line.split()[:2] == ["compile_evals", "0"]
+                   for line in lines)
+
+    def test_load_fails_when_contract_breaks(self, tmp_path, capsys,
+                                             monkeypatch):
+        from repro.experiments import fig10
+        path = str(tmp_path / "tmv.bundle.json")
+        fig10.save_bundle(path)
+        counters = {"compile_evals": 0, "model_evals": 7}
+        monkeypatch.setattr(fig10, "bundle_verify", lambda *_a, **_kw: {
+            "shapes": 7, "loaded": counters, "cleared": counters,
+            "identical": True, "checksum": 0.0, "ok": False})
+        assert main(["bundle", "load", path]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].split() == ["verdict", "FAIL"]
 
 
 class TestReportCommand:

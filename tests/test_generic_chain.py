@@ -5,6 +5,7 @@ import pytest
 
 from repro import AdapticOptions, Filter, Pipeline, StreamProgram, api
 from repro.compiler import AdapticCompiler
+from repro.compiler.plans.cpuplan import CPU_DISPATCH_SECONDS
 from repro.gpu import TESLA_C2050
 from repro.streamit import run_program
 
@@ -98,6 +99,25 @@ def look3(k):
         compiled = api.compile(prog)
         assert len(compiled.segments) == 2
         _ = consumer
+
+    def test_host_subgraph_priced_by_its_steady_states(self):
+        """The host plan interprets one chain steady state per
+        first-actor invocation, so its price and output size grow with
+        m: it wins at m = 10 and loses to the fused kernel at 100,000."""
+        compiled = api.compile(chain_program())
+        seg = compiled.segments[0]
+        host = seg.plan_named("cpu.subgraph")
+        small, large = {"k": 0, "m": 10}, {"k": 0, "m": 100000}
+        for params in (small, large):
+            assert host.output_size(params) == seg.output_size(params) \
+                == params["m"]
+        work = [compiled.plan_seconds(host, params) - CPU_DISPATCH_SECONDS
+                for params in (small, large)]
+        assert work[1] == pytest.approx(10000 * work[0])
+        assert [p.strategy for p in compiled.select(small)] == \
+            ["cpu.subgraph"]
+        assert [p.strategy for p in compiled.select(large)] == \
+            ["generic.fused_chain"]
 
     def test_fused_saves_modeled_traffic(self):
         compiled = api.compile(chain_program())

@@ -14,7 +14,7 @@ from repro.compiler.plans import (LAYOUT_ROW_SOA, LAYOUT_ROWS,
                                   ReduceTwoKernelPlan, restructure_host)
 from repro.compiler.plans.multireduce import (HorizontalReducePlan,
                                               SeparateReducePlan)
-from repro.compiler.reducers import ArgReducer, ScalarReducer
+from repro.compiler.reducers import ArgReducer, ScalarReducer, reducer_for
 from repro.perfmodel import PerformanceModel
 
 from workloads import ISAMAX_SRC, SDOT_SRC, SNRM2_SRC, SUM_SRC
@@ -287,6 +287,38 @@ class TestModelDrivenSelection:
         assert (time_for(1 << 20, 4, ReduceThreadPerArrayPlan,
                          layout=LAYOUT_TRANSPOSED)
                 < time_for(1 << 20, 4, ReduceSingleKernelPlan))
+
+    @pytest.mark.parametrize("src", [SDOT_SRC, ISAMAX_SRC],
+                             ids=["sdot", "isamax"])
+    @pytest.mark.parametrize("plan_cls,kwargs", [
+        (ReduceSingleKernelPlan, {}),
+        (ReduceTwoKernelPlan, {}),
+        (ReduceThreadPerArrayPlan, {"layout": LAYOUT_TRANSPOSED}),
+    ], ids=["single", "two_kernel", "thread_per_array"])
+    def test_second_launches_walks_no_ir(self, monkeypatch, src, plan_cls,
+                                         kwargs):
+        """Element op and aux-load counts are constants of the plan's
+        reducer: the first cost query walks the element IR, later ones
+        reuse the counts."""
+        from repro.ir import nodes
+
+        classification = classify(lift_code(src))
+        shape = ReduceShape(lambda p: p["r"], lambda p: p["n"],
+                            classification.pattern.pops_per_iter)
+        plan = plan_cls(SPEC, "r", shape,
+                        lambda p: reducer_for(classification, p), **kwargs)
+        first = plan.launches({"r": 4, "n": 256})
+        walks = []
+        walk = nodes.Node.walk
+
+        def counting_walk(node):
+            walks.append(node)
+            return walk(node)
+
+        monkeypatch.setattr(nodes.Node, "walk", counting_walk)
+        assert plan.launches({"r": 4, "n": 256}) == first
+        plan.launches({"r": 64, "n": 4096})
+        assert walks == []
 
     def test_two_kernel_initial_blocks_adapt(self):
         _, reducer_fn = make_reduction(SUM_SRC)
